@@ -145,7 +145,8 @@ let cell_of_sym_array arr =
 
 let cell_of_syms syms = cell_of_sym_array (Array.of_list syms)
 
-(* flattening of a written cell: a ⟨x_1⟩ … ⟨x_t⟩ ⟨c⟩ *)
+(* flattening of a written cell: a ⟨x_1⟩ … ⟨x_t⟩ ⟨c⟩; the node keeps
+   [comps], which the caller hands over *)
 let written_cell ~state ~comps ~choice =
   let h = ref (sym_code (St state)) and skh = ref (sym_skcode (St state)) in
   let pow = ref mult in
@@ -174,7 +175,7 @@ let written_cell ~state ~comps ~choice =
   app_sym cclose cclose;
   {
     uid = fresh_uid ();
-    shape = Written { state; comps = Array.copy comps; choice };
+    shape = Written { state; comps; choice };
     len = !len;
     hash = !h;
     skhash = !skh;
@@ -399,14 +400,101 @@ type config = {
 
 let empty_cell = cell_of_sym_array [| Open; Close |]
 
-let initial_config m =
+let current_cells c =
+  Array.mapi (fun tau p -> c.contents.(tau).(p - 1)) c.pos
+
+(* -------------------------------------------------------------- *)
+(* The kernel: the one implementation of Definition 24(c).
+
+   Definition 24(c) forces a write into every list whose head rests, so
+   under an array representation every step splices each resting list
+   at O(list length) and a long run goes quadratic (a census run at
+   m = 64 spent ~1.2 s shifting list tails). The kernel keeps each list
+   as a ring of doubly-linked nodes around a sentinel, so the splice at
+   a resting head's cursor is O(1) and a step is O(t). Every runner
+   drives it: [run_view] records views, [run] and [step] record
+   persistent snapshots, and [Plan]'s pilot steps it directly. Cells
+   are immutable DAG nodes, so recorded views and snapshots stay valid
+   as the rings change under them.
+
+   The kernel is top-level functions, not a submodule: a submodule is a
+   block allocated at program start, and start-up allocation shifts
+   every later minor collection of each program linking this library,
+   including those that never run a list machine (56 such words moved
+   the extsort-file benchmark's peak RSS by 4 MB). *)
+
+type node = {
+  nid : int;  (* the stable cell identity of [config.ids] *)
+  mutable ncell : cell;
+  mutable prev : node;
+  mutable next : node;
+}
+
+type tape = {
+  ring : node;  (* sentinel: [ring.next] is cell 1, [ring.prev] the last *)
+  mutable cur : node;  (* the node under the head *)
+  mutable tpos : int;  (* 1-based index of [cur] *)
+  mutable tlen : int;
+  mutable tdir : int;
+  mutable trevs : int;
+  mutable edit : int;  (* 1-based index the last write landed on *)
+}
+
+type kernel = {
+  tapes : tape array;
+  mutable knext_id : int;
+  mutable wrote : bool;  (* whether the last step wrote *)
+  mutable written : cell;  (* the cell it wrote *)
+  mutable max_total : int;
+  mutable max_cell : int;
+}
+
+(* a fresh node holding [y] between [q] and its successor *)
+let link_after q y id =
+  let n = { nid = id; ncell = y; prev = q; next = q.next } in
+  q.next.prev <- n;
+  q.next <- n
+
+let total_length k = Array.fold_left (fun acc tp -> acc + tp.tlen) 0 k.tapes
+
+let kernel_of_config (c : config) =
+  let tape tau =
+    let rec ring = { nid = 0; ncell = empty_cell; prev = ring; next = ring } in
+    Array.iteri (fun j y -> link_after ring.prev y c.ids.(tau).(j)) c.contents.(tau);
+    let cur = ref ring.next in
+    for _ = 2 to c.pos.(tau) do
+      cur := !cur.next
+    done;
+    {
+      ring;
+      cur = !cur;
+      tpos = c.pos.(tau);
+      tlen = Array.length c.contents.(tau);
+      tdir = c.head_dir.(tau);
+      trevs = c.revs.(tau);
+      edit = 0;
+    }
+  in
+  let k =
+    {
+      tapes = Array.init (Array.length c.pos) tape;
+      knext_id = c.next_id;
+      wrote = false;
+      written = empty_cell;
+      max_total = 0;
+      max_cell = 3 (* the size of an ⟨In i⟩ cell *);
+    }
+  in
+  k.max_total <- total_length k;
+  k
+
+let initial_lists ~lists ~input_length =
   let first =
-    if m.input_length = 0 then [| empty_cell |]
-    else Array.init m.input_length (fun i0 -> cell_of_sym_array [| Open; In (i0 + 1); Close |])
+    if input_length = 0 then [| empty_cell |]
+    else Array.init input_length (fun i0 -> cell_of_sym_array [| Open; In (i0 + 1); Close |])
   in
-  let contents =
-    Array.init m.lists (fun tau -> if tau = 0 then first else [| empty_cell |])
-  in
+  let contents = Array.init lists (fun tau -> if tau = 0 then first else [| empty_cell |]) in
+  (* ids count up list-major from 1 *)
   let counter = ref 0 in
   let ids =
     Array.map
@@ -416,99 +504,182 @@ let initial_config m =
       contents
   in
   {
-    state = m.initial;
-    pos = Array.make m.lists 1;
-    head_dir = Array.make m.lists 1;
+    state = 0;
+    pos = Array.make lists 1;
+    head_dir = Array.make lists 1;
     contents;
-    revs = Array.make m.lists 0;
+    revs = Array.make lists 0;
     ids;
     next_id = !counter + 1;
   }
 
-let current_cells c =
-  Array.mapi (fun tau p -> c.contents.(tau).(p - 1)) c.pos
+let kernel_create ~lists ~input_length = kernel_of_config (initial_lists ~lists ~input_length)
+let kernel_cell k tau = k.tapes.(tau).cur.ncell
+let kernel_cells k = Array.map (fun tp -> tp.cur.ncell) k.tapes
+let kernel_position k tau = k.tapes.(tau).tpos
+let kernel_dir k tau = k.tapes.(tau).tdir
+let kernel_length k tau = k.tapes.(tau).tlen
+let kernel_reversals k = Array.fold_left (fun acc tp -> acc + tp.trevs) 0 k.tapes
 
-let splice_replace arr j y =
-  let fresh = Array.copy arr in
-  fresh.(j - 1) <- y;
-  fresh
+(* the move flag after clamping at list ends *)
+let moves_on tp e =
+  e.move && not ((e.dir = -1 && tp.tpos = 1) || (e.dir = 1 && tp.tpos = tp.tlen))
 
-let splice_insert_before arr j y =
-  (* y becomes cell j; old cell j shifts to j+1 *)
-  Array.concat [ Array.sub arr 0 (j - 1); [| y |]; Array.sub arr (j - 1) (Array.length arr - j + 1) ]
+let kernel_step k ~state ~choice movements =
+  let t = Array.length k.tapes in
+  if Array.length movements <> t then invalid_arg "Nlm.step: wrong movement arity";
+  Array.iter
+    (fun e -> if e.dir <> -1 && e.dir <> 1 then invalid_arg "Nlm.step: dir must be ±1")
+    movements;
+  let moves = Array.make t 0 in
+  k.wrote <- Array.exists2 (fun tp e -> moves_on tp e || e.dir <> tp.tdir) k.tapes movements;
+  if k.wrote then begin
+    (* the forced write: an O(t) node referencing the current cells *)
+    let y = written_cell ~state ~comps:(kernel_cells k) ~choice in
+    k.written <- y;
+    if y.len > k.max_cell then k.max_cell <- y.len;
+    Array.iteri
+      (fun tau tp ->
+        let e = movements.(tau) in
+        if moves_on tp e then begin
+          (* overwrite: the cell keeps its identity, then the head
+             steps off it (the clamp guarantees a neighbour) *)
+          tp.cur.ncell <- y;
+          tp.edit <- tp.tpos;
+          tp.cur <- (if e.dir = 1 then tp.cur.next else tp.cur.prev);
+          tp.tpos <- tp.tpos + e.dir;
+          moves.(tau) <- e.dir
+        end
+        else begin
+          (* splice a fresh cell behind the resting head: before the
+             cursor when it faces right (shifting the cursor's index
+             up), after it when it faces left *)
+          link_after (if tp.tdir = 1 then tp.cur.prev else tp.cur) y k.knext_id;
+          k.knext_id <- k.knext_id + 1;
+          if tp.tdir = 1 then begin
+            tp.edit <- tp.tpos;
+            tp.tpos <- tp.tpos + 1
+          end
+          else tp.edit <- tp.tpos + 1;
+          tp.tlen <- tp.tlen + 1
+        end;
+        if e.dir <> tp.tdir then begin
+          tp.trevs <- tp.trevs + 1;
+          tp.tdir <- e.dir
+        end)
+      k.tapes;
+    k.max_total <- max k.max_total (total_length k)
+  end;
+  moves
 
-let splice_insert_after arr j y =
-  Array.concat [ Array.sub arr 0 j; [| y |]; Array.sub arr j (Array.length arr - j) ]
+(* the node at 1-based [index], walked to from the nearest of the
+   front, the cursor and the back *)
+let node_at tp index =
+  let from_cur = abs (index - tp.tpos) in
+  let n = ref tp.ring.next and steps = ref (index - 1) and fwd = ref true in
+  if from_cur < !steps then begin
+    n := tp.cur;
+    steps := from_cur;
+    fwd := index > tp.tpos
+  end;
+  if tp.tlen - index < !steps then begin
+    n := tp.ring.prev;
+    steps := tp.tlen - index;
+    fwd := false
+  end;
+  for _ = 1 to !steps do
+    n := if !fwd then !n.next else !n.prev
+  done;
+  !n
+
+let kernel_id_at k tau ~index =
+  let tp = k.tapes.(tau) in
+  if index < 1 || index > tp.tlen then invalid_arg "Nlm.kernel_id_at: index out of range";
+  (node_at tp index).nid
+
+let kernel_index_of_id k tau id =
+  let tp = k.tapes.(tau) in
+  let rec scan n i =
+    if n == tp.ring then None else if n.nid = id then Some i else scan n.next (i + 1)
+  in
+  scan tp.ring.next 1
+
+(* list contents and ids as arrays *)
+let cells_of tp =
+  let a = Array.make tp.tlen tp.ring.next.ncell in
+  let n = ref tp.ring.next in
+  for j = 1 to tp.tlen - 1 do
+    n := !n.next;
+    a.(j) <- !n.ncell
+  done;
+  a
+
+let ids_of tp =
+  let a = Array.make tp.tlen 0 in
+  let n = ref tp.ring in
+  for j = 0 to tp.tlen - 1 do
+    n := !n.next;
+    a.(j) <- !n.nid
+  done;
+  a
+
+(* [a] with [x] made element [i] (0-based), the tail shifted right *)
+let insert a i x =
+  let b = Array.make (Array.length a + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (Array.length a - i);
+  b
+
+(* The persistent configuration of the kernel in [state]. Given the
+   snapshot [prev] of the previous step, it replays that step's edits
+   on [prev]'s arrays rather than walking the rings: a step that wrote
+   nothing changed only the state, and a step that wrote put
+   [written] at index [edit] of every list — over the old cell if the
+   list kept its length (and so its ids), as a new cell otherwise. *)
+let snapshot ?prev k ~state =
+  match prev with
+  | Some p when not k.wrote -> { p with state }
+  | _ ->
+      let contents tau tp =
+        match prev with
+        | None -> cells_of tp
+        | Some p when Array.length p.contents.(tau) = tp.tlen ->
+            let a = Array.copy p.contents.(tau) in
+            a.(tp.edit - 1) <- k.written;
+            a
+        | Some p -> insert p.contents.(tau) (tp.edit - 1) k.written
+      in
+      let ids tau tp =
+        match prev with
+        | None -> ids_of tp
+        | Some p when Array.length p.ids.(tau) = tp.tlen -> p.ids.(tau)
+        | Some p -> insert p.ids.(tau) (tp.edit - 1) (node_at tp tp.edit).nid
+      in
+      {
+        state;
+        pos = Array.map (fun tp -> tp.tpos) k.tapes;
+        head_dir = Array.map (fun tp -> tp.tdir) k.tapes;
+        contents = Array.mapi contents k.tapes;
+        revs = Array.map (fun tp -> tp.trevs) k.tapes;
+        ids = Array.mapi ids k.tapes;
+        next_id = k.knext_id;
+      }
+
+let initial_config m =
+  { (initial_lists ~lists:m.lists ~input_length:m.input_length) with state = m.initial }
+
+(* one machine step on the kernel: α on the cells under the heads, then
+   Definition 24(c); returns the successor state and the cell moves *)
+let advance m ~values k ~state ~choice =
+  let tr = m.alpha ~values ~state ~cells:(kernel_cells k) ~choice in
+  (tr.next_state, kernel_step k ~state ~choice tr.movements)
 
 let step m ~values c ~choice =
   if m.is_final c.state then invalid_arg "Nlm.step: final configuration";
   if choice < 0 || choice >= m.num_choices then invalid_arg "Nlm.step: choice range";
-  let cells = current_cells c in
-  let tr = m.alpha ~values ~state:c.state ~cells ~choice in
-  if Array.length tr.movements <> m.lists then
-    invalid_arg "Nlm.step: alpha returned wrong movement arity";
-  (* clamp at list ends (Definition 24(c)) *)
-  let clamped =
-    Array.mapi
-      (fun tau e ->
-        let len = Array.length c.contents.(tau) in
-        if e.dir <> -1 && e.dir <> 1 then invalid_arg "Nlm.step: dir must be ±1";
-        if c.pos.(tau) = 1 && e.dir = -1 && e.move then { dir = -1; move = false }
-        else if c.pos.(tau) = len && e.dir = 1 && e.move then { dir = 1; move = false }
-        else e)
-      tr.movements
-  in
-  let f =
-    Array.mapi (fun tau e -> e.move || e.dir <> c.head_dir.(tau)) clamped
-  in
-  if Array.for_all not f then
-    ( { c with state = tr.next_state }, Array.make m.lists 0 )
-  else begin
-    (* the forced write: an O(t) node referencing the current cells *)
-    let y = written_cell ~state:c.state ~comps:cells ~choice in
-    let contents = Array.copy c.contents in
-    let ids = Array.copy c.ids in
-    let next_id = ref c.next_id in
-    let fresh () =
-      let id = !next_id in
-      incr next_id;
-      id
-    in
-    let pos = Array.copy c.pos in
-    let head_dir = Array.copy c.head_dir in
-    let revs = Array.copy c.revs in
-    let cellmoves = Array.make m.lists 0 in
-    for tau = 0 to m.lists - 1 do
-      let e = clamped.(tau) in
-      let p = c.pos.(tau) in
-      if e.move then begin
-        contents.(tau) <- splice_replace c.contents.(tau) p y;
-        (* overwrite: the cell keeps its identity, so [ids.(tau)] can
-           keep sharing [c.ids.(tau)] *)
-        pos.(tau) <- (if e.dir = 1 then p + 1 else p - 1);
-        cellmoves.(tau) <- e.dir
-      end
-      else begin
-        (if c.head_dir.(tau) = 1 then begin
-           contents.(tau) <- splice_insert_before c.contents.(tau) p y;
-           ids.(tau) <- splice_insert_before c.ids.(tau) p (fresh ());
-           pos.(tau) <- p + 1
-         end
-         else begin
-           contents.(tau) <- splice_insert_after c.contents.(tau) p y;
-           ids.(tau) <- splice_insert_after c.ids.(tau) p (fresh ());
-           pos.(tau) <- p
-         end);
-        cellmoves.(tau) <- 0
-      end;
-      if e.dir <> c.head_dir.(tau) then begin
-        revs.(tau) <- revs.(tau) + 1;
-        head_dir.(tau) <- e.dir
-      end
-    done;
-    ( { state = tr.next_state; pos; head_dir; contents; revs; ids; next_id = !next_id },
-      cellmoves )
-  end
+  let k = kernel_of_config c in
+  let state, moves = advance m ~values k ~state:c.state ~choice in
+  (snapshot ~prev:c k ~state, moves)
 
 type trace = {
   accepted : bool;
@@ -518,47 +689,65 @@ type trace = {
   total_revs : int;
 }
 
-let run ?(fuel = 100_000) m ~values ~choices =
-  if Array.length values <> m.input_length then
-    invalid_arg "Nlm.run: values arity";
-  let configs = ref [] in
-  let moves = ref [] in
-  let used = ref [] in
-  let c = ref (initial_config m) in
-  let steps = ref 0 in
-  configs := [ !c ];
-  while not (m.is_final !c.state) do
-    if !steps >= fuel then failwith "Nlm.run: out of fuel";
-    let choice = ((choices !steps mod m.num_choices) + m.num_choices) mod m.num_choices in
-    let c', mv = step m ~values !c ~choice in
-    c := c';
-    configs := c' :: !configs;
-    moves := mv :: !moves;
-    used := choice :: !used;
-    incr steps
+(* [Array.of_list (List.rev l)] without the intermediate reversed list,
+   which on a long run is as large as the list itself *)
+let array_of_rev_list l =
+  let a = Array.of_list l in
+  let n = Array.length a in
+  for i = 0 to (n / 2) - 1 do
+    let x = a.(i) in
+    a.(i) <- a.(n - 1 - i);
+    a.(n - 1 - i) <- x
   done;
-  let final = !c in
+  a
+
+(* The run loop of [run] and [run_view]: fuel, choice normalisation and
+   one kernel step per machine step. [record] sees the kernel in every
+   configuration ρ_1 … ρ_ℓ, the initial one included. *)
+let drive ~who ~fuel m ~values ~choices record =
+  if Array.length values <> m.input_length then invalid_arg (who ^ ": values arity");
+  let k = kernel_of_config (initial_config m) in
+  let state = ref m.initial in
+  let moves = ref [] and used = ref [] and steps = ref 0 in
+  record k !state;
+  while not (m.is_final !state) do
+    if !steps >= fuel then failwith (who ^ ": out of fuel");
+    let choice = ((choices !steps mod m.num_choices) + m.num_choices) mod m.num_choices in
+    let next, mv = advance m ~values k ~state:!state ~choice in
+    state := next;
+    (* a head walking along repeats its move vector: share it *)
+    moves := (match !moves with last :: _ when last = mv -> last | _ -> mv) :: !moves;
+    used := choice :: !used;
+    incr steps;
+    record k next
+  done;
+  (k, !state, array_of_rev_list !moves, array_of_rev_list !used)
+
+let run ?(fuel = 100_000) m ~values ~choices =
+  let configs = ref [] in
+  let record k state =
+    let prev = match !configs with [] -> None | c :: _ -> Some c in
+    configs := snapshot ?prev k ~state :: !configs
+  in
+  let k, state, moves, choices_used = drive ~who:"Nlm.run" ~fuel m ~values ~choices record in
   {
-    accepted = m.is_accepting final.state;
-    configs = Array.of_list (List.rev !configs);
-    moves = Array.of_list (List.rev !moves);
-    choices_used = Array.of_list (List.rev !used);
-    total_revs = Array.fold_left ( + ) 0 final.revs;
+    accepted = m.is_accepting state;
+    configs = array_of_rev_list !configs;
+    moves;
+    choices_used;
+    total_revs = kernel_reversals k;
   }
 
 let scans tr = 1 + tr.total_revs
 
 (* -------------------------------------------------------------- *)
-(* The in-place runner. [step] is persistent: it snapshots both list
-   arrays, so a full [run] allocates O(list length) of major-heap arrays
-   per step — hundreds of MB on adversary-sized machines, and the
-   domains of a parallel census then serialize on the shared GC. The
-   skeleton pipeline only ever looks at the O(t) local view per step
-   (state, head directions, cells under the heads) plus the final
-   configuration, so [run_view] keeps the lists in growable scratch
-   buffers mutated in place (inserts memmove within one buffer — no
-   fresh arrays) and records just the views. Cells are immutable DAG
-   nodes, so captured views stay valid as the buffers shift under them. *)
+(* View runs. [run] keeps a persistent snapshot of every configuration,
+   O(total list length) of fresh arrays per step — hundreds of MB on
+   adversary-sized machines, on which the domains of a parallel census
+   then serialize through the shared GC. The skeleton pipeline only
+   looks at the O(t) local view per step (state, head directions, cells
+   under the heads) plus the final configuration, so [run_view] records
+   just those. *)
 
 type view = { vstate : int; vdirs : int array; vcells : cell array }
 
@@ -574,134 +763,25 @@ type view_trace = {
 }
 
 let run_view ?(fuel = 100_000) m ~values ~choices =
-  if Array.length values <> m.input_length then
-    invalid_arg "Nlm.run_view: values arity";
-  let t = m.lists in
-  let init = initial_config m in
-  let grow_to cap arr filler len =
-    let fresh = Array.make cap filler in
-    Array.blit arr 0 fresh 0 len;
-    fresh
+  (* consecutive views with equal head directions share one array *)
+  let views = ref [] and dirs = ref [||] in
+  let record k state =
+    let d = Array.init m.lists (kernel_dir k) in
+    if d <> !dirs then dirs := d;
+    views := { vstate = state; vdirs = !dirs; vcells = kernel_cells k } :: !views
   in
-  let bufs =
-    Array.init t (fun tau ->
-        let src = init.contents.(tau) in
-        grow_to (max 16 (2 * Array.length src)) src empty_cell (Array.length src))
-  in
-  let idbufs =
-    Array.init t (fun tau ->
-        let src = init.ids.(tau) in
-        grow_to (max 16 (2 * Array.length src)) src 0 (Array.length src))
-  in
-  let lens = Array.init t (fun tau -> Array.length init.contents.(tau)) in
-  let pos = Array.copy init.pos in
-  let head_dir = Array.copy init.head_dir in
-  let revs = Array.copy init.revs in
-  let next_id = ref init.next_id in
-  let state = ref m.initial in
-  let insert tau j y id =
-    (* make y cell number [j] of list [tau], shifting the tail right *)
-    let len = lens.(tau) in
-    if len = Array.length bufs.(tau) then begin
-      bufs.(tau) <- grow_to (2 * len) bufs.(tau) empty_cell len;
-      idbufs.(tau) <- grow_to (2 * len) idbufs.(tau) 0 len
-    end;
-    Array.blit bufs.(tau) (j - 1) bufs.(tau) j (len - j + 1);
-    Array.blit idbufs.(tau) (j - 1) idbufs.(tau) j (len - j + 1);
-    bufs.(tau).(j - 1) <- y;
-    idbufs.(tau).(j - 1) <- id;
-    lens.(tau) <- len + 1
-  in
-  let current_view () =
-    {
-      vstate = !state;
-      vdirs = Array.copy head_dir;
-      vcells = Array.init t (fun tau -> bufs.(tau).(pos.(tau) - 1));
-    }
-  in
-  let views = ref [ current_view () ] in
-  let moves = ref [] in
-  let used = ref [] in
-  let steps = ref 0 in
-  let max_total = ref (Array.fold_left ( + ) 0 lens) in
-  let max_cell = ref 3 in
-  while not (m.is_final !state) do
-    if !steps >= fuel then failwith "Nlm.run_view: out of fuel";
-    let choice =
-      ((choices !steps mod m.num_choices) + m.num_choices) mod m.num_choices
-    in
-    let cells = Array.init t (fun tau -> bufs.(tau).(pos.(tau) - 1)) in
-    let tr = m.alpha ~values ~state:!state ~cells ~choice in
-    if Array.length tr.movements <> t then
-      invalid_arg "Nlm.run_view: alpha returned wrong movement arity";
-    let clamped =
-      Array.mapi
-        (fun tau e ->
-          if e.dir <> -1 && e.dir <> 1 then
-            invalid_arg "Nlm.run_view: dir must be ±1";
-          if pos.(tau) = 1 && e.dir = -1 && e.move then { dir = -1; move = false }
-          else if pos.(tau) = lens.(tau) && e.dir = 1 && e.move then
-            { dir = 1; move = false }
-          else e)
-        tr.movements
-    in
-    let f = Array.mapi (fun tau e -> e.move || e.dir <> head_dir.(tau)) clamped in
-    let cellmoves = Array.make t 0 in
-    if Array.exists Fun.id f then begin
-      let y = written_cell ~state:!state ~comps:cells ~choice in
-      if y.len > !max_cell then max_cell := y.len;
-      for tau = 0 to t - 1 do
-        let e = clamped.(tau) in
-        let p = pos.(tau) in
-        if e.move then begin
-          (* overwrite: the cell keeps its identity *)
-          bufs.(tau).(p - 1) <- y;
-          pos.(tau) <- (if e.dir = 1 then p + 1 else p - 1);
-          cellmoves.(tau) <- e.dir
-        end
-        else begin
-          let id = !next_id in
-          incr next_id;
-          if head_dir.(tau) = 1 then begin
-            insert tau p y id;
-            pos.(tau) <- p + 1
-          end
-          else insert tau (p + 1) y id
-        end;
-        if e.dir <> head_dir.(tau) then begin
-          revs.(tau) <- revs.(tau) + 1;
-          head_dir.(tau) <- e.dir
-        end
-      done;
-      let total = Array.fold_left ( + ) 0 lens in
-      if total > !max_total then max_total := total
-    end;
-    state := tr.next_state;
-    views := current_view () :: !views;
-    moves := cellmoves :: !moves;
-    used := choice :: !used;
-    incr steps
-  done;
-  let final =
-    {
-      state = !state;
-      pos = Array.copy pos;
-      head_dir = Array.copy head_dir;
-      contents = Array.init t (fun tau -> Array.sub bufs.(tau) 0 lens.(tau));
-      revs = Array.copy revs;
-      ids = Array.init t (fun tau -> Array.sub idbufs.(tau) 0 lens.(tau));
-      next_id = !next_id;
-    }
+  let k, state, vmoves, vchoices_used =
+    drive ~who:"Nlm.run_view" ~fuel m ~values ~choices record
   in
   {
-    vaccepted = m.is_accepting !state;
-    views = Array.of_list (List.rev !views);
-    vmoves = Array.of_list (List.rev !moves);
-    vchoices_used = Array.of_list (List.rev !used);
-    vtotal_revs = Array.fold_left ( + ) 0 revs;
-    final;
-    max_total_list_length = !max_total;
-    max_cell_size = !max_cell;
+    vaccepted = m.is_accepting state;
+    views = array_of_rev_list !views;
+    vmoves;
+    vchoices_used;
+    vtotal_revs = kernel_reversals k;
+    final = snapshot k ~state;
+    max_total_list_length = k.max_total;
+    max_cell_size = k.max_cell;
   }
 
 let accept_probability st ?(samples = 500) ?fuel m ~values =

@@ -50,12 +50,6 @@ val cell_shape : cell -> shape
 val cell_of_syms : sym list -> cell
 (** Build a leaf cell from an explicit symbol string. *)
 
-val written_cell : state:int -> comps:cell array -> choice:int -> cell
-(** The forced-write node [a⟨x_1⟩…⟨x_t⟩⟨c⟩] of Definition 24(c) — the
-    cell {!step} writes under every head whenever some head moves or
-    turns. Exposed so {!Plan}'s pilot builds bit-identical cells
-    without paying {!step}'s array splices. *)
-
 val syms_of_cell : cell -> sym list
 (** Flattened view: the full symbol string. Cost [cell_size]. *)
 
@@ -164,16 +158,69 @@ val step : 'v t -> values:'v array -> config -> choice:int -> config * int array
     directions and reversal counts. Returns the new configuration and
     the per-list {e cell movement} vector ([-1/0/+1] — whether each head
     ended on the previous / same / next cell, the [moves(ρ)] entry of
-    Definition 27).
+    Definition 27). Persistent, hence O(list length): [c] is loaded
+    into a {!kernel}, stepped once and snapshotted, sharing the arrays
+    the step left unchanged with [c].
     @raise Invalid_argument if the configuration is final or the choice
     is out of range. *)
+
+(** {1 The kernel}
+
+    The one implementation of Definition 24(c), shared by {!step},
+    {!run}, {!run_view} and {!Plan}'s pilot. A kernel is a mutable
+    configuration minus the state: each list is a ring of doubly-linked
+    cells with a cursor, so the splice Definition 24(c) forces under
+    every resting head costs O(1) and a step costs O(t), where an array
+    representation pays O(list length) per resting list. *)
+
+type kernel
+
+val kernel_create : lists:int -> input_length:int -> kernel
+(** The lists, head positions, directions and ids of {!initial_config}. *)
+
+val kernel_step : kernel -> state:int -> choice:int -> movement array -> int array
+(** One Definition 24(c) step under the raw (pre-clamp) movements α
+    chose in [state] with [choice]: clamps movements at list ends and,
+    if some head moves or turns, writes [state⟨x_1⟩…⟨x_t⟩⟨choice⟩]
+    under every head — overwriting the cell a moving head leaves,
+    splicing a fresh cell (fresh id) behind a resting one. Updates
+    positions, directions and reversal counts, and returns the cell
+    movement vector, as {!step} does. O(t).
+    @raise Invalid_argument on a wrong arity or a direction not [±1]. *)
+
+val kernel_cells : kernel -> cell array
+(** The [t] cells under the heads (fresh array). *)
+
+val kernel_cell : kernel -> int -> cell
+(** [kernel_cell k τ] — the cell under head [τ+1]. The accessors below
+    also index lists from 0, like the arrays of {!config}. *)
+
+val kernel_position : kernel -> int -> int
+(** 1-based head position. *)
+
+val kernel_dir : kernel -> int -> int
+val kernel_length : kernel -> int -> int
+
+val kernel_reversals : kernel -> int
+(** Direction changes so far, summed over the lists. *)
+
+val kernel_id_at : kernel -> int -> index:int -> int
+(** [kernel_id_at k τ ~index] — identity of cell [index] (1-based) of
+    list [τ+1], walked to from the nearest of the front, the head and
+    the back. @raise Invalid_argument if out of range. *)
+
+val kernel_index_of_id : kernel -> int -> int -> int option
+(** [kernel_index_of_id k τ id] — 1-based index of the cell with
+    identity [id] in list [τ+1]. O(list length). *)
 
 (** {1 Runs} *)
 
 type trace = {
   accepted : bool;
   configs : config array;  (** [ρ_1 … ρ_ℓ] *)
-  moves : int array array;  (** [moves.(i)] = cell-movement vector of step [i+1] *)
+  moves : int array array;
+      (** [moves.(i)] = cell-movement vector of step [i+1]; read-only,
+          consecutive equal vectors share one array *)
   choices_used : int array;
   total_revs : int;
 }
@@ -186,17 +233,17 @@ val run : ?fuel:int -> 'v t -> values:'v array -> choices:(int -> int) -> trace
 val scans : trace -> int
 (** [1 + Σ_τ rev(ρ, τ)] — the (r,t)-bound usage. *)
 
-(** {2 View runs — the allocation-light fast path}
+(** {2 View runs}
 
     {!run} snapshots the full configuration after every step; the
-    snapshots are persistent, so each step copies the spliced list
-    arrays — O(total list length) of fresh major-heap arrays per step,
-    which on adversary-sized machines dominates the run cost and makes
-    parallel sweeps contend on the shared GC. The skeleton pipeline
+    snapshots are persistent, so each step copies the written lists —
+    O(total list length) of fresh major-heap arrays per step, which on
+    adversary-sized machines dominates the run cost and makes parallel
+    sweeps contend on the shared GC. The skeleton pipeline
     (Definition 27) only consumes the local view of each configuration:
     state, head directions, and the [t] cells under the heads. A view
-    run keeps the lists in scratch buffers mutated in place and records
-    exactly those views, allocating O(t) per step. *)
+    run drives the same {!kernel} and records exactly those views,
+    allocating O(t) per step. *)
 
 type view = {
   vstate : int;
@@ -218,8 +265,9 @@ type view_trace = {
 val run_view : ?fuel:int -> 'v t -> values:'v array -> choices:(int -> int) -> view_trace
 (** Same semantics as {!run} — identical states, moves, acceptance, and
     (choice-blind) skeleton — without the per-step configuration
-    snapshots. The arrays in each {!view} are freshly allocated and
-    owned by the caller. *)
+    snapshots. Views are read-only: consecutive views with equal head
+    directions share one [vdirs] array (and equal move vectors share,
+    as in {!trace.moves}). *)
 
 val accept_probability :
   Random.State.t -> ?samples:int -> ?fuel:int -> 'v t -> values:'v array -> float

@@ -6,192 +6,73 @@ type 'v step = {
   dirs_before : int array;
 }
 
-(* The pilot configuration. Semantically this is exactly an
-   [Nlm.config] driven by [Nlm.step], but materialized as one
-   doubly-linked list of cells per tape: Definition 24(c) forces a
-   write into every list whose head holds still, so under the array
-   representation each planned step pays an O(list length) splice and a
-   long plan goes quadratic (a staircase build at m = 64 spent ~14 s
-   pilot-splicing ~40k-cell arrays). Here an insert at the cursor is
-   O(1) and a planned step is O(lists), so plan time is O(steps) plus
-   the O(distance) head walks the caller asks for. *)
-type node = {
-  nid : int;  (* the stable cell identity, = Nlm.config ids *)
-  mutable ncell : Nlm.cell;
-  mutable prev : node option;
-  mutable next : node option;
-}
-
-type seq = {
-  mutable first : node;
-  mutable cur : node;  (* the node under the head *)
-  mutable pos : int;  (* 1-based index of [cur] *)
-  mutable len : int;
-  mutable hdir : int;
-  mutable srevs : int;
-}
-
 type 'v t = {
   lists : int;
   input_length : int;
-  seqs : seq array;
-  mutable next_id : int;
+  pilot : Nlm.kernel;
   mutable steps : 'v step list;  (* reversed *)
   mutable count : int;
 }
 
 let create ~lists ~input_length () =
-  (* mirror [Nlm.initial_config]: list 1 holds one <In i> cell per
-     input position, every other list one empty cell; ids count up
-     list-major, exactly as the real initial configuration numbers
-     them *)
-  let next_id = ref 1 in
-  let fresh_node cell =
-    let id = !next_id in
-    incr next_id;
-    { nid = id; ncell = cell; prev = None; next = None }
-  in
-  let seq_of_cells cells =
-    let first = fresh_node (List.hd cells) in
-    let last = ref first in
-    List.iter
-      (fun c ->
-        let n = fresh_node c in
-        n.prev <- Some !last;
-        !last.next <- Some n;
-        last := n)
-      (List.tl cells);
-    {
-      first;
-      cur = first;
-      pos = 1;
-      len = List.length cells;
-      hdir = 1;
-      srevs = 0;
-    }
-  in
-  let first_list =
-    if input_length = 0 then [ Nlm.cell_of_syms [ Nlm.Open; Nlm.Close ] ]
-    else
-      List.init input_length (fun i0 ->
-          Nlm.cell_of_syms [ Nlm.Open; Nlm.In (i0 + 1); Nlm.Close ])
-  in
-  let seqs =
-    Array.init lists (fun tau ->
-        if tau = 0 then seq_of_cells first_list
-        else seq_of_cells [ Nlm.cell_of_syms [ Nlm.Open; Nlm.Close ] ])
-  in
-  { lists; input_length; seqs; next_id = !next_id; steps = []; count = 0 }
+  { lists; input_length; pilot = Nlm.kernel_create ~lists ~input_length; steps = []; count = 0 }
 
-let cells p = Array.map (fun s -> s.cur.ncell) p.seqs
-let positions p = Array.map (fun s -> s.pos) p.seqs
-let dirs p = Array.map (fun s -> s.hdir) p.seqs
+let cells p = Nlm.kernel_cells p.pilot
+let positions p = Array.init p.lists (Nlm.kernel_position p.pilot)
+let dirs p = Array.init p.lists (Nlm.kernel_dir p.pilot)
 
 let list_length p tau =
   if tau < 1 || tau > p.lists then invalid_arg "Plan.list_length";
-  p.seqs.(tau - 1).len
+  Nlm.kernel_length p.pilot (tau - 1)
 
 let steps_planned p = p.count
-let reversals_planned p = Array.fold_left (fun a s -> a + s.srevs) 0 p.seqs
+let reversals_planned p = Nlm.kernel_reversals p.pilot
 
-(* One pilot step, following [Nlm.step] symbol for symbol: clamp at
-   list ends, and if any head moves or turns, write the forced cell
-   into every list — overwrite-in-place under a moving head, insert at
-   the cursor under a resting one (before it when the head faces
-   right, after it when it faces left). *)
-let pilot_step p movements =
-  Array.iter
-    (fun (e : Nlm.movement) ->
-      if e.Nlm.dir <> -1 && e.Nlm.dir <> 1 then
-        invalid_arg "Nlm.step: dir must be ±1")
-    movements;
-  let clamped =
-    Array.mapi
-      (fun tau (e : Nlm.movement) ->
-        let s = p.seqs.(tau) in
-        if s.pos = 1 && e.Nlm.dir = -1 && e.Nlm.move then
-          { Nlm.dir = -1; move = false }
-        else if s.pos = s.len && e.Nlm.dir = 1 && e.Nlm.move then
-          { Nlm.dir = 1; move = false }
-        else e)
-      movements
-  in
-  let f =
-    Array.mapi
-      (fun tau (e : Nlm.movement) -> e.Nlm.move || e.Nlm.dir <> p.seqs.(tau).hdir)
-      clamped
-  in
-  if Array.exists Fun.id f then begin
-    let y = Nlm.written_cell ~state:0 ~comps:(cells p) ~choice:0 in
-    Array.iteri
-      (fun tau (e : Nlm.movement) ->
-        let s = p.seqs.(tau) in
-        if e.Nlm.move then begin
-          (* overwrite: the cell keeps its identity, then the head
-             steps off it (the clamp guarantees a neighbour exists) *)
-          s.cur.ncell <- y;
-          if e.Nlm.dir = 1 then begin
-            s.cur <- Option.get s.cur.next;
-            s.pos <- s.pos + 1
-          end
-          else begin
-            s.cur <- Option.get s.cur.prev;
-            s.pos <- s.pos - 1
-          end
-        end
-        else begin
-          let fresh = { nid = p.next_id; ncell = y; prev = None; next = None } in
-          p.next_id <- p.next_id + 1;
-          if s.hdir = 1 then begin
-            (* insert before the cursor; the cursor's index shifts up *)
-            fresh.prev <- s.cur.prev;
-            fresh.next <- Some s.cur;
-            (match s.cur.prev with
-            | Some q -> q.next <- Some fresh
-            | None -> s.first <- fresh);
-            s.cur.prev <- Some fresh;
-            s.pos <- s.pos + 1
-          end
-          else begin
-            fresh.next <- s.cur.next;
-            fresh.prev <- Some s.cur;
-            (match s.cur.next with Some q -> q.prev <- Some fresh | None -> ());
-            s.cur.next <- Some fresh
-          end;
-          s.len <- s.len + 1
-        end;
-        if e.Nlm.dir <> s.hdir then begin
-          s.srevs <- s.srevs + 1;
-          s.hdir <- e.Nlm.dir
-        end)
-      clamped
-  end
+(* A built machine keeps every planned step (~39k for the m = 64
+   staircase), so steps stay small: movements are shared constants, and
+   consecutive steps share equal [dirs_before] arrays. *)
+let rest_left = { Nlm.dir = -1; move = false }
+let rest_right = { Nlm.dir = 1; move = false }
+let step_left = { Nlm.dir = -1; move = true }
+let step_right = { Nlm.dir = 1; move = true }
+
+let movement ~dir ~move =
+  match (dir = 1, move) with
+  | false, false -> rest_left
+  | true, false -> rest_right
+  | false, true -> step_left
+  | true, true -> step_right
 
 let move p ?check movements =
   if Array.length movements <> p.lists then invalid_arg "Plan.move: arity";
-  let dirs_before = dirs p in
-  pilot_step p movements;
+  let dirs_before =
+    let d = dirs p in
+    match p.steps with s :: _ when s.dirs_before = d -> s.dirs_before | _ -> d
+  in
+  (* plan-time writes carry state 0 and choice 0: the run's writes differ
+     only in those symbols, never in list shape, ids or input positions *)
+  ignore (Nlm.kernel_step p.pilot ~state:0 ~choice:0 movements);
   p.steps <- { movements; check; dirs_before } :: p.steps;
   p.count <- p.count + 1
 
-let neutral p = Array.map (fun s -> { Nlm.dir = s.hdir; move = false }) p.seqs
+let neutral p = Array.map (fun dir -> movement ~dir ~move:false) (dirs p)
 
 let pause p ?check () = move p ?check (neutral p)
 
 let advance p ~tau ~dir =
   if tau < 1 || tau > p.lists then invalid_arg "Plan.advance: tau";
   if dir <> 1 && dir <> -1 then invalid_arg "Plan.advance: dir";
-  let s = p.seqs.(tau - 1) in
-  if (s.pos = 1 && dir = -1) || (s.pos = s.len && dir = 1) then
+  let pos = Nlm.kernel_position p.pilot (tau - 1) in
+  if (pos = 1 && dir = -1) || (pos = list_length p tau && dir = 1) then
     invalid_arg "Plan.advance: head at list end";
   let movements = neutral p in
-  movements.(tau - 1) <- { Nlm.dir; move = true };
+  movements.(tau - 1) <- movement ~dir ~move:true;
   move p movements
 
 let walk_until p ~tau ~dir pred =
   let fuel = ref (2 * (list_length p tau + 2)) in
   let rec go () =
-    if pred (cells p).(tau - 1) then ()
+    if pred (Nlm.kernel_cell p.pilot (tau - 1)) then ()
     else begin
       decr fuel;
       if !fuel < 0 then failwith "Plan.walk_until: target not found";
@@ -203,66 +84,29 @@ let walk_until p ~tau ~dir pred =
   go ()
 
 let rewind p ~tau =
-  let s = p.seqs.(tau - 1) in
-  while s.pos > 1 do
+  while Nlm.kernel_position p.pilot (tau - 1) > 1 do
     advance p ~tau ~dir:(-1)
   done
 
 let id_at p ~tau =
   if tau < 1 || tau > p.lists then invalid_arg "Plan.id_at";
-  p.seqs.(tau - 1).cur.nid
-
-(* Find the 1-based index of the node with identity [id], or None.
-   O(len) pointer walk — gotos dominate it with their own O(distance)
-   head walks, so there is nothing to save by indexing. *)
-let index_of_id s id =
-  let rec scan n i =
-    if n.nid = id then Some i
-    else match n.next with Some n' -> scan n' (i + 1) | None -> None
-  in
-  scan s.first 1
+  Nlm.kernel_id_at p.pilot (tau - 1) ~index:(Nlm.kernel_position p.pilot (tau - 1))
 
 let id_at_index p ~tau ~index =
   if tau < 1 || tau > p.lists then invalid_arg "Plan.id_at_index";
-  let s = p.seqs.(tau - 1) in
-  if index < 1 || index > s.len then
+  if index < 1 || index > list_length p tau then
     invalid_arg "Plan.id_at_index: index out of range";
-  (* walk from the cursor when the target is nearby (the common case:
-     the cell just spliced next to the head), else from the front *)
-  let d = index - s.pos in
-  let node =
-    if abs d <= index - 1 then begin
-      let n = ref s.cur in
-      if d >= 0 then
-        for _ = 1 to d do
-          n := Option.get !n.next
-        done
-      else
-        for _ = 1 to -d do
-          n := Option.get !n.prev
-        done;
-      !n
-    end
-    else begin
-      let n = ref s.first in
-      for _ = 1 to index - 1 do
-        n := Option.get !n.next
-      done;
-      !n
-    end
-  in
-  node.nid
+  Nlm.kernel_id_at p.pilot (tau - 1) ~index
 
 let goto p ~tau ~id =
-  let s = p.seqs.(tau - 1) in
-  match index_of_id s id with
+  match Nlm.kernel_index_of_id p.pilot (tau - 1) id with
   | None -> failwith "Plan.goto: id not found"
   | Some idx ->
       (* only head [tau] moves, so [idx] is stable during the walk:
          overwrites keep list [tau]'s length, and the forced inserts
          land on the other lists *)
-      let dir = if idx > s.pos then 1 else -1 in
-      while s.pos <> idx do
+      let dir = if idx > Nlm.kernel_position p.pilot (tau - 1) then 1 else -1 in
+      while Nlm.kernel_position p.pilot (tau - 1) <> idx do
         advance p ~tau ~dir
       done
 

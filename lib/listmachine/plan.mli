@@ -11,16 +11,16 @@
     script as an {!Nlm.t}: state = step index, one extra rejecting sink
     entered when a check fails at run time.
 
-    The pilot mirrors {!Nlm.step} decision for decision (same clamps,
-    forced writes via {!Nlm.written_cell}, splice placement and id
-    numbering), but keeps each list as a doubly-linked cell sequence so
-    the per-step cost is O(lists) instead of an O(list length) array
-    splice — Definition 24(c) writes into every resting list each step,
-    so long plans grow long lists and the array pilot went quadratic
-    (~14 s to plan the m = 64 staircase; milliseconds here). Every
-    plan-time observation (cell contents, head positions, list lengths)
-    is guaranteed to hold at run time; the listmachine test suite pins
-    pilot observations against replayed {!Nlm.step} configurations. *)
+    The pilot is an {!Nlm.kernel} — the same Definition 24(c) engine
+    every run uses, stepped with state 0 and choice 0 — so clamps,
+    forced writes, splice placement and id numbering are the run's by
+    construction, and a planned step costs O(lists) (long plans grow
+    long lists, which an array pilot splices at O(list length) per
+    step). A plan-time write differs from the run-time write only in
+    those two symbols, so every plan-time observation (input positions
+    in the head cells, head positions, list lengths, ids) holds at run
+    time; the listmachine test suite checks pilot and runs against a
+    naive Definition 24(c) oracle. *)
 
 type 'v check = values:'v array -> cells:Nlm.cell array -> bool
 (** A runtime predicate over the resolved values visible in the cells

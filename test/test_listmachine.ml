@@ -506,6 +506,218 @@ let prop_plan_pilot_matches_replay =
            (fun a b -> Nlm.cell_input_positions a = Nlm.cell_input_positions b)
            (Nlm.current_cells last) (Plan.cells p))
 
+(* ------------------------------------------------------------------ *)
+(* The kernel against the naive Definition 24(c) oracle (nlm_oracle.ml):
+   [run], [run_view], [step] and the planner's pilot must report
+   exactly what the oracle's array-splicing steps produce. *)
+
+module O = Nlm_oracle
+
+let total_length (c : Nlm.config) =
+  Array.fold_left (fun acc l -> acc + Array.length l) 0 c.Nlm.contents
+
+let config_equal (a : Nlm.config) (b : Nlm.config) =
+  a.Nlm.state = b.Nlm.state
+  && a.Nlm.pos = b.Nlm.pos
+  && a.Nlm.head_dir = b.Nlm.head_dir
+  && a.Nlm.revs = b.Nlm.revs
+  && a.Nlm.ids = b.Nlm.ids
+  && a.Nlm.next_id = b.Nlm.next_id
+  && Array.for_all2
+       (fun x y -> Array.length x = Array.length y && Array.for_all2 Nlm.cell_equal x y)
+       a.Nlm.contents b.Nlm.contents
+
+let runs_agree ~stats machine ~values ~choices =
+  let o = O.run ~stats machine ~values ~choices in
+  let tr = Nlm.run machine ~values ~choices in
+  let vt = Nlm.run_view machine ~values ~choices in
+  let n = Array.length o.Nlm.configs in
+  let sk = Skeleton.of_trace o in
+  let same_skeleton s = Skeleton.equal sk s && Skeleton.hash sk = Skeleton.hash s in
+  let view_matches (v : Nlm.view) (c : Nlm.config) =
+    v.Nlm.vstate = c.Nlm.state
+    && v.Nlm.vdirs = c.Nlm.head_dir
+    && Array.for_all2 Nlm.cell_equal v.Nlm.vcells (O.heads c)
+  in
+  (* the persistent [Nlm.step], from each of the oracle's configurations *)
+  let step_matches i =
+    let c, mv = Nlm.step machine ~values o.Nlm.configs.(i) ~choice:o.Nlm.choices_used.(i) in
+    config_equal c o.Nlm.configs.(i + 1) && mv = o.Nlm.moves.(i)
+  in
+  let max_over f = Array.fold_left (fun acc c -> max acc (f c)) 0 o.Nlm.configs in
+  let max_cell (c : Nlm.config) =
+    Array.fold_left (Array.fold_left (fun acc x -> max acc (Nlm.cell_size x))) 0 c.Nlm.contents
+  in
+  tr.Nlm.accepted = o.Nlm.accepted
+  && vt.Nlm.vaccepted = o.Nlm.accepted
+  && tr.Nlm.moves = o.Nlm.moves
+  && vt.Nlm.vmoves = o.Nlm.moves
+  && tr.Nlm.choices_used = o.Nlm.choices_used
+  && vt.Nlm.vchoices_used = o.Nlm.choices_used
+  && tr.Nlm.total_revs = o.Nlm.total_revs
+  && vt.Nlm.vtotal_revs = o.Nlm.total_revs
+  && Array.length tr.Nlm.configs = n
+  && Array.for_all2 config_equal tr.Nlm.configs o.Nlm.configs
+  && Array.length vt.Nlm.views = n
+  && Array.for_all2 view_matches vt.Nlm.views o.Nlm.configs
+  && config_equal vt.Nlm.final o.Nlm.configs.(n - 1)
+  && vt.Nlm.max_total_list_length = max_over total_length
+  && vt.Nlm.max_cell_size = max_over max_cell
+  && same_skeleton (Skeleton.of_trace tr)
+  && same_skeleton (Skeleton.of_views vt)
+  && List.for_all step_matches (List.init (n - 1) Fun.id)
+
+let random_movements st ~lists =
+  Array.init lists (fun _ ->
+      { Nlm.dir = (if Random.State.bool st then 1 else -1); move = Random.State.int st 3 > 0 })
+
+(* A nondeterministic machine whose movements come from a random table
+   indexed by step, choice and the parity of the size of head 1's cell
+   (so a kernel handing α wrong cells leaves the oracle's trajectory);
+   one entry in ten diverts to the rejecting sink. *)
+let table_machine st =
+  let lists = 1 + Random.State.int st 3 in
+  let input_length = 1 + Random.State.int st 4 in
+  let num_choices = 1 + Random.State.int st 3 in
+  let len = 4 + Random.State.int st 16 in
+  let table =
+    Array.init len (fun _ ->
+        Array.init num_choices (fun _ ->
+            Array.init 2 (fun _ -> (Random.State.int st 10 = 0, random_movements st ~lists))))
+  in
+  let alpha ~values:_ ~state ~cells ~choice =
+    let reject, movements = table.(state).(choice).(Nlm.cell_size cells.(0) land 1) in
+    { Nlm.next_state = (if reject then len + 1 else state + 1); movements }
+  in
+  Nlm.make ~name:"table" ~lists ~input_length ~num_choices ~state_count:(len + 2)
+    ~initial:0
+    ~is_final:(fun s -> s >= len)
+    ~is_accepting:(fun s -> s = len)
+    ~alpha
+
+let pilot_agrees p (o : Nlm.config) =
+  Plan.positions p = o.Nlm.pos
+  && Plan.dirs p = o.Nlm.head_dir
+  && Plan.reversals_planned p = Array.fold_left ( + ) 0 o.Nlm.revs
+  && Array.for_all2 Nlm.cell_equal (Plan.cells p) (O.heads o)
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun tau0 ids ->
+            let tau = tau0 + 1 in
+            Plan.list_length p tau = Array.length ids
+            && Plan.id_at p ~tau = ids.(o.Nlm.pos.(tau0) - 1)
+            && Array.for_all Fun.id
+                 (Array.mapi (fun i0 id -> Plan.id_at_index p ~tau ~index:(i0 + 1) = id) ids))
+          o.Nlm.ids)
+
+(* Drive a planner with random raw movements (clamps included),
+   advances and gotos, stepping the oracle alongside at state 0 and
+   choice 0 and comparing after every operation. *)
+let planned ~stats st =
+  let lists = 1 + Random.State.int st 3 and input_length = 1 + Random.State.int st 4 in
+  let p = Plan.create ~lists ~input_length () in
+  let o = ref (O.initial ~lists ~input_length ~state:0) in
+  let oracle_step mv = o := fst (O.step ~stats !o ~choice:0 ~next_state:0 mv) in
+  let advance_mv tau dir =
+    Array.mapi
+      (fun tau0 d -> if tau0 = tau - 1 then { Nlm.dir; move = true } else { Nlm.dir = d; move = false })
+      !o.Nlm.head_dir
+  in
+  let ok = ref true in
+  for _ = 1 to 4 + Random.State.int st 16 do
+    let tau = 1 + Random.State.int st lists in
+    (match Random.State.int st 5 with
+    | 0 | 1 ->
+        let dir = if Random.State.bool st then 1 else -1 in
+        let pos = !o.Nlm.pos.(tau - 1) and len = Array.length !o.Nlm.ids.(tau - 1) in
+        if (pos = 1 && dir = -1) || (pos = len && dir = 1) then
+          ok := !ok && (try Plan.advance p ~tau ~dir; false with Invalid_argument _ -> true)
+        else begin
+          Plan.advance p ~tau ~dir;
+          oracle_step (advance_mv tau dir)
+        end
+    | 2 ->
+        let ids = !o.Nlm.ids.(tau - 1) in
+        let target = Random.State.int st (Array.length ids) in
+        Plan.goto p ~tau ~id:ids.(target);
+        while !o.Nlm.pos.(tau - 1) <> target + 1 do
+          oracle_step (advance_mv tau (if target + 1 > !o.Nlm.pos.(tau - 1) then 1 else -1))
+        done
+    | _ ->
+        let mv = random_movements st ~lists in
+        Plan.move p mv;
+        oracle_step mv);
+    ok := !ok && pilot_agrees p !o
+  done;
+  (* one honest value check, so some runs take the rejecting branch *)
+  (match
+     Array.to_list (Plan.cells p)
+     |> List.concat_map (fun c -> Array.to_list (Nlm.cell_input_positions c))
+     |> List.sort_uniq Int.compare
+   with
+  | a :: b :: _ -> Plan.check_inputs_equal p ~eq:String.equal a b
+  | [ _ ] | [] -> ());
+  (!ok, p, Plan.build p ~name:"planned" ~accept_at_end:true)
+
+(* Plan-time observations hold at run time: a run that completes the
+   script ends where the pilot did, with the same ids and the same
+   input positions under the heads (the writes differ only in their
+   state and choice symbols). *)
+let pilot_holds_at_run_time p (tr : Nlm.trace) =
+  let last = tr.Nlm.configs.(Array.length tr.Nlm.configs - 1) in
+  (not tr.Nlm.accepted)
+  || last.Nlm.pos = Plan.positions p
+     && last.Nlm.head_dir = Plan.dirs p
+     && Array.for_all Fun.id
+          (Array.mapi
+             (fun tau0 ids ->
+               Array.length ids = Plan.list_length p (tau0 + 1)
+               && Array.for_all Fun.id
+                    (Array.mapi
+                       (fun i0 id -> Plan.id_at_index p ~tau:(tau0 + 1) ~index:(i0 + 1) = id)
+                       ids))
+             last.Nlm.ids)
+     && Array.for_all2
+          (fun a b -> Nlm.cell_input_positions a = Nlm.cell_input_positions b)
+          (Nlm.current_cells last) (Plan.cells p)
+
+let kernel_case ~stats seed =
+  let st = Random.State.make [| seed |] in
+  let pilot_ok, p, planned_machine = planned ~stats st in
+  let table = table_machine st in
+  let cs = Array.init 64 (fun _ -> Random.State.int st 3) in
+  let choices i = cs.(i mod 64) in
+  let values machine =
+    Array.init machine.Nlm.input_length (fun _ -> string_of_int (Random.State.int st 2))
+  in
+  let v = values planned_machine in
+  pilot_ok
+  && runs_agree ~stats planned_machine ~values:v ~choices
+  && pilot_holds_at_run_time p (Nlm.run planned_machine ~values:v ~choices)
+  && runs_agree ~stats table ~values:(values table) ~choices
+
+let prop_kernel_matches_oracle =
+  QCheck.Test.make ~name:"kernel agrees with the naive Definition 24(c) oracle"
+    ~count:150
+    QCheck.(int_bound 100000)
+    (fun seed -> kernel_case ~stats:(O.stats ()) seed)
+
+let test_oracle_generators_cover_definition24 () =
+  let stats = O.stats () in
+  for seed = 0 to 49 do
+    ignore (kernel_case ~stats seed)
+  done;
+  List.iter
+    (fun (what, n) -> check what true (n > 0))
+    [
+      ("clamp at the left end", stats.O.clamp_left);
+      ("clamp at the right end", stats.O.clamp_right);
+      ("turn to the left", stats.O.turn_left);
+      ("turn to the right", stats.O.turn_right);
+      ("insert before the cursor", stats.O.insert_before);
+      ("insert after the cursor", stats.O.insert_after);
+    ]
+
 let prop_intern_matches_structural_equality =
   QCheck.Test.make
     ~name:"interned id equality coincides with structural skeleton equality"
@@ -724,6 +936,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_plans_skeleton_oblivious;
           QCheck_alcotest.to_alcotest prop_view_run_matches_run;
           QCheck_alcotest.to_alcotest prop_plan_pilot_matches_replay;
+          QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
+          Alcotest.test_case "oracle generators cover Definition 24(c)" `Quick
+            test_oracle_generators_cover_definition24;
           QCheck_alcotest.to_alcotest prop_intern_spill_matches_ram;
           QCheck_alcotest.to_alcotest prop_intern_matches_structural_equality;
           QCheck_alcotest.to_alcotest prop_random_plans_composition_never_violated;
