@@ -88,23 +88,6 @@ let micro_tests () =
       ~chains:(Listmachine.Machines.chains_needed ~space:adv32_space - 1)
       ~optimistic:true
   in
-  (* spill-backed interning: a stream of 256 skeletons (runs of the
-     staircase machine on random value patterns, so classes repeat but
-     don't collapse) interned into a fresh 64 KiB-block file-backed
-     two-tier table per run — measures bloom/front filtering, slot
-     probes and growth migration, setup and teardown included *)
-  let spill_skels =
-    Array.init 256 (fun _ ->
-        let values =
-          Array.init 16 (fun _ -> Util.Bitstring.random st ~width:4)
-        in
-        Listmachine.Skeleton.of_views
-          (Listmachine.Nlm.run_view lm ~values ~choices:(fun _ -> 0)))
-  in
-  let spill_backend =
-    Listmachine.Skeleton.Intern.Spill
-      { spec = file_device; recent = 16 }
-  in
   (* one 64 KiB block round-trip through the CRC framing: a 1-block
      cache bounces between two blocks, so every iteration pays two
      evict-flushes (checksum + pwrite) and two loads (pread + verify).
@@ -174,15 +157,6 @@ let micro_tests () =
            ignore
              (Stcore.Adversary.attack ~pool:adv_pool ~seed:7 st
                 ~space:adv32_space ~machine:adv32_machine ())));
-    Test.make ~name:"skeleton-intern-spill-64k"
-      (Staged.stage (fun () ->
-           let tbl =
-             Listmachine.Skeleton.Intern.create ~backend:spill_backend ()
-           in
-           Array.iter
-             (fun sk -> ignore (Listmachine.Skeleton.Intern.intern tbl sk))
-             spill_skels;
-           Listmachine.Skeleton.Intern.close tbl));
     Test.make ~name:"sortedness-phi-4096"
       (Staged.stage (fun () ->
            ignore (Util.Permutation.sortedness (Util.Permutation.reverse_binary 4096))));

@@ -101,6 +101,72 @@ let crash_exit =
 
 let exits = budget_exit :: scrub_exit :: crash_exit :: Cmd.Exit.defaults
 
+(* The tape device flags, shared by decide, serve, query and repl:
+   --device picks the backend, --block-size its block (a file tape
+   caches 16 blocks; a shard is 16 blocks, 2 cached), --spill-dir where
+   the backing files go. Spill files are scratch: tapes delete them on
+   close, so the directory is left holding at most the empty dir. *)
+type device_opts = {
+  kind : [ `Mem | `File | `Shard ];
+  block_size : int;
+  spill_dir : string option;
+}
+
+let device_term ~users =
+  let device_arg =
+    let doc =
+      Printf.sprintf
+        "Tape cell storage for %s: $(b,mem) (in-RAM, the default), $(b,file) \
+         (block-cached flat files) or $(b,shard) (a sharded run directory). \
+         Results, scan counts and audit verdicts are backend-independent; \
+         only the I/O traffic differs."
+        users
+    in
+    Arg.(
+      value
+      & opt (Arg.enum [ ("mem", `Mem); ("file", `File); ("shard", `Shard) ]) `Mem
+      & info [ "device" ] ~docv:"DEV" ~doc)
+  in
+  let block_size_arg =
+    let doc =
+      "Cache block size in bytes for $(b,--device file) (each tape caches 16 \
+       blocks) and $(b,--device shard) (a shard is 16 blocks, 2 cached)."
+    in
+    Arg.(value & opt int 65536 & info [ "block-size" ] ~docv:"BYTES" ~doc)
+  in
+  let spill_dir_arg =
+    let doc =
+      "Directory for device backing files (default: a per-process \
+       directory under the system temp dir). Files are deleted when the \
+       tapes close."
+    in
+    Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
+  in
+  Term.(
+    const (fun kind block_size spill_dir -> { kind; block_size; spill_dir })
+    $ device_arg $ block_size_arg $ spill_dir_arg)
+
+(* [None] for the mem backend *)
+let device_spec ~tag ?raw d =
+  let spill () =
+    match d.spill_dir with
+    | Some dir -> dir
+    | None ->
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "stlb-%s-spill-%d" tag (Unix.getpid ()))
+  in
+  match d.kind with
+  | `Mem -> None
+  | `File ->
+      Some
+        (Tape.Device.file_spec ~block_bytes:d.block_size ~cache_blocks:16 ?raw
+           (spill ()))
+  | `Shard ->
+      Some
+        (Tape.Device.shard_spec ~shard_bytes:(16 * d.block_size) ~cache_shards:2
+           ?raw (spill ()))
+
 (* ------------------------------------------------------------------ *)
 
 let gen_cmd =
@@ -131,8 +197,8 @@ let read_instance = function
   | None -> I.decode (String.trim (input_line stdin))
 
 let decide_cmd =
-  let run seed problem algorithm file max_scans trace dev block_size spill_dir
-      storage_seed bit_rot storage_eio enospc_at crash_at checkpoint =
+  let run seed problem algorithm file max_scans trace dev storage_seed bit_rot
+      storage_eio enospc_at crash_at checkpoint =
     with_trace trace @@ fun () ->
     let st = state_of seed in
     let inst = read_instance file in
@@ -166,30 +232,7 @@ let decide_cmd =
       | Some _ ->
           Some { Faults.Retry.default with Faults.Retry.attempts = 8 }
     in
-    (* --device picks the tape backend for the sort and fingerprint
-       deciders (reference and nst are in-memory by construction).
-       Spill files are scratch: the deciders delete them on the way out,
-       so the directory is left holding at most the empty dir itself. *)
-    let spill () =
-      match spill_dir with
-      | Some d -> d
-      | None ->
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "stlb-spill-%d" (Unix.getpid ()))
-    in
-    let device =
-      match dev with
-      | `Mem -> None
-      | `File ->
-          Some
-            (Tape.Device.file_spec ~block_bytes:block_size ~cache_blocks:16
-               ?raw (spill ()))
-      | `Shard ->
-          Some
-            (Tape.Device.shard_spec ~shard_bytes:(16 * block_size)
-               ~cache_shards:2 ?raw (spill ()))
-    in
+    let device = device_spec ~tag:"decide" ?raw dev in
     let budget =
       Option.map
         (fun s -> { Tape.Group.max_scans = Some s; max_internal = None })
@@ -296,34 +339,6 @@ let decide_cmd =
     in
     Arg.(value & opt (some int) None & info [ "max-scans" ] ~docv:"R" ~doc)
   in
-  let device_arg =
-    let doc =
-      "Tape cell storage for the sort and fingerprint deciders: $(b,mem) \
-       (in-RAM, the default), $(b,file) (block-cached flat files) or \
-       $(b,shard) (a sharded run directory). The measured scans, internal \
-       peak and audit verdict are backend-independent; only the I/O \
-       traffic differs. $(b,reference) and $(b,nst) ignore this."
-    in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("mem", `Mem); ("file", `File); ("shard", `Shard) ]) `Mem
-      & info [ "device" ] ~docv:"DEV" ~doc)
-  in
-  let block_size_arg =
-    let doc =
-      "Cache block size in bytes for $(b,--device file) (a shard is 16 \
-       blocks). Each tape caches 16 blocks."
-    in
-    Arg.(value & opt int 65536 & info [ "block-size" ] ~docv:"BYTES" ~doc)
-  in
-  let spill_dir_arg =
-    let doc =
-      "Directory for device backing files (default: a per-process \
-       directory under the system temp dir). Files are deleted when the \
-       decider's tapes close."
-    in
-    Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
-  in
   let storage_seed_arg =
     let doc = "Seed for the below-seam storage fault plan." in
     Arg.(value & opt int 0 & info [ "storage-seed" ] ~docv:"SEED" ~doc)
@@ -369,8 +384,12 @@ let decide_cmd =
   Cmd.v (Cmd.info "decide" ~doc ~exits)
     Term.(
       const run $ seed_arg $ problem_arg $ algorithm_arg $ file_arg
-      $ max_scans_arg $ trace_arg $ device_arg $ block_size_arg
-      $ spill_dir_arg $ storage_seed_arg $ bit_rot_arg $ storage_eio_arg
+      $ max_scans_arg $ trace_arg
+      $ device_term
+          ~users:
+            "the sort and fingerprint deciders ($(b,reference) and $(b,nst) \
+             are in-memory by construction)"
+      $ storage_seed_arg $ bit_rot_arg $ storage_eio_arg
       $ enospc_at_arg $ crash_at_arg $ checkpoint_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -383,29 +402,10 @@ let socket_arg =
     & info [ "socket"; "s" ] ~docv:"PATH" ~doc)
 
 let serve_cmd =
-  let run socket seed jobs dev block_size spill_dir max_scans max_frame
-      max_batch queue_bound max_requests trace =
+  let run socket seed jobs dev max_scans max_frame max_batch queue_bound
+      max_requests trace =
     with_trace trace @@ fun () ->
-    let spill () =
-      match spill_dir with
-      | Some d -> d
-      | None ->
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "stlb-serve-spill-%d" (Unix.getpid ()))
-    in
-    let device =
-      match dev with
-      | `Mem -> None
-      | `File ->
-          Some
-            (Tape.Device.file_spec ~block_bytes:block_size ~cache_blocks:16
-               (spill ()))
-      | `Shard ->
-          Some
-            (Tape.Device.shard_spec ~shard_bytes:(16 * block_size)
-               ~cache_shards:2 (spill ()))
-    in
+    let device = device_spec ~tag:"serve" dev in
     let domains = match jobs with Some d when d >= 1 -> d | _ -> 1 in
     let cfg =
       {
@@ -423,7 +423,7 @@ let serve_cmd =
     Printf.printf
       "stlb serve: listening on %s (seed %d, %d domain(s), device %s)\n%!"
       socket seed domains
-      (match dev with `Mem -> "mem" | `File -> "file" | `Shard -> "shard");
+      (match dev.kind with `Mem -> "mem" | `File -> "file" | `Shard -> "shard");
     Serve.Server.run cfg;
     Printf.printf "stlb serve: shut down cleanly\n%!"
   in
@@ -460,24 +460,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "max-scans" ] ~docv:"R" ~doc)
   in
-  let device_arg =
-    let doc =
-      "Tape cell storage for sort and fingerprint requests: $(b,mem), \
-       $(b,file) or $(b,shard). Verdicts are backend-independent."
-    in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("mem", `Mem); ("file", `File); ("shard", `Shard) ]) `Mem
-      & info [ "device" ] ~docv:"DEV" ~doc)
-  in
-  let block_size_arg =
-    let doc = "Cache block size in bytes for $(b,--device file)." in
-    Arg.(value & opt int 65536 & info [ "block-size" ] ~docv:"BYTES" ~doc)
-  in
-  let spill_dir_arg =
-    let doc = "Directory for device backing files." in
-    Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
-  in
   let doc =
     "Serve the deciders over a Unix-domain socket (the stlb/1 protocol, \
      PROTOCOL.md). Every verdict is a function of ($(b,--seed), request \
@@ -486,9 +468,10 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~exits)
     Term.(
-      const run $ socket_arg $ seed_arg $ jobs_arg $ device_arg
-      $ block_size_arg $ spill_dir_arg $ max_scans_arg $ max_frame_arg
-      $ max_batch_arg $ queue_bound_arg $ max_requests_arg $ trace_arg)
+      const run $ socket_arg $ seed_arg $ jobs_arg
+      $ device_term ~users:"sort and fingerprint requests"
+      $ max_scans_arg $ max_frame_arg $ max_batch_arg $ queue_bound_arg
+      $ max_requests_arg $ trace_arg)
 
 let loadgen_cmd =
   let run socket seed requests batch first_id m n shutdown =
@@ -618,28 +601,7 @@ let adversary_cmd =
         ("shards_merged", Obs.Trace.Int c.Stcore.Adversary.shards_merged);
       ]
   in
-  let backend_of intern spill_dir =
-    match intern with
-    | `Mem -> Listmachine.Skeleton.Intern.Ram
-    | (`File | `Shard) as kind ->
-        let dir =
-          match spill_dir with
-          | Some d -> d
-          | None ->
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "stlb-census-%d" (Unix.getpid ()))
-        in
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        let spec =
-          match kind with
-          | `File -> Tape.Device.file_spec dir
-          | `Shard -> Tape.Device.shard_spec dir
-        in
-        Listmachine.Skeleton.Intern.Spill { spec; recent = 64 }
-  in
-  let run seed jobs m chains optimistic canon intern spill_dir shard out merges
-      trace =
+  let run seed jobs m chains optimistic canon shard out merges trace =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let st = state_of seed in
@@ -649,7 +611,6 @@ let adversary_cmd =
     let machine =
       Listmachine.Machines.staircase_checkphi ~space ~chains ~optimistic
     in
-    let backend = backend_of intern spill_dir in
     match merges with
     | _ :: _ ->
         (* fold shard evidence files into the single-process verdict *)
@@ -672,15 +633,14 @@ let adversary_cmd =
           Printf.printf "machine: %s (complete coverage needs %d chains)\n"
             machine.Listmachine.Nlm.name needed;
           print_census ~space ~machine
-            (Stcore.Adversary.attack_census ~canon ~intern:backend st ~space
-               ~machine ())
+            (Stcore.Adversary.attack_census ~canon st ~space ~machine ())
         end
         else begin
           (* collect one shard's evidence; merge happens in --merge mode *)
           let root = Parallel.Rng.seed_of_state st in
           let ev =
-            Stcore.Adversary.Shard.collect ~canon ~intern:backend ~root ~space
-              ~machine ~shard:i ~of_:k ()
+            Stcore.Adversary.Shard.collect ~canon ~root ~space ~machine
+              ~shard:i ~of_:k ()
           in
           let s = Stcore.Adversary.Shard.to_string ev in
           match out with
@@ -719,24 +679,6 @@ let adversary_cmd =
     in
     Arg.(value & opt bool true & info [ "canon" ] ~doc)
   in
-  let intern_arg =
-    let doc =
-      "Census intern table backend: $(b,mem) (RAM-resident), $(b,file) or \
-       $(b,shard) (two-tier, spilled to a Tape.Device under --spill-dir). \
-       The verdict and fingerprint are identical for all three."
-    in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("mem", `Mem); ("file", `File); ("shard", `Shard) ]) `Mem
-      & info [ "intern" ] ~docv:"BACKEND" ~doc)
-  in
-  let spill_dir_arg =
-    let doc =
-      "Directory for the spilled census table (created if missing; default: a \
-       per-process directory under the system temp dir)."
-    in
-    Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
-  in
   let shard_arg =
     let parse s =
       match String.split_on_char '/' s with
@@ -773,8 +715,7 @@ let adversary_cmd =
   Cmd.v (Cmd.info "adversary" ~doc)
     Term.(
       const run $ seed_arg $ jobs_arg $ m_arg 8 $ chains_arg $ optimistic_arg
-      $ canon_arg $ intern_arg $ spill_dir_arg $ shard_arg $ out_arg $ merge_arg
-      $ trace_arg)
+      $ canon_arg $ shard_arg $ out_arg $ merge_arg $ trace_arg)
 
 let experiment_cmd =
   let run jobs checkpoint trace name =
@@ -909,41 +850,7 @@ let simulate_cmd =
 
 (* ------------------------------------------------------------------ *)
 
-let query_device_arg =
-  let doc =
-    "Tape cell storage for compiled query plans: $(b,mem), $(b,file) or \
-     $(b,shard). Results, scan counts and audit verdicts are \
-     backend-independent."
-  in
-  Arg.(
-    value
-    & opt (Arg.enum [ ("mem", `Mem); ("file", `File); ("shard", `Shard) ]) `Mem
-    & info [ "device" ] ~docv:"DEV" ~doc)
-
-let query_block_size_arg =
-  let doc = "Cache block size in bytes for $(b,--device file)." in
-  Arg.(value & opt int 65536 & info [ "block-size" ] ~docv:"BYTES" ~doc)
-
-let query_spill_dir_arg =
-  let doc = "Directory for device backing files." in
-  Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
-
-let query_device ~tag dev block_size spill_dir =
-  let spill () =
-    match spill_dir with
-    | Some d -> d
-    | None ->
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "stlb-%s-spill-%d" tag (Unix.getpid ()))
-  in
-  match dev with
-  | `Mem -> Tape.Device.Mem
-  | `File ->
-      Tape.Device.file_spec ~block_bytes:block_size ~cache_blocks:16 (spill ())
-  | `Shard ->
-      Tape.Device.shard_spec ~shard_bytes:(16 * block_size) ~cache_shards:2
-        (spill ())
+let query_device = device_term ~users:"compiled query plans"
 
 let fuzz_exit =
   Cmd.Exit.info 4
@@ -954,9 +861,9 @@ let fuzz_exit =
 let query_exits = fuzz_exit :: exits
 
 let query_cmd =
-  let run seed jobs program file fuzz iters report_file inject dev block_size
-      spill_dir trace no_budget =
-    let device = query_device ~tag:"query" dev block_size spill_dir in
+  let run seed jobs program file fuzz iters report_file inject dev trace
+      no_budget =
+    let device = device_spec ~tag:"query" dev in
     if inject then Query.Compile.swap_compose := true;
     if fuzz then begin
       let pool =
@@ -964,8 +871,7 @@ let query_cmd =
         | Some d when d > 1 -> Some (Parallel.Pool.create ~domains:d ())
         | _ -> None
       in
-      let dev_opt = match device with Tape.Device.Mem -> None | s -> Some s in
-      let c = Query.Fuzz.run_campaign ?pool ?device:dev_opt ~seed ~iters () in
+      let c = Query.Fuzz.run_campaign ?pool ?device ~seed ~iters () in
       let rep = Query.Fuzz.report c in
       print_string rep;
       (match report_file with
@@ -982,7 +888,9 @@ let query_cmd =
         | None, None -> In_channel.input_all stdin
       in
       let st =
-        Query.Repl.create ~device ~out:(Buffer.output_buffer stdout) ()
+        Query.Repl.create
+          ~device:(Option.value device ~default:Tape.Device.Mem)
+          ~out:(Buffer.output_buffer stdout) ()
       in
       (match trace with
       | None -> ()
@@ -1048,12 +956,14 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc ~exits:query_exits)
     Term.(
       const run $ seed_arg $ jobs_arg $ program_arg $ file_arg $ fuzz_arg
-      $ iters_arg $ report_arg $ inject_arg $ query_device_arg
-      $ query_block_size_arg $ query_spill_dir_arg $ trace_arg $ no_budget_arg)
+      $ iters_arg $ report_arg $ inject_arg $ query_device $ trace_arg
+      $ no_budget_arg)
 
 let repl_cmd =
-  let run batch dev block_size spill_dir =
-    let device = query_device ~tag:"repl" dev block_size spill_dir in
+  let run batch dev =
+    let device =
+      Option.value (device_spec ~tag:"repl" dev) ~default:Tape.Device.Mem
+    in
     let st =
       Query.Repl.create ~device ~out:(Buffer.output_buffer stdout) ()
     in
@@ -1076,9 +986,7 @@ let repl_cmd =
      on|off), $(b,:trace FILE|off), $(b,:env), $(b,:help), $(b,:quit)."
   in
   Cmd.v (Cmd.info "repl" ~doc ~exits)
-    Term.(
-      const run $ batch_arg $ query_device_arg $ query_block_size_arg
-      $ query_spill_dir_arg)
+    Term.(const run $ batch_arg $ query_device)
 
 let () =
   let doc =

@@ -21,13 +21,9 @@ type outcome =
   | Contract_violated of { yes_acceptance : float }
 
 (* A deterministic pseudo-random choice function: the "fixed sequence c"
-   of Lemma 26, regenerable from its seed (splitmix64-style mixing). *)
+   of Lemma 26, regenerable from its seed. *)
 let choice_fn ~seed ~num_choices step =
-  let z = ref (seed + (step * 0x9E3779B9) + 0x85EBCA6B) in
-  z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
-  z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
-  z := !z lxor (!z lsr 16);
-  (!z land max_int) mod num_choices
+  Util.Hash.choice_mix ~seed step mod num_choices
 
 let values_of inst = Array.append (I.xs inst) (I.ys inst)
 
@@ -215,8 +211,8 @@ type census = {
 
 (* The mergeable outcome fingerprint: FNV-1a 64 over a canonical
    rendering of the verdict and the census summary. Every field in the
-   rendering is invariant under worker count, intern backend, canonical
-   reduction and sharding, so equality of fingerprints is exactly the
+   rendering is invariant under worker count, canonical reduction and
+   sharding, so equality of fingerprints is exactly the
    bit-identity the acceptance criterion asks for. *)
 let fingerprint_of ~root ~m ~n ~chosen_seed ~hits ~samples ~classes outcome =
   let body =
@@ -226,7 +222,7 @@ let fingerprint_of ~root ~m ~n ~chosen_seed ~hits ~samples ~classes outcome =
     | Not_fooled { reason; _ } -> Printf.sprintf "not-fooled reason=%s" reason
     | Contract_violated _ -> "contract-violated"
   in
-  Skeleton.fnv64
+  Util.Hash.fnv_string Util.Hash.fnv_offset
     (Printf.sprintf "stlb-census root=%d m=%d n=%d seed=%d hits=%d/%d classes=%d %s"
        root m n chosen_seed hits samples classes body)
 
@@ -376,11 +372,10 @@ module Shard = struct
         }
     | _ -> fail "truncated evidence"
 
-  let fingerprint e = Skeleton.fnv64 (to_string e)
+  let fingerprint e = Util.Hash.(fnv_string fnv_offset (to_string e))
 
-  let collect ?pool ?(canon = true) ?(intern = Skeleton.Intern.Ram) ~root ~space
-      ~machine ?(yes_samples = 48) ?(choice_trials = 8) ?(resample_tries = 32)
-      ?fuel ~shard ~of_:shards () =
+  let collect ?pool ?(canon = true) ~root ~space ~machine ?(yes_samples = 48)
+      ?(choice_trials = 8) ?(resample_tries = 32) ?fuel ~shard ~of_:shards () =
     if shards < 1 || shard < 1 || shard > shards then
       invalid_arg "Adversary.Shard.collect: shard index out of range";
     (* a scripted machine visits one state per step, so the default
@@ -405,7 +400,7 @@ module Shard = struct
     let insts = Array.map (fun i -> sample_at ~root space i) owned in
     let seeds = trial_seeds ~machine ~root ~yes_samples ~choice_trials in
     let r = make_runner ~machine ~fuel ~canon in
-    let tbl = Skeleton.Intern.create ~backend:intern () in
+    let tbl = Skeleton.Intern.create () in
     let classes = ref [] in
     let n_classes = ref 0 in
     let accepted =
@@ -435,7 +430,6 @@ module Shard = struct
           Array.of_list (List.rev !accs))
         seeds
     in
-    Skeleton.Intern.close tbl;
     {
       root;
       m;
@@ -712,21 +706,20 @@ module Shard = struct
     }
 end
 
-let attack_census ?pool ?seed ?(canon = true) ?(intern = Skeleton.Intern.Ram) st
-    ~space ~machine ?(yes_samples = 48) ?(choice_trials = 8)
-    ?(resample_tries = 32) ?fuel () =
+let attack_census ?pool ?seed ?(canon = true) st ~space ~machine
+    ?(yes_samples = 48) ?(choice_trials = 8) ?(resample_tries = 32) ?fuel () =
   let root =
     match seed with Some s -> s | None -> Parallel.Rng.seed_of_state st
   in
   let ev =
-    Shard.collect ?pool ~canon ~intern ~root ~space ~machine ~yes_samples
+    Shard.collect ?pool ~canon ~root ~space ~machine ~yes_samples
       ~choice_trials ~resample_tries ?fuel ~shard:1 ~of_:1 ()
   in
   Shard.merge ~space ~machine [ ev ]
 
-let attack ?pool ?seed ?canon ?intern st ~space ~machine ?yes_samples
+let attack ?pool ?seed ?canon st ~space ~machine ?yes_samples
     ?choice_trials ?resample_tries ?fuel () =
-  (attack_census ?pool ?seed ?canon ?intern st ~space ~machine ?yes_samples
+  (attack_census ?pool ?seed ?canon st ~space ~machine ?yes_samples
      ?choice_trials ?resample_tries ?fuel ())
     .outcome
 

@@ -27,15 +27,12 @@
 
     {2 Scaling levers}
 
-    Three independent levers push the census to m=64/128, all keeping
+    Two independent levers push the census to m=64/128, both keeping
     the verdict bit-identical to the naive pipeline:
 
     - {e canonical-form reduction} ({!canonicalize}): machine runs are
       memoized modulo the value-renaming symmetry the machines cannot
       observe, so each equivalence class of inputs is run once;
-    - {e spill-able interning}: the census table can be backed by a
-      {!Listmachine.Skeleton.Intern.backend.Spill} device, bounding RAM
-      independent of the class count;
     - {e process-level sharding} ({!Shard}): the sample space splits by
       index residue into [k] shards whose evidence files fold back into
       the exact single-process verdict, with a mergeable fingerprint. *)
@@ -79,8 +76,8 @@ type census = {
   outcome : outcome;
   fingerprint : int64;
       (** FNV-1a 64 over a canonical rendering of the verdict + census
-          summary; bit-identical across worker counts, intern backends,
-          [~canon] on/off and shard partitionings *)
+          summary; bit-identical across worker counts, [~canon] on/off
+          and shard partitionings *)
   chosen_seed : int;  (** the winning choice seed (Lemma 26) *)
   hits : int;  (** accepted yes-samples under [chosen_seed] *)
   samples : int;  (** total yes-samples drawn *)
@@ -140,7 +137,6 @@ module Shard : sig
   val collect :
     ?pool:Parallel.Pool.t ->
     ?canon:bool ->
-    ?intern:Listmachine.Skeleton.Intern.backend ->
     root:int ->
     space:Problems.Generators.Checkphi.space ->
     machine:Util.Bitstring.t Listmachine.Nlm.t ->
@@ -174,7 +170,6 @@ val attack_census :
   ?pool:Parallel.Pool.t ->
   ?seed:int ->
   ?canon:bool ->
-  ?intern:Listmachine.Skeleton.Intern.backend ->
   Random.State.t ->
   space:Problems.Generators.Checkphi.space ->
   machine:Util.Bitstring.t Listmachine.Nlm.t ->
@@ -192,7 +187,6 @@ val attack :
   ?pool:Parallel.Pool.t ->
   ?seed:int ->
   ?canon:bool ->
-  ?intern:Listmachine.Skeleton.Intern.backend ->
   Random.State.t ->
   space:Problems.Generators.Checkphi.space ->
   machine:Util.Bitstring.t Listmachine.Nlm.t ->
@@ -220,9 +214,8 @@ val attack :
     value-renaming symmetry — sound for machines that observe input
     values only through equality tests (every machine in this tree;
     skeleton cells store positions, not values). Pass [~canon:false]
-    for a machine that inspects value content. [intern] selects the
-    census table backend (default RAM-resident). Neither changes any
-    outcome bit.
+    for a machine that inspects value content; it changes no outcome
+    bit.
 
     [fuel] defaults to [max 200_000 (2 * state_count)] — a scripted
     machine visits one state per step, so the budget always covers the

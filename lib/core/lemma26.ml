@@ -59,17 +59,10 @@ let exact_best ?(fuel = 100_000) ?(max_length = 12) machine ~inputs =
   | Some ((choices, accepted), _) -> { choices; accepted; seed = None }
   | None -> assert false
 
-let splitmix ~seed ~num_choices step =
-  let z = ref (seed + (step * 0x9E3779B9) + 0x85EBCA6B) in
-  z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
-  z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
-  z := !z lxor (!z lsr 16);
-  (!z land max_int) mod num_choices
-
 let sampled_best ?pool st ?(trials = 16) ?(fuel = 100_000) machine ~inputs =
   let trials = if machine.Nlm.num_choices = 1 then 1 else trials in
   let try_seed seed =
-    let choices = splitmix ~seed ~num_choices:machine.Nlm.num_choices in
+    let choices step = Util.Hash.choice_mix ~seed step mod machine.Nlm.num_choices in
     (seed, choices, accepted_under ?pool machine ~fuel ~inputs choices)
   in
   let first = try_seed 0 in

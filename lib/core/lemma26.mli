@@ -10,7 +10,7 @@
       the test suite checks it meets the [|J|/2] floor whenever the
       hypothesis holds;
     - {!sampled_best} (what the adversary uses at scale) draws random
-      seeds for a splitmix-derived sequence and keeps the best.
+      seeds for a [Util.Hash.choice_mix] sequence and keeps the best.
 
     Both treat a choice sequence as a function [step → choice] so
     unbounded run lengths need no materialized array. *)

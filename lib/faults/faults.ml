@@ -23,28 +23,15 @@ let check_rate label r =
   if not (r >= 0.0 && r <= 1.0) then
     invalid_arg (Printf.sprintf "Faults: %s rate %g outside [0,1]" label r)
 
-(* FNV-1a over a name folded into a seed — the shared name-hashing half
+(* FNV-1a of a name folded into a seed — the shared name-hashing half
    of every derived stream (per-tape injection, per-device storage
    faults, per-label backoff jitter). *)
-let fnv64 ~seed name =
-  let h = ref (Int64.of_int seed) in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    name;
-  !h
+let fnv64 ~seed name = Util.Hash.fnv_string (Int64.of_int seed) name
 
 (* [fnv64] finalized by splitmix64 into the four words a [Random.State]
    wants. The name is the only per-stream input: streams created in any
    order, on any domain, with the same name draw identically. *)
-let derive_words ~seed ~name =
-  let h = fnv64 ~seed name in
-  Array.init 4 (fun i ->
-      let word =
-        Parallel.Rng.mix64
-          (Int64.add h (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L))
-      in
-      Int64.to_int (Int64.logand word 0x3FFFFFFFFFFFFFFFL))
+let derive_words ~seed ~name = Util.Hash.seed_words (fnv64 ~seed name)
 
 module Plan = struct
   type t = { seed : int; rates : rates }
@@ -295,11 +282,7 @@ module Retry = struct
   let backoff policy ~seed ~attempt =
     if policy.base_backoff_s <= 0.0 then 0.0
     else begin
-      let word =
-        Parallel.Rng.mix64
-          (Int64.add (Int64.of_int seed)
-             (Int64.mul (Int64.of_int (attempt + 1)) 0x9E3779B97F4A7C15L))
-      in
+      let word = Util.Hash.splitmix_at (Int64.of_int seed) attempt in
       let jitter =
         Int64.to_float (Int64.logand word 0xFFFFFFL) /. float_of_int 0x1000000
       in

@@ -48,25 +48,6 @@ let open_dir dir =
 
 let path t name = Filename.concat t.dir (name ^ ".json")
 
-(* ---------------- CRC-32 (the usual reflected 0xEDB88320) ----------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let tbl = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := tbl.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
-
 (* ---------------- flat JSON encode/decode --------------------------- *)
 
 let escape s =
@@ -87,7 +68,7 @@ let escape s =
 
 let encode ~name ~output =
   Printf.sprintf "{\"experiment\":\"%s\",\"crc\":%d,\"output\":\"%s\"}\n"
-    (escape name) (crc32 output) (escape output)
+    (escape name) (Util.Hash.crc32 output) (escape output)
 
 let index_of s pat =
   let n = String.length s and m = String.length pat in
@@ -157,7 +138,7 @@ let string_field s key =
 
 let decode s =
   match (string_field s "output", int_field s "crc") with
-  | Some output, Some crc when crc = crc32 output -> Ok output
+  | Some output, Some crc when crc = Util.Hash.crc32 output -> Ok output
   | Some _, Some _ -> Error "checksum mismatch"
   | _ -> Error "unparsable journal entry"
 

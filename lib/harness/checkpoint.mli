@@ -50,7 +50,3 @@ val lookup : t -> name:string -> string option
 (** The stored output for [name], or [None] (with a stderr warning and
     the file removed) if the entry is missing, unparsable or fails its
     checksum. *)
-
-val crc32 : string -> int
-(** The journal checksum (standard reflected CRC-32), exposed for the
-    corruption tests. *)

@@ -1371,8 +1371,8 @@ let exp19 () =
      and a 3-byte torn tail from a crash mid-pwrite *)
   let bbytes = 8 in
   let payload = "\x00\x04ROTS\x00\x00" in
-  let frame p = "\x01" ^ be32 (Tape.Device.crc32 p) ^ p in
-  let rotted = "\x01" ^ be32 (Tape.Device.crc32 payload) ^ "\x00\x04ROTT\x00\x00" in
+  let frame p = "\x01" ^ be32 (Util.Hash.crc32 p) ^ p in
+  let rotted = "\x01" ^ be32 (Util.Hash.crc32 payload) ^ "\x00\x04ROTT\x00\x00" in
   write
     (Filename.concat scrub_dir "xs-0.tape")
     ("STLBTAP2" ^ be32 bbytes ^ be32 8 ^ frame payload ^ rotted ^ "\x01\x02\x03");
@@ -1380,14 +1380,14 @@ let exp19 () =
      unlisted orphan, run 2 a torn tmp *)
   let sdir = Filename.concat scrub_dir "ys-1" in
   Unix.mkdir sdir 0o755;
-  let shard_frame p = "STLBSHD2" ^ be32 (Tape.Device.crc32 p) ^ p in
+  let shard_frame p = "STLBSHD2" ^ be32 (Util.Hash.crc32 p) ^ p in
   let sp = "\x01\x02a\x00" in
   write (Filename.concat sdir "run-000000.shard") (shard_frame sp);
   write (Filename.concat sdir "run-000001.shard") (shard_frame "\x01\x02b\x00");
   write (Filename.concat sdir "run-000002.shard.tmp") "half a sh";
   write (Filename.concat sdir "MANIFEST")
     (Printf.sprintf "STLBMAN2\n%08x %d run-000000.shard\n"
-       (Tape.Device.crc32 sp) (String.length sp));
+       (Util.Hash.crc32 sp) (String.length sp));
   let count what (rep : Tape.Device.Scrub.report) =
     List.length
       (List.filter (fun f -> f.Tape.Device.Scrub.what = what) rep.Tape.Device.Scrub.findings)
@@ -1653,85 +1653,48 @@ let exp21 () =
 let exp22 () =
   (* The sharded Lemma 21 census: [k] collectors each sweep one residue
      class of the sample indices and emit mergeable evidence; the merge
-     folds them back into the exact single-process verdict. Every
-     (intern backend x shard count) cell must land on one census
-     fingerprint — the merged verdict is a function of the root seed
-     alone, never of how the samples were partitioned or where the
-     class table lived. *)
+     folds them back into the exact single-process verdict. Every shard
+     count must land on one census fingerprint — the merged verdict is
+     a function of the root seed alone, never of how the samples were
+     partitioned. *)
   let root = 2022 in
   let m = 16 in
   let space = G.Checkphi.default_space ~m ~n:(2 * m) in
   let machine = Listmachine.Machines.random_chain_checkphi ~space in
-  let spill =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stlb-e22-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir spill 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let t =
     T.create
       ~title:
         (Printf.sprintf
-           "E22 [sharded census]  shard-count x intern-backend parity \
-            (random-chain machine, m = %d, root = %d)"
+           "E22 [sharded census]  shard-count parity (random-chain machine, \
+            m = %d, root = %d)"
            m root)
       ~columns:
-        [
-          "intern"; "shards"; "classes"; "canon hits"; "machine runs";
-          "spill r/w"; "spill bytes"; "merged fingerprint";
-        ]
+        [ "shards"; "classes"; "canon hits"; "machine runs"; "merged fingerprint" ]
   in
-  let fingerprints = ref [] in
-  let backends =
-    [
-      ("mem", fun () -> Listmachine.Skeleton.Intern.Ram);
-      ( "file",
-        fun () ->
-          Listmachine.Skeleton.Intern.Spill
-            {
-              spec = Tape.Device.file_spec ~block_bytes:4096 ~cache_blocks:4 spill;
-              recent = 8;
-            } );
-      ( "shard",
-        fun () ->
-          Listmachine.Skeleton.Intern.Spill
-            {
-              spec = Tape.Device.shard_spec ~shard_bytes:8192 ~cache_shards:2 spill;
-              recent = 8;
-            } );
-    ]
+  let fingerprints =
+    List.map
+      (fun k ->
+        let evs =
+          List.init k (fun i ->
+              Stcore.Adversary.Shard.collect ~root ~space ~machine ~shard:(i + 1)
+                ~of_:k ())
+        in
+        let c = Stcore.Adversary.Shard.merge ~space ~machine evs in
+        T.add_row t
+          [
+            string_of_int k;
+            string_of_int c.Stcore.Adversary.classes;
+            string_of_int c.Stcore.Adversary.canonical_hits;
+            string_of_int c.Stcore.Adversary.machine_runs;
+            Printf.sprintf "0x%016Lx" c.Stcore.Adversary.fingerprint;
+          ];
+        c.Stcore.Adversary.fingerprint)
+      [ 1; 2; 4 ]
   in
-  List.iter
-    (fun (bname, backend) ->
-      List.iter
-        (fun k ->
-          let before = Obs.Counters.snapshot () in
-          let evs =
-            List.init k (fun i ->
-                Stcore.Adversary.Shard.collect ~intern:(backend ()) ~root ~space
-                  ~machine ~shard:(i + 1) ~of_:k ())
-          in
-          let c = Stcore.Adversary.Shard.merge ~space ~machine evs in
-          let d = Obs.Counters.(diff (snapshot ()) ~since:before) in
-          fingerprints := c.Stcore.Adversary.fingerprint :: !fingerprints;
-          T.add_row t
-            [
-              bname;
-              string_of_int k;
-              string_of_int c.Stcore.Adversary.classes;
-              string_of_int c.Stcore.Adversary.canonical_hits;
-              string_of_int c.Stcore.Adversary.machine_runs;
-              Printf.sprintf "%d/%d" d.Obs.Counters.census_spill_reads
-                d.Obs.Counters.census_spill_writes;
-              string_of_int d.Obs.Counters.census_spill_bytes;
-              Printf.sprintf "0x%016Lx" c.Stcore.Adversary.fingerprint;
-            ])
-        [ 1; 2; 4 ])
-    backends;
   T.print t;
-  (try Unix.rmdir spill with Unix.Unix_error _ -> ());
-  let total = List.length !fingerprints in
-  let distinct = List.sort_uniq Int64.compare !fingerprints in
-  Printf.printf "  parity: %d backend/shard rows -> %d/%d fingerprints %s\n"
+  let total = List.length fingerprints in
+  let distinct = List.sort_uniq Int64.compare fingerprints in
+  Printf.printf "  parity: %d shard-count rows -> %d/%d fingerprints %s\n"
     total total total
     (if List.length distinct = 1 then "IDENTICAL" else "MISMATCH");
   print_endline
@@ -1740,11 +1703,10 @@ let exp22 () =
     \  work without re-randomizing; the merge replays the Lemma 26 seed\n\
     \  selection and census in global sample order, so dense class ids,\n\
     \  tie-breaks and the final verdict are bit-identical to the\n\
-    \  unsharded run. Spill rows pay device reads/writes (one slot per\n\
-    \  class plus probe traffic) for O(1) resident class state; mem rows\n\
-    \  show 0/0. Canonical-form reduction collapses each sweep to one\n\
-    \  machine run per (seed, rank pattern) orbit, so machine-run counts\n\
-    \  stay near the trial count while hit counts cover every sample."
+    \  unsharded run. Canonical-form reduction collapses each sweep to\n\
+    \  one machine run per (seed, rank pattern) orbit, so machine-run\n\
+    \  counts stay near the trial count while hit counts cover every\n\
+    \  sample."
 
 let all : (string * (unit -> unit)) list =
   [

@@ -1,5 +1,3 @@
-type ind_sym = IIn of int | IWild | ISt of int | IOpen | IClose
-
 type entry =
   | View of { state : int; dirs : int array; cells : Nlm.cell array }
   | Collapsed
@@ -64,47 +62,6 @@ let of_views (vt : Nlm.view_trace) =
   { entries; moves; hash = hash_entries entries moves }
 
 let hash sk = sk.hash
-
-let ind_of_sym = function
-  | Nlm.In i -> IIn i
-  | Nlm.Ch _ -> IWild
-  | Nlm.St a -> ISt a
-  | Nlm.Open -> IOpen
-  | Nlm.Close -> IClose
-
-let serialize sk =
-  let buf = Buffer.create 256 in
-  let sym s =
-    match ind_of_sym s with
-    | IIn i -> Buffer.add_string buf (Printf.sprintf "i%d," i)
-    | IWild -> Buffer.add_string buf "?,"
-    | ISt a -> Buffer.add_string buf (Printf.sprintf "a%d," a)
-    | IOpen -> Buffer.add_string buf "<"
-    | IClose -> Buffer.add_string buf ">"
-  in
-  Array.iter
-    (fun e ->
-      match e with
-      | Collapsed -> Buffer.add_string buf "|?"
-      | View v ->
-          Buffer.add_string buf (Printf.sprintf "|S%d[" v.state);
-          Array.iter (fun d -> Buffer.add_string buf (if d = 1 then "+" else "-")) v.dirs;
-          Buffer.add_string buf "]";
-          Array.iter
-            (fun cell ->
-              Buffer.add_string buf "{";
-              List.iter sym (Nlm.syms_of_cell cell);
-              Buffer.add_string buf "}")
-            v.cells)
-    sk.entries;
-  Buffer.add_string buf "@";
-  Array.iter
-    (fun mv ->
-      Buffer.add_string buf "(";
-      Array.iter (fun d -> Buffer.add_string buf (string_of_int (d + 1))) mv;
-      Buffer.add_string buf ")")
-    sk.moves;
-  Buffer.contents buf
 
 (* Structural, choice-blind equality. All cell comparisons for one
    skeleton pair share a memo table: within a run cells share structure
@@ -190,37 +147,18 @@ let uncompared_phi_indices sk ~m ~phi =
       not (List.exists (fun ps -> mem_sorted ps i && mem_sorted ps j) sets))
     (List.init m (fun i0 -> i0 + 1))
 
-let fnv_prime = 0x100000001b3L
-let fnv_init = 0xcbf29ce484222325L
-
-let fnv64 s =
-  let h = ref fnv_init in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
 (* 64-bit structural content digest: FNV-1a over the per-entry states,
    directions, choice-blind cell hashes and the move matrix — the same
    stream [hash] folds, through a different and wider mixer. Costs
    O(entries x heads), never the flat cell expansion (which can be
-   exponential in the trace depth — the reason [serialize] must stay
-   out of the census path). Equal skeletons digest equal; distinct
-   classes collide only if the underlying rolling cell hashes collide
-   under two independent mixers — beyond-astronomically unlikely, and
-   the property suite pins digest-keyed censuses to the exact
-   structural-equality ones. *)
+   exponential in the trace depth). Equal skeletons digest equal;
+   distinct classes collide only if the underlying rolling cell hashes
+   collide under two independent mixers — beyond-astronomically
+   unlikely, and the property suite pins digest-keyed censuses to the
+   exact structural-equality ones. *)
 let digest sk =
-  let h = ref fnv_init in
-  let feed x =
-    for k = 0 to 7 do
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int ((x lsr (8 * k)) land 0xff)))
-          fnv_prime
-    done
-  in
+  let h = ref Util.Hash.fnv_offset in
+  let feed x = h := Util.Hash.fnv_int !h x in
   feed (Array.length sk.entries);
   Array.iter
     (fun e ->
@@ -235,255 +173,32 @@ let digest sk =
   Array.iter (fun mv -> Array.iter feed mv) sk.moves;
   !h
 
+(* The census class table: representatives bucketed by [hash], exact
+   structural equality within a bucket, ids dense in first-intern
+   order. *)
 module Intern = struct
-  type stats = {
-    classes : int;
-    front_hits : int;
-    spill_reads : int;
-    spill_writes : int;
-    spill_bytes : int;
-    resident_reps : int;
-  }
+  type table = { buckets : (int, (t * int) list ref) Hashtbl.t; mutable next : int }
 
-  type backend = Ram | Spill of { spec : Tape.Device.spec; recent : int }
-
-  (* The spill tier stores one fixed-size slot per class on a
-     [Tape.Device] — open addressing keyed on the skeleton hash, slot
-     payloads Tuple-packed [(hash, id, digest sk, entry count)] so
-     encodings are byte-comparable and self-delimiting. RAM holds only
-     a fixed bloom filter, a bounded FIFO front of recently interned
-     representatives (structural-equality fast path), and scalar state:
-     per-class RAM cost is zero, which is the bounded-memory
-     guarantee. *)
-  type spill = {
-    device : string Tape.Device.t;
-    mutable capacity : int;  (* slots in the live region; power of two *)
-    mutable base : int;  (* first device position of the live region *)
-    bloom : Bytes.t;
-    recent : (int, (t * int) list ref) Hashtbl.t;
-    order : (int * int) Queue.t;  (* (hash, id), insertion order *)
-    recent_cap : int;
-    mutable resident : int;
-    mutable front_hits : int;
-    mutable reads : int;
-    mutable writes : int;
-    mutable bytes : int;
-  }
-
-  type tier = Buckets of (int, (t * int) list ref) Hashtbl.t | Store of spill
-  type table = { tier : tier; mutable next : int }
-
-  let bloom_bits = 1 lsl 17
-  let initial_capacity = 1 lsl 10
-
-  let create ?(size = 64) ?(backend = Ram) () =
-    match backend with
-    | Ram -> { tier = Buckets (Hashtbl.create size); next = 0 }
-    | Spill { spec; recent } ->
-        let device =
-          Tape.Device.instantiate
-            ~codec:(Tape.Device.Codec.tuple_string ~max_len:48)
-            spec ~blank:"" ~name:"skeleton-intern"
-        in
-        {
-          tier =
-            Store
-              {
-                device;
-                capacity = initial_capacity;
-                base = 0;
-                bloom = Bytes.make (bloom_bits / 8) '\000';
-                recent = Hashtbl.create (2 * recent);
-                order = Queue.create ();
-                recent_cap = max 1 recent;
-                resident = 0;
-                front_hits = 0;
-                reads = 0;
-                writes = 0;
-                bytes = 0;
-              };
-          next = 0;
-        }
-
+  let create () = { buckets = Hashtbl.create 64; next = 0 }
   let count tbl = tbl.next
 
-  let stats tbl =
-    match tbl.tier with
-    | Buckets _ ->
-        {
-          classes = tbl.next;
-          front_hits = 0;
-          spill_reads = 0;
-          spill_writes = 0;
-          spill_bytes = 0;
-          resident_reps = tbl.next;
-        }
-    | Store s ->
-        {
-          classes = tbl.next;
-          front_hits = s.front_hits;
-          spill_reads = s.reads;
-          spill_writes = s.writes;
-          spill_bytes = s.bytes;
-          resident_reps = s.resident;
-        }
-
-  let close tbl =
-    match tbl.tier with Buckets _ -> () | Store s -> Tape.Device.close s.device
-
-  (* mix the (structured, low-entropy) content hash before using it for
-     bloom bits and probe starts *)
-  let scramble h =
-    let h = h * 0x9E3779B1 in
-    let h = h lxor (h lsr 21) in
-    let h = h * 0x45D9F3B in
-    (h lxor (h lsr 17)) land max_int
-
-  let bloom_probe s h on_bit =
-    let g = scramble h in
-    let b1 = g mod bloom_bits and b2 = g / bloom_bits mod bloom_bits in
-    on_bit s b1 && on_bit s b2
-
-  let bloom_get s bit =
-    Char.code (Bytes.get s.bloom (bit / 8)) land (1 lsl (bit mod 8)) <> 0
-
-  let bloom_set s bit =
-    Bytes.set s.bloom (bit / 8)
-      (Char.chr (Char.code (Bytes.get s.bloom (bit / 8)) lor (1 lsl (bit mod 8))))
-
-  (* slots carry the digest truncated to OCaml's 63 int bits (the
-     tuple codec is int-native); both pack and probe truncate the same
-     way, so the compare domain is consistent and the slot identity is
-     the ~126-bit (hash, digest mod 2^63) pair *)
-  let digest_slot d = Int64.to_int d
-
-  let slot_pack ~hash ~id ~digest ~len =
-    Tape.Tuple.(pack [ Int hash; Int id; Int (digest_slot digest); Int len ])
-
-  let slot_unpack payload =
-    match Tape.Tuple.unpack payload with
-    | Tape.Tuple.[ Int hash; Int id; Int digest; Int len ] ->
-        (hash, id, digest, len)
-    | _ -> invalid_arg "Skeleton.Intern: malformed spill slot"
-
-  let read_slot s pos =
-    s.reads <- s.reads + 1;
-    Obs.Counters.add_census_spill_reads 1;
-    Tape.Device.get s.device pos
-
-  let write_slot s pos payload =
-    s.writes <- s.writes + 1;
-    s.bytes <- s.bytes + String.length payload;
-    Obs.Counters.add_census_spill_writes 1;
-    Obs.Counters.add_census_spill_bytes (String.length payload);
-    Tape.Device.set s.device pos payload
-
-  (* place a packed slot into the live region by linear probing; load
-     factor is kept <= 1/2, so an empty slot always exists *)
-  let place s ~hash payload =
-    let mask = s.capacity - 1 in
-    let rec probe i =
-      let pos = s.base + ((scramble hash + i) land mask) in
-      if Tape.Device.get s.device pos = "" then write_slot s pos payload
-      else probe (i + 1)
-    in
-    probe 0
-
-  let grow s =
-    let old_base = s.base and old_cap = s.capacity in
-    s.base <- old_base + old_cap;
-    s.capacity <- 2 * old_cap;
-    for i = 0 to old_cap - 1 do
-      let payload = read_slot s (old_base + i) in
-      if payload <> "" then begin
-        let hash, _, _, _ = slot_unpack payload in
-        place s ~hash payload;
-        (* blank the migrated slot so [verify]/scrub walks stay clean *)
-        Tape.Device.set s.device (old_base + i) ""
-      end
-    done
-
-  let front_add s sk id =
-    (if s.resident >= s.recent_cap then
-       match Queue.take_opt s.order with
-       | None -> ()
-       | Some (h, old_id) -> (
-           s.resident <- s.resident - 1;
-           match Hashtbl.find_opt s.recent h with
-           | None -> ()
-           | Some bucket -> (
-               bucket := List.filter (fun (_, i) -> i <> old_id) !bucket;
-               match !bucket with [] -> Hashtbl.remove s.recent h | _ -> ())));
-    (match Hashtbl.find_opt s.recent sk.hash with
-    | Some bucket -> bucket := (sk, id) :: !bucket
-    | None -> Hashtbl.add s.recent sk.hash (ref [ (sk, id) ]));
-    Queue.add (sk.hash, id) s.order;
-    s.resident <- s.resident + 1
-
-  let intern_spill tbl s sk =
-    match
-      Option.bind
-        (Hashtbl.find_opt s.recent sk.hash)
-        (fun bucket -> List.find_opt (fun (rep, _) -> equal rep sk) !bucket)
-    with
-    | Some (rep, id) ->
-        s.front_hits <- s.front_hits + 1;
-        (id, rep)
-    | None ->
-        let fresh () =
-          let id = tbl.next in
-          tbl.next <- id + 1;
-          Obs.Counters.add_census_classes 1;
-          if 2 * (tbl.next + 1) > s.capacity then grow s;
-          place s ~hash:sk.hash
-            (slot_pack ~hash:sk.hash ~id ~digest:(digest sk)
-               ~len:(Array.length sk.entries));
-          let g = scramble sk.hash in
-          bloom_set s (g mod bloom_bits);
-          bloom_set s (g / bloom_bits mod bloom_bits);
-          front_add s sk id;
-          (id, sk)
-        in
-        if not (bloom_probe s sk.hash bloom_get) then fresh ()
-        else begin
-          (* maybe on disk: probe the live region for a digest match *)
-          let dslot = digest_slot (digest sk) and len = Array.length sk.entries in
-          let mask = s.capacity - 1 in
-          let rec probe i =
-            let pos = s.base + ((scramble sk.hash + i) land mask) in
-            let payload = read_slot s pos in
-            if payload = "" then fresh ()
-            else
-              let h', id', d', l' = slot_unpack payload in
-              if h' = sk.hash && d' = dslot && l' = len then begin
-                front_add s sk id';
-                (id', sk)
-              end
-              else probe (i + 1)
-          in
-          probe 0
-        end
-
   let intern tbl sk =
-    match tbl.tier with
-    | Store s -> intern_spill tbl s sk
-    | Buckets buckets -> (
-        match Hashtbl.find_opt buckets sk.hash with
-        | Some bucket -> (
-            match List.find_opt (fun (rep, _) -> equal rep sk) !bucket with
-            | Some (rep, id) -> (id, rep)
-            | None ->
-                let id = tbl.next in
-                tbl.next <- id + 1;
-                Obs.Counters.add_census_classes 1;
-                bucket := (sk, id) :: !bucket;
-                (id, sk))
-        | None ->
-            let id = tbl.next in
-            tbl.next <- id + 1;
-            Obs.Counters.add_census_classes 1;
-            Hashtbl.add buckets sk.hash (ref [ (sk, id) ]);
-            (id, sk))
+    let bucket =
+      match Hashtbl.find_opt tbl.buckets sk.hash with
+      | Some bucket -> bucket
+      | None ->
+          let bucket = ref [] in
+          Hashtbl.add tbl.buckets sk.hash bucket;
+          bucket
+    in
+    match List.find_opt (fun (rep, _) -> equal rep sk) !bucket with
+    | Some (rep, id) -> (id, rep)
+    | None ->
+        let id = tbl.next in
+        tbl.next <- id + 1;
+        Obs.Counters.add_census_classes 1;
+        bucket := (sk, id) :: !bucket;
+        (id, sk)
 end
 
 let monotone_partition_upper seq =

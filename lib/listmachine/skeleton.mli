@@ -11,11 +11,8 @@
     Views keep the machine's DAG cells; the choice-wildcarding of
     Definition 28 lives in the comparison functions ({!equal} and the
     cell sk-hashes are choice-blind) rather than in a rewritten copy of
-    every cell. {!serialize} still renders the flat wildcarded string —
-    it costs the full expansion and exists for display and golden tests,
-    not for the census, which keys on {!hash} / {!Intern} ids. *)
-
-type ind_sym = IIn of int | IWild | ISt of int | IOpen | IClose
+    every cell, so {!equal}, {!hash} and {!digest} never pay the flat
+    cell expansion. The census keys on {!hash} / {!Intern} ids. *)
 
 type entry =
   | View of { state : int; dirs : int array; cells : Nlm.cell array }
@@ -44,81 +41,32 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
-val serialize : t -> string
-(** An injective string encoding of the wildcarded flat skeleton —
-    costs the full cell expansion ([Nlm.cell_size] per view cell); for
-    display and small-machine tests, {e not} for the census (which
-    keys on {!hash} / {!digest}). Injective modulo {!equal}: two
-    skeletons serialize to the same string iff they are equal. *)
-
-val fnv64 : string -> int64
-(** FNV-1a 64 over the bytes of a string — the mixer behind {!digest}
-    and the adversary's mergeable census fingerprints. *)
-
 val digest : t -> int64
 (** A 64-bit structural content digest: FNV-1a over the same
     choice-blind stream {!hash} folds (states, head directions, cell
-    hashes, moves), costing O(entries × heads) — never the flat
-    expansion, unlike {!serialize}. Equal skeletons digest equal;
-    distinct classes collide only if the rolling cell hashes collide
-    under two independent mixers. This is the cross-process class
-    identity of the sharded census and the spill tier's slot key. *)
+    hashes, moves), costing O(entries × heads). Equal skeletons digest
+    equal; distinct classes collide only if the rolling cell hashes
+    collide under two independent mixers. This is the cross-process
+    class identity of the sharded census. *)
 
 (** Skeleton interning: the census device of the adversary (proof step
     5). Structurally equal skeletons map to the same small id, so class
     counting keys on ints and each new skeleton is compared only against
-    the representatives in its hash bucket.
-
-    Two backends share one id discipline (dense, first-intern order):
-
-    - {!backend.Ram} (the default) keeps every representative in a
-      hash-bucketed table — exact structural equality, O(classes) RAM.
-    - [Spill] is the two-tier census store for beyond-RAM class counts:
-      a bounded FIFO front of recently interned representatives (the
-      structural-equality fast path) over a {!Tape.Device}-backed slot
-      store holding one fixed-size Tuple-packed record per class —
-      [(hash, id, digest, entry count)], open-addressed on the
-      choice-blind content hash, fronted by a fixed bloom filter. RAM
-      cost per class is {e zero}; lookups that miss the front pay spill
-      reads (counted in {!stats} and [Obs.Counters]). Class identity in
-      the spill tier is the ~126-bit [(hash, digest)] fingerprint
-      rather than a structural comparison; the property suite pins both
-      tiers to identical id streams. *)
+    the representatives in its hash bucket. The table holds every
+    representative in RAM; a census interns at most
+    [yes_samples × choice_trials] skeletons. *)
 module Intern : sig
   type table
 
-  type backend = Ram | Spill of { spec : Tape.Device.spec; recent : int }
-  (** [recent] bounds the in-RAM representative front (>= 1). *)
-
-  type stats = {
-    classes : int;
-    front_hits : int;  (** interns answered by the in-RAM front *)
-    spill_reads : int;  (** slot reads against the device store *)
-    spill_writes : int;  (** slot writes (inserts + growth migration) *)
-    spill_bytes : int;  (** payload bytes written to the device store *)
-    resident_reps : int;  (** representatives currently held in RAM *)
-  }
-
-  val create : ?size:int -> ?backend:backend -> unit -> table
-  (** [size] seeds the RAM tier's bucket table; [backend] defaults to
-      {!backend.Ram}. *)
+  val create : unit -> table
 
   val intern : table -> t -> int * t
   (** [(id, rep)] — ids are dense, assigned in first-intern order, and
       [rep] is the first structurally equal skeleton interned (so
-      repeated interning returns a physically shared representative).
-      With a [Spill] backend, [rep] is the front-resident
-      representative when the front hits and the argument itself
-      otherwise (the store keeps fingerprints, not structures). *)
+      repeated interning returns a physically shared representative). *)
 
   val count : table -> int
   (** Number of distinct classes interned so far. *)
-
-  val stats : table -> stats
-
-  val close : table -> unit
-  (** Release the spill device (deleting its backing files); no-op for
-      the RAM backend. *)
 end
 
 val positions_of_entry : entry -> int list

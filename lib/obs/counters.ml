@@ -13,9 +13,6 @@ type snapshot = {
   device_cleanup_failures : int;
   census_classes : int;
   census_canonical_hits : int;
-  census_spill_reads : int;
-  census_spill_writes : int;
-  census_spill_bytes : int;
   census_shard_merges : int;
 }
 
@@ -35,9 +32,6 @@ let zero =
     device_cleanup_failures = 0;
     census_classes = 0;
     census_canonical_hits = 0;
-    census_spill_reads = 0;
-    census_spill_writes = 0;
-    census_spill_bytes = 0;
     census_shard_merges = 0;
   }
 
@@ -52,9 +46,6 @@ let checkpoint_replayed = Atomic.make 0
 let checkpoint_discarded = Atomic.make 0
 let census_classes = Atomic.make 0
 let census_canonical_hits = Atomic.make 0
-let census_spill_reads = Atomic.make 0
-let census_spill_writes = Atomic.make 0
-let census_spill_bytes = Atomic.make 0
 let census_shard_merges = Atomic.make 0
 
 let all =
@@ -62,8 +53,7 @@ let all =
     retry_attempts; retry_gave_up; pool_chunks; pool_chunk_retries;
     pool_deadline_overruns; pool_degraded_spawns; checkpoint_stored;
     checkpoint_replayed; checkpoint_discarded; census_classes;
-    census_canonical_hits; census_spill_reads; census_spill_writes;
-    census_spill_bytes; census_shard_merges;
+    census_canonical_hits; census_shard_merges;
   ]
 
 (* the device_* fields are owned by [Tape.Device] (the tape library
@@ -84,9 +74,6 @@ let snapshot () =
     device_cleanup_failures = Tape.Device.cleanup_failures ();
     census_classes = Atomic.get census_classes;
     census_canonical_hits = Atomic.get census_canonical_hits;
-    census_spill_reads = Atomic.get census_spill_reads;
-    census_spill_writes = Atomic.get census_spill_writes;
-    census_spill_bytes = Atomic.get census_spill_bytes;
     census_shard_merges = Atomic.get census_shard_merges;
   }
 
@@ -110,9 +97,6 @@ let diff now ~since =
       now.device_cleanup_failures - since.device_cleanup_failures;
     census_classes = now.census_classes - since.census_classes;
     census_canonical_hits = now.census_canonical_hits - since.census_canonical_hits;
-    census_spill_reads = now.census_spill_reads - since.census_spill_reads;
-    census_spill_writes = now.census_spill_writes - since.census_spill_writes;
-    census_spill_bytes = now.census_spill_bytes - since.census_spill_bytes;
     census_shard_merges = now.census_shard_merges - since.census_shard_merges;
   }
 
@@ -132,9 +116,6 @@ let to_fields s =
     ("device_cleanup_failures", s.device_cleanup_failures);
     ("census_classes", s.census_classes);
     ("census_canonical_hits", s.census_canonical_hits);
-    ("census_spill_reads", s.census_spill_reads);
-    ("census_spill_writes", s.census_spill_writes);
-    ("census_spill_bytes", s.census_spill_bytes);
     ("census_shard_merges", s.census_shard_merges);
   ]
 
@@ -155,7 +136,4 @@ let add_checkpoint_replayed n = add checkpoint_replayed n
 let add_checkpoint_discarded n = add checkpoint_discarded n
 let add_census_classes n = add census_classes n
 let add_census_canonical_hits n = add census_canonical_hits n
-let add_census_spill_reads n = add census_spill_reads n
-let add_census_spill_writes n = add census_spill_writes n
-let add_census_spill_bytes n = add census_spill_bytes n
 let add_census_shard_merges n = add census_shard_merges n

@@ -41,9 +41,6 @@ type snapshot = {
   census_canonical_hits : int;
       (** machine runs the adversary's canonical-form memo answered
           without replaying the machine *)
-  census_spill_reads : int;  (** slot reads against a spill-backed intern store *)
-  census_spill_writes : int;  (** slot writes into a spill-backed intern store *)
-  census_spill_bytes : int;  (** payload bytes written to spill-backed intern stores *)
   census_shard_merges : int;
       (** shard evidence files folded by [Adversary.Shard.merge] *)
 }
@@ -78,7 +75,4 @@ val add_checkpoint_replayed : int -> unit
 val add_checkpoint_discarded : int -> unit
 val add_census_classes : int -> unit
 val add_census_canonical_hits : int -> unit
-val add_census_spill_reads : int -> unit
-val add_census_spill_writes : int -> unit
-val add_census_spill_bytes : int -> unit
 val add_census_shard_merges : int -> unit

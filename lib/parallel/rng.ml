@@ -6,28 +6,12 @@
    assigned to domains - which is what makes every pool result
    bit-identical across worker counts. *)
 
-let golden = 0x9E3779B97F4A7C15L
-
-(* splitmix64 finalizer (Steele, Lea & Flood 2014). *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let stream ~seed ~index =
-  (* distinct golden-ratio streams per index; [index + 1] keeps the
-     index-0 stream away from the raw seed *)
-  let open Int64 in
-  add (of_int seed) (mul (of_int (index + 1)) golden)
-
+(* distinct golden-gamma streams per index; [index + 1] keeps the
+   index-0 stream away from the raw seed *)
 let derive ~seed ~index =
-  let base = stream ~seed ~index in
-  Array.init 4 (fun i ->
-      let open Int64 in
-      let word = mix64 (add base (mul (of_int (i + 1)) golden)) in
-      (* [Random.State.make] takes native ints; keep the low 62 bits *)
-      to_int (logand word 0x3FFFFFFFFFFFFFFFL))
+  let open Util.Hash in
+  seed_words
+    (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (index + 1)) golden_gamma))
 
 let state ~seed ~index = Random.State.make (derive ~seed ~index)
 

@@ -4,9 +4,6 @@
     independently of which domain runs the chunk, so pool results are
     bit-identical for any worker count (including 1). *)
 
-val mix64 : int64 -> int64
-(** The splitmix64 finalizer; exposed for tests. *)
-
 val derive : seed:int -> index:int -> int array
 (** The four 62-bit words seeding chunk [index] of stream [seed]. *)
 

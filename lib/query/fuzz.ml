@@ -13,24 +13,12 @@
 open Ast
 
 (* ------------------------------------------------------------------ *)
-(* FNV-1a, 64-bit *)
+(* Case fingerprints: FNV-1a 64 *)
 
-let fnv_prime = 0x100000001b3L
-let fnv_init = 0xcbf29ce484222325L
+module H = Util.Hash
 
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
-  fnv_byte !h 0x1f (* field separator *)
-
-let fnv_int h i =
-  let h = ref h in
-  for k = 0 to 7 do
-    h := fnv_byte !h ((i lsr (8 * k)) land 0xff)
-  done;
-  !h
+(* a string field, then a 0x1f field separator *)
+let fnv_field h s = H.fnv_byte (H.fnv_string h s) 0x1f
 
 (* ------------------------------------------------------------------ *)
 (* Generation *)
@@ -270,8 +258,8 @@ let run_case ?device ~seed ~index () : case_result =
   let env, e = gen_case ~seed ~index in
   match check ?device env e with
   | Illtyped m ->
-      let h = fnv_int (fnv_int fnv_init index) 0xe11 in
-      let h = fnv_string h m in
+      let h = H.fnv_int (H.fnv_int H.fnv_offset index) 0xe11 in
+      let h = fnv_field h m in
       {
         c_index = index;
         c_ok = false;
@@ -289,14 +277,14 @@ let run_case ?device ~seed ~index () : case_result =
             };
       }
   | Agree o ->
-      let h = fnv_int fnv_init index in
-      let h = fnv_int h (if o.Exec.audit_ok then 1 else 0) in
-      let h = fnv_int h o.Exec.arity in
-      let h = fnv_int h o.Exec.scans in
-      let h = fnv_int h (List.length o.Exec.rows) in
+      let h = H.fnv_int H.fnv_offset index in
+      let h = H.fnv_int h (if o.Exec.audit_ok then 1 else 0) in
+      let h = H.fnv_int h o.Exec.arity in
+      let h = H.fnv_int h o.Exec.scans in
+      let h = H.fnv_int h (List.length o.Exec.rows) in
       let h =
         List.fold_left
-          (fun h row -> List.fold_left fnv_string h row)
+          (fun h row -> List.fold_left fnv_field h row)
           h o.Exec.rows
       in
       {
@@ -315,9 +303,9 @@ let run_case ?device ~seed ~index () : case_result =
         | Disagree { expected; got } -> (expected, got)
         | Agree _ | Illtyped _ -> ("<unstable shrink>", "<unstable shrink>")
       in
-      let h = fnv_int (fnv_int fnv_init index) 0xbad in
-      let h = fnv_string h expected in
-      let h = fnv_string h got in
+      let h = H.fnv_int (H.fnv_int H.fnv_offset index) 0xbad in
+      let h = fnv_field h expected in
+      let h = fnv_field h got in
       {
         c_index = index;
         c_ok = false;
@@ -365,7 +353,7 @@ let run_campaign ?pool ?device ~seed ~iters () : campaign =
           total_scans = acc.total_scans + r.c_scans;
           total_plan_nodes = acc.total_plan_nodes + r.c_plan_nodes;
           fingerprint =
-            Int64.mul (Int64.logxor acc.fingerprint r.c_fingerprint) fnv_prime;
+            H.fnv_mix acc.fingerprint r.c_fingerprint;
           discrepancies =
             (match r.c_discrepancy with
             | Some d -> d :: acc.discrepancies
@@ -379,7 +367,7 @@ let run_campaign ?pool ?device ~seed ~iters () : campaign =
         audit_failures = 0;
         total_scans = 0;
         total_plan_nodes = 0;
-        fingerprint = fnv_init;
+        fingerprint = H.fnv_offset;
         discrepancies = [];
       }
       results

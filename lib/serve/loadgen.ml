@@ -32,13 +32,6 @@ let mixed_item ~seed ~m ~n ~id : Frame.decide_body =
     instance = Problems.Instance.encode inst;
   }
 
-(* FNV-1a, 64-bit *)
-let fnv_init = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xFF))) fnv_prime
-
 let percentile sorted q =
   let n = Array.length sorted in
   if n = 0 then 0.0
@@ -57,17 +50,17 @@ let run ~socket ~requests ?(batch = 1) ?(first_id = 0) ?(m = 6) ?(n = 8) ~seed (
   and errors = ref 0
   and audited = ref 0
   and frames = ref 0
-  and fp = ref fnv_init in
+  and fp = ref Util.Hash.fnv_offset in
   let latencies = ref [] in
   let fold_verdict (v : Frame.verdict) =
     if v.Frame.verdict then incr yes else incr no;
     if v.Frame.audited then incr audited;
-    fp := fnv_byte !fp (if v.Frame.verdict then 1 else 0);
-    fp := fnv_byte !fp (if v.Frame.audited then 1 else 0)
+    fp := Util.Hash.fnv_byte !fp (if v.Frame.verdict then 1 else 0);
+    fp := Util.Hash.fnv_byte !fp (if v.Frame.audited then 1 else 0)
   in
   let fold_error code =
     incr errors;
-    fp := fnv_byte !fp (0x80 lor Frame.error_code_byte code)
+    fp := Util.Hash.fnv_byte !fp (0x80 lor Frame.error_code_byte code)
   in
   let t0 = Unix.gettimeofday () in
   let sent = ref 0 in

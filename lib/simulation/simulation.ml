@@ -162,14 +162,7 @@ let acceptance_agreement ?pool st ?(samples = 300) tm ~inputs =
   let hits =
     Parallel.Pool.monte_carlo pool ~trials:samples ~seed:root (fun st ->
         let seed = Random.State.full_int st max_int in
-        let choices step =
-          (* splitmix-style mixing so low bits are unbiased *)
-          let z = ref (seed + (step * 0x9E3779B9) + 0x85EBCA6B) in
-          z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
-          z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
-          (!z lxor (!z lsr 16)) land max_int
-        in
-        let r = simulate tm ~inputs ~choices in
+        let r = simulate tm ~inputs ~choices:(Util.Hash.choice_mix ~seed) in
         (r.tm_stats.TM.outcome = TM.Accepted, r.lm_trace.Nlm.accepted))
   in
   let count f = Array.fold_left (fun acc h -> if f h then acc + 1 else acc) 0 hits in

@@ -37,30 +37,6 @@ let zero_stats =
   { resident_bytes = 0; io_read_bytes = 0; io_write_bytes = 0; backing_files = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the same
-   checksum the checkpoint journal uses, computed table-driven here so
-   the tape library stays dependency-free. *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_sub buf pos len =
-  let t = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (Bytes.get buf i)) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-let crc32 s = crc32_sub (Bytes.unsafe_of_string s) 0 (String.length s)
-
-(* ------------------------------------------------------------------ *)
 (* Health: process-wide integrity counters and the event hook.
 
    These are the device-side halves of [Obs.Counters] fields: [lib/obs]
@@ -409,7 +385,8 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   let flush line =
     if line.dirty then begin
       Bytes.set frame 0 '\x01';
-      Bytes.set_int32_be frame 1 (Int32.of_int (crc32_sub line.buf 0 bbytes));
+      Bytes.set_int32_be frame 1
+        (Int32.of_int (Util.Hash.crc32_sub line.buf 0 bbytes));
       Bytes.blit line.buf 0 frame frame_overhead bbytes;
       full_pwrite raw fd frame ~off:(block_off line.blk);
       io_w := !io_w + bbytes;
@@ -433,7 +410,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
         Bytes.fill line.buf 0 bbytes '\x00'
     | '\x01' ->
         let stored = Bytes.get_int32_be frame 1 in
-        let actual = Int32.of_int (crc32_sub frame frame_overhead bbytes) in
+        let actual = Int32.of_int (Util.Hash.crc32_sub frame frame_overhead bbytes) in
         if stored <> actual then bad line b;
         Bytes.blit frame frame_overhead line.buf 0 bbytes
     | _ -> bad line b);
@@ -528,7 +505,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
             | '\x00' -> Bytes.get_int32_be scratch 1 = 0l
             | '\x01' ->
                 Bytes.get_int32_be scratch 1
-                = Int32.of_int (crc32_sub scratch frame_overhead bbytes)
+                = Int32.of_int (Util.Hash.crc32_sub scratch frame_overhead bbytes)
             | _ -> false
           in
           if not ok then corrupt_at := (b * slots_per_block) :: !corrupt_at
@@ -619,7 +596,7 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
         end
       done;
       let payload = Buffer.contents buf in
-      let crc = crc32 payload in
+      let crc = Util.Hash.crc32 payload in
       let framed = Buffer.create (String.length payload + shard_header_bytes) in
       Buffer.add_string framed shard_magic;
       let crcb = Bytes.create 4 in
@@ -654,7 +631,8 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
         size >= shard_header_bytes
         && Bytes.sub_string data 0 8 = shard_magic
         && Bytes.get_int32_be data 8
-           = Int32.of_int (crc32_sub data shard_header_bytes (size - shard_header_bytes))
+           = Int32.of_int
+               (Util.Hash.crc32_sub data shard_header_bytes (size - shard_header_bytes))
       in
       if not intact then begin
         quarantined := s;
@@ -824,7 +802,7 @@ module Scrub = struct
               | '\x00' -> Bytes.get_int32_be b (!off + 1) = 0l
               | '\x01' ->
                   Bytes.get_int32_be b (!off + 1)
-                  = Int32.of_int (crc32_sub b (!off + frame_overhead) bbytes)
+                  = Int32.of_int (Util.Hash.crc32_sub b (!off + frame_overhead) bbytes)
               | _ -> false
             in
             if not ok then
@@ -843,7 +821,7 @@ module Scrub = struct
       && String.sub data 0 8 = shard_magic
       && Bytes.get_int32_be (Bytes.unsafe_of_string data) 8
          = Int32.of_int
-             (crc32_sub (Bytes.unsafe_of_string data) shard_header_bytes
+             (Util.Hash.crc32_sub (Bytes.unsafe_of_string data) shard_header_bytes
                 (len - shard_header_bytes))
     then None
     else Some (finding ~path ~offset:0 "crc-mismatch")
@@ -912,9 +890,10 @@ module Scrub = struct
                 | Some _, Some bad -> findings := bad :: !findings
                 | Some (crc, len), None ->
                     if
-                      crc <> crc32_sub (Bytes.unsafe_of_string data)
-                               shard_header_bytes
-                               (String.length data - shard_header_bytes)
+                      crc
+                      <> Util.Hash.crc32_sub (Bytes.unsafe_of_string data)
+                           shard_header_bytes
+                           (String.length data - shard_header_bytes)
                       || len <> String.length data - shard_header_bytes
                     then
                       findings := finding ~path:p ~offset:(-1) "torn" :: !findings)

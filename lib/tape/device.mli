@@ -58,10 +58,6 @@ val cleanup_failures : unit -> int
 val reset_health : unit -> unit
 (** Zero the three health counters (tests only). *)
 
-val crc32 : string -> int
-(** The frame checksum (IEEE CRC-32, reflected 0xEDB88320), exposed for
-    tests and tooling. *)
-
 (** {2 The raw syscall seam} *)
 
 (** Single-syscall closures under the byte-backed backends. [pread] and

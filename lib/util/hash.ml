@@ -1,0 +1,70 @@
+(* The repo's non-cryptographic hashes, one copy each: FNV-1a 64 for
+   fingerprints, CRC-32 for storage frames, splitmix64 for seed
+   derivation, and the 32-bit choice mixer of the list-machine runs. *)
+
+(* ---------------- FNV-1a 64 ---------------------------------------- *)
+
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+let fnv_mix h w = Int64.mul (Int64.logxor h w) fnv_prime
+let fnv_byte h b = fnv_mix h (Int64.of_int (b land 0xff))
+
+let fnv_int h x =
+  let h = ref h in
+  for k = 0 to 7 do
+    h := fnv_byte !h (x lsr (8 * k))
+  done;
+  !h
+
+let fnv_string h s =
+  let h = ref h in
+  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+  !h
+
+(* ---------------- CRC-32 (IEEE 802.3, reflected 0xEDB88320) -------- *)
+
+let crc_table =
+  lazy
+    (Array.init 256 (fun n ->
+         let c = ref n in
+         for _ = 0 to 7 do
+           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+         done;
+         !c))
+
+let crc32_sub buf pos len =
+  let t = Lazy.force crc_table in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := t.((!c lxor Char.code (Bytes.get buf i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_sub (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* ---------------- splitmix64 --------------------------------------- *)
+
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+(* the splitmix64 finaliser (Steele, Lea & Flood 2014) *)
+let splitmix64 z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+let splitmix_at base i =
+  splitmix64 (Int64.add base (Int64.mul (Int64.of_int (i + 1)) golden_gamma))
+
+(* [Random.State.make] takes native ints; keep the low 62 bits *)
+let seed_words base =
+  Array.init 4 (fun i ->
+      Int64.to_int (Int64.logand (splitmix_at base i) 0x3FFFFFFFFFFFFFFFL))
+
+(* ---------------- the choice mixer --------------------------------- *)
+
+let choice_mix ~seed step =
+  let z = ref (seed + (step * 0x9E3779B9) + 0x85EBCA6B) in
+  z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
+  z := (!z lxor (!z lsr 16)) * 0x45D9F3B;
+  (!z lxor (!z lsr 16)) land max_int

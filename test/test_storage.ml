@@ -273,23 +273,23 @@ let test_scrub_detects_and_fixes () =
   Unix.mkdir root 0o755;
   (* tape file: good frame, rotted frame, torn 3-byte tail *)
   let payload = "\x00\x04GOOD" in
-  let frame p = "\x01" ^ be32 (Dev.crc32 p) ^ p in
+  let frame p = "\x01" ^ be32 (Util.Hash.crc32 p) ^ p in
   write_file
     (Filename.concat root "t-0.tape")
     ("STLBTAP2" ^ be32 6 ^ be32 6
     ^ frame payload
-    ^ "\x01" ^ be32 (Dev.crc32 payload) ^ "\x00\x04ROTT"
+    ^ "\x01" ^ be32 (Util.Hash.crc32 payload) ^ "\x00\x04ROTT"
     ^ "\x01\x02\x03");
   (* shard dir: vouched-for shard, unlisted orphan, torn tmp *)
   let sdir = Filename.concat root "s-1" in
   Unix.mkdir sdir 0o755;
   let sp = "\x01\x02a\x00" in
-  let shard p = "STLBSHD2" ^ be32 (Dev.crc32 p) ^ p in
+  let shard p = "STLBSHD2" ^ be32 (Util.Hash.crc32 p) ^ p in
   write_file (Filename.concat sdir "run-000000.shard") (shard sp);
   write_file (Filename.concat sdir "run-000001.shard") (shard "\x01\x02b\x00");
   write_file (Filename.concat sdir "run-000002.shard.tmp") "half";
   write_file (Filename.concat sdir "MANIFEST")
-    (Printf.sprintf "STLBMAN2\n%08x %d run-000000.shard\n" (Dev.crc32 sp)
+    (Printf.sprintf "STLBMAN2\n%08x %d run-000000.shard\n" (Util.Hash.crc32 sp)
        (String.length sp));
   let count what (r : Dev.Scrub.report) =
     List.length

@@ -1,5 +1,6 @@
 (* Tests for the util library: bit strings, permutations, the
-   sortedness measure of Definition 19 and Remark 20, statistics. *)
+   sortedness measure of Definition 19 and Remark 20, statistics, and
+   the published test vectors of the hashes. *)
 
 module B = Util.Bitstring
 module P = Util.Permutation
@@ -188,6 +189,32 @@ let test_table () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch")
     (fun () -> Util.Table.add_row t [ "only-one" ])
 
+(* ------------------------------------------------------------------ *)
+(* Hash: published test vectors *)
+
+let check_i64 = Alcotest.(check int64)
+
+let test_fnv_vectors () =
+  let fnv = Util.Hash.(fnv_string fnv_offset) in
+  check_i64 "fnv1a64 \"\"" 0xcbf29ce484222325L (fnv "");
+  check_i64 "fnv1a64 a" 0xaf63dc4c8601ec8cL (fnv "a");
+  check_i64 "fnv1a64 foobar" 0x85944171f73967e8L (fnv "foobar");
+  (* fnv_int feeds the 8 little-endian bytes of the int *)
+  let x = 0x0102030405060708 in
+  let le = String.init 8 (fun k -> Char.chr ((x lsr (8 * k)) land 0xff)) in
+  check_i64 "fnv_int = 8 LE bytes" (fnv le) Util.Hash.(fnv_int fnv_offset x)
+
+let test_crc32_known_values () =
+  (* the standard CRC-32 check value *)
+  check_int "crc32(123456789)" 0xCBF43926 (Util.Hash.crc32 "123456789");
+  check_int "crc32 of empty" 0 (Util.Hash.crc32 "");
+  check_int "crc32_sub of a slice" 0xCBF43926
+    (Util.Hash.crc32_sub (Bytes.of_string "xx123456789y") 2 9)
+
+let test_splitmix_vector () =
+  (* the first splitmix64 output from seed 0: the finaliser of the gamma *)
+  check_i64 "splitmix64 seed 0" 0xe220a8397b1dcdafL (Util.Hash.splitmix_at 0L 0)
+
 let () =
   Alcotest.run "util"
     [
@@ -220,4 +247,10 @@ let () =
           Alcotest.test_case "binomial ci" `Quick test_binomial_ci;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table ]);
+      ( "hash",
+        [
+          Alcotest.test_case "fnv-1a 64 test vectors" `Quick test_fnv_vectors;
+          Alcotest.test_case "crc32 check values" `Quick test_crc32_known_values;
+          Alcotest.test_case "splitmix64 first output" `Quick test_splitmix_vector;
+        ] );
     ]

@@ -3,9 +3,9 @@
 # as K cooperating shard collectors whose evidence files are merged
 # back, and require the merged census fingerprint (and the whole
 # verdict block) to be byte-identical to the unsharded run — for every
-# K in the sweep and for the spill-backed intern table. This is the
-# end-to-end check of the `--shard I/K` / `--merge` protocol: sharding
-# repartitions work, it must never repartition randomness.
+# K in the sweep. This is the end-to-end check of the `--shard I/K` /
+# `--merge` protocol: sharding repartitions work, it must never
+# repartition randomness.
 #
 # Usage: census_shard.sh STLB_EXE [WORKDIR] [M] [SEED]
 # Exits non-zero on the first divergence.
@@ -42,16 +42,4 @@ for k in 2 3 4; do
     fail "k=$k merged fingerprint $fp != unsharded $ref_fp"
 done
 
-# the spill-backed intern table must not move a bit either
-for backend in file shard; do
-  "$STLB" adversary -m "$M" --seed "$SEED" --intern "$backend" \
-    --spill-dir "$WORK/spill-$backend" >"$WORK/intern-$backend.out" ||
-    fail "--intern $backend run"
-  fp=$(sed -n 's/^census fingerprint: \(0x[0-9a-f]*\).*/\1/p' "$WORK/intern-$backend.out")
-  [ "$fp" = "$ref_fp" ] ||
-    fail "--intern $backend fingerprint $fp != mem $ref_fp"
-  [ -z "$(find "$WORK/spill-$backend" -type f 2>/dev/null)" ] ||
-    fail "--intern $backend left spill files behind"
-done
-
-echo "census-shard: OK (m=$M seed=$SEED, k=2..4 merges + file/shard intern all at $ref_fp)"
+echo "census-shard: OK (m=$M seed=$SEED, k=2..4 merges all at $ref_fp)"
