@@ -1,31 +1,21 @@
-(* Experiment + micro-benchmark driver.
+(* Micro-benchmark driver and bench-trajectory writer.
 
    Usage:
-     dune exec bench/main.exe                          - all tables + benches
-     dune exec bench/main.exe -- exp4                  - one experiment
-     dune exec bench/main.exe -- tables                - experiment tables only
-     dune exec bench/main.exe -- micro                 - micro-benchmarks only
-     dune exec bench/main.exe -- micro --json PATH     - benches + per-table
-                                                         wall clock, as JSON
-     dune exec bench/main.exe -- -j 4 tables           - 4 worker domains
-     dune exec bench/main.exe -- --checkpoint DIR tables - journal/resume
-     dune exec bench/main.exe -- --trace FILE tables   - JSONL event trace
+     dune exec bench/main.exe -- micro                 - micro-benchmarks
+     dune exec bench/main.exe -- micro --json PATH     - benches + serve
+                                                         scenarios + per-
+                                                         table wall clock,
+                                                         as JSON
+     dune exec bench/main.exe -- micro --json PATH --quick
 
-   [-j N] sizes the Domain pool the Monte Carlo harness fans trials out
-   over (default: STLB_DOMAINS, else the hardware); table contents are
-   bit-identical for every N. [--trace FILE] installs a JSONL
-   observability sink for the run (table/ledger/audit events, see
-   lib/obs; deterministic and worker-count-independent, like the
-   tables themselves). [--checkpoint DIR] journals each
-   completed table under DIR and replays journaled tables verbatim, so
-   an interrupted table sweep resumes where it was killed (it applies
-   to the experiment-table paths, not to micro benches, whose wall
-   clocks must be measured fresh). [micro --json PATH] writes the bench
-   trajectory (Bechamel ns/run per micro-benchmark, wall-clock seconds
-   per experiment table) so future perf PRs can diff against a
-   committed baseline; [--quick] shrinks the Bechamel quota and skips
-   the table sweep - the @bench-smoke alias uses it to catch driver
-   bitrot in seconds. *)
+   The experiment tables themselves run under `stlb experiment [all |
+   expN]` (with -j, --checkpoint and --trace). Here the Domain pool is
+   sized by STLB_DOMAINS, else the hardware. [micro --json PATH] writes
+   the bench trajectory (Bechamel ns/run per micro-benchmark, serve
+   throughput and latency, wall-clock seconds per experiment table) so
+   future perf PRs can diff against a committed baseline; [--quick]
+   shrinks the Bechamel quota and skips the table sweep - the
+   @bench-smoke alias uses it to catch driver bitrot in seconds. *)
 
 open Bechamel
 open Toolkit
@@ -351,48 +341,11 @@ let run_micro ?json ~quick () =
       Printf.printf "wrote bench trajectory to %s\n" path
 
 let usage () =
-  prerr_endline
-    "usage: main.exe [-j N] [--checkpoint DIR] [--trace FILE] [expN | tables \
-     | micro [--json PATH] [--quick]]";
+  prerr_endline "usage: main.exe micro [--json PATH] [--quick]";
   exit 1
 
 let () =
-  (* strip the global [-j N] / [--checkpoint DIR] / [--trace FILE]
-     options anywhere on the command line, then dispatch *)
-  let checkpoint = ref None in
-  let trace = ref None in
-  let rec split_global acc = function
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some d when d >= 1 ->
-            Parallel.Pool.set_default_domains d;
-            split_global acc rest
-        | _ -> usage ())
-    | "-j" :: [] -> usage ()
-    | "--checkpoint" :: dir :: rest ->
-        checkpoint := Some (Harness.Checkpoint.open_dir dir);
-        split_global acc rest
-    | "--checkpoint" :: [] -> usage ()
-    | "--trace" :: path :: rest ->
-        trace := Some path;
-        split_global acc rest
-    | "--trace" :: [] -> usage ()
-    | a :: rest -> split_global (a :: acc) rest
-    | [] -> List.rev acc
-  in
-  let args = split_global [] (List.tl (Array.to_list Sys.argv)) in
-  let checkpoint = !checkpoint in
-  let with_trace f =
-    match !trace with
-    | None -> f ()
-    | Some p -> Obs.Trace.with_sink (Obs.Trace.open_file p) f
-  in
-  with_trace @@ fun () ->
-  match args with
-  | [] ->
-      Harness.Experiments.run_all ?checkpoint ();
-      run_micro ~quick:false ()
-  | [ "tables" ] -> Harness.Experiments.run_all ?checkpoint ()
+  match List.tl (Array.to_list Sys.argv) with
   | "micro" :: opts ->
       let rec parse json quick = function
         | "--json" :: path :: rest -> parse (Some path) quick rest
@@ -402,11 +355,4 @@ let () =
       in
       let json, quick = parse None false opts in
       run_micro ?json ~quick ()
-  | [ name ] -> (
-      match List.assoc_opt name Harness.Experiments.all with
-      | Some f -> Harness.Checkpoint.run checkpoint ~name f
-      | None ->
-          Printf.eprintf "unknown experiment %S; available: %s, tables, micro\n" name
-            (String.concat ", " (List.map fst Harness.Experiments.all));
-          exit 1)
   | _ -> usage ()

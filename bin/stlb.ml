@@ -18,7 +18,9 @@
 
    A run that trips an enforced resource budget (Tape.Budget_exceeded,
    e.g. decide --max-scans) exits with status 10 and a one-line
-   diagnostic instead of an uncaught backtrace. *)
+   diagnostic instead of an uncaught backtrace. An experiment table
+   whose parity verdict disagrees exits 4, like a query-fuzz
+   discrepancy. *)
 
 open Cmdliner
 
@@ -100,6 +102,17 @@ let crash_exit =
     ~doc:"$(b,decide --crash-at) fired: the process _exited abruptly."
 
 let exits = budget_exit :: scrub_exit :: crash_exit :: Cmd.Exit.defaults
+
+let differential_exit =
+  Cmd.Exit.info 4
+    ~doc:
+      "a differential check disagreed: $(b,query --fuzz) found a compiled \
+       plan that differs from the naive oracle (the shrunk counterexample \
+       is in the report), or an $(b,experiment) table's parity verdict \
+       reported DIVERGED, MISMATCH or NOT CAUGHT (the table is printed in \
+       full but not journaled)."
+
+let differential_exits = differential_exit :: exits
 
 (* The tape device flags, shared by decide, serve, query and repl:
    --device picks the backend, --block-size its block (a file tape
@@ -722,14 +735,19 @@ let experiment_cmd =
     apply_jobs jobs;
     with_trace trace @@ fun () ->
     let checkpoint = Option.map Harness.Checkpoint.open_dir checkpoint in
-    match name with
-    | "all" -> Harness.Experiments.run_all ?checkpoint ()
-    | name -> (
-        match List.assoc_opt name Harness.Experiments.all with
-        | Some f -> Harness.Checkpoint.run checkpoint ~name f
-        | None ->
-            Printf.eprintf "unknown experiment %S (exp1..exp22 or all)\n" name;
-            exit 1)
+    try
+      match name with
+      | "all" -> Harness.Experiments.run_all ?checkpoint ()
+      | name -> (
+          match List.assoc_opt name Harness.Experiments.all with
+          | Some f -> Harness.Checkpoint.run checkpoint ~name f
+          | None ->
+              Printf.eprintf "unknown experiment %S (exp1..exp22 or all)\n"
+                name;
+              exit 1)
+    with Harness.Experiments.Table_failed lines ->
+      List.iter (Printf.eprintf "stlb experiment: check failed: %s\n") lines;
+      exit 4
   in
   let name_arg =
     let doc = "Experiment name: exp1..exp22, or all." in
@@ -746,7 +764,7 @@ let experiment_cmd =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
   in
   let doc = "Run reproduction experiments (the EXPERIMENTS.md tables)." in
-  Cmd.v (Cmd.info "experiment" ~doc ~exits)
+  Cmd.v (Cmd.info "experiment" ~doc ~exits:differential_exits)
     Term.(const run $ jobs_arg $ checkpoint_arg $ trace_arg $ name_arg)
 
 let classes_cmd =
@@ -852,14 +870,6 @@ let simulate_cmd =
 
 let query_device = device_term ~users:"compiled query plans"
 
-let fuzz_exit =
-  Cmd.Exit.info 4
-    ~doc:
-      "the differential query fuzzer found a discrepancy between a compiled \
-       plan and the naive oracle; the shrunk counterexample is in the report."
-
-let query_exits = fuzz_exit :: exits
-
 let query_cmd =
   let run seed jobs program file fuzz iters report_file inject dev trace
       no_budget =
@@ -953,7 +963,7 @@ let query_cmd =
      cross-checked against a naive oracle), or fuzz the compiler with \
      $(b,--fuzz)."
   in
-  Cmd.v (Cmd.info "query" ~doc ~exits:query_exits)
+  Cmd.v (Cmd.info "query" ~doc ~exits:differential_exits)
     Term.(
       const run $ seed_arg $ jobs_arg $ program_arg $ file_arg $ fuzz_arg
       $ iters_arg $ report_arg $ inject_arg $ query_device $ trace_arg

@@ -26,6 +26,35 @@ let row_seed st = Parallel.Rng.seed_of_state st
 let count_hits f arr =
   Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 arr
 
+(* A table's size knob: [default] when [name] is unset, clamped below
+   at [min]. A value that is not an integer is an error, not a silent
+   fallback to the default. *)
+let env_int ~name ~default ~min =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n -> max min n
+      | None -> invalid_arg (Printf.sprintf "%s=%S: not an integer" name v))
+
+exception Table_failed of string list
+
+let agree = function [] -> true | x :: rest -> List.for_all (( = ) x) rest
+
+(* The tables' one determinism gate: print each verdict line, then the
+   closing note, exactly as a passing table always has - and then fail
+   the table if any verdict is not ok. *)
+let footer verdicts note =
+  List.iter (fun (_, line) -> print_endline line) verdicts;
+  print_endline note;
+  match
+    List.filter_map
+      (fun (ok, line) -> if ok then None else Some (String.trim line))
+      verdicts
+  with
+  | [] -> ()
+  | failed -> raise (Table_failed failed)
+
 (* ------------------------------------------------------------------ *)
 
 let exp1 () =
@@ -1038,11 +1067,7 @@ let exp18 () =
      N = 10^7 each data tape holds ~11 MB of encoded cells, so the bulk
      of every pass genuinely goes through backing files. *)
   let n = 10 in
-  let target =
-    match Sys.getenv_opt "STLB_E18_N" with
-    | Some v -> ( try max 1024 (int_of_string v) with Failure _ -> 10_000_000)
-    | None -> 10_000_000
-  in
+  let target = env_int ~name:"STLB_E18_N" ~default:10_000_000 ~min:1024 in
   let m = target / (2 * (n + 1)) in
   (* The fingerprint decider's field size k = m^3 * n * ceil(log2(m^3 n))
      outgrows the native int once m is a few hundred thousand, so its
@@ -1119,32 +1144,37 @@ let exp18 () =
     List.map
       (fun (dev_name, device) ->
         (* a fresh identically-seeded state per backend: the decider
-           must draw the same primes, so any divergence is the device's *)
+           must draw the same primes (checked with the costs, though
+           not printed), so any divergence is the device's *)
         let r = Obs.Ledger.Recorder.create ~label:"fingerprint" () in
-        let _, _, params =
+        let accept, _, params =
           Fingerprint.run ~obs:r ~device (fresh_state ()) inst_fp
         in
-        row ~decider:"fingerprint" ~dev_name ~m:m_fp
-          ~ledger_n:params.Fingerprint.input_size r Obs.Audit.fingerprint_spec)
+        ( row ~decider:"fingerprint" ~dev_name ~m:m_fp
+            ~ledger_n:params.Fingerprint.input_size r Obs.Audit.fingerprint_spec,
+          accept,
+          params ))
       (devices ())
   in
   let ms_rows =
     List.map
       (fun (dev_name, device) ->
         let r = Obs.Ledger.Recorder.create ~label:"merge sort" () in
-        let _ = Extsort.multiset_equality ~obs:r ~device inst in
-        row ~decider:"merge sort" ~dev_name ~m ~ledger_n:size r
-          Obs.Audit.mergesort_spec)
+        let accept, _ = Extsort.multiset_equality ~obs:r ~device inst in
+        ( row ~decider:"merge sort" ~dev_name ~m ~ledger_n:size r
+            Obs.Audit.mergesort_spec,
+          accept ))
       (devices ())
   in
   T.print t;
   (try Unix.rmdir spill with Unix.Unix_error _ -> ());
-  let parity rows =
-    match rows with [] -> true | x :: rest -> List.for_all (( = ) x) rest
-  in
-  Printf.printf "  backend parity (scans, internal, tapes, audit): %s\n"
-    (if parity fp_rows && parity ms_rows then "IDENTICAL" else "DIVERGED");
-  print_endline
+  let ok = agree fp_rows && agree ms_rows in
+  footer
+    [
+      ( ok,
+        "  backend parity (scans, internal, tapes, audit): "
+        ^ if ok then "IDENTICAL" else "DIVERGED" );
+    ]
     "  expected: per decider, all three backends report the same scans,\n\
     \  internal peak, tape count and PASS verdict - the cost model lives\n\
     \  above the storage seam - while io MB shows only the byte-backed\n\
@@ -1166,11 +1196,7 @@ let exp19 () =
      default). *)
   let module S = Faults.Storage in
   let n = 10 in
-  let target =
-    match Sys.getenv_opt "STLB_E19_N" with
-    | Some v -> ( try max 1024 (int_of_string v) with Failure _ -> 200_000)
-    | None -> 200_000
-  in
+  let target = env_int ~name:"STLB_E19_N" ~default:200_000 ~min:1024 in
   let m = max 2 (target / (2 * (n + 1))) in
   let m_fp = max 2 (min 1000 (target / (2 * (n + 1)))) in
   let n_fp = max 1 ((target / (2 * m_fp)) - 1) in
@@ -1445,16 +1471,8 @@ let exp20 () =
      latency cells (normalized away in the golden) may move. Scale with
      STLB_E20_REQUESTS / STLB_E20_BATCH (the committed numbers use the
      defaults). *)
-  let requests =
-    match Sys.getenv_opt "STLB_E20_REQUESTS" with
-    | Some v -> ( try max 8 (int_of_string v) with Failure _ -> 120)
-    | None -> 120
-  in
-  let batch =
-    match Sys.getenv_opt "STLB_E20_BATCH" with
-    | Some v -> ( try max 1 (int_of_string v) with Failure _ -> 8)
-    | None -> 8
-  in
+  let requests = env_int ~name:"STLB_E20_REQUESTS" ~default:120 ~min:8 in
+  let batch = env_int ~name:"STLB_E20_BATCH" ~default:8 ~min:1 in
   let m = 6 and n = 8 in
   let seed = 42 and load_seed = 0x5EED in
   let spill =
@@ -1542,13 +1560,16 @@ let exp20 () =
   T.print t;
   (try Unix.rmdir spill with Unix.Unix_error _ -> ());
   let total = List.length !fingerprints in
-  let distinct = List.sort_uniq Int64.compare !fingerprints in
-  Printf.printf
-    "  parity: %d device/worker rows + singleton-frame rerun -> %d/%d \
-     fingerprints %s\n"
-    (total - 1) total total
-    (if List.length distinct = 1 then "IDENTICAL" else "MISMATCH");
-  print_endline
+  let ok = agree !fingerprints in
+  footer
+    [
+      ( ok,
+        Printf.sprintf
+          "  parity: %d device/worker rows + singleton-frame rerun -> %d/%d \
+           fingerprints %s"
+          (total - 1) total total
+          (if ok then "IDENTICAL" else "MISMATCH") );
+    ]
     "  expected: yes/no/errors/audited and the workload fingerprint are\n\
     \  byte-identical down every row - a verdict depends only on (server\n\
     \  seed, request id), never on the device, the worker count or how\n\
@@ -1570,11 +1591,7 @@ let exp21 () =
      planner bug, which must produce mismatches and a shrunk minimal
      counterexample. Scale with STLB_E21_ITERS (the committed numbers
      use the default). *)
-  let iters =
-    match Sys.getenv_opt "STLB_E21_ITERS" with
-    | Some v -> ( try max 10 (int_of_string v) with Failure _ -> 400)
-    | None -> 400
-  in
+  let iters = env_int ~name:"STLB_E21_ITERS" ~default:400 ~min:10 in
   let seed = 2021 in
   let spill =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1594,10 +1611,15 @@ let exp21 () =
         ]
   in
   let fingerprints = ref [] in
+  let clean_failures = ref 0 in
   let first_shrunk = ref None in
   let row ~name ?pool ?device ~clean () =
     let c = Query.Fuzz.run_campaign ?pool ?device ~seed ~iters () in
-    if clean then fingerprints := c.Query.Fuzz.fingerprint :: !fingerprints
+    if clean then begin
+      fingerprints := c.Query.Fuzz.fingerprint :: !fingerprints;
+      clean_failures :=
+        !clean_failures + c.Query.Fuzz.mismatches + c.Query.Fuzz.audit_failures
+    end
     else
       first_shrunk :=
         (match c.Query.Fuzz.discrepancies with
@@ -1632,14 +1654,19 @@ let exp21 () =
   T.print t;
   (try Unix.rmdir spill with Unix.Unix_error _ -> ());
   let total = List.length !fingerprints in
-  let distinct = List.sort_uniq Int64.compare !fingerprints in
-  Printf.printf "  parity: %d clean worker/device rows -> %d/%d fingerprints %s\n"
-    total total total
-    (if List.length distinct = 1 then "IDENTICAL" else "MISMATCH");
-  (match !first_shrunk with
-  | Some p -> Printf.printf "  planted-bug counterexample (shrunk): %s\n" p
-  | None -> print_endline "  planted-bug counterexample: NOT CAUGHT");
-  print_endline
+  (* a clean row that disagrees with the oracle (or its budget audit) is
+     a mismatch even when every row disagrees identically *)
+  let ok = agree !fingerprints && !clean_failures = 0 in
+  footer
+    [
+      ( ok,
+        Printf.sprintf "  parity: %d clean worker/device rows -> %d/%d fingerprints %s"
+          total total total
+          (if ok then "IDENTICAL" else "MISMATCH") );
+      (match !first_shrunk with
+      | Some p -> (true, "  planted-bug counterexample (shrunk): " ^ p)
+      | None -> (false, "  planted-bug counterexample: NOT CAUGHT"));
+    ]
     "  expected: zero mismatches and zero audit failures on every clean row,\n\
     \  one fingerprint across -j 1/2/4 and mem/file/shard (case [index] of\n\
     \  stream [seed] is a function of (seed, index) alone, and the E18 device\n\
@@ -1693,11 +1720,14 @@ let exp22 () =
   in
   T.print t;
   let total = List.length fingerprints in
-  let distinct = List.sort_uniq Int64.compare fingerprints in
-  Printf.printf "  parity: %d shard-count rows -> %d/%d fingerprints %s\n"
-    total total total
-    (if List.length distinct = 1 then "IDENTICAL" else "MISMATCH");
-  print_endline
+  let ok = agree fingerprints in
+  footer
+    [
+      ( ok,
+        Printf.sprintf "  parity: %d shard-count rows -> %d/%d fingerprints %s"
+          total total total
+          (if ok then "IDENTICAL" else "MISMATCH") );
+    ]
     "  expected: one fingerprint down the whole table. Each sample's\n\
     \  draws are keyed on its global index, so sharding repartitions\n\
     \  work without re-randomizing; the merge replays the Lemma 26 seed\n\

@@ -29,7 +29,28 @@
       campaign, plus crash points and scrub
     - E20: serve — the deciders as a long-running service ([stlb
       serve] + [stlb loadgen]): requests/s and p50/p99 latency across
-      worker counts and devices, with verdict parity pinned *)
+      worker counts and devices, with verdict parity pinned
+    - E21: the differential query fuzzer across worker counts and
+      devices, plus a planted planner bug it must catch
+    - E22: the sharded Lemma 21 census across shard counts
+
+    E18 and E20–E22 end in verdict lines that compare fingerprints or
+    model costs across a configuration axis (workers, device, frame
+    batching, shard count). Those lines are the repository's
+    determinism gate: a table whose verdict disagrees raises
+    {!Table_failed} after printing in full, so [stlb experiment] exits
+    4 and {!Checkpoint.run} journals nothing. *)
+
+exception Table_failed of string list
+(** The verdict lines of a table that disagreed (e.g. ["parity: ...
+    MISMATCH"]), trimmed. *)
+
+val agree : 'a list -> bool
+(** Every element equal (structurally); [true] on [[]]. *)
+
+val footer : (bool * string) list -> string -> unit
+(** [footer verdicts note] prints each verdict's line, then [note], and
+    then raises {!Table_failed} with the lines whose flag is [false]. *)
 
 val exp1 : unit -> unit
 val exp2 : unit -> unit
@@ -57,4 +78,5 @@ val run_all : ?checkpoint:Checkpoint.t -> unit -> unit
     each table runs under {!Checkpoint.run}: already-journaled tables
     are replayed verbatim and newly computed ones are journaled, so an
     interrupted invocation resumes where it was killed with
-    byte-identical output. *)
+    byte-identical output. A {!Table_failed} stops the sweep at the
+    failing table, which is not journaled. *)

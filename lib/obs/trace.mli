@@ -1,5 +1,5 @@
 (** JSONL trace sink — a structured, machine-readable event stream for
-    a run of the drivers ([stlb --trace FILE], [bench/main.exe --trace
+    a run of the drivers ([stlb decide|experiment|serve --trace
     FILE]).
 
     Design constraints, both load-bearing for the test suite:

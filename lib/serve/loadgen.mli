@@ -10,7 +10,7 @@
     identical requests, and against servers sharing a [--seed] they
     must collect byte-identical verdicts — {!summary.fingerprint}
     condenses that into one comparable number (FNV-1a over the
-    responses in id order), which is what E20 and the serve smoke
+    responses in id order), which is what E20 and the serve tests
     diff across worker counts, devices and restarts. *)
 
 type summary = {

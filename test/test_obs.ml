@@ -3,8 +3,8 @@
    theorem-budget audits of Theorem 8(a)/(b) and Corollary 7 (positive
    on the real deciders across N = 2^8 .. 2^14, negative on a
    deliberately over-budget zigzag machine), ledger/trace determinism
-   across worker counts, the process-wide counters, and the checkpoint
-   discard accounting. *)
+   across worker counts, the experiment tables' parity gate, the
+   process-wide counters, and the checkpoint discard accounting. *)
 
 module D = Problems.Decide
 module G = Problems.Generators
@@ -354,6 +354,29 @@ let test_checkpoint_discards_are_counted () =
       check_int "store in global counters" 1 d.Obs.Counters.checkpoint_stored)
 
 (* ------------------------------------------------------------------ *)
+(* the experiment tables' parity gate: disagreeing fingerprints fail the
+   table, and a failed table is never journaled *)
+
+let test_parity_gate () =
+  let module E = Harness.Experiments in
+  let gate fps = E.footer [ (E.agree fps, "  parity: fps") ] "  expected: one" in
+  gate [ 0xe95ee6596467b13cL; 0xe95ee6596467b13cL ];
+  (match gate [ 0xe95ee6596467b13cL; 0xa51ca65585bbf958L ] with
+  | () -> Alcotest.fail "different fingerprints passed the gate"
+  | exception E.Table_failed lines ->
+      Alcotest.(check (list string)) "failed verdicts" [ "parity: fps" ] lines);
+  with_tmp_dir @@ fun dir ->
+  let t = Harness.Checkpoint.open_dir dir in
+  (match
+     Harness.Checkpoint.run (Some t) ~name:"gate" (fun () ->
+         gate [ 1L; 2L ])
+   with
+  | () -> Alcotest.fail "failed table completed under a checkpoint"
+  | exception E.Table_failed _ -> ());
+  check "failed table not journaled" true
+    (Harness.Checkpoint.lookup t ~name:"gate" = None)
+
+(* ------------------------------------------------------------------ *)
 (* trace sink mechanics *)
 
 let test_trace_emission_and_escaping () =
@@ -422,6 +445,8 @@ let () =
             test_ledgers_identical_across_runs;
           Alcotest.test_case "traces identical for -j 1/2/4" `Slow
             test_traces_identical_across_worker_counts;
+          Alcotest.test_case "parity gate fails on disagreement" `Quick
+            test_parity_gate;
         ] );
       ( "counters",
         [

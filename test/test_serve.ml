@@ -2,7 +2,8 @@
    and the PROTOCOL.md conformance vectors — the document's hex
    examples are executed against the real codec, so the spec cannot
    drift), the per-request seed rule, verdict determinism across server
-   restarts / worker counts / batching, backpressure (bounded queue and
+   restarts / worker counts / batching (in-process and against the real
+   `stlb serve` binary), backpressure (bounded queue and
    batch/frame size limits shed loudly), and a malformed-frame fuzz
    pass that the server must survive. *)
 
@@ -301,6 +302,51 @@ let test_determinism_across_restarts_and_workers () =
         a
   | _ -> assert false
 
+(* The real `stlb serve` binary, one process per worker count (so the
+   second is also a restart): the loadgen fingerprint must equal the
+   in-process server's, and each process must exit 0 after SHUTDOWN. *)
+let stlb =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/stlb.exe"
+
+let test_real_process_parity () =
+  let load socket =
+    (Serve.Loadgen.run ~socket ~requests:80 ~batch:4 ~seed:7 ())
+      .Serve.Loadgen.fingerprint
+  in
+  let expected = with_server ~seed:42 load in
+  List.iter
+    (fun jobs ->
+      let socket = fresh_socket () in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process stlb
+          [|
+            stlb; "serve"; "--socket"; socket; "--seed"; "42"; "-j";
+            string_of_int jobs;
+          |]
+          Unix.stdin devnull Unix.stderr
+      in
+      Unix.close devnull;
+      let reaped = ref false in
+      Fun.protect
+        ~finally:(fun () ->
+          if not !reaped then (
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)))
+        (fun () ->
+          let fp = load socket in
+          let c = Serve.Client.connect socket in
+          Serve.Client.shutdown c ~id:80;
+          Serve.Client.close c;
+          let _, status = Unix.waitpid [] pid in
+          reaped := true;
+          check (Printf.sprintf "-j %d exits 0 after SHUTDOWN" jobs) true
+            (status = Unix.WEXITED 0);
+          Alcotest.(check int64)
+            (Printf.sprintf "-j %d fingerprint = in-process" jobs)
+            expected fp))
+    [ 1; 4 ]
+
 let test_batching_equivalence () =
   with_server ~seed:42 @@ fun socket ->
   let base = 100 in
@@ -563,6 +609,8 @@ let () =
         [
           Alcotest.test_case "restarts and worker counts" `Slow
             test_determinism_across_restarts_and_workers;
+          Alcotest.test_case "real stlb serve processes" `Slow
+            test_real_process_parity;
           Alcotest.test_case "batching equivalence" `Quick
             test_batching_equivalence;
           Alcotest.test_case "query problems on the wire" `Quick
