@@ -121,6 +121,36 @@ let prop_kway_matches_stdlib =
       let got, _ = Extsort.sort_k ~ways items in
       got = expected)
 
+(* The merge engine's exact operation sequence at [ways = 2]: every
+   completed read, write and move on every tape of the group, folded
+   in order into one FNV-1a digest. Pinned so a rewrite of the merge
+   loop that reorders a single head access fails here before it moves
+   a scan count or a per-tape fault stream. *)
+let test_two_way_replay () =
+  let items = List.init 97 (fun i -> Printf.sprintf "%03d" ((i * 37) mod 61)) in
+  let g = Tape.Group.create () in
+  let h = ref Util.Hash.fnv_offset and events = ref 0 in
+  Tape.Group.set_observer g
+    (Some
+       (fun tape ->
+         let ev op pos =
+           incr events;
+           h := Util.Hash.fnv_string !h (Printf.sprintf "%s %s %d" tape op pos)
+         in
+         {
+           Tape.Observer.on_read = (fun ~pos -> ev "read" pos);
+           on_write = (fun ~pos -> ev "write" pos);
+           on_move = (fun ~pos _ -> ev "move" pos);
+         }));
+  let t = Tape.Group.tape g ~name:"data" ~blank:"" () in
+  Tape.preload t items;
+  Extsort.sort_tape g t ~len:97;
+  Alcotest.(check (list string)) "sorted" (List.sort String.compare items)
+    (Tape.to_list t);
+  Alcotest.(check int) "events" 9055 !events;
+  Alcotest.(check int64) "digest" 0x426fbb7a81a8b8b8L !h;
+  Alcotest.(check int) "scans" 80 (Tape.Group.scans g)
+
 let test_budget_enforcement () =
   let st = Random.State.make [| 47 |] in
   let inst = G.yes_instance st D.Check_sort ~m:64 ~n:8 in
@@ -181,6 +211,7 @@ let () =
           Alcotest.test_case "O(1) registers" `Quick test_sort_registers_constant;
           Alcotest.test_case "O(log N) scans" `Quick test_scan_growth_logarithmic;
           Alcotest.test_case "k-way merge" `Quick test_kway_sort;
+          Alcotest.test_case "2-way replay digest" `Quick test_two_way_replay;
           QCheck_alcotest.to_alcotest prop_kway_matches_stdlib;
         ] );
       ( "corollary 7 deciders",
