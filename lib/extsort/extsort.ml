@@ -10,21 +10,13 @@ type report = {
   faults : int;
 }
 
-let seek tp target =
-  while Tape.position tp < target do
-    Tape.move tp Tape.Right
-  done;
-  while Tape.position tp > target do
-    Tape.move tp Tape.Left
-  done
-
 (* Fault plumbing. Every phase below (a distribution pass, a merge
    pass, a comparison scan) is restartable: it re-seeks its tapes and
-   rebuilds its registers from scratch, so wrapping it in [Retry.run]
-   survives injected [Faults.Transient_io] failures — and the re-seeks
-   go through the ordinary [move] calls, so recovery is charged honest
-   reversal costs by the tapes themselves. Fault-free runs ([?faults]
-   absent) skip the combinator entirely. *)
+   rebuilds its registers from scratch, so running it under
+   [Faults.phase] survives injected [Faults.Transient_io] failures (and
+   storage faults from below the device seam) — and the re-seeks go
+   through the ordinary [move] calls, so recovery is charged honest
+   reversal costs by the tapes themselves. *)
 
 let attach_opt faults tp =
   match faults with None -> () | Some p -> Faults.attach_string p tp
@@ -48,30 +40,13 @@ let codec_for g items =
       in
       Some (Tape.Device.Codec.tuple_string ~max_len)
 
-(* A retry policy alone (no above-seam plan) also engages the
-   combinator: storage-level faults injected below the [Device.Raw]
-   seam surface as [Corrupt]/[Unix_error] from ordinary reads and
-   writes, and the phases recover from those exactly as from injected
-   tape faults — rewinding through ordinary [move]s, paying honest
-   reversals. Runs with neither are bit-identical to the bare code. *)
-let phase ?faults ?retry ~label f =
-  match (faults, retry) with
-  | None, None -> f ()
-  | _ ->
-      let seed = match faults with Some p -> Faults.Plan.seed p | None -> 0 in
-      Faults.Retry.run ?policy:retry ~seed ~label f
-
-let read_at tp pos =
-  seek tp pos;
-  Tape.read tp
-
 (* Read cells [0 .. len-1] in one left-to-right scan: seek once, then
    read/advance cell by cell. Indexed [read_at] reads would re-seek
    from wherever the head was left — correct, but each seek is charged
    head moves, and an application order other than strictly ascending
    turns the readback into O(len · seek). *)
 let read_run tp ~len =
-  seek tp 0;
+  Tape.seek tp 0;
   let out = ref [] in
   for i = 0 to len - 1 do
     if i > 0 then Tape.move tp Tape.Right;
@@ -79,129 +54,87 @@ let read_run tp ~len =
   done;
   List.rev !out
 
-let write_at tp pos x =
-  seek tp pos;
-  Tape.write tp x
-
-let sort_tape ?faults ?retry ?codec g t ~len =
-  let meter = Tape.Group.meter g in
-  (* registers: run length, three stream indices, two run bounds *)
-  Tape.Meter.with_units meter 6 (fun () ->
-      let aux1 =
-        Tape.Group.tape g ~name:(Tape.name t ^ "-aux1") ?codec ~blank:"" ()
-      in
-      let aux2 =
-        Tape.Group.tape g ~name:(Tape.name t ^ "-aux2") ?codec ~blank:"" ()
-      in
-      attach_opt faults aux1;
-      attach_opt faults aux2;
-      let run = ref 1 in
-      while !run < len do
-        (* distribute alternating runs of length !run onto aux1/aux2;
-           a retry redistributes from the (unchanged) data tape *)
-        let n1 = ref 0 and n2 = ref 0 in
-        phase ?faults ?retry ~label:"sort-distribute" (fun () ->
-            n1 := 0;
-            n2 := 0;
-            for i = 0 to len - 1 do
-              let x = read_at t i in
-              if i / !run mod 2 = 0 then begin
-                write_at aux1 !n1 x;
-                incr n1
-              end
-              else begin
-                write_at aux2 !n2 x;
-                incr n2
-              end
-            done);
-        (* merge run pairs back onto t; a retry re-merges from the
-           (unchanged) aux tapes, rewriting t from position 0 *)
-        phase ?faults ?retry ~label:"sort-merge" (fun () ->
-            let out = ref 0 in
-            let k = ref 0 in
-            while !out < len do
-              let lo1 = !k * !run and lo2 = !k * !run in
-              let hi1 = min (lo1 + !run) !n1 and hi2 = min (lo2 + !run) !n2 in
-              let i1 = ref lo1 and i2 = ref lo2 in
-              while !i1 < hi1 || !i2 < hi2 do
-                let take1 =
-                  if !i2 >= hi2 then true
-                  else if !i1 >= hi1 then false
-                  else String.compare (read_at aux1 !i1) (read_at aux2 !i2) <= 0
-                in
-                if take1 then begin
-                  write_at t !out (read_at aux1 !i1);
-                  incr i1
-                end
-                else begin
-                  write_at t !out (read_at aux2 !i2);
-                  incr i2
-                end;
-                incr out
-              done;
-              incr k
-            done);
-        run := !run * 2
-      done;
-      phase ?faults ?retry ~label:"sort-rewind" (fun () -> seek t 0))
-
-let sort_tape_k ?faults ?retry ?codec g t ~len ~ways =
-  if ways < 2 then invalid_arg "Extsort.sort_tape_k: ways >= 2";
+let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
+  if ways < 2 then invalid_arg "Extsort.sort_tape: ways >= 2";
   let meter = Tape.Group.meter g in
   (* registers: run length, [ways] stream indices and bounds, counters *)
   Tape.Meter.with_units meter (2 + (2 * ways)) (fun () ->
       let aux =
-        Array.init ways (fun i ->
-            Tape.Group.tape g ~name:(Printf.sprintf "%s-aux%d" (Tape.name t) i)
+        Array.init ways (fun w ->
+            Tape.Group.tape g
+              ~name:(Printf.sprintf "%s-aux%d" (Tape.name t) (w + 1))
               ?codec ~blank:"" ())
       in
       Array.iter (attach_opt faults) aux;
+      let counts = Array.make ways 0 in
+      let idx = Array.make ways 0 and hi = Array.make ways 0 in
+      let live w = idx.(w) < hi.(w) in
+      let head w = Tape.read_at aux.(w) idx.(w) in
+      (* The stream whose head goes out next, or -1 once all are
+         exhausted. A lone live stream is taken unread; otherwise every
+         live head is read, last stream first, and the smallest wins,
+         ties to the lower stream. *)
+      let next () =
+        let n_live = ref 0 and best = ref (-1) in
+        for w = 0 to ways - 1 do
+          if live w then begin
+            incr n_live;
+            best := w
+          end
+        done;
+        if !n_live > 1 then begin
+          let smallest = ref "" in
+          best := -1;
+          for w = ways - 1 downto 0 do
+            if live w then begin
+              let x = head w in
+              if !best < 0 || String.compare x !smallest <= 0 then begin
+                best := w;
+                smallest := x
+              end
+            end
+          done
+        end;
+        !best
+      in
       let run = ref 1 in
       while !run < len do
-        (* distribute runs of length !run round-robin over the aux tapes *)
-        let counts = Array.make ways 0 in
-        phase ?faults ?retry ~label:"sort-distribute" (fun () ->
+        (* distribute runs of length !run round-robin over the aux
+           tapes; a retry redistributes from the (unchanged) data tape *)
+        Faults.phase ?faults ?retry ~label:"sort-distribute" (fun () ->
             Array.fill counts 0 ways 0;
             for i = 0 to len - 1 do
+              let x = Tape.read_at t i in
               let w = i / !run mod ways in
-              write_at aux.(w) counts.(w) (read_at t i);
+              Tape.write_at aux.(w) counts.(w) x;
               counts.(w) <- counts.(w) + 1
             done);
-        (* merge groups of [ways] runs back onto t *)
-        phase ?faults ?retry ~label:"sort-merge" (fun () ->
-        let out = ref 0 in
-        let k = ref 0 in
-        while !out < len do
-          let lo = !k * !run in
-          let idx = Array.make ways lo in
-          let hi = Array.map (fun c -> min (lo + !run) c) counts in
-          let exhausted w = idx.(w) >= hi.(w) in
-          while Array.exists (fun w -> not (exhausted w)) (Array.init ways Fun.id) do
-            (* pick the smallest current head among live streams *)
-            let best = ref (-1) in
-            for w = 0 to ways - 1 do
-              if not (exhausted w) then
-                if
-                  !best = -1
-                  || String.compare (read_at aux.(w) idx.(w))
-                       (read_at aux.(!best) idx.(!best))
-                     < 0
-                then best := w
-            done;
-            write_at t !out (read_at aux.(!best) idx.(!best));
-            idx.(!best) <- idx.(!best) + 1;
-            incr out
-          done;
-          incr k
-        done);
+        (* merge groups of [ways] runs back onto t; a retry re-merges
+           from the (unchanged) aux tapes, rewriting t from position 0 *)
+        Faults.phase ?faults ?retry ~label:"sort-merge" (fun () ->
+            let out = ref 0 and lo = ref 0 in
+            while !out < len do
+              for w = 0 to ways - 1 do
+                idx.(w) <- !lo;
+                hi.(w) <- min (!lo + !run) counts.(w)
+              done;
+              let w = ref (next ()) in
+              while !w >= 0 do
+                Tape.write_at t !out (head !w);
+                idx.(!w) <- idx.(!w) + 1;
+                incr out;
+                w := next ()
+              done;
+              lo := !lo + !run
+            done);
         run := !run * ways
       done;
-      phase ?faults ?retry ~label:"sort-rewind" (fun () -> seek t 0))
+      Faults.phase ?faults ?retry ~label:"sort-rewind" (fun () -> Tape.seek t 0))
 
-let report_of ?(n_override = None) g n =
+let report_of g n =
   let r = Tape.Group.report g in
   {
-    n = (match n_override with Some v -> v | None -> n);
+    n;
     scans = r.Tape.Group.scans_used;
     reversals = r.Tape.Group.scans_used - 1;
     register_peak = r.Tape.Group.internal_peak_units;
@@ -209,33 +142,19 @@ let report_of ?(n_override = None) g n =
     faults = Tape.Group.faults_injected g;
   }
 
-let sort ?budget ?faults ?retry ?obs ?device items =
+let sort ?budget ?faults ?retry ?obs ?device ?ways items =
   let g = Tape.Group.create ?budget ?device () in
   observe_opt obs g;
   let codec = codec_for g items in
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
   let t = Tape.Group.tape g ~name:"data" ?codec ~blank:"" () in
-  phase ?faults ?retry ~label:"preload" (fun () -> Tape.preload t items);
+  Faults.phase ?faults ?retry ~label:"preload" (fun () -> Tape.preload t items);
   attach_opt faults t;
   let len = List.length items in
-  if len > 1 then sort_tape ?faults ?retry ?codec g t ~len;
+  if len > 1 then sort_tape ?faults ?retry ?codec ?ways g t ~len;
   let out =
-    phase ?faults ?retry ~label:"sort-readback" (fun () -> read_run t ~len)
-  in
-  (out, report_of g len)
-
-let sort_k ?faults ?retry ?obs ?device ~ways items =
-  let g = Tape.Group.create ?device () in
-  observe_opt obs g;
-  let codec = codec_for g items in
-  Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
-  let t = Tape.Group.tape g ~name:"data" ?codec ~blank:"" () in
-  phase ?faults ?retry ~label:"preload" (fun () -> Tape.preload t items);
-  attach_opt faults t;
-  let len = List.length items in
-  if len > 1 then sort_tape_k ?faults ?retry ?codec g t ~len ~ways;
-  let out =
-    phase ?faults ?retry ~label:"sort-readback" (fun () -> read_run t ~len)
+    Faults.phase ?faults ?retry ~label:"sort-readback" (fun () ->
+        read_run t ~len)
   in
   (out, report_of g len)
 
@@ -251,87 +170,93 @@ let instance_tapes ?faults ?retry g inst =
   let codec = codec_for g (xs @ ys) in
   let tx = Tape.Group.tape g ~name:"xs" ?codec ~blank:"" () in
   let ty = Tape.Group.tape g ~name:"ys" ?codec ~blank:"" () in
-  phase ?faults ?retry ~label:"preload" (fun () ->
+  Faults.phase ?faults ?retry ~label:"preload" (fun () ->
       Tape.preload tx xs;
       Tape.preload ty ys);
   attach_opt faults tx;
   attach_opt faults ty;
   (tx, ty, codec)
 
-let check_sort ?budget ?faults ?retry ?obs ?device inst =
+(* The shell every Corollary 7 decider shares: load the halves, sort
+   xs (and ys when [sort_ys]), then run one comparison [scan tx ty m]
+   as a restartable phase holding [registers] item registers. *)
+let sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys ~registers scan
+    inst =
   let g = Tape.Group.create ?budget ?device () in
   observe_opt obs g;
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
-  let meter = Tape.Group.meter g in
   let m = I.m inst in
   let tx, ty, codec = instance_tapes ?faults ?retry g inst in
-  if m > 1 then sort_tape ?faults ?retry ?codec g tx ~len:m;
+  if m > 1 then begin
+    sort_tape ?faults ?retry ?codec g tx ~len:m;
+    if sort_ys then sort_tape ?faults ?retry ?codec g ty ~len:m
+  end;
   let ok =
-    Tape.Meter.with_units meter 2 (fun () ->
-        phase ?faults ?retry ~label:"compare" (fun () ->
-            let ok = ref true in
-            for i = 0 to m - 1 do
-              if not (String.equal (read_at tx i) (read_at ty i)) then ok := false
-            done;
-            !ok))
+    Tape.Meter.with_units (Tape.Group.meter g) registers (fun () ->
+        Faults.phase ?faults ?retry ~label:"compare" (fun () -> scan tx ty m))
   in
   (ok, report_of g (I.size inst))
+
+let pointwise_equal tx ty m =
+  let ok = ref true in
+  for i = 0 to m - 1 do
+    if not (String.equal (Tape.read_at tx i) (Tape.read_at ty i)) then
+      ok := false
+  done;
+  !ok
+
+(* compare the deduplicated sorted streams with one carried item each *)
+let same_set tx ~nx ty ~ny =
+  let next_distinct tp len i =
+    (* first index > i whose item differs from item at i *)
+    let x = Tape.read_at tp i in
+    let j = ref (i + 1) in
+    while !j < len && String.equal (Tape.read_at tp !j) x do
+      incr j
+    done;
+    !j
+  in
+  let rec go i j =
+    if i >= nx && j >= ny then true
+    else if i >= nx || j >= ny then false
+    else if not (String.equal (Tape.read_at tx i) (Tape.read_at ty j)) then
+      false
+    else go (next_distinct tx nx i) (next_distinct ty ny j)
+  in
+  go 0 0
+
+(* one merge scan looking for a common element *)
+let no_common tx ty m =
+  let i = ref 0 and j = ref 0 in
+  let shared = ref false in
+  while !i < m && !j < m do
+    let c = String.compare (Tape.read_at tx !i) (Tape.read_at ty !j) in
+    if c = 0 then begin
+      shared := true;
+      i := m
+    end
+    else if c < 0 then incr i
+    else incr j
+  done;
+  not !shared
+
+let check_sort ?budget ?faults ?retry ?obs ?device inst =
+  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:false
+    ~registers:2 pointwise_equal inst
 
 let multiset_equality ?budget ?faults ?retry ?obs ?device inst =
-  let g = Tape.Group.create ?budget ?device () in
-  observe_opt obs g;
-  Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
-  let meter = Tape.Group.meter g in
-  let m = I.m inst in
-  let tx, ty, codec = instance_tapes ?faults ?retry g inst in
-  if m > 1 then begin
-    sort_tape ?faults ?retry ?codec g tx ~len:m;
-    sort_tape ?faults ?retry ?codec g ty ~len:m
-  end;
-  let ok =
-    Tape.Meter.with_units meter 2 (fun () ->
-        phase ?faults ?retry ~label:"compare" (fun () ->
-            let ok = ref true in
-            for i = 0 to m - 1 do
-              if not (String.equal (read_at tx i) (read_at ty i)) then ok := false
-            done;
-            !ok))
-  in
-  (ok, report_of g (I.size inst))
+  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:true
+    ~registers:2 pointwise_equal inst
 
 let set_equality ?budget ?faults ?retry ?obs ?device inst =
-  let g = Tape.Group.create ?budget ?device () in
-  observe_opt obs g;
-  Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
-  let meter = Tape.Group.meter g in
-  let m = I.m inst in
-  let tx, ty, codec = instance_tapes ?faults ?retry g inst in
-  if m > 1 then begin
-    sort_tape ?faults ?retry ?codec g tx ~len:m;
-    sort_tape ?faults ?retry ?codec g ty ~len:m
-  end;
-  (* compare the deduplicated sorted streams with one carried item each *)
-  let ok =
-    Tape.Meter.with_units meter 4 (fun () ->
-        phase ?faults ?retry ~label:"compare" (fun () ->
-            let next_distinct tp i =
-              (* first index > i whose item differs from item at i *)
-              let x = read_at tp i in
-              let j = ref (i + 1) in
-              while !j < m && String.equal (read_at tp !j) x do
-                incr j
-              done;
-              !j
-            in
-            let rec go i j =
-              if i >= m && j >= m then true
-              else if i >= m || j >= m then false
-              else if not (String.equal (read_at tx i) (read_at ty j)) then false
-              else go (next_distinct tx i) (next_distinct ty j)
-            in
-            go 0 0))
-  in
-  (ok, report_of g (I.size inst))
+  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:true
+    ~registers:4
+    (fun tx ty m -> same_set tx ~nx:m ty ~ny:m)
+    inst
+
+let disjoint ?budget ?faults ?retry ?obs ?device inst =
+  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:true
+    ~registers:3 no_common inst
 
 let decide ?budget ?faults ?retry ?obs ?device problem inst =
   match problem with
@@ -341,35 +266,6 @@ let decide ?budget ?faults ?retry ?obs ?device problem inst =
       multiset_equality ?budget ?faults ?retry ?obs ?device inst
   | Problems.Decide.Check_sort ->
       check_sort ?budget ?faults ?retry ?obs ?device inst
-
-let disjoint ?budget ?faults ?retry ?obs ?device inst =
-  let g = Tape.Group.create ?budget ?device () in
-  observe_opt obs g;
-  Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
-  let meter = Tape.Group.meter g in
-  let m = I.m inst in
-  let tx, ty, codec = instance_tapes ?faults ?retry g inst in
-  if m > 1 then begin
-    sort_tape ?faults ?retry ?codec g tx ~len:m;
-    sort_tape ?faults ?retry ?codec g ty ~len:m
-  end;
-  let ok =
-    Tape.Meter.with_units meter 3 (fun () ->
-        phase ?faults ?retry ~label:"compare" (fun () ->
-            let i = ref 0 and j = ref 0 in
-            let shared = ref false in
-            while !i < m && !j < m do
-              let c = String.compare (read_at tx !i) (read_at ty !j) in
-              if c = 0 then begin
-                shared := true;
-                i := m
-              end
-              else if c < 0 then incr i
-              else incr j
-            done;
-            not !shared))
-  in
-  (ok, report_of g (I.size inst))
 
 let theoretical_scan_bound ~n =
   let lg =

@@ -4,8 +4,9 @@
     possible with [O(log N)] head reversals, [O(1)] internal memory and
     two extra external tapes; Corollary 7 uses this to place
     SET-EQUALITY, MULTISET-EQUALITY and CHECK-SORT in
-    [ST(O(log N), O(1), 2)]. This module implements the classic
-    balanced two-way merge sort on the instrumented {!Tape} substrate —
+    [ST(O(log N), O(1), 2)]. This module implements one balanced
+    merge sort, two-way by default and [ways]-way on request, on the
+    instrumented {!Tape} substrate —
     every reversal is counted by the tapes themselves, and the
     experiment harness verifies the [a·log2 N + b] growth.
 
@@ -67,35 +68,26 @@ val sort_tape :
   ?faults:Faults.Plan.t ->
   ?retry:Faults.Retry.policy ->
   ?codec:string Tape.Device.Codec.t ->
+  ?ways:int ->
   Tape.Group.t -> string Tape.t -> len:int -> unit
 (** [sort_tape g t ~len] sorts the first [len] cells of [t]
-    (lexicographically ascending, the CHECK-SORT order) in place, using
-    two auxiliary tapes registered in [g]. The head is left at
-    position 0. [?faults] attaches the plan to the auxiliary tapes it
-    creates (the caller attaches it to [t]) and wraps each pass in
-    retries. *)
+    (lexicographically ascending, the CHECK-SORT order) in place with a
+    balanced [ways]-way merge sort (default [2]): [ways] auxiliary
+    tapes [<name>-aux1 .. <name>-aux<ways>] registered in [g],
+    [⌈log_ways len⌉] distribute-and-merge passes, [2 + 2·ways] item
+    registers. Each merge step takes a lone live stream unread;
+    otherwise it reads every live head once, last stream first, and
+    the smallest wins (ties to the lower stream), then re-reads the
+    winner to write it. The head is left at position 0. [?faults]
+    attaches the plan to the auxiliary tapes it creates (the caller
+    attaches it to [t]) and wraps each pass in retries.
 
-val sort_tape_k :
-  ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
-  ?codec:string Tape.Device.Codec.t ->
-  Tape.Group.t -> string Tape.t -> len:int -> ways:int -> unit
-(** [ways]-way balanced merge sort ([ways ≥ 2]; {!sort_tape} is the
-    2-way case): [ways] auxiliary tapes, [⌈log_ways len⌉] passes. The
-    ablation experiment (E14) measures the scan trade-off: more tapes
-    per pass but logarithmically fewer passes, the classic
+    The ablation experiment (E14) measures the [ways] trade-off: more
+    tapes per pass but logarithmically fewer passes, the classic
     tape-sorting design choice. The model charges nothing extra for
     tapes (t is a constant parameter), so larger [ways] strictly
     reduces scans until the per-pass constant dominates.
     @raise Invalid_argument if [ways < 2]. *)
-
-val sort_k :
-  ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
-  ?obs:Obs.Ledger.Recorder.t ->
-  ?device:Tape.Device.spec ->
-  ways:int -> string list -> string list * report
-(** Wrapper over {!sort_tape_k} with measured resources. *)
 
 val sort :
   ?budget:Tape.Group.budget ->
@@ -103,9 +95,10 @@ val sort :
   ?retry:Faults.Retry.policy ->
   ?obs:Obs.Ledger.Recorder.t ->
   ?device:Tape.Device.spec ->
+  ?ways:int ->
   string list -> string list * report
-(** Convenience wrapper: sort a list of items through the tape
-    machinery and report the measured resources. *)
+(** Convenience wrapper: sort a list of items through {!sort_tape}
+    (with the given [?ways]) and report the measured resources. *)
 
 val check_sort :
   ?budget:Tape.Group.budget ->
@@ -133,8 +126,14 @@ val set_equality :
   ?obs:Obs.Ledger.Recorder.t ->
   ?device:Tape.Device.spec ->
   Problems.Instance.t -> bool * report
-(** Sort both halves, compare with on-the-fly duplicate elimination
-    (one carried item per stream). *)
+(** Sort both halves, then {!same_set}. *)
+
+val same_set : string Tape.t -> nx:int -> string Tape.t -> ny:int -> bool
+(** [same_set tx ~nx ty ~ny]: do the sorted cells [0 .. nx-1] of [tx]
+    and [0 .. ny-1] of [ty] hold the same set of items? One comparison
+    scan with on-the-fly duplicate elimination (one carried item per
+    stream). The scan behind {!set_equality} and the Theorem 12 XQuery
+    of [Xmlq.Stream_filter]. *)
 
 val decide :
   ?budget:Tape.Group.budget ->

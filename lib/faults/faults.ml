@@ -315,3 +315,10 @@ module Retry = struct
     in
     go 1
 end
+
+let phase ?faults ?retry ~label f =
+  match (faults, retry) with
+  | None, None -> f ()
+  | _ ->
+      let seed = match faults with Some p -> Plan.seed p | None -> 0 in
+      Retry.run ?policy:retry ~seed ~label f

@@ -194,3 +194,14 @@ module Retry : sig
       callers restart by rewinding, which charges honest reversals).
       [on_retry] is called before each re-attempt. *)
 end
+
+val phase :
+  ?faults:Plan.t -> ?retry:Retry.policy -> label:string -> (unit -> 'a) -> 'a
+(** Run one restartable decider phase (a distribution or merge pass, a
+    comparison scan). With neither a plan nor a policy, [f ()] runs
+    bare: no combinator, bit-identical to fault-free code. With either,
+    it runs under {!Retry.run} seeded by the plan (0 without one). A
+    policy alone still matters: storage faults injected below the
+    device seam surface as [Corrupt] or I/O errors from ordinary reads
+    and writes, and the phase recovers from those exactly as from
+    injected tape faults. *)

@@ -15,18 +15,10 @@ type report = { scans : int; internal_bits : int; tapes : int; faults : int }
 
 let bits_of v = max 1 (int_of_float (ceil (log (float_of_int (max 2 v)) /. log 2.0)))
 
-(* Fault plumbing (see [lib/faults]): both scans are restartable — a
+(* Fault plumbing (see [Faults.phase]): both scans are restartable — a
    retry rewinds (scan 1) or re-seeks to the right end (scan 2) through
    ordinary [move] calls, charging honest reversal costs, and rebuilds
-   its registers from scratch. Fault-free runs skip the combinator and
-   are bit-identical to the pre-fault code. *)
-let phase ?faults ?retry ~label f =
-  match (faults, retry) with
-  | None, None -> f ()
-  | _ ->
-      let seed = match faults with Some p -> Faults.Plan.seed p | None -> 0 in
-      Faults.Retry.run ?policy:retry ~seed ~label f
-
+   its registers from scratch. *)
 let run ?faults ?retry ?obs ?device st inst =
   let g = Tape.Group.create ?device () in
   (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
@@ -45,7 +37,7 @@ let run ?faults ?retry ?obs ?device st inst =
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
   (* the preload is device-level and idempotent, so a below-seam I/O
      fault during the initial spill heals by re-preloading *)
-  phase ?faults ?retry ~label:"fp-preload" (fun () ->
+  Faults.phase ?faults ?retry ~label:"fp-preload" (fun () ->
       Tape.preload_seq tape (String.to_seq encoded));
   (match faults with None -> () | Some p -> Faults.attach_char p tape);
   (* Under injection a read may return any symbol (a stuck read shows
@@ -54,7 +46,7 @@ let run ?faults ?retry ?obs ?device st inst =
   let len0 = String.length encoded in
   (* ---- scan 1 (forward): determine m, n, N ---- *)
   let hashes = ref 0 and cur = ref 0 and maxlen = ref 0 and total = ref 0 in
-  phase ?faults ?retry ~label:"fp-scan1" (fun () ->
+  Faults.phase ?faults ?retry ~label:"fp-scan1" (fun () ->
       Tape.rewind tape;
       hashes := 0;
       cur := 0;
@@ -88,7 +80,7 @@ let run ?faults ?retry ?obs ?device st inst =
   let reg_bits = 11 * bits_of (6 * k) in
   let accept =
     Tape.Meter.with_units meter reg_bits (fun () ->
-        phase ?faults ?retry ~label:"fp-scan2" (fun () ->
+        Faults.phase ?faults ?retry ~label:"fp-scan2" (fun () ->
             (* ---- scan 2 (backward): accumulate the two sums ---- *)
             (* The head is one past the last cell after scan 1 (a retry
                re-seeks it there, paying the reversals); strings come in

@@ -744,9 +744,7 @@ let exp14 () =
   let expected = List.sort String.compare items in
   List.iter
     (fun ways ->
-      let sorted, rep =
-        if ways = 2 then Extsort.sort items else Extsort.sort_k ~ways items
-      in
+      let sorted, rep = Extsort.sort ~ways items in
       let passes =
         int_of_float (ceil (log 4096.0 /. log (float_of_int ways)))
       in

@@ -141,14 +141,6 @@ let corrupt st corruption cert =
 
 type report = { scans : int; internal_registers : int; tapes : int }
 
-let seek tp target =
-  while Tape.position tp < target do
-    Tape.move tp Tape.Right
-  done;
-  while Tape.position tp > target do
-    Tape.move tp Tape.Left
-  done
-
 let verify ?obs problem inst cert =
   let m = I.m inst in
   let g = Tape.Group.create () in
@@ -217,9 +209,9 @@ let verify ?obs problem inst cert =
         done;
         (* ---- skip t1 forward over its copy region ---- *)
         let copies_cells = 2 * m * 2 * m in
-        seek t1 ((2 * m) + copies_cells - 1);
+        Tape.seek t1 ((2 * m) + copies_cells - 1);
         (* ---- backward scan: copy l on t1 vs copy l-1 on t2 ---- *)
-        seek t2 (copies_cells - (2 * m) - 1);
+        Tape.seek t2 (copies_cells - (2 * m) - 1);
         for _ = 1 to copies_cells - (2 * m) do
           let a = read_ent t1 and b = read_ent t2 in
           if a <> b then ok := false;

@@ -205,22 +205,6 @@ type report = { n : int; scans : int; registers : int; tapes : int }
    schema. All tapes live in one group so scans accumulate. *)
 type stream = { tape : string Tape.t; len : int; sschema : string list }
 
-let seek tp target =
-  while Tape.position tp < target do
-    Tape.move tp Tape.Right
-  done;
-  while Tape.position tp > target do
-    Tape.move tp Tape.Left
-  done
-
-let read_at tp pos =
-  seek tp pos;
-  Tape.read tp
-
-let write_at tp pos x =
-  seek tp pos;
-  Tape.write tp x
-
 (* Atomic so concurrent streaming runs (the query fuzzer fans over a
    domain pool) never hand two tapes the same name. *)
 let fresh_counter = Atomic.make 0
@@ -249,9 +233,9 @@ let map_stream ctx s ~schema ~f =
   for i = 0 to s.len - 1 do
     List.iter
       (fun cell ->
-        write_at out !written cell;
+        Tape.write_at out !written cell;
         incr written)
-      (f (read_at s.tape i))
+      (f (Tape.read_at s.tape i))
   done;
   { tape = out; len = !written; sschema = schema }
 
@@ -266,28 +250,28 @@ let merge_set_op ctx a b ~emit =
   let out = fresh_tape ctx in
   let written = ref 0 in
   let push c =
-    write_at out !written c;
+    Tape.write_at out !written c;
     incr written
   in
   let i = ref 0 and j = ref 0 in
   while !i < a.len || !j < b.len do
     let skip_run s idx v =
-      while !idx < s.len && String.equal (read_at s.tape !idx) v do
+      while !idx < s.len && String.equal (Tape.read_at s.tape !idx) v do
         incr idx
       done
     in
     if !i >= a.len then begin
-      let v = read_at b.tape !j in
+      let v = Tape.read_at b.tape !j in
       if emit false true then push v;
       skip_run b j v
     end
     else if !j >= b.len then begin
-      let v = read_at a.tape !i in
+      let v = Tape.read_at a.tape !i in
       if emit true false then push v;
       skip_run a i v
     end
     else begin
-      let va = read_at a.tape !i and vb = read_at b.tape !j in
+      let va = Tape.read_at a.tape !i and vb = Tape.read_at b.tape !j in
       let cmp = String.compare va vb in
       if cmp < 0 then begin
         if emit true false then push va;
@@ -315,7 +299,7 @@ let repeat_whole ctx s ~times =
     let add = min !copies (times - !copies) in
     let cells = add * s.len in
     for i = 0 to cells - 1 do
-      write_at out.tape !written (read_at out.tape i);
+      Tape.write_at out.tape !written (Tape.read_at out.tape i);
       incr written
     done;
     copies := !copies + add
@@ -424,9 +408,9 @@ let rec eval_stream ctx db = function
             (* zip: left cell k pairs with right cell k *)
             let out = fresh_tape ctx in
             for k = 0 to left.len - 1 do
-              let ta = decode_tuple (read_at left.tape k) in
-              let tb = decode_tuple (read_at right.tape k) in
-              write_at out k (encode_tuple (Array.append ta tb))
+              let ta = decode_tuple (Tape.read_at left.tape k) in
+              let tb = decode_tuple (Tape.read_at right.tape k) in
+              Tape.write_at out k (encode_tuple (Array.append ta tb))
             done;
             { tape = out; len = left.len; sschema = schema }
           end)
@@ -444,7 +428,7 @@ let rec eval_stream ctx db = function
           let rel_of s =
             {
               schema = s.sschema;
-              tuples = List.init s.len (fun i -> decode_tuple (read_at s.tape i));
+              tuples = List.init s.len (fun i -> decode_tuple (Tape.read_at s.tape i));
             }
           in
           eval_stream { ctx with prof = (fun _ _ -> ()) }
@@ -501,7 +485,7 @@ let eval_streaming ?device ?observe ?profile db expr =
         Tape.Meter.with_units meter 8 (fun () ->
             let s = eval_stream ctx db expr in
             let tuples =
-              List.init s.len (fun i -> decode_tuple (read_at s.tape i))
+              List.init s.len (fun i -> decode_tuple (Tape.read_at s.tape i))
             in
             relation ~schema:s.sschema tuples)
       in

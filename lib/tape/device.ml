@@ -329,10 +329,51 @@ let file_header_bytes = 16
 (* frame = presence byte (0x00 blank / 0x01 written) + CRC-32 of the
    payload (big-endian) + payload *)
 let frame_overhead = 5
+
+(* The frame at [off] of [buf] is intact: blank (0x00 and a zero CRC
+   field - a non-zero CRC under a zero presence byte is a torn or
+   rotted frame) or written (0x01 and the CRC-32 of its [bbytes]
+   payload). *)
+let frame_ok buf off bbytes =
+  match Bytes.get buf off with
+  | '\x00' -> Bytes.get_int32_be buf (off + 1) = 0l
+  | '\x01' ->
+      Bytes.get_int32_be buf (off + 1)
+      = Int32.of_int (Util.Hash.crc32_sub buf (off + frame_overhead) bbytes)
+  | _ -> false
+
+(* a slot's length prefix is 2 bytes *)
+let max_slot_payload = 0xffff
+
 let shard_magic = "STLBSHD2"
 let shard_header_bytes = 12
+
+(* The payload CRC-32 of a whole shard file when its frame is intact
+   (magic, then the stored CRC of the payload), [None] otherwise. *)
+let shard_payload_crc data =
+  let len = String.length data in
+  if len < shard_header_bytes || String.sub data 0 8 <> shard_magic then None
+  else
+    let b = Bytes.unsafe_of_string data in
+    let crc =
+      Util.Hash.crc32_sub b shard_header_bytes (len - shard_header_bytes)
+    in
+    if Bytes.get_int32_be b 8 = Int32.of_int crc then Some crc else None
+
 let manifest_name = "MANIFEST"
 let manifest_magic = "STLBMAN2"
+
+(* MANIFEST contents: the magic line, then one "crc len file" line per
+   run file, sorted. *)
+let manifest_contents entries =
+  let b = Buffer.create 256 in
+  Buffer.add_string b manifest_magic;
+  Buffer.add_char b '\n';
+  List.iter
+    (fun (f, (crc, len)) ->
+      Buffer.add_string b (Printf.sprintf "%08x %d %s\n" crc len f))
+    (List.sort compare entries);
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* File: CRC-framed fixed-size slots, direct-mapped cache, read-ahead. *)
@@ -401,19 +442,10 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   let load line b =
     full_pread raw fd frame ~off:(block_off b);
     io_r := !io_r + bbytes;
-    (match Bytes.get frame 0 with
-    | '\x00' ->
-        (* never-written (sparse) region: the whole frame must be
-           blank — a non-zero CRC field under a zero presence byte is
-           a torn or rotted frame *)
-        if Bytes.get_int32_be frame 1 <> 0l then bad line b;
-        Bytes.fill line.buf 0 bbytes '\x00'
-    | '\x01' ->
-        let stored = Bytes.get_int32_be frame 1 in
-        let actual = Int32.of_int (Util.Hash.crc32_sub frame frame_overhead bbytes) in
-        if stored <> actual then bad line b;
-        Bytes.blit frame frame_overhead line.buf 0 bbytes
-    | _ -> bad line b);
+    if not (frame_ok frame 0 bbytes) then bad line b;
+    (* a blank frame is a never-written (sparse) region *)
+    if Bytes.get frame 0 = '\x00' then Bytes.fill line.buf 0 bbytes '\x00'
+    else Bytes.blit frame frame_overhead line.buf 0 bbytes;
     if !quarantined = b then begin
       quarantined := -1;
       Atomic.incr reread_counter;
@@ -465,6 +497,12 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
         let len = String.length enc in
         if len > codec.Codec.max_bytes then
           invalid_arg "Device.file: encoded cell exceeds codec max_bytes";
+        if len > max_slot_payload then
+          invalid_arg
+            (Printf.sprintf
+               "Device.file: encoded cell of %d bytes exceeds the %d-byte \
+                slot limit"
+               len max_slot_payload);
         Bytes.set line.buf off (Char.chr (len lsr 8));
         Bytes.set line.buf (off + 1) (Char.chr (len land 0xff));
         Bytes.blit_string enc 0 line.buf (off + 2) len;
@@ -500,15 +538,8 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
         for b = nblocks - 1 downto 0 do
           full_pread raw fd scratch ~off:(block_off b);
           io_r := !io_r + bbytes;
-          let ok =
-            match Bytes.get scratch 0 with
-            | '\x00' -> Bytes.get_int32_be scratch 1 = 0l
-            | '\x01' ->
-                Bytes.get_int32_be scratch 1
-                = Int32.of_int (Util.Hash.crc32_sub scratch frame_overhead bbytes)
-            | _ -> false
-          in
-          if not ok then corrupt_at := (b * slots_per_block) :: !corrupt_at
+          if not (frame_ok scratch 0 bbytes) then
+            corrupt_at := (b * slots_per_block) :: !corrupt_at
         done;
         { blocks_checked = nblocks; corrupt_at = !corrupt_at });
   }
@@ -576,14 +607,8 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
   let path s = Filename.concat base (fname s) in
   let manifest_path = Filename.concat base manifest_name in
   let write_manifest ~fsync =
-    let b = Buffer.create 256 in
-    Buffer.add_string b manifest_magic;
-    Buffer.add_char b '\n';
-    Hashtbl.fold (fun f meta acc -> (f, meta) :: acc) manifest []
-    |> List.sort compare
-    |> List.iter (fun (f, (crc, len)) ->
-           Buffer.add_string b (Printf.sprintf "%08x %d %s\n" crc len f));
-    write_file_atomic raw manifest_path (Buffer.contents b) ~fsync
+    let entries = Hashtbl.fold (fun f meta acc -> (f, meta) :: acc) manifest [] in
+    write_file_atomic raw manifest_path (manifest_contents entries) ~fsync
   in
   let flush line =
     if line.sh_dirty then begin
@@ -627,14 +652,7 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
          (try Unix.close fd with Unix.Unix_error _ -> ());
          raise e);
       Unix.close fd;
-      let intact =
-        size >= shard_header_bytes
-        && Bytes.sub_string data 0 8 = shard_magic
-        && Bytes.get_int32_be data 8
-           = Int32.of_int
-               (Util.Hash.crc32_sub data shard_header_bytes (size - shard_header_bytes))
-      in
-      if not intact then begin
+      if shard_payload_crc (Bytes.unsafe_to_string data) = None then begin
         quarantined := s;
         raise_corrupt ~device:name ~path:p ~offset:(s * cells)
       end;
@@ -797,15 +815,7 @@ module Scrub = struct
           end
           else begin
             incr blocks;
-            let ok =
-              match data.[!off] with
-              | '\x00' -> Bytes.get_int32_be b (!off + 1) = 0l
-              | '\x01' ->
-                  Bytes.get_int32_be b (!off + 1)
-                  = Int32.of_int (Util.Hash.crc32_sub b (!off + frame_overhead) bbytes)
-              | _ -> false
-            in
-            if not ok then
+            if not (frame_ok b !off bbytes) then
               findings := finding ~path ~offset:!off "crc-mismatch" :: !findings;
             off := !off + fbytes
           end
@@ -813,18 +823,6 @@ module Scrub = struct
         (!blocks, List.rev !findings)
       end
     end
-
-  let check_shard_payload path data =
-    let len = String.length data in
-    if
-      len >= shard_header_bytes
-      && String.sub data 0 8 = shard_magic
-      && Bytes.get_int32_be (Bytes.unsafe_of_string data) 8
-         = Int32.of_int
-             (Util.Hash.crc32_sub (Bytes.unsafe_of_string data) shard_header_bytes
-                (len - shard_header_bytes))
-    then None
-    else Some (finding ~path ~offset:0 "crc-mismatch")
 
   let parse_manifest data =
     match String.split_on_char '\n' data with
@@ -874,29 +872,21 @@ module Scrub = struct
           else begin
             incr blocks;
             let data = read_file p in
-            let self = check_shard_payload p data in
-            match listed with
-            | None -> (
+            let vouched =
+              match listed with
+              | None -> None
+              | Some entries -> List.assoc_opt f entries
+            in
+            match (shard_payload_crc data, vouched) with
+            | None, _ ->
+                findings := finding ~path:p ~offset:0 "crc-mismatch" :: !findings
+            | Some _, None ->
                 (* no manifest vouches for this file: even an intact
                    frame is an orphan of a crashed run *)
-                match self with
-                | None -> findings := finding ~path:p ~offset:(-1) "orphan" :: !findings
-                | Some bad -> findings := bad :: !findings)
-            | Some entries -> (
-                match (List.assoc_opt f entries, self) with
-                | None, None ->
-                    findings := finding ~path:p ~offset:(-1) "orphan" :: !findings
-                | None, Some bad -> findings := bad :: !findings
-                | Some _, Some bad -> findings := bad :: !findings
-                | Some (crc, len), None ->
-                    if
-                      crc
-                      <> Util.Hash.crc32_sub (Bytes.unsafe_of_string data)
-                           shard_header_bytes
-                           (String.length data - shard_header_bytes)
-                      || len <> String.length data - shard_header_bytes
-                    then
-                      findings := finding ~path:p ~offset:(-1) "torn" :: !findings)
+                findings := finding ~path:p ~offset:(-1) "orphan" :: !findings
+            | Some actual, Some (crc, len) ->
+                if crc <> actual || len <> String.length data - shard_header_bytes
+                then findings := finding ~path:p ~offset:(-1) "torn" :: !findings
           end
         end)
       entries;
@@ -971,16 +961,8 @@ module Scrub = struct
                          entries
                      in
                      if List.length live <> List.length entries then begin
-                       let b = Buffer.create 256 in
-                       Buffer.add_string b manifest_magic;
-                       Buffer.add_char b '\n';
-                       List.iter
-                         (fun (f, (crc, len)) ->
-                           Buffer.add_string b
-                             (Printf.sprintf "%08x %d %s\n" crc len f))
-                         (List.sort compare live);
                        let oc = Out_channel.open_bin mpath in
-                       Out_channel.output_string oc (Buffer.contents b);
+                       Out_channel.output_string oc (manifest_contents live);
                        Out_channel.close oc
                      end
                  | None -> ());

@@ -292,6 +292,22 @@ let rewind tp =
           move tp Left
         done
 
+let seek tp target =
+  while tp.pos < target do
+    move tp Right
+  done;
+  while tp.pos > target do
+    move tp Left
+  done
+
+let read_at tp pos =
+  seek tp pos;
+  read tp
+
+let write_at tp pos x =
+  seek tp pos;
+  write tp x
+
 let to_list tp = List.init tp.used (Device.get tp.dev)
 
 let iter_right tp f =

@@ -114,6 +114,19 @@ val rewind : 'a t -> unit
     hook installed the per-cell loop runs, so fault plans and move
     counters see every step. *)
 
+val seek : 'a t -> int -> unit
+(** [seek tp target] walks the head to [target] one {!move} at a time:
+    [|target - position|] moves, plus one reversal when the walk turns
+    the head around. Seeking to the current position issues no move.
+    Unlike {!rewind} there is no fast path, so injection hooks and
+    observers see every step. *)
+
+val read_at : 'a t -> int -> 'a
+(** {!seek}, then {!read}. *)
+
+val write_at : 'a t -> int -> 'a -> unit
+(** {!seek}, then {!write}. *)
+
 val to_list : 'a t -> 'a list
 (** Cells [0 .. cells_used - 1] as a list (includes blanks). *)
 

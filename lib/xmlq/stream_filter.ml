@@ -1,17 +1,5 @@
 type report = { n : int; scans : int; registers : int; tapes : int }
 
-let seek tp target =
-  while Tape.position tp < target do
-    Tape.move tp Tape.Right
-  done;
-  while Tape.position tp > target do
-    Tape.move tp Tape.Left
-  done
-
-let read_at tp pos =
-  seek tp pos;
-  Tape.read tp
-
 (* One forward scan of the serialized document: the set1/set2 string
    contents are spilled onto two tapes. Internal state: a bounded tag
    buffer, one value register, flags and counters. *)
@@ -41,12 +29,12 @@ let extract input tx ty =
               in_string := false;
               let v = Buffer.contents value in
               if !current_set = 1 then begin
-                seek tx !nx;
+                Tape.seek tx !nx;
                 Tape.write tx v;
                 incr nx
               end
               else if !current_set = 2 then begin
-                seek ty !ny;
+                Tape.seek ty !ny;
                 Tape.write ty v;
                 incr ny
               end
@@ -90,29 +78,15 @@ let figure1_filter ?observe stream =
       let missing = ref false in
       let j = ref 0 in
       for i = 0 to nx - 1 do
-        let v = read_at tx i in
-        while !j < ny && String.compare (read_at ty !j) v < 0 do
+        let v = Tape.read_at tx i in
+        while !j < ny && String.compare (Tape.read_at ty !j) v < 0 do
           incr j
         done;
-        if !j >= ny || not (String.equal (read_at ty !j) v) then missing := true
+        if !j >= ny || not (String.equal (Tape.read_at ty !j) v) then missing := true
       done;
       !missing)
 
 let theorem12_query ?observe stream =
   (* set equality of the two sides: compare deduplicated sorted streams *)
   with_extracted ?observe stream (fun tx nx ty ny ->
-      let next_distinct tp len i =
-        let v = read_at tp i in
-        let j = ref (i + 1) in
-        while !j < len && String.equal (read_at tp !j) v do
-          incr j
-        done;
-        !j
-      in
-      let rec go i j =
-        if i >= nx && j >= ny then true
-        else if i >= nx || j >= ny then false
-        else if not (String.equal (read_at tx i) (read_at ty j)) then false
-        else go (next_distinct tx nx i) (next_distinct ty ny j)
-      in
-      go 0 0)
+      Extsort.same_set tx ~nx ty ~ny)

@@ -197,6 +197,24 @@ let test_file_device_io () =
     (specs ());
   if Sys.file_exists spill then Unix.rmdir spill
 
+(* A file slot's length prefix is 2 bytes: a cell encoding past 65535
+   bytes is refused with an error naming the limit (not a stray
+   [Char.chr] failure), the sort's spill file is still cleaned up, and
+   a cell under the limit round-trips. *)
+let test_file_slot_limit () =
+  let spec = Tape.Device.file_spec spill in
+  Alcotest.check_raises "refused, naming the limit"
+    (Invalid_argument
+       "Device.file: encoded cell of 70002 bytes exceeds the 65535-byte slot \
+        limit")
+    (fun () ->
+      ignore (Extsort.sort ~device:spec [ String.make 70000 '1'; "0" ]));
+  check_int "no leftover spill entries" 0 (Array.length (Sys.readdir spill));
+  let big = String.make 40000 '1' in
+  let sorted, _ = Extsort.sort ~device:spec [ big; "0" ] in
+  Alcotest.(check (list string)) "40000-byte cell round-trips" [ "0"; big ] sorted;
+  Unix.rmdir spill
+
 let () =
   Alcotest.run "device"
     [
@@ -213,5 +231,7 @@ let () =
             test_spill_files_deleted;
           Alcotest.test_case "backing I/O happens (and only off-mem)" `Quick
             test_file_device_io;
+          Alcotest.test_case "file slot length limit" `Quick
+            test_file_slot_limit;
         ] );
     ]

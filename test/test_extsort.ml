@@ -100,16 +100,16 @@ let test_kway_sort () =
   let expected = List.sort String.compare items in
   List.iter
     (fun ways ->
-      let got, rep = Extsort.sort_k ~ways items in
+      let got, rep = Extsort.sort ~ways items in
       check (Printf.sprintf "%d-way sorted" ways) true (got = expected);
       check "tapes = ways + data" true (rep.Extsort.tapes = ways + 1))
     [ 2; 3; 4; 7 ];
   (* wider merges use fewer scans at this size *)
-  let _, r2 = Extsort.sort_k ~ways:2 items in
-  let _, r4 = Extsort.sort_k ~ways:4 items in
+  let _, r2 = Extsort.sort ~ways:2 items in
+  let _, r4 = Extsort.sort ~ways:4 items in
   check "4-way beats 2-way" true (r4.Extsort.scans < r2.Extsort.scans);
   try
-    ignore (Extsort.sort_k ~ways:1 items);
+    ignore (Extsort.sort ~ways:1 items);
     Alcotest.fail "ways=1 accepted"
   with Invalid_argument _ -> ()
 
@@ -118,7 +118,7 @@ let prop_kway_matches_stdlib =
     QCheck.(pair (int_range 2 6) (list (string_of_size (Gen.int_range 0 5))))
     (fun (ways, items) ->
       let expected = List.sort String.compare items in
-      let got, _ = Extsort.sort_k ~ways items in
+      let got, _ = Extsort.sort ~ways items in
       got = expected)
 
 (* The merge engine's exact operation sequence at [ways = 2]: every

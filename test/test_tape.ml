@@ -73,6 +73,33 @@ let null_observer =
     on_move = (fun ~pos:_ _ -> ());
   }
 
+(* [seek] walks one [move] per cell: |delta| moves, one reversal per
+   turn, nothing at all when already there. Moves are counted by an
+   observer, so the walk is checked step by step. *)
+let test_seek () =
+  let moves = ref 0 in
+  let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ] in
+  Tape.set_observer t
+    (Some { null_observer with on_move = (fun ~pos:_ _ -> incr moves) });
+  Tape.seek t 4;
+  check_int "forward moves" 4 !moves;
+  check_int "forward is no turn" 0 (Tape.reversals t);
+  Tape.seek t 4;
+  check_int "seek in place moves nothing" 4 !moves;
+  check_int "seek in place turns nothing" 0 (Tape.reversals t);
+  Tape.seek t 1;
+  check_int "backward moves" 7 !moves;
+  check_int "a turn costs one reversal" 1 (Tape.reversals t);
+  Tape.seek t 0;
+  check_int "same direction, no new reversal" 1 (Tape.reversals t);
+  Tape.seek t 5;
+  check_int "turn again" 2 (Tape.reversals t);
+  check_int "total moves" 13 !moves;
+  Tape.write_at t 2 'x';
+  check "write_at" true (Tape.read_at t 2 = 'x');
+  check_int "write_at seeks" 2 (Tape.position t);
+  check_int "write_at turn" 3 (Tape.reversals t)
+
 let test_rewind_fast_path_parity () =
   let run observed =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
@@ -269,6 +296,7 @@ let () =
             test_rewind_budget_trip_parity;
           Alcotest.test_case "rewind under injection" `Quick
             test_rewind_injection_sees_moves;
+          Alcotest.test_case "seek" `Quick test_seek;
           Alcotest.test_case "to_list/iter" `Quick test_to_list_iter;
           QCheck_alcotest.to_alcotest prop_reversals_count_direction_changes;
         ] );
