@@ -18,15 +18,17 @@
 
    A run that trips an enforced resource budget (Tape.Budget_exceeded,
    e.g. decide --max-scans) exits with status 10 and a one-line
-   diagnostic instead of an uncaught backtrace. An experiment table
-   whose parity verdict disagrees exits 4, like a query-fuzz
-   discrepancy. *)
+   diagnostic instead of an uncaught backtrace. A decide instance that
+   is missing, empty or malformed exits 123; an algorithm that does not
+   decide the problem exits 124. An experiment table whose parity
+   verdict disagrees exits 4, like a query-fuzz discrepancy. *)
 
 open Cmdliner
 
 module D = Problems.Decide
 module G = Problems.Generators
 module I = Problems.Instance
+module F = Serve.Frame
 
 let seed_arg =
   let doc = "Random seed." in
@@ -201,20 +203,29 @@ let gen_cmd =
   Cmd.v (Cmd.info "gen" ~doc)
     Term.(const run $ seed_arg $ problem_arg $ m_arg 8 $ n_arg 12 $ label_arg)
 
-let read_instance = function
-  | Some path ->
-      let ic = open_in path in
-      let line = try input_line ic with End_of_file -> "" in
-      close_in ic;
-      I.decode (String.trim line)
-  | None -> I.decode (String.trim (input_line stdin))
+exception Bad_instance of string
+
+(* The instance on the first line of [file] (stdin if [None]); a
+   missing file, an empty first line or a bad symbol is Bad_instance. *)
+let read_instance file =
+  let first ic = try String.trim (input_line ic) with End_of_file -> "" in
+  let line =
+    match file with
+    | None -> first stdin
+    | Some path -> (
+        try In_channel.with_open_text path first
+        with Sys_error m -> raise (Bad_instance m))
+  in
+  if line = "" then raise (Bad_instance "empty instance");
+  try I.decode line
+  with Invalid_argument m -> raise (Bad_instance ("bad instance: " ^ m))
 
 let decide_cmd =
   let run seed problem algorithm file max_scans trace dev storage_seed bit_rot
       storage_eio enospc_at crash_at checkpoint =
+    let inst = read_instance file in
     with_trace trace @@ fun () ->
     let st = state_of seed in
-    let inst = read_instance file in
     (* Storage-fault flags build a seeded below-seam plan injected at
        the Device.Raw syscall layer of the file/shard backends. The
        crash hook is an abrupt _exit(70): no cleanup runs, leaving the
@@ -251,54 +262,33 @@ let decide_cmd =
         (fun s -> { Tape.Group.max_scans = Some s; max_internal = None })
         max_scans
     in
-    (* With --trace, a ledger recorder observes the decider's tapes and
-       the run's measured ledger plus its theorem-budget audit land in
-       the trace; without it no observer is installed. *)
-    let recorder label =
-      match trace with
-      | None -> None
-      | Some _ -> Some (Obs.Ledger.Recorder.create ~label ())
-    in
-    let emit obs spec =
-      match obs with
-      | None -> ()
-      | Some r ->
-          let l = Obs.Ledger.Recorder.ledger ~n:(I.size inst) r in
-          Obs.Trace.ledger_current l;
-          Obs.Trace.audit_current (Obs.Audit.check spec l)
-    in
     let decide_once () =
-      let verdict, resources =
-        match algorithm with
-        | `Reference -> (D.decide problem inst, "(in-memory reference)")
-        | `Sort ->
-            let obs = recorder "sort" in
-            let v, rep =
-              Extsort.decide ?budget ?retry ?obs ?device problem inst
-            in
-            emit obs Obs.Audit.mergesort_spec;
-            ( v,
-              Printf.sprintf "scans=%d registers=%d tapes=%d" rep.Extsort.scans
-                rep.Extsort.register_peak rep.Extsort.tapes )
-        | `Fingerprint ->
-            if problem <> D.Multiset_equality then
-              failwith "fingerprint solves multiset-eq only";
-            let obs = recorder "fingerprint" in
-            let v, rep, _ = Fingerprint.run ?retry ?obs ?device st inst in
-            emit obs Obs.Audit.fingerprint_spec;
-            ( v,
-              Printf.sprintf "scans=%d internal-bits=%d tapes=%d" rep.Fingerprint.scans
-                rep.Fingerprint.internal_bits rep.Fingerprint.tapes )
-        | `Nst -> (
-            let obs = recorder "nst" in
-            let v, rep = Nst.decide_with_prover ?obs problem inst in
-            emit obs Obs.Audit.nst_spec;
-            match rep with
-            | Some r ->
-                ( v,
-                  Printf.sprintf "scans=%d registers=%d tapes=%d" r.Nst.scans
-                    r.Nst.internal_registers r.Nst.tapes )
-            | None -> (v, "(no witness: every branch rejects)"))
+      (* With --trace, a ledger recorder observes the decider's tapes and
+         the run's measured ledger plus its theorem-budget audit land in
+         the trace; without it no observer is installed. *)
+      let obs =
+        Option.map
+          (fun _ -> Obs.Ledger.Recorder.create ~label:(F.algorithm_name algorithm) ())
+          trace
+      in
+      let { Serve.Decider.verdict; cost; spec; _ } =
+        Serve.Decider.run ?budget ?retry ?obs ?device st (F.Core problem) algorithm
+          inst
+      in
+      (match (obs, spec) with
+      | Some r, Some spec ->
+          let l, o = Serve.Decider.audit r inst spec in
+          Obs.Trace.ledger_current l;
+          Obs.Trace.audit_current o
+      | _ -> ());
+      let resources =
+        match (cost, spec) with
+        | Some { Serve.Decider.scans; internal; tapes }, _ ->
+            Printf.sprintf "scans=%d %s=%d tapes=%d" scans
+              (if algorithm = F.Fingerprint then "internal-bits" else "registers")
+              internal tapes
+        | None, None -> "(in-memory reference)"
+        | None, Some _ -> "(no witness: every branch rejects)"
       in
       Printf.printf "%s: %s  %s\n" (D.problem_name problem)
         (if verdict then "YES" else "NO")
@@ -313,12 +303,7 @@ let decide_cmd =
     | Some dir ->
         let name =
           Printf.sprintf "decide-%s-%s-seed%d" (D.problem_name problem)
-            (match algorithm with
-            | `Reference -> "reference"
-            | `Sort -> "sort"
-            | `Fingerprint -> "fingerprint"
-            | `Nst -> "nst")
-            seed
+            (F.algorithm_name algorithm) seed
         in
         Harness.Checkpoint.run
           (Some (Harness.Checkpoint.open_dir dir))
@@ -326,17 +311,10 @@ let decide_cmd =
   in
   let algorithm_arg =
     let doc = "Algorithm: reference, sort (Cor 7), fingerprint (Thm 8a), nst (Thm 8b)." in
+    let algorithms = F.[ Reference; Sort; Fingerprint; Nst ] in
     Arg.(
       value
-      & opt
-          (Arg.enum
-             [
-               ("reference", `Reference);
-               ("sort", `Sort);
-               ("fingerprint", `Fingerprint);
-               ("nst", `Nst);
-             ])
-          `Sort
+      & opt (enum (List.map (fun a -> (F.algorithm_name a, a)) algorithms)) F.Sort
       & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
   in
   let file_arg =
@@ -1012,8 +990,9 @@ let () =
         trace_cmd; simulate_cmd; scrub_cmd;
       ]
   in
-  (* a tripped resource budget, a full disk or exhausted retries on
-     persistent corruption are diagnosed outcomes, not crashes *)
+  (* a tripped resource budget, a full disk, exhausted retries on
+     persistent corruption, a bad decide instance and an unsupported
+     decide pair are diagnosed outcomes, not crashes *)
   try exit (Cmd.eval ~catch:false group) with
   | Tape.Budget_exceeded msg ->
       Printf.eprintf "stlb: budget exceeded: %s\n" msg;
@@ -1026,3 +1005,9 @@ let () =
       Printf.eprintf "stlb: gave up after %d attempts in %s: %s\n" attempts
         label (Printexc.to_string last);
       exit 10
+  | Bad_instance msg ->
+      Printf.eprintf "stlb: %s\n" msg;
+      exit 123
+  | Serve.Decider.Unsupported msg ->
+      Printf.eprintf "stlb: %s\n" msg;
+      exit 124

@@ -41,6 +41,21 @@ exception Table_failed of string list
 
 let agree = function [] -> true | x :: rest -> List.for_all (( = ) x) rest
 
+(* A spec's allowance for [resource] as a table cell; "-" if unbounded. *)
+let allowed_of o resource =
+  match
+    List.find_opt
+      (fun (c : Obs.Audit.check) -> c.Obs.Audit.resource = resource)
+      o.Obs.Audit.checks
+  with
+  | Some c -> string_of_int c.Obs.Audit.allowed
+  | None -> "-"
+
+(* The label a decider's ledger carries in the tables and traces. *)
+let ledger_label = function
+  | Serve.Frame.Sort -> "merge sort"
+  | a -> Serve.Frame.algorithm_name a
+
 (* The tables' one determinism gate: print each verdict line, then the
    closing note, exactly as a passing table always has - and then fail
    the table if any verdict is not ok. *)
@@ -944,17 +959,7 @@ let exp17 () =
           "<=t"; "moves"; "audit";
         ]
   in
-  let allowed_of o resource =
-    match
-      List.find_opt
-        (fun (c : Obs.Audit.check) -> c.Obs.Audit.resource = resource)
-        o.Obs.Audit.checks
-    with
-    | Some c -> string_of_int c.Obs.Audit.allowed
-    | None -> "-"
-  in
-  let row tbl ~decider ~m (l : Obs.Ledger.t) spec =
-    let o = Obs.Audit.check spec l in
+  let row tbl ~decider ~m ((l : Obs.Ledger.t), o) =
     Obs.Trace.ledger_current l;
     Obs.Trace.audit_current o;
     T.add_row tbl
@@ -970,35 +975,22 @@ let exp17 () =
         allowed_of o "tapes";
         string_of_int (Obs.Ledger.head_moves l);
         (if o.Obs.Audit.ok then "PASS" else "FAIL");
-      ];
-    o.Obs.Audit.ok
+      ]
   in
   List.iter
-    (fun m ->
-      let inst = G.yes_instance st D.Multiset_equality ~m ~n in
-      let r = Obs.Ledger.Recorder.create ~label:"fingerprint" () in
-      let _, _, params = Fingerprint.run ~obs:r st inst in
-      let l =
-        Obs.Ledger.Recorder.ledger ~n:params.Fingerprint.input_size r
-      in
-      ignore (row t ~decider:"fingerprint" ~m l Obs.Audit.fingerprint_spec))
-    sizes;
-  List.iter
-    (fun m ->
-      let inst = G.yes_instance st D.Multiset_equality ~m ~n in
-      let r = Obs.Ledger.Recorder.create ~label:"merge sort" () in
-      let _ = Extsort.multiset_equality ~obs:r inst in
-      let l = Obs.Ledger.Recorder.ledger ~n:(I.size inst) r in
-      ignore (row t ~decider:"merge sort" ~m l Obs.Audit.mergesort_spec))
-    sizes;
-  List.iter
-    (fun m ->
-      let inst = G.yes_instance st D.Multiset_equality ~m ~n in
-      let r = Obs.Ledger.Recorder.create ~label:"nst" () in
-      let _ = Nst.decide_with_prover ~obs:r D.Multiset_equality inst in
-      let l = Obs.Ledger.Recorder.ledger ~n:(I.size inst) r in
-      ignore (row t ~decider:"nst verify" ~m l Obs.Audit.nst_spec))
-    sizes;
+    (fun (algorithm, decider) ->
+      List.iter
+        (fun m ->
+          let inst = G.yes_instance st D.Multiset_equality ~m ~n in
+          let r = Obs.Ledger.Recorder.create ~label:(ledger_label algorithm) () in
+          let d =
+            Serve.Decider.run ~obs:r st (Serve.Frame.Core D.Multiset_equality)
+              algorithm inst
+          in
+          row t ~decider ~m
+            (Serve.Decider.audit r inst (Option.get d.Serve.Decider.spec)))
+        sizes)
+    Serve.Frame.[ (Fingerprint, "fingerprint"); (Sort, "merge sort"); (Nst, "nst verify") ];
   T.print t;
   (* The negative control: one full head reversal per item is an
      O(N)-scan machine, far outside the O(log N) class the audit
@@ -1025,8 +1017,7 @@ let exp17 () =
       Tape.move tape Tape.Left
     done
   done;
-  let l = Obs.Ledger.Recorder.ledger ~n:(I.size inst) r in
-  let o = Obs.Audit.check Obs.Audit.mergesort_spec l in
+  let l, o = Serve.Decider.audit r inst Obs.Audit.mergesort_spec in
   Obs.Trace.ledger_current l;
   Obs.Trace.audit_current o;
   T.add_row t2
@@ -1102,71 +1093,55 @@ let exp18 () =
           "audit"; "io MB"; "res MiB";
         ]
   in
-  let allowed_of o resource =
-    match
-      List.find_opt
-        (fun (c : Obs.Audit.check) -> c.Obs.Audit.resource = resource)
-        o.Obs.Audit.checks
-    with
-    | Some c -> string_of_int c.Obs.Audit.allowed
-    | None -> "-"
-  in
   let mb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1048576.0) in
-  let row ~decider ~dev_name ~m ~ledger_n r spec =
-    let l = Obs.Ledger.Recorder.ledger ~n:ledger_n r in
-    let o = Obs.Audit.check spec l in
-    let ds = Obs.Ledger.Recorder.device_stats r in
-    Obs.Trace.ledger_current l;
-    Obs.Trace.audit_current o;
-    Obs.Trace.device_current ~label:(decider ^ "/" ^ dev_name) ~kind:dev_name ds;
-    T.add_row t
-      [
-        decider;
-        dev_name;
-        string_of_int m;
-        string_of_int l.Obs.Ledger.n;
-        string_of_int l.Obs.Ledger.scans;
-        allowed_of o "scans";
-        string_of_int l.Obs.Ledger.internal_peak;
-        allowed_of o "internal";
-        (if o.Obs.Audit.ok then "PASS" else "FAIL");
-        mb (ds.Tape.Device.io_read_bytes + ds.Tape.Device.io_write_bytes);
-        mb ds.Tape.Device.resident_bytes;
-      ];
-    ( l.Obs.Ledger.scans,
-      l.Obs.Ledger.internal_peak,
-      Obs.Ledger.tape_count l,
-      o.Obs.Audit.ok )
-  in
-  let fp_rows =
+  (* one row per backend; a fresh identically-seeded state per run:
+     the fingerprint must draw the same primes on every backend
+     (checked with the costs, though not printed), so any divergence
+     is the device's *)
+  let rows algorithm ~m inst =
     List.map
       (fun (dev_name, device) ->
-        (* a fresh identically-seeded state per backend: the decider
-           must draw the same primes (checked with the costs, though
-           not printed), so any divergence is the device's *)
-        let r = Obs.Ledger.Recorder.create ~label:"fingerprint" () in
-        let accept, _, params =
-          Fingerprint.run ~obs:r ~device (fresh_state ()) inst_fp
+        let decider = ledger_label algorithm in
+        let r = Obs.Ledger.Recorder.create ~label:decider () in
+        let d =
+          Serve.Decider.run ~obs:r ~device (fresh_state ())
+            (Serve.Frame.Core D.Multiset_equality) algorithm inst
         in
-        ( row ~decider:"fingerprint" ~dev_name ~m:m_fp
-            ~ledger_n:params.Fingerprint.input_size r Obs.Audit.fingerprint_spec,
-          accept,
-          params ))
+        let l, o = Serve.Decider.audit r inst (Option.get d.Serve.Decider.spec) in
+        let ds = Obs.Ledger.Recorder.device_stats r in
+        Obs.Trace.ledger_current l;
+        Obs.Trace.audit_current o;
+        Obs.Trace.device_current ~label:(decider ^ "/" ^ dev_name) ~kind:dev_name ds;
+        T.add_row t
+          [
+            decider;
+            dev_name;
+            string_of_int m;
+            string_of_int l.Obs.Ledger.n;
+            string_of_int l.Obs.Ledger.scans;
+            allowed_of o "scans";
+            string_of_int l.Obs.Ledger.internal_peak;
+            allowed_of o "internal";
+            (if o.Obs.Audit.ok then "PASS" else "FAIL");
+            mb (ds.Tape.Device.io_read_bytes + ds.Tape.Device.io_write_bytes);
+            mb ds.Tape.Device.resident_bytes;
+          ];
+        ( l.Obs.Ledger.scans,
+          l.Obs.Ledger.internal_peak,
+          Obs.Ledger.tape_count l,
+          o.Obs.Audit.ok,
+          d.Serve.Decider.verdict,
+          d.Serve.Decider.drawn ))
       (devices ())
   in
-  let ms_rows =
+  let parity =
     List.map
-      (fun (dev_name, device) ->
-        let r = Obs.Ledger.Recorder.create ~label:"merge sort" () in
-        let accept, _ = Extsort.multiset_equality ~obs:r ~device inst in
-        ( row ~decider:"merge sort" ~dev_name ~m ~ledger_n:size r
-            Obs.Audit.mergesort_spec,
-          accept ))
-      (devices ())
+      (fun (algorithm, m, inst) -> agree (rows algorithm ~m inst))
+      Serve.Frame.[ (Fingerprint, m_fp, inst_fp); (Sort, m, inst) ]
   in
   T.print t;
   (try Unix.rmdir spill with Unix.Unix_error _ -> ());
-  let ok = agree fp_rows && agree ms_rows in
+  let ok = List.for_all Fun.id parity in
   footer
     [
       ( ok,
@@ -1219,22 +1194,20 @@ let exp19 () =
   in
   let retry = { Faults.Retry.default with Faults.Retry.attempts = 8 } in
   let seed = 0x5EED in
-  (* one row: run [decider] on [dev_name] under [plan], classify the
-     outcome, and report the recovery counters attributable to it *)
-  let run_one ~decider ~dev_name plan =
+  (* one row: run [algorithm] on [dev_name] under [plan], classify the
+     outcome (the verdict and its audit, or why it aborted), and report
+     the recovery counters attributable to it *)
+  let run_one ~algorithm ~dev_name plan =
+    let inst = if algorithm = Serve.Frame.Sort then inst else inst_fp in
     let raw = S.raw_for plan in
     let device = device_for ~raw dev_name in
     let before = Obs.Counters.snapshot () in
-    let label = match decider with `Sort -> "merge sort" | `Fp -> "fingerprint" in
-    let r = Obs.Ledger.Recorder.create ~label () in
+    let r = Obs.Ledger.Recorder.create ~label:(ledger_label algorithm) () in
     let outcome =
       try
-        let verdict =
-          match decider with
-          | `Sort -> fst (Extsort.multiset_equality ~retry ~obs:r ~device inst)
-          | `Fp -> Fingerprint.decide ~retry ~obs:r ~device (fresh_state ()) inst_fp
-        in
-        Ok verdict
+        Ok
+          (Serve.Decider.run ~retry ~obs:r ~device (fresh_state ())
+             (Serve.Frame.Core D.Multiset_equality) algorithm inst)
       with
       | Faults.Retry.Gave_up _ -> Error "gave-up"
       | Tape.Device.Corrupt _ -> Error "corrupt"
@@ -1243,13 +1216,15 @@ let exp19 () =
       | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
     in
     let d = Obs.Counters.diff (Obs.Counters.snapshot ()) ~since:before in
-    let ledger_n = match decider with `Sort -> size | `Fp -> I.size inst_fp in
-    let l = Obs.Ledger.Recorder.ledger ~n:ledger_n r in
+    let l = Obs.Ledger.Recorder.ledger ~n:(I.size inst) r in
+    let outcome =
+      Result.map
+        (fun dec ->
+          ( dec.Serve.Decider.verdict,
+            Obs.Audit.check (Option.get dec.Serve.Decider.spec) l ))
+        outcome
+    in
     (outcome, d, l)
-  in
-  let spec_of = function
-    | `Sort -> Obs.Audit.mergesort_spec
-    | `Fp -> Obs.Audit.fingerprint_spec
   in
   let t =
     T.create
@@ -1274,7 +1249,7 @@ let exp19 () =
       ("torn 2e-3", { S.zero with S.torn_write = 2.0e-3 });
     ]
   in
-  let pairs = [ (`Sort, "file"); (`Sort, "shard"); (`Fp, "file") ] in
+  let pairs = Serve.Frame.[ (Sort, "file"); (Sort, "shard"); (Fingerprint, "file") ] in
   (* ops drawn by the clean run of each pair: the crash rows below
      place their crash point halfway into the same workload, so the
      point scales with STLB_E19_N instead of silently missing *)
@@ -1283,20 +1258,17 @@ let exp19 () =
   List.iter
     (fun (fault_label, rates) ->
       List.iter
-        (fun (decider, dev_name) ->
+        (fun (algorithm, dev_name) ->
           let plan = S.Plan.create ~seed ~rates () in
-          let outcome, d, l = run_one ~decider ~dev_name plan in
-          let dec_label =
-            match decider with `Sort -> "merge sort" | `Fp -> "fingerprint"
-          in
+          let outcome, d, l = run_one ~algorithm ~dev_name plan in
+          let dec_label = ledger_label algorithm in
           if fault_label = "none" then begin
             Hashtbl.replace clean_ops (dec_label, dev_name) (S.Plan.ops plan);
             Hashtbl.replace clean_scans (dec_label, dev_name) l.Obs.Ledger.scans
           end;
           let audit =
             match outcome with
-            | Ok _ ->
-                let o = Obs.Audit.check (spec_of decider) l in
+            | Ok (_, o) ->
                 Obs.Trace.ledger_current l;
                 Obs.Trace.audit_current o;
                 if o.Obs.Audit.ok then "PASS" else "FAIL"
@@ -1309,8 +1281,8 @@ let exp19 () =
               fault_label;
               (match outcome with Ok _ -> "ok" | Error e -> "ABORT:" ^ e);
               (match outcome with
-              | Ok true -> "accept"
-              | Ok false -> "reject"
+              | Ok (true, _) -> "accept"
+              | Ok (false, _) -> "reject"
               | Error _ -> "-");
               string_of_int d.Obs.Counters.device_corrupt_detected;
               string_of_int d.Obs.Counters.device_quarantine_rereads;
@@ -1323,7 +1295,7 @@ let exp19 () =
   (* one full-disk row: the k-th and every later raw write fails with
      ENOSPC — fatal by classification, never retried *)
   (let plan = S.Plan.create ~enospc_after:10 ~seed ~rates:S.zero () in
-   let outcome, d, l = run_one ~decider:`Sort ~dev_name:"file" plan in
+   let outcome, d, l = run_one ~algorithm:Serve.Frame.Sort ~dev_name:"file" plan in
    T.add_row t
      [
        "merge sort"; "file"; "enospc@10";
@@ -1351,12 +1323,12 @@ let exp19 () =
       let k = max 1 (total / 2) in
       let crash_plan = S.Plan.create ~crash_at:k ~seed ~rates:S.zero () in
       let crashed =
-        match run_one ~decider:`Sort ~dev_name crash_plan with
+        match run_one ~algorithm:Serve.Frame.Sort ~dev_name crash_plan with
         | Error "crash", _, _ -> true
         | _ -> false
       in
       let resume_plan = S.Plan.create ~seed ~rates:S.zero () in
-      let outcome, _, l = run_one ~decider:`Sort ~dev_name resume_plan in
+      let outcome, _, l = run_one ~algorithm:Serve.Frame.Sort ~dev_name resume_plan in
       let baseline = try Hashtbl.find clean_scans (dec_label, dev_name) with Not_found -> -1 in
       T.add_row t2
         [
@@ -1365,12 +1337,13 @@ let exp19 () =
           Printf.sprintf "op %d/%d" k total;
           (if crashed then "yes" else "no");
           (match outcome with
-          | Ok true -> "accept"
-          | Ok false -> "reject"
+          | Ok (true, _) -> "accept"
+          | Ok (false, _) -> "reject"
           | Error e -> "ABORT:" ^ e);
           string_of_int l.Obs.Ledger.scans;
-          (if l.Obs.Ledger.scans = baseline && outcome = Ok true then "yes"
-           else "NO");
+          (match outcome with
+          | Ok (true, _) when l.Obs.Ledger.scans = baseline -> "yes"
+          | _ -> "NO");
         ])
     [ ("merge sort", "file"); ("merge sort", "shard") ];
   T.print t2;

@@ -39,7 +39,6 @@ type exec_result = {
       (* ledger + audit of the run, for --trace emission (main domain) *)
 }
 
-let plain v = { outcome = Ok v; obs = None }
 let fail code msg = { outcome = Error (code, msg); obs = None }
 
 (* One decide, seeded purely by (server seed, request id). Runs on a
@@ -58,107 +57,42 @@ let exec cfg ~id (d : Frame.decide_body) : exec_result =
       let r =
         Obs.Ledger.Recorder.create ~label:(Frame.algorithm_name d.Frame.algorithm) ()
       in
-      let audited ~verdict ~scans ~internal ~tapes spec =
-        let l = Obs.Ledger.Recorder.ledger ~n:(Problems.Instance.size inst) r in
-        let o = Obs.Audit.check spec l in
-        if o.Obs.Audit.ok then
-          {
-            outcome = Ok { Frame.verdict; audited = true; scans; internal; tapes };
-            obs = Some (l, o);
-          }
-        else
-          {
-            outcome =
+      match
+        Decider.run ?budget ?device:cfg.device ~obs:r st d.Frame.problem
+          d.Frame.algorithm inst
+      with
+      | { Decider.verdict; cost = Some c; spec = Some spec; _ } ->
+          let l, o = Decider.audit r inst spec in
+          let outcome =
+            if o.Obs.Audit.ok then
+              Ok
+                {
+                  Frame.verdict;
+                  audited = true;
+                  scans = c.Decider.scans;
+                  internal = c.Decider.internal;
+                  tapes = c.Decider.tapes;
+                }
+            else
               Error
                 ( Frame.Audit_failed,
                   Printf.sprintf "run exceeded the %s budget at N=%d"
-                    o.Obs.Audit.spec_name o.Obs.Audit.n );
-            obs = Some (l, o);
+                    o.Obs.Audit.spec_name o.Obs.Audit.n )
+          in
+          { outcome; obs = Some (l, o) }
+      | { Decider.verdict; _ } ->
+          (* reference runs, and NST with no witness: nothing to audit *)
+          {
+            outcome =
+              Ok { Frame.verdict; audited = false; scans = 0; internal = 0; tapes = 0 };
+            obs = None;
           }
-      in
-      let unaudited verdict =
-        plain
-          { Frame.verdict; audited = false; scans = 0; internal = 0; tapes = 0 }
-      in
-      try
-        match (d.Frame.problem, d.Frame.algorithm) with
-        | Frame.Core problem, Frame.Reference ->
-            unaudited (Problems.Decide.decide problem inst)
-        | Frame.Core problem, Frame.Sort ->
-            let v, rep =
-              Extsort.decide ?budget ?device:cfg.device ~obs:r problem inst
-            in
-            audited ~verdict:v ~scans:rep.Extsort.scans
-              ~internal:rep.Extsort.register_peak ~tapes:rep.Extsort.tapes
-              Obs.Audit.mergesort_spec
-        | Frame.Core problem, Frame.Fingerprint ->
-            if problem <> Problems.Decide.Multiset_equality then
-              fail Frame.Malformed "fingerprint solves multiset-eq only"
-            else
-              let v, rep, _ = Fingerprint.run ?device:cfg.device ~obs:r st inst in
-              audited ~verdict:v ~scans:rep.Fingerprint.scans
-                ~internal:rep.Fingerprint.internal_bits ~tapes:rep.Fingerprint.tapes
-                Obs.Audit.fingerprint_spec
-        | Frame.Core problem, Frame.Nst -> (
-            let v, rep = Nst.decide_with_prover ~obs:r problem inst in
-            match rep with
-            | Some rp ->
-                audited ~verdict:v ~scans:rp.Nst.scans
-                  ~internal:rp.Nst.internal_registers ~tapes:rp.Nst.tapes
-                  Obs.Audit.nst_spec
-            | None ->
-                (* every branch rejects: nothing ran, nothing to audit *)
-                unaudited v)
-        (* Query-layer reductions: YES iff the two halves are equal as
-           sets (relalg-symdiff, Theorem 11(b)) / iff some set1 string
-           is missing from set2 (xpath-filter, Theorem 13). Only the
-           reference and sort algorithms apply. *)
-        | (Frame.Relalg_symdiff | Frame.Xpath_filter), (Frame.Fingerprint | Frame.Nst)
-          ->
-            fail Frame.Malformed
-              (Frame.problem_name d.Frame.problem
-              ^ " accepts only the reference and sort algorithms")
-        | Frame.Relalg_symdiff, Frame.Reference ->
-            let canon a =
-              List.sort_uniq compare
-                (Array.to_list (Array.map Util.Bitstring.to_string a))
-            in
-            unaudited
-              (canon (Problems.Instance.xs inst)
-              = canon (Problems.Instance.ys inst))
-        | Frame.Relalg_symdiff, Frame.Sort ->
-            let result, rep =
-              Relalg.eval_streaming ?device:cfg.device
-                ~observe:(Obs.Ledger.Recorder.observe r)
-                (Relalg.instance_db inst)
-                (Relalg.symmetric_difference "R1" "R2")
-            in
-            audited
-              ~verdict:(result.Relalg.tuples = [])
-              ~scans:rep.Relalg.scans ~internal:rep.Relalg.registers
-              ~tapes:rep.Relalg.tapes Obs.Audit.relalg_symdiff_spec
-        | Frame.Xpath_filter, Frame.Reference ->
-            let mem a x = Array.exists (Util.Bitstring.equal x) a in
-            unaudited
-              (Array.exists
-                 (fun x -> not (mem (Problems.Instance.ys inst) x))
-                 (Problems.Instance.xs inst))
-        | Frame.Xpath_filter, Frame.Sort ->
-            let stream = Xmlq.Doc.serialize (Xmlq.Doc.of_instance inst) in
-            let v, rep =
-              Xmlq.Stream_filter.figure1_filter
-                ~observe:(Obs.Ledger.Recorder.observe r)
-                stream
-            in
-            audited ~verdict:v ~scans:rep.Xmlq.Stream_filter.scans
-              ~internal:rep.Xmlq.Stream_filter.registers
-              ~tapes:rep.Xmlq.Stream_filter.tapes Obs.Audit.xpath_filter_spec
-      with
-      | Tape.Budget_exceeded m -> fail Frame.Budget ("budget exceeded: " ^ m)
-      | Faults.Retry.Gave_up { label; attempts; _ } ->
+      | exception Decider.Unsupported m -> fail Frame.Malformed m
+      | exception Tape.Budget_exceeded m -> fail Frame.Budget ("budget exceeded: " ^ m)
+      | exception Faults.Retry.Gave_up { label; attempts; _ } ->
           fail Frame.Budget
             (Printf.sprintf "gave up after %d attempts in %s" attempts label)
-      | e -> fail Frame.Internal (Printexc.to_string e))
+      | exception e -> fail Frame.Internal (Printexc.to_string e))
 
 (* ---------------------------------------------------------------- *)
 (* server state                                                      *)

@@ -4,8 +4,8 @@
    drift), the per-request seed rule, verdict determinism across server
    restarts / worker counts / batching (in-process and against the real
    `stlb serve` binary), backpressure (bounded queue and
-   batch/frame size limits shed loudly), and a malformed-frame fuzz
-   pass that the server must survive. *)
+   batch/frame size limits shed loudly), a malformed-frame fuzz pass
+   that the server must survive, and the decider table itself. *)
 
 module F = Serve.Frame
 module D = Problems.Decide
@@ -448,6 +448,57 @@ let test_query_problems_on_the_wire () =
   Serve.Client.close c
 
 (* ------------------------------------------------------------------ *)
+(* the decider table, called directly *)
+
+let test_decider_table () =
+  let st = Random.State.make [| 0x17 |] in
+  let problems =
+    F.
+      [
+        Core D.Set_equality; Core D.Multiset_equality; Core D.Check_sort;
+        Relalg_symdiff; Xpath_filter;
+      ]
+  in
+  let unsupported = ref [] in
+  List.iter
+    (fun problem ->
+      (* the query problems take SET-EQUALITY instances *)
+      let core = match problem with F.Core p -> p | _ -> D.Set_equality in
+      List.iter
+        (fun make ->
+          let inst = make st core ~m:3 ~n:4 in
+          let run algorithm = Serve.Decider.run st problem algorithm inst in
+          let expected = (run F.Reference).Serve.Decider.verdict in
+          List.iter
+            (fun algorithm ->
+              let name =
+                F.problem_name problem ^ "/" ^ F.algorithm_name algorithm
+              in
+              match run algorithm with
+              | exception Serve.Decider.Unsupported _ ->
+                  unsupported := name :: !unsupported
+              | { Serve.Decider.verdict; cost; spec; drawn } ->
+                  (* NST with no witness never runs its verifier *)
+                  let on_tapes =
+                    algorithm <> F.Reference && (algorithm <> F.Nst || verdict)
+                  in
+                  check (name ^ " verdict") expected verdict;
+                  check (name ^ " cost") on_tapes (cost <> None);
+                  check (name ^ " spec") (algorithm <> F.Reference) (spec <> None);
+                  check (name ^ " drawn") (algorithm = F.Fingerprint) (drawn <> None))
+            F.[ Reference; Sort; Fingerprint; Nst ])
+        Problems.Generators.[ yes_instance; no_instance ])
+    problems;
+  check_int "unsupported runs (6 pairs x yes/no)" 12 (List.length !unsupported);
+  Alcotest.(check (list string))
+    "unsupported pairs"
+    [
+      "CHECK-SORT/fingerprint"; "RELALG-SYMDIFF/fingerprint"; "RELALG-SYMDIFF/nst";
+      "SET-EQUALITY/fingerprint"; "XPATH-FILTER/fingerprint"; "XPATH-FILTER/nst";
+    ]
+    (List.sort_uniq compare !unsupported)
+
+(* ------------------------------------------------------------------ *)
 (* backpressure *)
 
 let test_queue_bound_sheds_loudly () =
@@ -615,6 +666,11 @@ let () =
             test_batching_equivalence;
           Alcotest.test_case "query problems on the wire" `Quick
             test_query_problems_on_the_wire;
+        ] );
+      ( "decider",
+        [
+          Alcotest.test_case "all 20 problem x algorithm pairs" `Quick
+            test_decider_table;
         ] );
       ( "backpressure",
         [
