@@ -268,23 +268,7 @@ let time_tables () =
       (name, Unix.gettimeofday () -. t0))
     Harness.Experiments.all
 
-(* Minimal JSON writer - names are ASCII identifiers, so escaping only
-   needs the JSON specials. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string s = "\"" ^ Util.Json.escape s ^ "\""
 
 let write_trajectory ~path ~quick ~estimates ~serve ~tables =
   let oc = open_out path in

@@ -178,9 +178,7 @@ let device_spec ~tag ?raw d =
         (Tape.Device.file_spec ~block_bytes:d.block_size ~cache_blocks:16 ?raw
            (spill ()))
   | `Shard ->
-      Some
-        (Tape.Device.shard_spec ~shard_bytes:(16 * d.block_size) ~cache_shards:2
-           ?raw (spill ()))
+      Some (Tape.Device.shard_spec ~shard_bytes:(16 * d.block_size) ?raw (spill ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -445,9 +443,9 @@ let serve_cmd =
   in
   let max_scans_arg =
     let doc =
-      "Enforce a scan budget on sort-decider requests: exceeding $(docv) \
-       scans reports a BUDGET error for that request (the server keeps \
-       running)."
+      "Enforce a scan budget on sort requests for the core problems: \
+       exceeding $(docv) scans reports a BUDGET error for that request \
+       (the server keeps running)."
     in
     Arg.(value & opt (some int) None & info [ "max-scans" ] ~docv:"R" ~doc)
   in
@@ -460,7 +458,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~exits)
     Term.(
       const run $ socket_arg $ seed_arg $ jobs_arg
-      $ device_term ~users:"sort and fingerprint requests"
+      $ device_term ~users:"sort, fingerprint and relalg-symdiff requests"
       $ max_scans_arg $ max_frame_arg $ max_batch_arg $ queue_bound_arg
       $ max_requests_arg $ trace_arg)
 

@@ -50,25 +50,9 @@ let path t name = Filename.concat t.dir (name ^ ".json")
 
 (* ---------------- flat JSON encode/decode --------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 16) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let encode ~name ~output =
   Printf.sprintf "{\"experiment\":\"%s\",\"crc\":%d,\"output\":\"%s\"}\n"
-    (escape name) (Util.Hash.crc32 output) (escape output)
+    (Util.Json.escape name) (Util.Hash.crc32 output) (Util.Json.escape output)
 
 let index_of s pat =
   let n = String.length s and m = String.length pat in

@@ -1078,7 +1078,7 @@ let exp18 () =
     [
       ("mem", Tape.Device.Mem);
       ("file", Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:16 spill);
-      ("shard", Tape.Device.shard_spec ~shard_bytes:(1 lsl 20) ~cache_shards:2 spill);
+      ("shard", Tape.Device.shard_spec ~shard_bytes:(1 lsl 20) spill);
     ]
   in
   let t =
@@ -1190,7 +1190,7 @@ let exp19 () =
   let device_for ~raw dev_name =
     match dev_name with
     | "file" -> Tape.Device.file_spec ~block_bytes ~cache_blocks:4 ~raw spill
-    | _ -> Tape.Device.shard_spec ~shard_bytes:block_bytes ~cache_shards:2 ~raw spill
+    | _ -> Tape.Device.shard_spec ~shard_bytes:block_bytes ~raw spill
   in
   let retry = { Faults.Retry.default with Faults.Retry.attempts = 8 } in
   let seed = 0x5EED in
@@ -1462,7 +1462,7 @@ let exp20 () =
       | "file" ->
           Some (Tape.Device.file_spec ~block_bytes:4096 ~cache_blocks:4 spill)
       | "shard" ->
-          Some (Tape.Device.shard_spec ~shard_bytes:8192 ~cache_shards:2 spill)
+          Some (Tape.Device.shard_spec ~shard_bytes:8192 spill)
       | _ -> None
     in
     let cfg =
@@ -1614,7 +1614,7 @@ let exp21 () =
     ~device:(Tape.Device.file_spec ~block_bytes:4096 ~cache_blocks:4 spill)
     ~clean:true ();
   row ~name:"shard"
-    ~device:(Tape.Device.shard_spec ~shard_bytes:8192 ~cache_shards:2 spill)
+    ~device:(Tape.Device.shard_spec ~shard_bytes:8192 spill)
     ~clean:true ();
   (* negative control: plant the swap-compose bug in the planner and
      require the fuzzer to notice *)

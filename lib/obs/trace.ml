@@ -5,36 +5,22 @@ type t = { oc : out_channel; owns : bool }
 let open_file path = { oc = open_out path; owns = true }
 let of_channel oc = { oc; owns = false }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let emit t ~event fields =
   let b = Buffer.create 128 in
   Buffer.add_string b "{\"event\":\"";
-  Buffer.add_string b (escape event);
+  Buffer.add_string b (Util.Json.escape event);
   Buffer.add_char b '"';
   List.iter
     (fun (k, v) ->
       Buffer.add_string b ",\"";
-      Buffer.add_string b (escape k);
+      Buffer.add_string b (Util.Json.escape k);
       Buffer.add_string b "\":";
       match v with
       | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
       | Int i -> Buffer.add_string b (string_of_int i)
       | String s ->
           Buffer.add_char b '"';
-          Buffer.add_string b (escape s);
+          Buffer.add_string b (Util.Json.escape s);
           Buffer.add_char b '"')
     fields;
   Buffer.add_string b "}\n";

@@ -145,25 +145,14 @@ let zero_stats () =
 (* deterministic single-line JSON; field order is fixed by the caller *)
 let json_of_fields fields =
   let b = Buffer.create 256 in
-  let escape s =
-    String.concat ""
-      (List.map
-         (fun c ->
-           match c with
-           | '"' -> "\\\""
-           | '\\' -> "\\\\"
-           | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-           | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (escape k));
+      Buffer.add_string b (Printf.sprintf "\"%s\":" (Util.Json.escape k));
       match v with
       | `Int n -> Buffer.add_string b (string_of_int n)
-      | `Str s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (escape s))
+      | `Str s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (Util.Json.escape s))
       | `Raw s -> Buffer.add_string b s)
     fields;
   Buffer.add_char b '}';

@@ -31,10 +31,14 @@ type config = {
   seed : int;  (** root of the per-request seed derivation *)
   domains : int;  (** pool workers for decide fan-out ([>= 1]) *)
   device : Tape.Device.spec option;
-      (** tape backend for sort/fingerprint runs; [None] = in-RAM *)
+      (** tape backend for the runs {!Decider.run} puts on a device:
+          sort on a core problem, the fingerprint, and sort on
+          [relalg-symdiff]; [None] = in-RAM. Reference, NST and
+          [xpath-filter] runs stay in memory. *)
   max_scans : int option;
-      (** optional hard scan budget on the sort decider (as
-          [stlb decide --max-scans]); trips report a [BUDGET] error *)
+      (** optional hard scan budget on sort for the core problems (as
+          [stlb decide --max-scans]); a trip reports a [BUDGET] error.
+          The query problems' sort runs are not budgeted. *)
   max_frame : int;  (** payload byte bound; above it the frame is shed *)
   max_batch : int;  (** decide items accepted per BATCH frame *)
   queue_bound : int;  (** pending-request bound before shedding *)

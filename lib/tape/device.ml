@@ -30,7 +30,7 @@ type stats = {
   resident_bytes : int;  (** bytes currently cached in RAM *)
   io_read_bytes : int;
   io_write_bytes : int;
-  backing_files : int;  (** files on disk (0 for the mem backend) *)
+  backing_files : int;  (** files created; close does not decrement it *)
 }
 
 let zero_stats =
@@ -243,29 +243,14 @@ type spec =
       cache_blocks : int;
       raw : raw_factory option;
     }
-  | Shard of {
-      dir : string;
-      shard_bytes : int;
-      cache_shards : int;
-      raw : raw_factory option;
-    }
+  | Shard of { dir : string; shard_bytes : int; raw : raw_factory option }
 
 let mem_spec = Mem
 
 let file_spec ?(block_bytes = 1 lsl 16) ?(cache_blocks = 16) ?raw dir =
   File { dir; block_bytes; cache_blocks; raw }
 
-let shard_spec ?(shard_bytes = 1 lsl 20) ?(cache_shards = 2) ?raw dir =
-  Shard { dir; shard_bytes; cache_shards; raw }
-
-let pp_spec ppf = function
-  | Mem -> Format.fprintf ppf "mem"
-  | File { dir; block_bytes; cache_blocks; _ } ->
-      Format.fprintf ppf "file(%s, block=%dB, cache=%d)" dir block_bytes
-        cache_blocks
-  | Shard { dir; shard_bytes; cache_shards; _ } ->
-      Format.fprintf ppf "shard(%s, shard=%dB, cache=%d)" dir shard_bytes
-        cache_shards
+let shard_spec ?(shard_bytes = 1 lsl 20) ?raw dir = Shard { dir; shard_bytes; raw }
 
 (* ------------------------------------------------------------------ *)
 (* Mem: the original growable array.                                   *)
@@ -564,7 +549,10 @@ type 'a shard = {
   present : Bytes.t;
 }
 
-let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
+(* shards a shard device keeps in RAM *)
+let cache_shards = 2
+
+let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
     ~(blank : a) ~name : a t =
   mkdir_p dir;
   let raw = (raw_of raw) ~name in
@@ -587,7 +575,7 @@ let shard (type a) ~dir ~shard_bytes ~cache_shards ~raw ~(codec : a Codec.t)
   (* cells per shard from the target shard size and the worst-case cell *)
   let cells = max 16 (shard_bytes / (codec.Codec.max_bytes + 1)) in
   let cache =
-    Array.init (max 1 cache_shards) (fun _ ->
+    Array.init cache_shards (fun _ ->
         {
           sh = -1;
           sh_dirty = false;
@@ -765,8 +753,8 @@ let instantiate (type a) ?(codec : a Codec.t option) spec ~(blank : a) ~name :
       mem ~blank
   | File { dir; block_bytes; cache_blocks; raw }, Some codec ->
       file ~dir ~block_bytes ~cache_blocks ~raw ~codec ~blank ~name
-  | Shard { dir; shard_bytes; cache_shards; raw }, Some codec ->
-      shard ~dir ~shard_bytes ~cache_shards ~raw ~codec ~blank ~name
+  | Shard { dir; shard_bytes; raw }, Some codec ->
+      shard ~dir ~shard_bytes ~raw ~codec ~blank ~name
 
 (* ------------------------------------------------------------------ *)
 (* Scrub: offline integrity walk over a spill directory.               *)

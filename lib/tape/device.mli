@@ -19,7 +19,11 @@ type stats = {
   resident_bytes : int;  (** bytes currently cached in RAM *)
   io_read_bytes : int;  (** payload bytes read from backing storage *)
   io_write_bytes : int;  (** payload bytes written to backing storage *)
-  backing_files : int;  (** run files on disk (0 for the mem backend) *)
+  backing_files : int;
+      (** backing files the device has created: 1 for a file tape, one
+          per shard written for a shard tape, 0 for the mem backend.
+          A count of creations, not of files on disk: closing the
+          device removes its files but does not decrement it. *)
 }
 
 val zero_stats : stats
@@ -155,12 +159,7 @@ type spec =
           (2-byte length prefix + payload, slot size from the codec's
           [max_bytes]) behind a direct-mapped block cache with
           sequential read-ahead *)
-  | Shard of {
-      dir : string;
-      shard_bytes : int;
-      cache_shards : int;
-      raw : raw_factory option;
-    }
+  | Shard of { dir : string; shard_bytes : int; raw : raw_factory option }
       (** a directory of CRC-framed run files, each the concatenation
           of presence-flagged self-delimiting cell encodings, indexed
           by an atomically-renamed MANIFEST; whole shards load and
@@ -173,11 +172,9 @@ val file_spec :
   ?block_bytes:int -> ?cache_blocks:int -> ?raw:raw_factory -> string -> spec
 (** Defaults: 64 KiB blocks, 16 cached blocks, real syscalls. *)
 
-val shard_spec :
-  ?shard_bytes:int -> ?cache_shards:int -> ?raw:raw_factory -> string -> spec
-(** Defaults: 1 MiB shards, 2 cached shards, real syscalls. *)
-
-val pp_spec : Format.formatter -> spec -> unit
+val shard_spec : ?shard_bytes:int -> ?raw:raw_factory -> string -> spec
+(** Defaults: 1 MiB shards, real syscalls. A shard device always keeps
+    2 shards in RAM. *)
 
 val mem : blank:'a -> 'a t
 (** The original growable in-RAM array. *)

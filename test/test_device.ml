@@ -84,7 +84,7 @@ let specs () =
   [
     ("mem", Tape.Device.Mem);
     ("file", Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:2 spill);
-    ("shard", Tape.Device.shard_spec ~shard_bytes:256 ~cache_shards:2 spill);
+    ("shard", Tape.Device.shard_spec ~shard_bytes:256 spill);
   ]
 
 (* One deterministic workload on one backend: preload, a forward scan

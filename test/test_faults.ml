@@ -278,7 +278,15 @@ let test_checkpoint_roundtrip () =
       let tricky = "quote \" backslash \\ tab \t\nbell \007 end" in
       Harness.Checkpoint.store t ~name:"tricky" ~output:tricky;
       check "escaping round-trips" true
-        (Harness.Checkpoint.lookup t ~name:"tricky" = Some tricky))
+        (Harness.Checkpoint.lookup t ~name:"tricky" = Some tricky);
+      (* journals written with the older \t / \r escapes still replay *)
+      let old = "tab\there\r\n" in
+      Out_channel.with_open_bin (Filename.concat dir "old.json") (fun oc ->
+          Printf.fprintf oc
+            "{\"experiment\":\"old\",\"crc\":%d,\"output\":\"tab\\there\\r\\n\"}\n"
+            (Util.Hash.crc32 old));
+      check "older escapes replay" true
+        (Harness.Checkpoint.lookup t ~name:"old" = Some old))
 
 let test_checkpoint_detects_corruption () =
   with_tmp_dir (fun dir ->

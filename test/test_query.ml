@@ -52,7 +52,7 @@ let device_specs () =
   [
     ("mem", Tape.Device.Mem);
     ("file", Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:2 spill);
-    ("shard", Tape.Device.shard_spec ~shard_bytes:256 ~cache_shards:2 spill);
+    ("shard", Tape.Device.shard_spec ~shard_bytes:256 spill);
   ]
 
 (* ------------------------------------------------------------------ *)

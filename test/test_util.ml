@@ -215,6 +215,11 @@ let test_splitmix_vector () =
   (* the first splitmix64 output from seed 0: the finaliser of the gamma *)
   check_i64 "splitmix64 seed 0" 0xe220a8397b1dcdafL (Util.Hash.splitmix_at 0L 0)
 
+let test_json_escape () =
+  check_str "specials, newline, other control bytes"
+    {|a\"b\\c\nd\u000de\u0009f\u0001é|}
+    (Util.Json.escape "a\"b\\c\nd\re\tf\001\xc3\xa9")
+
 let () =
   Alcotest.run "util"
     [
@@ -253,4 +258,5 @@ let () =
           Alcotest.test_case "crc32 check values" `Quick test_crc32_known_values;
           Alcotest.test_case "splitmix64 first output" `Quick test_splitmix_vector;
         ] );
+      ("json", [ Alcotest.test_case "string escape" `Quick test_json_escape ]);
     ]
