@@ -215,6 +215,98 @@ let test_file_slot_limit () =
   Alcotest.(check (list string)) "40000-byte cell round-trips" [ "0"; big ] sorted;
   Unix.rmdir spill
 
+(* ------------------------------------------------------------------ *)
+(* on-disk format pin *)
+
+(* Every backing file under [root], as (basename, contents), sorted by
+   name. *)
+let backing_files root =
+  let rec go acc p =
+    if Sys.is_directory p then
+      Array.fold_left (fun acc f -> go acc (Filename.concat p f)) acc (Sys.readdir p)
+    else (Filename.basename p, In_channel.with_open_bin p In_channel.input_all) :: acc
+  in
+  List.sort compare (go [] root)
+
+(* Write [writes] (position, value) in order onto a fresh 256-byte
+   block/shard device, sync, and return the MD5 of its backing files'
+   contents (their names carry an allocation counter, so they are left
+   out); every written position must read back as its last value. *)
+let disk_digest (type a) spec_of (codec : a Tape.Device.Codec.t) ~(blank : a)
+    (writes : (int * a) list) =
+  let dir = Printf.sprintf "%s-pin" spill in
+  let d = Tape.Device.instantiate ~codec (spec_of dir) ~blank ~name:"pin" in
+  List.iter (fun (i, v) -> Tape.Device.set d i v) writes;
+  Tape.Device.sync d;
+  let files = backing_files dir in
+  let last = Hashtbl.create 64 in
+  List.iter (fun (i, v) -> Hashtbl.replace last i v) writes;
+  check_int "cells that do not read back their last value" 0
+    (Hashtbl.fold
+       (fun i v bad -> if Tape.Device.get d i = v then bad else bad + 1)
+       last 0);
+  Tape.Device.close d;
+  Unix.rmdir dir;
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map
+             (fun (_, s) -> Printf.sprintf "%d\n%s" (String.length s) s)
+             files)))
+
+(* The exact bytes the file and shard devices write: 256-byte blocks
+   and shards, cells spread over several of each (so blocks are
+   evicted and shards reloaded before the late overwrites), a gap of
+   never-written cells, and overwrites that shrink and grow a cell. *)
+let pin_writes ?(n = 48) values late =
+  List.init n (fun i ->
+      ((if i >= 30 then i + 4 else i), values.(i mod Array.length values)))
+  @ late
+
+let test_on_disk_format_pinned () =
+  let str_writes =
+    pin_writes
+      [| ""; "\x00\xff\x00"; "twelve-bytes"; "\xff"; "a\x00"; "ab" |]
+      [ (2, "x"); (3, "\x00\x00\x00\x00"); (0, "now-longer"); (50, ""); (8, "twelve-bytes") ]
+  in
+  let int_writes =
+    pin_writes
+      [| -1; 0; 1; -256; 255; max_int; min_int; 1 lsl 56; -(1 lsl 40); 65536 |]
+      [ (5, 0); (1, min_int); (51, -7) ]
+  in
+  let char_writes =
+    pin_writes ~n:200 [| '\x00'; 'a'; '\xff'; '_' |] [ (0, 'z'); (140, '\x00') ]
+  in
+  let specs =
+    [
+      ("file", fun dir -> Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:1 dir);
+      ("shard", fun dir -> Tape.Device.shard_spec ~shard_bytes:256 dir);
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun (kind, spec_of) ->
+        let module C = Tape.Device.Codec in
+        [
+          (kind ^ " strings",
+           disk_digest spec_of (C.tuple_string ~max_len:12) ~blank:"" str_writes);
+          (kind ^ " ints", disk_digest spec_of C.tuple_int ~blank:0 int_writes);
+          (kind ^ " chars", disk_digest spec_of C.tuple_char ~blank:'_' char_writes);
+        ])
+      specs
+  in
+  Alcotest.(check (list (pair string string)))
+    "backing-file digests"
+    [
+      ("file strings", "ca1a868c96ef5c56d6b2db7e8e34195e");
+      ("file ints", "21d2d973158554aefa48706599471fd5");
+      ("file chars", "49b4322d324eaa9bd7231e0b811230eb");
+      ("shard strings", "a3d2de0395cb4d7cdfe4a55e8c48fe40");
+      ("shard ints", "454b653559eef5dd6645212c25c3fb9b");
+      ("shard chars", "73b0a7986c50f9b21ba50c6019d1750f");
+    ]
+    got
+
 let () =
   Alcotest.run "device"
     [
@@ -233,5 +325,7 @@ let () =
             test_file_device_io;
           Alcotest.test_case "file slot length limit" `Quick
             test_file_slot_limit;
+          Alcotest.test_case "on-disk format pinned" `Quick
+            test_on_disk_format_pinned;
         ] );
     ]
