@@ -92,6 +92,23 @@ let micro_tests () =
       ~blank:'_' ~name:"crc-bench"
   in
   let crc_slots = (1 lsl 16) / 4 in
+  (* the cell codec alone: set then get every slot of one cached
+     64 KiB block of short strings - no eviction, so no CRC and no
+     syscall after the first run *)
+  let cell_codec = Tape.Device.Codec.tuple_string ~max_len:12 in
+  let cell_dev =
+    Tape.Device.instantiate ~codec:cell_codec
+      (Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:1
+         (Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "stlb-bench-spill-%d" (Unix.getpid ()))))
+      ~blank:"" ~name:"cell-bench"
+  in
+  let cells =
+    Array.init
+      ((1 lsl 16) / (cell_codec.Tape.Device.Codec.max_bytes + 2))
+      (Printf.sprintf "cell-%04d")
+  in
   (* the query front-end: a join-shaped comprehension over two 24-row
      binary relations, measured at each stage - parse alone, the full
      compile + tape execution + per-node audit, the naive in-memory
@@ -122,6 +139,10 @@ let micro_tests () =
            ignore (Tape.Device.get crc_dev crc_slots);
            Tape.Device.set crc_dev crc_slots 'y';
            ignore (Tape.Device.get crc_dev 0)));
+    Test.make ~name:"device-file-cell-rw-64k"
+      (Staged.stage (fun () ->
+           Array.iteri (Tape.Device.set cell_dev) cells;
+           Array.iteri (fun i _ -> ignore (Tape.Device.get cell_dev i)) cells));
     Test.make ~name:"tape-merge-sort-256"
       (Staged.stage (fun () -> ignore (Extsort.sort sort_items)));
     Test.make ~name:"tape-file-merge-sort-64k"

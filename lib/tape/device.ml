@@ -13,8 +13,12 @@
      a direct-mapped block cache with sequential read-ahead;
    - [Shard]: a directory of run files, each a CRC-framed
      concatenation of self-delimiting tuple-framed cells (Extsort's
-     spill format; the frames are order-preserving so merges compare
-     cells bytewise), indexed by an atomically-renamed MANIFEST.
+     spill format; the encodings are order-preserving, so stored cells
+     compare bytewise like their values), indexed by an
+     atomically-renamed MANIFEST.
+
+   Both byte backends encode and decode cells in place in their block
+   or shard buffer through [Codec].
 
    The byte-backed backends do all their syscalls through a [Raw]
    record of closures (pread/pwrite/fsync/rename/remove), so
@@ -152,7 +156,7 @@ let write_file_atomic (raw : Raw.t) path content ~fsync =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (try
-     full_pwrite raw fd (Bytes.unsafe_of_string content) ~off:0;
+     full_pwrite raw fd content ~off:0;
      if fsync then raw.Raw.fsync fd;
      Unix.close fd
    with e ->
@@ -188,13 +192,16 @@ let stats d = d.dev_stats ()
 let verify d = d.dev_verify ()
 
 module Codec = struct
-  (* How cells of type ['a] become bytes.  [encode]'s output must be at
-     most [max_bytes] long (the file backend sizes its slots with it);
-     [decode buf pos] returns the value together with the offset just
-     past its encoding, so shard files need no cell index. *)
+  (* How cells of type ['a] become bytes, in place: [write buf pos v]
+     writes exactly [size v] bytes at [pos] and returns the end offset;
+     [read buf pos limit] returns the value and its end offset without
+     looking at [limit] or past it, so shard files need no cell index
+     and a file slot's neighbours are never read.  [size v] must not
+     exceed [max_bytes] (the file backend sizes its slots with it). *)
   type 'a codec = {
-    encode : 'a -> string;
-    decode : string -> int -> 'a * int;
+    size : 'a -> int;
+    write : Bytes.t -> int -> 'a -> int;
+    read : Bytes.t -> int -> int -> 'a * int;
     max_bytes : int;
   }
 
@@ -202,35 +209,24 @@ module Codec = struct
 
   let tuple_string ~max_len =
     {
-      encode = (fun s -> Tuple.pack_str s);
-      decode =
-        (fun buf pos ->
-          match Tuple.decode_elt buf pos with
-          | Tuple.Str s, stop -> (s, stop)
-          | Tuple.Int _, _ -> raise (Tuple.Malformed "expected Str cell"));
+      size = Tuple.str_size;
+      write = Tuple.write_str;
+      read = Tuple.read_str;
       (* worst case: every byte escaped, plus code + terminator *)
       max_bytes = (2 * max_len) + 2;
     }
 
   let tuple_int =
-    {
-      encode = (fun n -> Tuple.pack_int n);
-      decode =
-        (fun buf pos ->
-          match Tuple.decode_elt buf pos with
-          | Tuple.Int n, stop -> (n, stop)
-          | Tuple.Str _, _ -> raise (Tuple.Malformed "expected Int cell"));
-      max_bytes = 9;
-    }
+    { size = Tuple.int_size; write = Tuple.write_int; read = Tuple.read_int; max_bytes = 9 }
 
   let tuple_char =
     {
-      encode = (fun c -> Tuple.pack_int (Char.code c));
-      decode =
-        (fun buf pos ->
-          match Tuple.decode_elt buf pos with
-          | Tuple.Int n, stop -> (Char.chr (n land 0xff), stop)
-          | Tuple.Str _, _ -> raise (Tuple.Malformed "expected char cell"));
+      size = (fun c -> Tuple.int_size (Char.code c));
+      write = (fun buf pos c -> Tuple.write_int buf pos (Char.code c));
+      read =
+        (fun buf pos limit ->
+          let n, stop = Tuple.read_int buf pos limit in
+          (Char.chr (n land 0xff), stop));
       max_bytes = 2;
     }
 end
@@ -468,18 +464,14 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
       (fun i ->
         let line = line_for (i / slots_per_block) in
         let off = slot_off i in
-        let len = (Char.code (Bytes.get line.buf off) lsl 8)
-                  lor Char.code (Bytes.get line.buf (off + 1)) in
+        let len = Bytes.get_uint16_be line.buf off in
         if len = 0 then blank
-        else
-          let s = Bytes.sub_string line.buf (off + 2) len in
-          fst (codec.Codec.decode s 0));
+        else fst (codec.Codec.read line.buf (off + 2) (off + 2 + len)));
     dev_set =
       (fun i v ->
         let line = line_for (i / slots_per_block) in
         let off = slot_off i in
-        let enc = codec.Codec.encode v in
-        let len = String.length enc in
+        let len = codec.Codec.size v in
         if len > codec.Codec.max_bytes then
           invalid_arg "Device.file: encoded cell exceeds codec max_bytes";
         if len > max_slot_payload then
@@ -488,11 +480,14 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
                "Device.file: encoded cell of %d bytes exceeds the %d-byte \
                 slot limit"
                len max_slot_payload);
-        Bytes.set line.buf off (Char.chr (len lsr 8));
-        Bytes.set line.buf (off + 1) (Char.chr (len land 0xff));
-        Bytes.blit_string enc 0 line.buf (off + 2) len;
-        (* zero the slack so the backing file is deterministic *)
-        Bytes.fill line.buf (off + 2 + len) (codec.Codec.max_bytes - len) '\x00';
+        let old_len = Bytes.get_uint16_be line.buf off in
+        Bytes.set_uint16_be line.buf off len;
+        let stop = codec.Codec.write line.buf (off + 2) v in
+        (* slack past a slot's length is always zero (loads fill or copy
+           whole blocks, and every set keeps it so), which keeps the
+           backing file deterministic: only a shrink leaves bytes to
+           clear *)
+        if old_len > len then Bytes.fill line.buf stop (old_len - len) '\x00';
         line.dirty <- true;
         if i >= !hi then hi := i + 1);
     dev_extent = (fun () -> !hi);
@@ -537,7 +532,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
    present) followed, when present, by the codec's self-delimiting
    encoding — so a fully-written run file is exactly the concatenation
    of order-preserving cell encodings interleaved with 0x01 flags, and
-   boundaries are recovered by [codec.decode]'s consumed offsets.  The
+   boundaries are recovered from [codec.read]'s end offsets.  The
    file itself carries an 8-byte magic and the CRC-32 of that payload,
    and the directory's MANIFEST lists every run file with its expected
    checksum — the reopen protocol (see DESIGN.md) discards anything
@@ -596,38 +591,46 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
   let manifest_path = Filename.concat base manifest_name in
   let write_manifest ~fsync =
     let entries = Hashtbl.fold (fun f meta acc -> (f, meta) :: acc) manifest [] in
-    write_file_atomic raw manifest_path (manifest_contents entries) ~fsync
+    write_file_atomic raw manifest_path
+      (Bytes.unsafe_of_string (manifest_contents entries))
+      ~fsync
   in
   let flush line =
     if line.sh_dirty then begin
-      let buf = Buffer.create (cells * 2) in
+      let payload = ref 0 in
       for i = 0 to cells - 1 do
-        if Bytes.get line.present i = '\x00' then Buffer.add_char buf '\x00'
+        payload :=
+          !payload + 1
+          + if Bytes.get line.present i = '\x00' then 0 else codec.Codec.size line.vals.(i)
+      done;
+      let payload = !payload in
+      let data = Bytes.create (shard_header_bytes + payload) in
+      Bytes.blit_string shard_magic 0 data 0 8;
+      let pos = ref shard_header_bytes in
+      for i = 0 to cells - 1 do
+        if Bytes.get line.present i = '\x00' then begin
+          Bytes.set data !pos '\x00';
+          incr pos
+        end
         else begin
-          Buffer.add_char buf '\x01';
-          Buffer.add_string buf (codec.Codec.encode line.vals.(i))
+          Bytes.set data !pos '\x01';
+          pos := codec.Codec.write data (!pos + 1) line.vals.(i)
         end
       done;
-      let payload = Buffer.contents buf in
-      let crc = Util.Hash.crc32 payload in
-      let framed = Buffer.create (String.length payload + shard_header_bytes) in
-      Buffer.add_string framed shard_magic;
-      let crcb = Bytes.create 4 in
-      Bytes.set_int32_be crcb 0 (Int32.of_int crc);
-      Buffer.add_bytes framed crcb;
-      Buffer.add_string framed payload;
+      let crc = Util.Hash.crc32_sub data shard_header_bytes payload in
+      Bytes.set_int32_be data 8 (Int32.of_int crc);
       let f = fname line.sh in
       if not (Hashtbl.mem manifest f) then incr nfiles;
-      write_file_atomic raw (path line.sh) (Buffer.contents framed) ~fsync:false;
-      Hashtbl.replace manifest f (crc, String.length payload);
+      write_file_atomic raw (path line.sh) data ~fsync:false;
+      Hashtbl.replace manifest f (crc, payload);
       write_manifest ~fsync:false;
-      io_w := !io_w + String.length payload;
+      io_w := !io_w + payload;
       line.sh_dirty <- false
     end
   in
-  (* read + CRC-check one shard file; [None] when absent, payload when
-     intact, [Corrupt] (with the shard's first cell position) when the
-     frame fails any check *)
+  (* read + CRC-check one shard file; [None] when absent, the whole
+     file (header included) when intact, [Corrupt] (with the shard's
+     first cell position) when the frame fails any check *)
   let read_shard s =
     let p = path s in
     if not (Sys.file_exists p) then None
@@ -644,7 +647,7 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
         quarantined := s;
         raise_corrupt ~device:name ~path:p ~offset:(s * cells)
       end;
-      Some (Bytes.sub_string data shard_header_bytes (size - shard_header_bytes))
+      Some data
     end
   in
   let load line s =
@@ -654,14 +657,15 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
     (match read_shard s with
     | None -> ()
     | Some data ->
-        io_r := !io_r + String.length data;
-        let pos = ref 0 in
+        let limit = Bytes.length data in
+        io_r := !io_r + limit - shard_header_bytes;
+        let pos = ref shard_header_bytes in
         let i = ref 0 in
-        while !pos < String.length data && !i < cells do
-          (match data.[!pos] with
+        while !pos < limit && !i < cells do
+          (match Bytes.get data !pos with
           | '\x00' -> incr pos
           | _ ->
-              let v, stop = codec.Codec.decode data (!pos + 1) in
+              let v, stop = codec.Codec.read data (!pos + 1) limit in
               line.vals.(!i) <- v;
               Bytes.set line.present !i '\x01';
               pos := stop);
@@ -734,7 +738,7 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
           if Sys.file_exists (path s) then begin
             incr checked;
             match read_shard s with
-            | Some payload -> io_r := !io_r + String.length payload
+            | Some data -> io_r := !io_r + Bytes.length data - shard_header_bytes
             | None -> ()
             | exception Corrupt _ ->
                 quarantined := -1;

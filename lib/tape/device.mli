@@ -122,25 +122,29 @@ val verify : 'a t -> verify_report
     than raises. Trivially clean for [mem]. *)
 
 (** How cells become bytes. Byte-backed devices need one; the mem
-    backend does not. *)
+    backend does not. Cells are written and read in place in the
+    device's block or shard buffer. *)
 module Codec : sig
   type 'a codec = {
-    encode : 'a -> string;
-        (** at most [max_bytes] long; order-preserving encoders (the
-            {!Tuple} ones) make sorted runs bytewise-comparable *)
-    decode : string -> int -> 'a * int;
-        (** [decode buf pos] returns the value whose encoding starts at
-            [pos] together with the offset just past it — encodings
-            must be self-delimiting *)
+    size : 'a -> int;
+        (** bytes [write] takes for a value; at most [max_bytes] *)
+    write : Bytes.t -> int -> 'a -> int;
+        (** [write buf pos v] writes [size v] bytes at [pos] and returns
+            the end offset. Order-preserving encoders (the {!Tuple}
+            ones) make stored cells compare bytewise like their values *)
+    read : Bytes.t -> int -> int -> 'a * int;
+        (** [read buf pos limit] returns the value whose encoding starts
+            at [pos] together with its end offset — encodings must be
+            self-delimiting. It never looks at [limit] or past it: the
+            bytes there belong to the next slot or cell. *)
     max_bytes : int;
   }
 
   type 'a t = 'a codec
 
   val tuple_string : max_len:int -> string t
-  (** Cells are strings of length [<= max_len], framed as
-      {!Tuple.pack_str} — bytewise comparison of stored cells agrees
-      with [String.compare] on the values. *)
+  (** Cells are strings of length [<= max_len], encoded as
+      {!Tuple.write_str}. *)
 
   val tuple_int : int t
   val tuple_char : char t

@@ -15,155 +15,169 @@
      positive integer needing [k] big-endian bytes, 0x14-k for a
      negative one stored as the offset from the smallest k-byte
      negative (i.e. n + 2^(8k) - 1), so larger negatives still compare
-     smaller bytewise. *)
+     smaller bytewise.
+
+   Elements are written and read in place in a caller's buffer, at an
+   offset, returning the offset just past them (the FoundationDB
+   decoder's shape); [pack]/[unpack] are the same primitives over a
+   fresh buffer. *)
 
 type elt = Int of int | Str of string
 
 let zero_code = 0x14
-let str_code = 0x02
+let str_code = '\x02'
 let max_int_bytes = 8
 
 exception Malformed of string
 
-let bytes_needed n =
-  (* bytes needed for |n| — also the k with n + 2^(8k) - 1 >= 0 when
-     n < 0; [Int64.neg] is safe for every 63-bit OCaml int *)
-  let rec go k v =
-    if Int64.equal v 0L then max 1 k else go (k + 1) (Int64.shift_right_logical v 8)
-  in
-  go 0 (Int64.abs (Int64.of_int n))
+(* [pos, limit) must lie inside [buf] *)
+let check_span buf pos limit =
+  if pos < 0 || limit > Bytes.length buf then invalid_arg "Tuple: span outside buffer";
+  if pos >= limit then raise (Malformed "element past end")
 
-let add_elt buf = function
-  | Str s ->
-      Buffer.add_char buf (Char.chr str_code);
-      String.iter
-        (fun c ->
-          Buffer.add_char buf c;
-          if c = '\x00' then Buffer.add_char buf '\xFF')
-        s;
-      Buffer.add_char buf '\x00'
-  | Int 0 -> Buffer.add_char buf (Char.chr zero_code)
-  | Int n when n > 0 ->
-      let k = bytes_needed n in
-      Buffer.add_char buf (Char.chr (zero_code + k));
-      for i = k - 1 downto 0 do
-        Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xff))
-      done
-  | Int n ->
-      (* negative: store n + (2^(8k) - 1) so bytewise order matches *)
-      let k = bytes_needed n in
-      Buffer.add_char buf (Char.chr (zero_code - k));
-      let off = Int64.add (Int64.of_int n) (if k = 8 then Int64.minus_one else Int64.sub (Int64.shift_left 1L (8 * k)) 1L) in
-      for i = k - 1 downto 0 do
-        Buffer.add_char buf
-          (Char.chr (Int64.to_int (Int64.shift_right_logical off (8 * i)) land 0xff))
-      done
+(* ---------------- strings ------------------------------------------ *)
 
-let pack elts =
-  let buf = Buffer.create 32 in
-  List.iter (add_elt buf) elts;
-  Buffer.contents buf
+let zeros s =
+  let z = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i = '\x00' then incr z
+  done;
+  !z
 
-let pack_str s = pack [ Str s ]
-let pack_int n = pack [ Int n ]
+let str_size s = String.length s + zeros s + 2
 
-(* [scan_elt s pos] is the offset just past the element starting at
-   [pos] — the self-delimiting property as a function. *)
-let scan_elt s pos =
-  if pos >= String.length s then raise (Malformed "scan_elt: past end");
-  let code = Char.code s.[pos] in
-  if code = str_code then begin
-    let n = String.length s in
-    let i = ref (pos + 1) in
-    let stop = ref (-1) in
-    while !stop < 0 do
-      if !i >= n then raise (Malformed "unterminated string element");
-      if s.[!i] = '\x00' then
-        if !i + 1 < n && s.[!i + 1] = '\xFF' then i := !i + 2
-        else stop := !i + 1
-      else incr i
-    done;
-    !stop
-  end
-  else if code >= zero_code - max_int_bytes && code <= zero_code + max_int_bytes
-  then begin
-    let k = abs (code - zero_code) in
-    if pos + 1 + k > String.length s then raise (Malformed "truncated int element");
-    pos + 1 + k
-  end
-  else raise (Malformed (Printf.sprintf "unknown type code 0x%02x" code))
-
-let decode_elt s pos =
-  let stop = scan_elt s pos in
-  let code = Char.code s.[pos] in
-  let elt =
-    if code = str_code then begin
-      let buf = Buffer.create (stop - pos) in
-      let i = ref (pos + 1) in
-      while !i < stop - 1 do
-        Buffer.add_char buf s.[!i];
-        if s.[!i] = '\x00' then i := !i + 2 else incr i
-      done;
-      Str (Buffer.contents buf)
+let write_str buf pos s =
+  let n = String.length s in
+  Bytes.set buf pos str_code;
+  let stop =
+    if zeros s = 0 then begin
+      Bytes.blit_string s 0 buf (pos + 1) n;
+      pos + 1 + n
     end
     else begin
-      let k = abs (code - zero_code) in
-      let mag = ref 0L in
-      for i = pos + 1 to pos + k do
-        mag := Int64.logor (Int64.shift_left !mag 8) (Int64.of_int (Char.code s.[i]))
-      done;
-      if code >= zero_code then Int (Int64.to_int !mag)
-      else
-        let off = if k = 8 then Int64.minus_one else Int64.sub (Int64.shift_left 1L (8 * k)) 1L in
-        Int (Int64.to_int (Int64.sub !mag off))
+      let p = ref (pos + 1) in
+      String.iter
+        (fun c ->
+          Bytes.set buf !p c;
+          incr p;
+          if c = '\x00' then begin
+            Bytes.set buf !p '\xFF';
+            incr p
+          end)
+        s;
+      !p
     end
   in
-  (elt, stop)
+  Bytes.set buf stop '\x00';
+  stop + 1
+
+let read_str buf pos limit =
+  check_span buf pos limit;
+  if Bytes.get buf pos <> str_code then raise (Malformed "expected a string element");
+  (* the terminator is the first 0x00 not followed by 0xFF before [limit] *)
+  let stop = ref (-1) and escapes = ref 0 and i = ref (pos + 1) in
+  while !stop < 0 do
+    if !i >= limit then raise (Malformed "unterminated string element");
+    if Bytes.unsafe_get buf !i <> '\x00' then incr i
+    else if !i + 1 < limit && Bytes.unsafe_get buf (!i + 1) = '\xFF' then begin
+      incr escapes;
+      i := !i + 2
+    end
+    else stop := !i
+  done;
+  let stop = !stop in
+  if !escapes = 0 then (Bytes.sub_string buf (pos + 1) (stop - pos - 1), stop + 1)
+  else begin
+    let out = Bytes.create (stop - pos - 1 - !escapes) in
+    let j = ref (pos + 1) in
+    for k = 0 to Bytes.length out - 1 do
+      let c = Bytes.unsafe_get buf !j in
+      Bytes.unsafe_set out k c;
+      j := !j + if c = '\x00' then 2 else 1
+    done;
+    (Bytes.unsafe_to_string out, stop + 1)
+  end
+
+(* ---------------- ints --------------------------------------------- *)
+
+(* bytes needed for |n| read as an unsigned 63-bit word, so that
+   [-min_int] (= [min_int]) counts as 2^62 — also the k with
+   n + 2^(8k) - 1 >= 0 when n < 0 *)
+let bytes_needed n =
+  let k = ref 1 and v = ref ((if n < 0 then -n else n) lsr 8) in
+  while !v <> 0 do
+    incr k;
+    v := !v lsr 8
+  done;
+  !k
+
+let int_size n = if n = 0 then 1 else 1 + bytes_needed n
+
+let write_int buf pos n =
+  if n = 0 then begin
+    Bytes.set buf pos (Char.chr zero_code);
+    pos + 1
+  end
+  else begin
+    let k = bytes_needed n in
+    (* negative: store n + (2^(8k) - 1) so bytewise order matches *)
+    let v =
+      if n > 0 then n else if k < max_int_bytes then n + (1 lsl (8 * k)) - 1 else n - 1
+    in
+    Bytes.set buf pos (Char.chr (if n > 0 then zero_code + k else zero_code - k));
+    for i = k - 1 downto 0 do
+      let b = (v lsr (8 * i)) land 0xff in
+      (* at k = 8 a negative stores n - 1 mod 2^64, whose bit 63 (past
+         the native int) is always set *)
+      Bytes.set buf (pos + k - i) (Char.chr (if i = 7 && n < 0 then b lor 0x80 else b))
+    done;
+    pos + 1 + k
+  end
+
+let read_int buf pos limit =
+  check_span buf pos limit;
+  let code = Char.code (Bytes.get buf pos) in
+  if code < zero_code - max_int_bytes || code > zero_code + max_int_bytes then
+    raise (Malformed (Printf.sprintf "unknown type code 0x%02x" code));
+  let k = abs (code - zero_code) in
+  if pos + 1 + k > limit then raise (Malformed "truncated int element");
+  (* the big-endian magnitude, mod 2^63 like [Int64.to_int] *)
+  let mag = ref 0 in
+  for i = pos + 1 to pos + k do
+    mag := (!mag lsl 8) lor Char.code (Bytes.get buf i)
+  done;
+  let n =
+    if code >= zero_code then !mag
+    else if k < max_int_bytes then !mag - (1 lsl (8 * k)) + 1
+    else !mag + 1
+  in
+  (n, pos + 1 + k)
+
+(* ---------------- tuples ------------------------------------------- *)
+
+let elt_size = function Str s -> str_size s | Int n -> int_size n
+let write_elt buf pos = function Str s -> write_str buf pos s | Int n -> write_int buf pos n
+
+let read_elt buf pos limit =
+  check_span buf pos limit;
+  if Bytes.get buf pos = str_code then
+    let s, stop = read_str buf pos limit in
+    (Str s, stop)
+  else
+    let n, stop = read_int buf pos limit in
+    (Int n, stop)
+
+let pack elts =
+  let buf = Bytes.create (List.fold_left (fun acc e -> acc + elt_size e) 0 elts) in
+  ignore (List.fold_left (write_elt buf) 0 elts);
+  Bytes.unsafe_to_string buf
 
 let unpack s =
-  let n = String.length s in
+  let buf = Bytes.unsafe_of_string s and n = String.length s in
   let rec go pos acc =
     if pos >= n then List.rev acc
     else
-      let elt, stop = decode_elt s pos in
+      let elt, stop = read_elt buf pos n in
       go stop (elt :: acc)
   in
   go 0 []
-
-let compare_packed = String.compare
-
-(* The code bytes put strings (0x02) below every int (0x0c..0x1c), so
-   the cross-type branches must sort [Str _] first. *)
-let compare_elt a b =
-  match (a, b) with
-  | Int x, Int y -> compare x y
-  | Str x, Str y -> String.compare x y
-  | Str _, Int _ -> -1
-  | Int _, Str _ -> 1
-
-let compare_tuple a b =
-  let rec go = function
-    | [], [] -> 0
-    | [], _ :: _ -> -1
-    | _ :: _, [] -> 1
-    | x :: xs, y :: ys ->
-        let c = compare_elt x y in
-        if c <> 0 then c else go (xs, ys)
-  in
-  go (a, b)
-
-(* Prefix range: every packed tuple extending [elts] sorts inside
-   [fst, snd).  0x00 is below every type code and 0xFF above, exactly
-   the FoundationDB [range] convention. *)
-let range_prefix elts =
-  let p = pack elts in
-  (p ^ "\x00", p ^ "\xFF")
-
-let pp_elt ppf = function
-  | Int n -> Format.fprintf ppf "Int %d" n
-  | Str s -> Format.fprintf ppf "Str %S" s
-
-let pp ppf elts =
-  Format.fprintf ppf "(@[%a@])"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp_elt)
-    elts

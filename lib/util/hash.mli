@@ -26,8 +26,9 @@ val fnv_string : int64 -> string -> int64
 (** {1 CRC-32} *)
 
 val crc32_sub : Bytes.t -> int -> int -> int
-(** [crc32_sub buf pos len]: IEEE 802.3 CRC-32 (reflected, table
-    driven) of [len] bytes of [buf] from [pos]. *)
+(** [crc32_sub buf pos len]: IEEE 802.3 CRC-32 (reflected polynomial
+    0xEDB88320, slicing-by-8 over eight 256-entry tables) of [len]
+    bytes of [buf] from [pos]. *)
 
 val crc32 : string -> int
 

@@ -211,6 +211,34 @@ let test_crc32_known_values () =
   check_int "crc32_sub of a slice" 0xCBF43926
     (Util.Hash.crc32_sub (Bytes.of_string "xx123456789y") 2 9)
 
+(* slicing-by-8 against the bitwise definition, one byte at a time:
+   every start offset 0-7 (so the 8-byte steps straddle any alignment)
+   with every length 0-70 (so every tail length after 0-8 steps), plus
+   one 64 KiB buffer *)
+let test_crc32_matches_bytewise () =
+  let oracle buf pos len =
+    let c = ref 0xFFFFFFFF in
+    for i = pos to pos + len - 1 do
+      c := !c lxor Char.code (Bytes.get buf i);
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done
+    done;
+    !c lxor 0xFFFFFFFF
+  in
+  let st = Random.State.make [| 32 |] in
+  let buf = Bytes.init (1 lsl 16) (fun _ -> Char.chr (Random.State.int st 256)) in
+  let mismatches = ref [] in
+  for pos = 0 to 7 do
+    for len = 0 to 70 do
+      if Util.Hash.crc32_sub buf pos len <> oracle buf pos len then
+        mismatches := (pos, len) :: !mismatches
+    done
+  done;
+  Alcotest.(check (list (pair int int))) "(offset, length) mismatches" [] !mismatches;
+  check_int "crc32_sub of 64 KiB" (oracle buf 0 (1 lsl 16))
+    (Util.Hash.crc32_sub buf 0 (1 lsl 16))
+
 let test_splitmix_vector () =
   (* the first splitmix64 output from seed 0: the finaliser of the gamma *)
   check_i64 "splitmix64 seed 0" 0xe220a8397b1dcdafL (Util.Hash.splitmix_at 0L 0)
@@ -256,6 +284,8 @@ let () =
         [
           Alcotest.test_case "fnv-1a 64 test vectors" `Quick test_fnv_vectors;
           Alcotest.test_case "crc32 check values" `Quick test_crc32_known_values;
+          Alcotest.test_case "crc32 slicing-by-8 = bytewise" `Quick
+            test_crc32_matches_bytewise;
           Alcotest.test_case "splitmix64 first output" `Quick test_splitmix_vector;
         ] );
       ("json", [ Alcotest.test_case "string escape" `Quick test_json_escape ]);
