@@ -31,11 +31,13 @@ let micro_tests () =
   (* file-backed variant of the merge sort: same items, cells on
      64 KiB-block-cached spill files (created and deleted every run -
      the backend's setup cost is part of what is being measured) *)
+  let spill =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stlb-bench-spill-%d" (Unix.getpid ()))
+  in
   let file_device =
-    Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:16
-      (Filename.concat
-         (Filename.get_temp_dir_name ())
-         (Printf.sprintf "stlb-bench-spill-%d" (Unix.getpid ())))
+    Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:16 spill
   in
   let tuples =
     List.init 1000 (fun i ->
@@ -85,10 +87,7 @@ let micro_tests () =
      the mem backend has none (the guard's 25% gate pins that). *)
   let crc_dev =
     Tape.Device.instantiate ~codec:Tape.Device.Codec.tuple_char
-      (Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:1
-         (Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "stlb-bench-spill-%d" (Unix.getpid ()))))
+      (Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:1 spill)
       ~blank:'_' ~name:"crc-bench"
   in
   let crc_slots = (1 lsl 16) / 4 in
@@ -98,10 +97,7 @@ let micro_tests () =
   let cell_codec = Tape.Device.Codec.tuple_string ~max_len:12 in
   let cell_dev =
     Tape.Device.instantiate ~codec:cell_codec
-      (Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:1
-         (Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "stlb-bench-spill-%d" (Unix.getpid ()))))
+      (Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:1 spill)
       ~blank:"" ~name:"cell-bench"
   in
   let cells =
@@ -109,6 +105,12 @@ let micro_tests () =
       ((1 lsl 16) / (cell_codec.Tape.Device.Codec.max_bytes + 2))
       (Printf.sprintf "cell-%04d")
   in
+  (* the two long-lived bench devices own backing files; the sorts
+     remove their own *)
+  at_exit (fun () ->
+      Tape.Device.close crc_dev;
+      Tape.Device.close cell_dev;
+      try Unix.rmdir spill with Unix.Unix_error _ -> ());
   (* the query front-end: a join-shaped comprehension over two 24-row
      binary relations, measured at each stage - parse alone, the full
      compile + tape execution + per-node audit, the naive in-memory

@@ -159,7 +159,6 @@ let elt_size = function Str s -> str_size s | Int n -> int_size n
 let write_elt buf pos = function Str s -> write_str buf pos s | Int n -> write_int buf pos n
 
 let read_elt buf pos limit =
-  check_span buf pos limit;
   if Bytes.get buf pos = str_code then
     let s, stop = read_str buf pos limit in
     (Str s, stop)

@@ -35,6 +35,9 @@ val read_str : Bytes.t -> int -> int -> string * int
     @raise Malformed *)
 
 val int_size : int -> int
+(** Bytes {!write_int} writes: 1 for zero, else 1 plus the big-endian
+    byte count of the magnitude (at most 9). *)
+
 val write_int : Bytes.t -> int -> int -> int
 
 val read_int : Bytes.t -> int -> int -> int * int
