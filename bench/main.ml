@@ -80,6 +80,12 @@ let micro_tests () =
       ~chains:(Listmachine.Machines.chains_needed ~space:adv32_space - 1)
       ~optimistic:true
   in
+  (* the Plan pilot alone: building the one-chain-short staircase at
+     m=64, the machine the census-m64 benchmark attacks. Every written
+     cell of the pilot unions its components' position sets; the
+     adversary micros build their machines outside the timed closure *)
+  let plan64_space = G.Checkphi.default_space ~m:64 ~n:128 in
+  let plan64_chains = Listmachine.Machines.chains_needed ~space:plan64_space - 1 in
   (* one 64 KiB block round-trip through the CRC framing: a 1-block
      cache bounces between two blocks, so every iteration pays two
      evict-flushes (checksum + pwrite) and two loads (pread + verify).
@@ -160,6 +166,11 @@ let micro_tests () =
     Test.make ~name:"staircase-lm-run-m8"
       (Staged.stage (fun () ->
            ignore (Listmachine.Nlm.run lm ~values:lm_values ~choices:(fun _ -> 0))));
+    Test.make ~name:"staircase-plan-m64"
+      (Staged.stage (fun () ->
+           ignore
+             (Listmachine.Machines.staircase_checkphi ~space:plan64_space
+                ~chains:plan64_chains ~optimistic:true)));
     Test.make ~name:"adversary-census-m16"
       (Staged.stage (fun () ->
            ignore

@@ -61,65 +61,41 @@ let sat_add a b =
   let s = a + b in
   if s < 0 then max_int else s
 
-(* Union of sorted distinct arrays, sorted distinct. This runs once per
-   written cell — millions of times in an adversary sweep — so it is a
-   k-way merge over the already-sorted inputs (no re-sort) with two
-   sharing fast paths: if every array is a subset of the largest, the
-   largest is returned physically (the common case once a run's cells
-   have accumulated most positions), and the merge buffer is returned
-   as-is when nothing was deduplicated. *)
-let merge_inputs arrays =
-  let arrays = Array.of_list arrays in
-  let k = Array.length arrays in
-  let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 arrays in
-  if total = 0 then [||]
+(* Union of two sorted distinct arrays, sorted distinct. This runs once
+   per component of every written cell — hundreds of thousands of times
+   in an adversary census — so it is linear and allocates exactly: a
+   first two-pointer pass counts the union, and when that equals the
+   size of an operand the operand already is the union and is returned
+   physically (no allocation, and the cell shares its component's set);
+   otherwise a second pass fills an array of exactly that size. [b] is
+   preferred on a tie, so a left fold returns an operand holding the
+   union rather than an equal intermediate. *)
+let union2 a b =
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !i < la && !j < lb do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+    if x <= y then incr i;
+    if y <= x then incr j;
+    incr n
+  done;
+  let n = !n + (la - !i) + (lb - !j) in
+  if n = lb then b
+  else if n = la then a
   else begin
-    let big = ref 0 in
-    for i = 1 to k - 1 do
-      if Array.length arrays.(i) > Array.length arrays.(!big) then big := i
+    let r = Array.make n 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < la && !j < lb do
+      let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+      Array.unsafe_set r !k (if x <= y then x else y);
+      if x <= y then incr i;
+      if y <= x then incr j;
+      incr k
     done;
-    let big = arrays.(!big) in
-    let contains a x =
-      let lo = ref 0 and hi = ref (Array.length a) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if a.(mid) < x then lo := mid + 1 else hi := mid
-      done;
-      !lo < Array.length a && a.(!lo) = x
-    in
-    let subsumed =
-      Array.for_all
-        (fun a -> a == big || Array.for_all (fun x -> contains big x) a)
-        arrays
-    in
-    if subsumed then big
-    else begin
-      let idx = Array.make k 0 in
-      let buf = Array.make total 0 in
-      let n = ref 0 in
-      let last = ref min_int in
-      let continue_ = ref true in
-      while !continue_ do
-        (* smallest head across the k cursors *)
-        let best = ref (-1) in
-        for i = 0 to k - 1 do
-          if idx.(i) < Array.length arrays.(i) then
-            let x = arrays.(i).(idx.(i)) in
-            if !best < 0 || x < arrays.(!best).(idx.(!best)) then best := i
-        done;
-        if !best < 0 then continue_ := false
-        else begin
-          let x = arrays.(!best).(idx.(!best)) in
-          idx.(!best) <- idx.(!best) + 1;
-          if x <> !last then begin
-            buf.(!n) <- x;
-            incr n;
-            last := x
-          end
-        end
-      done;
-      if !n = total then buf else Array.sub buf 0 !n
-    end
+    (* at most one operand has a tail left *)
+    Array.blit a !i r !k (la - !i);
+    Array.blit b !j r !k (lb - !j);
+    r
   end
 
 let cell_of_sym_array arr =
@@ -180,7 +156,7 @@ let written_cell ~state ~comps ~choice =
     hash = !h;
     skhash = !skh;
     hpow = !pow;
-    inputs = merge_inputs (Array.to_list (Array.map (fun c -> c.inputs) comps));
+    inputs = Array.fold_left (fun acc c -> union2 acc c.inputs) [||] comps;
   }
 
 (* -------------------------------------------------------------- *)
@@ -338,16 +314,17 @@ let cell_sk_equal_memo memo = cell_equal_memo ~skblind:true memo
 let cell_hash c = c.hash
 let cell_sk_hash c = c.skhash
 let cell_uid c = c.uid
-let merge_input_positions arrays = merge_inputs (Array.to_list arrays)
+let merge_input_positions arrays = Array.fold_left union2 [||] arrays
 
-let cell_mentions c i =
-  let arr = c.inputs in
+let positions_mem arr i =
   let lo = ref 0 and hi = ref (Array.length arr) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if arr.(mid) < i then lo := mid + 1 else hi := mid
   done;
   !lo < Array.length arr && arr.(!lo) = i
+
+let cell_mentions c i = positions_mem c.inputs i
 
 let cell_input_positions c = c.inputs
 

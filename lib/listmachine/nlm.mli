@@ -77,7 +77,12 @@ val cell_sk_equal_memo : ((int * int), bool) Hashtbl.t -> cell -> cell -> bool
     once. The table must not be shared across domains. *)
 
 val merge_input_positions : int array array -> int array
-(** Union of sorted distinct position arrays, sorted distinct. *)
+(** Union of sorted distinct position arrays, sorted distinct, in time
+    linear in their total length. An operand that already holds the
+    union is returned physically, not copied. *)
+
+val positions_mem : int array -> int -> bool
+(** Binary-search membership in a sorted distinct position array. *)
 
 val cell_uid : cell -> int
 (** Process-global construction stamp, for physical-identity memo
@@ -85,7 +90,7 @@ val cell_uid : cell -> int
 
 val cell_mentions : cell -> int -> bool
 (** [cell_mentions c i] — does input position [i] occur anywhere in the
-    flattened string? Binary search over the memoized position set. *)
+    flattened string? {!positions_mem} on the memoized position set. *)
 
 val cell_input_positions : cell -> int array
 (** Sorted distinct input positions occurring in the cell. The returned

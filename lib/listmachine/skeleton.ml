@@ -95,25 +95,11 @@ let entry_positions_arr = function
 
 let positions_of_entry e = Array.to_list (entry_positions_arr e)
 
-let mem_sorted arr i =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if arr.(mid) < i then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length arr && arr.(!lo) = i
-
-(* the nonempty per-entry position sets, computed once per query *)
-let position_sets sk =
-  Array.to_list sk.entries
-  |> List.filter_map (fun e ->
-         match entry_positions_arr e with [||] -> None | ps -> Some ps)
-
 let compared sk i i' =
   Array.exists
     (fun e ->
       let ps = entry_positions_arr e in
-      mem_sorted ps i && mem_sorted ps i')
+      Nlm.positions_mem ps i && Nlm.positions_mem ps i')
     sk.entries
 
 let compared_pairs sk =
@@ -130,22 +116,31 @@ let compared_pairs sk =
     sk.entries;
   Hashtbl.fold (fun pr () acc -> pr :: acc) tbl [] |> List.sort compare
 
+(* [hit.(i-1)] iff (i, m+ϕ(i)) is compared, for i ∈ 1..m, in one pass
+   over the entries: a sorted set's positions ≤ m are its prefix, and
+   each one not yet hit is looked up as a partner in the same set. *)
+let phi_hits sk ~m ~phi =
+  let hit = Array.make m false in
+  Array.iter
+    (fun e ->
+      let ps = entry_positions_arr e in
+      let n = Array.length ps in
+      let k = ref 0 in
+      while !k < n && ps.(!k) <= m do
+        let i = ps.(!k) in
+        if (not hit.(i - 1)) && Nlm.positions_mem ps (m + Util.Permutation.apply phi i)
+        then hit.(i - 1) <- true;
+        incr k
+      done)
+    sk.entries;
+  hit
+
 let phi_compared_count sk ~m ~phi =
-  let sets = position_sets sk in
-  let count = ref 0 in
-  for i = 1 to m do
-    let j = m + Util.Permutation.apply phi i in
-    if List.exists (fun ps -> mem_sorted ps i && mem_sorted ps j) sets then incr count
-  done;
-  !count
+  Array.fold_left (fun n h -> if h then n + 1 else n) 0 (phi_hits sk ~m ~phi)
 
 let uncompared_phi_indices sk ~m ~phi =
-  let sets = position_sets sk in
-  List.filter
-    (fun i ->
-      let j = m + Util.Permutation.apply phi i in
-      not (List.exists (fun ps -> mem_sorted ps i && mem_sorted ps j) sets))
-    (List.init m (fun i0 -> i0 + 1))
+  let hit = phi_hits sk ~m ~phi in
+  List.filter (fun i -> not hit.(i - 1)) (List.init m (fun i0 -> i0 + 1))
 
 (* 64-bit structural content digest: FNV-1a over the per-entry states,
    directions, choice-blind cell hashes and the move matrix — the same

@@ -86,8 +86,9 @@ val phi_compared_count : t -> m:int -> phi:Util.Permutation.t -> int
     the quantity Lemma 38 bounds by [t^{2r} · sortedness(ϕ)]. *)
 
 val uncompared_phi_indices : t -> m:int -> phi:Util.Permutation.t -> int list
-(** The [i ∈ {1..m}] with [(i, m+ϕ(i))] {e not} compared — the indices
-    available to the adversary (Claim 3 of the Lemma 21 proof). *)
+(** The [i ∈ {1..m}] with [(i, m+ϕ(i))] {e not} compared, ascending —
+    the indices available to the adversary (Claim 3 of the Lemma 21
+    proof). Like {!phi_compared_count}, one pass over the entries. *)
 
 val monotone_partition_upper : int list -> int
 (** A greedy upper bound on the minimal number of monotone (ascending

@@ -523,6 +523,13 @@ let config_equal (a : Nlm.config) (b : Nlm.config) =
        (fun x y -> Array.length x = Array.length y && Array.for_all2 Nlm.cell_equal x y)
        a.Nlm.contents b.Nlm.contents
 
+(* A cell's memoized position set is the one its flattened string
+   mentions. [cell_equal] compares hashes and structure only, so this is
+   what checks the memo. *)
+let positions_memo_ok c =
+  Nlm.cell_input_positions c
+  = Array.of_list (List.sort_uniq Int.compare (Nlm.cell_inputs c))
+
 let runs_agree ~stats machine ~values ~choices =
   let o = O.run ~stats machine ~values ~choices in
   let tr = Nlm.run machine ~values ~choices in
@@ -562,6 +569,9 @@ let runs_agree ~stats machine ~values ~choices =
   && same_skeleton (Skeleton.of_trace tr)
   && same_skeleton (Skeleton.of_views vt)
   && List.for_all step_matches (List.init (n - 1) Fun.id)
+  && Array.for_all
+       (fun (c : Nlm.config) -> Array.for_all (Array.for_all positions_memo_ok) c.Nlm.contents)
+       tr.Nlm.configs
 
 let random_movements st ~lists =
   Array.init lists (fun _ ->
@@ -776,6 +786,77 @@ let prop_random_plans_composition_never_violated =
             | Stcore.Composition.Violated _ -> false)
       end)
 
+(* [merge_input_positions] against the union of the flattened lists,
+   on operands drawn empty, equal, physically shared, subset, disjoint
+   or a fresh copy of the union so far. An operand that already holds
+   the union must come back physically, not an equal intermediate:
+   cells share their components' sets that way. *)
+let prop_merge_input_positions =
+  QCheck.Test.make ~name:"merge_input_positions is the sorted union" ~count:300
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let draw lo hi =
+        List.init (hi - lo) (fun k -> lo + k)
+        |> List.filter (fun _ -> Random.State.bool st)
+        |> Array.of_list
+      in
+      let pick ops = List.nth ops (Random.State.int st (List.length ops)) in
+      let next ops =
+        match ops with
+        | [] -> draw 1 20
+        | _ -> (
+            match Random.State.int st 7 with
+            | 0 -> [||]
+            | 1 -> Array.copy (pick ops)
+            | 2 -> pick ops
+            | 3 ->
+                Array.of_list
+                  (List.filter (fun _ -> Random.State.bool st) (Array.to_list (pick ops)))
+            | 4 -> draw 20 40
+            | 5 -> Array.of_list (List.sort_uniq Int.compare (List.concat_map Array.to_list ops))
+            | _ -> draw 1 40)
+      in
+      let rec grow ops k = if k = 0 then List.rev ops else grow (next ops :: ops) (k - 1) in
+      let ops = grow [] (Random.State.int st 5) in
+      let union = Nlm.merge_input_positions (Array.of_list ops) in
+      union = Array.of_list (List.sort_uniq Int.compare (List.concat_map Array.to_list ops))
+      && (List.for_all (fun a -> Array.length a < Array.length union) ops
+         || List.exists (fun a -> a == union) ops))
+
+(* The one-pass φ-pair queries against Definition 33 read pair by pair
+   through [compared], on staircase machines of every chain count and
+   on the random-chain machine under random choices. *)
+let prop_phi_queries_match_compared =
+  QCheck.Test.make ~name:"phi-pair queries agree with Definition 33" ~count:20
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun m ->
+          let space = G.Checkphi.default_space ~m ~n:(2 * m) in
+          let phi = G.Checkphi.phi space in
+          let values = values_of (G.Checkphi.yes st space) in
+          let agrees machine ~choices =
+            let sk = Skeleton.of_views (Nlm.run_view machine ~values ~choices) in
+            let uncompared = Skeleton.uncompared_phi_indices sk ~m ~phi in
+            uncompared
+            = List.filter
+                (fun i -> not (Skeleton.compared sk i (m + P.apply phi i)))
+                (List.init m (fun i0 -> i0 + 1))
+            && Skeleton.phi_compared_count sk ~m ~phi + List.length uncompared = m
+          in
+          let random_chain = Machines.random_chain_checkphi ~space in
+          let cs = Array.init 64 (fun _ -> Random.State.int st random_chain.Nlm.num_choices) in
+          agrees random_chain ~choices:(fun i -> cs.(i mod 64))
+          && List.for_all
+               (fun chains ->
+                 agrees
+                   (Machines.staircase_checkphi ~space ~chains ~optimistic:(Random.State.bool st))
+                   ~choices:(fun _ -> 0))
+               (List.init (Machines.chains_needed ~space + 1) Fun.id))
+        [ 4; 8; 16 ])
+
 let test_random_chain_machine () =
   let st = Random.State.make [| 27 |] in
   let machine = Machines.random_chain_checkphi ~space in
@@ -891,5 +972,7 @@ let () =
             test_oracle_generators_cover_definition24;
           QCheck_alcotest.to_alcotest prop_intern_matches_structural_equality;
           QCheck_alcotest.to_alcotest prop_random_plans_composition_never_violated;
+          QCheck_alcotest.to_alcotest prop_merge_input_positions;
+          QCheck_alcotest.to_alcotest prop_phi_queries_match_compared;
         ] );
     ]
