@@ -22,9 +22,8 @@ let attach_opt faults tp =
   match faults with None -> () | Some p -> Faults.attach_string p tp
 
 (* Register the decider's private group with the caller's ledger
-   recorder. Must run before any tape is added so the recorder's
-   observer factory reaches the data tapes and every auxiliary tape
-   the sort creates later. *)
+   recorder: the ledger then covers the data tapes and every auxiliary
+   tape the sort adds to the group. *)
 let observe_opt obs g =
   match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g
 
@@ -138,7 +137,7 @@ let report_of g n =
     scans = r.Tape.Group.scans_used;
     reversals = r.Tape.Group.scans_used - 1;
     register_peak = r.Tape.Group.internal_peak_units;
-    tapes = List.length r.Tape.Group.reversals_by_tape;
+    tapes = List.length r.Tape.Group.tapes;
     faults = Tape.Group.faults_injected g;
   }
 

@@ -131,7 +131,7 @@ let run ?faults ?retry ?obs ?device st inst =
     {
       scans = grp.Tape.Group.scans_used;
       internal_bits = grp.Tape.Group.internal_peak_units;
-      tapes = List.length grp.Tape.Group.reversals_by_tape;
+      tapes = List.length grp.Tape.Group.tapes;
       faults = Tape.Group.faults_injected g;
     },
     { m; n; input_size; k; p1; p2; x } )

@@ -223,7 +223,7 @@ let verify ?obs problem inst cert =
     {
       scans = grp.Tape.Group.scans_used;
       internal_registers = grp.Tape.Group.internal_peak_units;
-      tapes = List.length grp.Tape.Group.reversals_by_tape;
+      tapes = List.length grp.Tape.Group.tapes;
     } )
 
 let decide_with_prover ?obs problem inst =

@@ -1,4 +1,4 @@
-type tape_stats = {
+type tape_stats = Tape.Group.tape_stats = {
   tape : string;
   reversals : int;
   cells : int;
@@ -41,74 +41,20 @@ let pp ppf l =
     Format.fprintf ppf "@,budget overruns: %d" l.budget_overruns
 
 module Recorder = struct
-  type counts = {
-    mutable c_moves : int;
-    mutable c_reads : int;
-    mutable c_writes : int;
-  }
-
   type t = {
     r_label : string;
     mutable groups : Tape.Group.t list; (* reversed observe order *)
-    counts : (string, counts) Hashtbl.t;
     baseline : Counters.snapshot;
   }
 
   let create ?(label = "run") () =
-    {
-      r_label = label;
-      groups = [];
-      counts = Hashtbl.create 8;
-      baseline = Counters.snapshot ();
-    }
+    { r_label = label; groups = []; baseline = Counters.snapshot () }
 
-  let counts_for r name =
-    match Hashtbl.find_opt r.counts name with
-    | Some c -> c
-    | None ->
-        let c = { c_moves = 0; c_reads = 0; c_writes = 0 } in
-        Hashtbl.add r.counts name c;
-        c
-
-  let observe r g =
-    Tape.Group.set_observer g
-      (Some
-         (fun name ->
-           let c = counts_for r name in
-           {
-             Tape.Observer.on_read = (fun ~pos:_ -> c.c_reads <- c.c_reads + 1);
-             on_write = (fun ~pos:_ -> c.c_writes <- c.c_writes + 1);
-             on_move = (fun ~pos:_ _ -> c.c_moves <- c.c_moves + 1);
-           }));
-    r.groups <- g :: r.groups
+  let observe r g = r.groups <- g :: r.groups
 
   let ledger ?(n = 0) r =
-    let groups = List.rev r.groups in
-    let reports = List.map Tape.Group.report groups in
-    let tapes =
-      List.concat_map
-        (fun rep ->
-          List.map2
-            (fun (name, revs) ((_, cells), (_, faults)) ->
-              let c =
-                match Hashtbl.find_opt r.counts name with
-                | Some c -> c
-                | None -> { c_moves = 0; c_reads = 0; c_writes = 0 }
-              in
-              {
-                tape = name;
-                reversals = revs;
-                cells;
-                head_moves = c.c_moves;
-                reads = c.c_reads;
-                writes = c.c_writes;
-                faults;
-              })
-            rep.Tape.Group.reversals_by_tape
-            (List.combine rep.Tape.Group.cells_by_tape
-               rep.Tape.Group.faults_by_tape))
-        reports
-    in
+    let reports = List.rev_map Tape.Group.report r.groups in
+    let tapes = List.concat_map (fun rep -> rep.Tape.Group.tapes) reports in
     let reversals =
       List.fold_left (fun acc (ts : tape_stats) -> acc + ts.reversals) 0 tapes
     in

@@ -3,12 +3,13 @@
 
     A {!Recorder} is attached to the [Tape.Group]s an algorithm runs on
     (the deciders take an optional [?obs] recorder and attach it
-    themselves); it installs value-blind {!Tape.Observer}s on every
-    member tape — current and future, so internally created auxiliary
-    tapes are covered — and snapshots the process-wide {!Counters} at
-    creation. {!Recorder.ledger} then folds the group reports, the
-    per-tape observer counts and the counter deltas into one immutable
-    {!t}.
+    themselves) and snapshots the process-wide {!Counters} at creation.
+    Every tape counts its own reversals, cells, head moves, reads,
+    writes and faults, and a group reports all its member tapes —
+    current and future, so internally created auxiliary tapes are
+    covered. {!Recorder.ledger} folds those group reports and the
+    counter deltas into one immutable {!t}. Nothing is installed on the
+    tapes: [Tape.Observer] is a test probe, not the ledger's feed.
 
     Determinism: a ledger captured around a single-domain run depends
     only on the run itself. Ledgers captured around pool fan-outs see
@@ -18,7 +19,7 @@
     attach it to groups running on one domain (give each parallel trial
     its own recorder). *)
 
-type tape_stats = {
+type tape_stats = Tape.Group.tape_stats = {
   tape : string;  (** tape name *)
   reversals : int;
   cells : int;  (** cells used (high-water position + 1) *)
@@ -58,9 +59,9 @@ module Recorder : sig
   (** A fresh recorder; snapshots {!Counters} now. *)
 
   val observe : t -> Tape.Group.t -> unit
-  (** Instrument the group: every member tape, current and future,
-      gets move/read/write counting under its name. Groups are folded
-      into the ledger in [observe] order. *)
+  (** Record the group: every member tape, current and future, appears
+      in the ledger with its own counters (since the tape's creation).
+      Groups are folded into the ledger in [observe] order. *)
 
   val ledger : ?n:int -> t -> ledger
   (** Capture the ledger now. [n] records the input size for budget

@@ -495,7 +495,7 @@ let eval_streaming ?device ?observe ?profile db expr =
           n = db_size db;
           scans = rep.Tape.Group.scans_used;
           registers = rep.Tape.Group.internal_peak_units;
-          tapes = List.length rep.Tape.Group.reversals_by_tape;
+          tapes = List.length rep.Tape.Group.tapes;
         } ))
 
 let instance_db inst =

@@ -39,14 +39,9 @@ module Meter = struct
     if n < 0 || n > m.current then invalid_arg "Meter.free: underflow";
     m.current <- m.current - n
 
-  let with_units ?fail_fast m n f =
-    let saved = m.fail_fast in
-    (match fail_fast with Some b -> m.fail_fast <- b | None -> ());
-    Fun.protect
-      ~finally:(fun () -> m.fail_fast <- saved)
-      (fun () ->
-        alloc m n;
-        Fun.protect ~finally:(fun () -> free m n) f)
+  let with_units m n f =
+    alloc m n;
+    Fun.protect ~finally:(fun () -> free m n) f
 
   let current m = m.current
   let peak m = m.peak
@@ -73,18 +68,11 @@ module Observer = struct
   }
 end
 
-type member = {
-  m_name : string;
-  m_revs : unit -> int;
-  m_cells : unit -> int;
-  m_faults : unit -> int;
-  m_set_observer : Observer.t option -> unit;
-  m_sync : unit -> unit;
-  m_close : unit -> unit;
-  m_stats : unit -> Device.stats;
-}
+(* A group member of any cell type: the group reads its counters and
+   drives its device directly. *)
+type member = Member : 'a t -> member
 
-type group_state = {
+and group_state = {
   mutable members : member list; (* reversed registration order *)
   g_meter : Meter.t;
   max_scans : int option;
@@ -94,7 +82,7 @@ type group_state = {
   g_device : Device.spec;
 }
 
-type 'a t = {
+and 'a t = {
   name : string;
   blank : 'a;
   dev : 'a Device.t;
@@ -102,6 +90,9 @@ type 'a t = {
   mutable pos : int;
   mutable dir : direction;
   mutable revs : int;
+  mutable moves : int;
+  mutable reads : int;
+  mutable writes : int;
   mutable group : group_state option;
   mutable injection : 'a Injection.t option;
   mutable faults : int;
@@ -125,6 +116,9 @@ let create ?name ?device ~blank () =
     pos = 0;
     dir = Right;
     revs = 0;
+    moves = 0;
+    reads = 0;
+    writes = 0;
     group = None;
     injection = None;
     faults = 0;
@@ -133,8 +127,8 @@ let create ?name ?device ~blank () =
 
 let touch tp pos = if pos >= tp.used then tp.used <- pos + 1
 
-(* Device-level fill: no head movement, no reversal, no observer or
-   injection traffic — the cost-free "the input is already on the tape"
+(* Device-level fill: no head movement, no reversal, no counted read or
+   write, no observer or injection traffic — the cost-free "the input is already on the tape"
    premise every experiment starts from, at any backend. *)
 let preload_seq tp items =
   Seq.iteri
@@ -161,16 +155,20 @@ let set_injection tp h = tp.injection <- h
 let faults tp = tp.faults
 let set_observer tp o = tp.observer <- o
 
-(* Observers fire only once an operation has completed: an operation
-   aborted by an injected fault is re-counted when its phase retries,
-   so observed counts are as honest as the reversal accounting. *)
-let observe_read tp =
+(* Reads, writes and moves are counted (and shown to an observer) only
+   once the operation has completed: an operation aborted by an
+   injected fault is re-counted when its phase retries, so these counts
+   are as honest as the reversal accounting. *)
+let count_read tp =
+  tp.reads <- tp.reads + 1;
   match tp.observer with None -> () | Some o -> o.Observer.on_read ~pos:tp.pos
 
-let observe_write tp =
+let count_write tp =
+  tp.writes <- tp.writes + 1;
   match tp.observer with None -> () | Some o -> o.Observer.on_write ~pos:tp.pos
 
-let observe_move tp dir =
+let count_move tp dir =
+  tp.moves <- tp.moves + 1;
   match tp.observer with
   | None -> ()
   | Some o -> o.Observer.on_move ~pos:tp.pos dir
@@ -180,17 +178,17 @@ let read tp =
   let v = Device.get tp.dev tp.pos in
   match tp.injection with
   | None ->
-      observe_read tp;
+      count_read tp;
       v
   | Some h -> (
       match h.Injection.on_read ~pos:tp.pos v with
       | Injection.Read_ok ->
-          observe_read tp;
+          count_read tp;
           v
       | Injection.Read_value v' ->
           (* silent read corruption: the cell itself is untouched *)
           tp.faults <- tp.faults + 1;
-          observe_read tp;
+          count_read tp;
           v'
       | Injection.Read_fail e ->
           tp.faults <- tp.faults + 1;
@@ -201,26 +199,26 @@ let write tp x =
   match tp.injection with
   | None ->
       Device.set tp.dev tp.pos x;
-      observe_write tp
+      count_write tp
   | Some h -> (
       match h.Injection.on_write ~pos:tp.pos x with
       | Injection.Write_ok ->
           Device.set tp.dev tp.pos x;
-          observe_write tp
+          count_write tp
       | Injection.Write_value x' ->
           tp.faults <- tp.faults + 1;
           Device.set tp.dev tp.pos x';
-          observe_write tp
+          count_write tp
       | Injection.Write_drop ->
           (* torn write: the old cell content survives *)
           tp.faults <- tp.faults + 1;
-          observe_write tp
+          count_write tp
       | Injection.Write_fail e ->
           tp.faults <- tp.faults + 1;
           raise e)
 
 let total_group_reversals g =
-  List.fold_left (fun acc m -> acc + m.m_revs ()) 0 g.members
+  List.fold_left (fun acc (Member tp) -> acc + tp.revs) 0 g.members
 
 let check_scan_budget tp =
   match tp.group with
@@ -257,13 +255,16 @@ let move tp dir =
   end;
   tp.pos <- (match dir with Left -> tp.pos - 1 | Right -> tp.pos + 1);
   touch tp tp.pos;
-  observe_move tp dir
+  count_move tp dir
 
 let position tp = tp.pos
 let head_direction tp = tp.dir
 let at_left_end tp = tp.pos = 0
 let reversals tp = tp.revs
 let cells_used tp = tp.used
+let head_moves tp = tp.moves
+let reads tp = tp.reads
+let writes tp = tp.writes
 
 (* Invariant: a head already at position 0 — in particular the initial
    head, still moving Right — issues no move, so rewinding it charges no
@@ -275,8 +276,9 @@ let cells_used tp = tp.used
    including the failure state: the loop's first leftward move charges
    the reversal and checks the scan budget BEFORE the position changes,
    so on [Budget_exceeded] the head must still be at its old position
-   with [dir = Left] and the reversal recorded. A hooked tape takes the
-   loop so fault plans (and move counters) still see every step. *)
+   with [dir = Left], the reversal recorded and no move counted. A
+   hooked tape takes the loop so fault plans and observers still see
+   every step. *)
 let rewind tp =
   if tp.pos > 0 then
     match (tp.injection, tp.observer) with
@@ -286,6 +288,7 @@ let rewind tp =
           tp.dir <- Left;
           check_scan_budget tp
         end;
+        tp.moves <- tp.moves + tp.pos;
         tp.pos <- 0
     | _ ->
         while tp.pos > 0 do
@@ -352,25 +355,12 @@ module Group = struct
     (match g.g_observer with
     | None -> ()
     | Some factory -> tp.observer <- Some (factory tp.name));
-    g.members <-
-      {
-        m_name = tp.name;
-        m_revs = (fun () -> tp.revs);
-        m_cells = (fun () -> tp.used);
-        m_faults = (fun () -> tp.faults);
-        m_set_observer = (fun o -> tp.observer <- o);
-        m_sync = (fun () -> Device.sync tp.dev);
-        m_close = (fun () -> Device.close tp.dev);
-        m_stats = (fun () -> Device.stats tp.dev);
-      }
-      :: g.members
+    g.members <- Member tp :: g.members
 
   let set_observer g factory =
     g.g_observer <- factory;
     List.iter
-      (fun m ->
-        m.m_set_observer
-          (match factory with None -> None | Some f -> Some (f m.m_name)))
+      (fun (Member tp) -> tp.observer <- Option.map (fun f -> f tp.name) factory)
       g.members
 
   (* A codec opts the tape into the group's device spec; without one the
@@ -395,14 +385,14 @@ module Group = struct
     preload tp items;
     tp
 
-  let sync_all g = List.iter (fun m -> m.m_sync ()) g.members
+  let sync_all g = List.iter (fun (Member tp) -> Device.sync tp.dev) g.members
 
-  let close_all g = List.iter (fun m -> m.m_close ()) g.members
+  let close_all g = List.iter (fun (Member tp) -> Device.close tp.dev) g.members
 
   let device_stats g =
     List.fold_left
-      (fun acc m ->
-        let s = m.m_stats () in
+      (fun acc (Member tp) ->
+        let s = Device.stats tp.dev in
         Device.
           {
             resident_bytes = acc.resident_bytes + s.resident_bytes;
@@ -417,42 +407,44 @@ module Group = struct
   let scans g = 1 + total_reversals g
   let internal_peak g = Meter.peak g.g_meter
 
+  type tape_stats = {
+    tape : string;
+    reversals : int;
+    cells : int;
+    head_moves : int;
+    reads : int;
+    writes : int;
+    faults : int;
+  }
+
   type report = {
     scans_used : int;
-    reversals_by_tape : (string * int) list;
+    tapes : tape_stats list;
     internal_peak_units : int;
-    cells_by_tape : (string * int) list;
-    faults_by_tape : (string * int) list;
     budget_overruns : int;
   }
 
   let faults_injected g =
-    List.fold_left (fun acc m -> acc + m.m_faults ()) 0 g.members
+    List.fold_left (fun acc (Member tp) -> acc + tp.faults) 0 g.members
 
   let budget_overruns g = g.scan_overruns + Meter.overruns g.g_meter
 
-  let report g =
-    let members = List.rev g.members in
+  let stats_of (Member tp) =
     {
-      scans_used = scans g;
-      reversals_by_tape = List.map (fun m -> (m.m_name, m.m_revs ())) members;
-      internal_peak_units = internal_peak g;
-      cells_by_tape = List.map (fun m -> (m.m_name, m.m_cells ())) members;
-      faults_by_tape = List.map (fun m -> (m.m_name, m.m_faults ())) members;
-      budget_overruns = budget_overruns g;
+      tape = tp.name;
+      reversals = tp.revs;
+      cells = tp.used;
+      head_moves = tp.moves;
+      reads = tp.reads;
+      writes = tp.writes;
+      faults = tp.faults;
     }
 
-  let pp_report ppf r =
-    let pp_pairs =
-      Fmt.list ~sep:(Fmt.any ",@ ") (Fmt.pair ~sep:(Fmt.any "=") Fmt.string Fmt.int)
-    in
-    Format.fprintf ppf
-      "@[<v>scans: %d@,reversals: @[%a@]@,internal peak: %d@,cells: @[%a@]"
-      r.scans_used pp_pairs r.reversals_by_tape r.internal_peak_units pp_pairs
-      r.cells_by_tape;
-    if List.exists (fun (_, f) -> f > 0) r.faults_by_tape then
-      Format.fprintf ppf "@,faults: @[%a@]" pp_pairs r.faults_by_tape;
-    if r.budget_overruns > 0 then
-      Format.fprintf ppf "@,budget overruns: %d" r.budget_overruns;
-    Format.fprintf ppf "@]"
+  let report g =
+    {
+      scans_used = scans g;
+      tapes = List.rev_map stats_of g.members;
+      internal_peak_units = internal_peak g;
+      budget_overruns = budget_overruns g;
+    }
 end

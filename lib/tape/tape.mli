@@ -8,7 +8,8 @@
     - [s(N)]: the total space used on the internal-memory tapes.
 
     This module provides one-sided-infinite tapes whose heads track their
-    direction and count reversals, an internal-memory {!Meter}, and a
+    direction and count reversals, head moves, reads and writes, an
+    internal-memory {!Meter}, and a
     {!Group} that aggregates both against an optional budget so that an
     algorithm implemented on this substrate is {e resource-sound by
     construction}: its reported scan count and internal-memory peak are
@@ -46,9 +47,9 @@ val of_list : ?name:string -> ?device:'a Device.t -> blank:'a -> 'a list -> 'a t
 
 val preload : 'a t -> 'a list -> unit
 (** Fill cells [0 .. length - 1] at the device level: no head movement,
-    no reversal, no injection or observer traffic — the cost-free "the
-    input is already on the tape" premise of the model, available on
-    every backend. *)
+    no reversal, no counted write, no injection or observer traffic —
+    the cost-free "the input is already on the tape" premise of the
+    model, available on every backend. *)
 
 val preload_seq : 'a t -> 'a Seq.t -> unit
 (** {!preload} from a sequence — fills huge external tapes without
@@ -95,6 +96,19 @@ val reversals : 'a t -> int
 val cells_used : 'a t -> int
 (** Highest position ever visited or written, plus one. *)
 
+val head_moves : 'a t -> int
+(** Completed {!move}s so far, including every cell a {!rewind} crosses.
+    An operation aborted by an injected fault is not counted, so a
+    retried scan recounts its operations honestly, exactly as it
+    re-pays its reversals. *)
+
+val reads : 'a t -> int
+(** Completed {!read}s so far (see {!head_moves}). *)
+
+val writes : 'a t -> int
+(** Completed {!write}s so far, dropped torn writes included (see
+    {!head_moves}). *)
+
 val rewind : 'a t -> unit
 (** Move the head back to position 0 by repeated [move Left]
     (costing one reversal if the head was last moving right and is not
@@ -109,10 +123,11 @@ val rewind : 'a t -> unit
     {b Fast path}: when the tape has neither an injection hook nor an
     observer, the rewind is a constant-time seek with identical
     accounting (one reversal if the head was moving right, budget
-    checked before the position changes — so a {!Budget_exceeded} run
-    observes the same tape state the per-cell loop would leave). With a
-    hook installed the per-cell loop runs, so fault plans and move
-    counters see every step. *)
+    checked before the position changes, then one head move per cell
+    crossed — so a {!Budget_exceeded} run observes the same tape state
+    and counts the per-cell loop would leave). With a hook installed
+    the per-cell loop runs, so fault plans and observers see every
+    step. *)
 
 val seek : 'a t -> int -> unit
 (** [seek tp target] walks the head to [target] one {!move} at a time:
@@ -176,16 +191,16 @@ val faults : 'a t -> int
 (** Number of injected faults (corrupted/dropped/failed operations) so
     far on this tape. *)
 
-(** Observation hooks — the seam the [lib/obs] metrics layer plugs
-    into, symmetric with {!Injection}.
+(** A per-operation probe, symmetric with {!Injection}, for tests that
+    pin the order of a tape's accesses. The tape counts its own moves,
+    reads and writes ({!head_moves}, {!reads}, {!writes}); no library
+    module installs an observer.
 
     An observer sees every completed [read], [write] and [move] on the
-    tape (operations aborted by an injected fault are {e not} reported
-    — a retried scan recounts its operations honestly, exactly as it
-    re-pays its reversals). Observers are value-blind: they receive
-    positions only, so one observer type serves tapes of every cell
-    type and an unobserved tape pays a single [match] per operation —
-    instrumentation is zero-cost when disabled. *)
+    tape — exactly the operations those counters count. Observers are
+    value-blind: they receive positions only, so one observer type
+    serves tapes of every cell type. An observed tape rewinds by the
+    per-cell loop, so the observer sees every step. *)
 module Observer : sig
   type t = {
     on_read : pos:int -> unit;
@@ -210,14 +225,9 @@ module Meter : sig
   val free : t -> int -> unit
   (** Release [n] units. @raise Invalid_argument on underflow. *)
 
-  val with_units : ?fail_fast:bool -> t -> int -> (unit -> 'b) -> 'b
+  val with_units : t -> int -> (unit -> 'b) -> 'b
   (** [with_units m n f] allocates [n], runs [f], frees [n] (also on
-      exceptions). [~fail_fast:false] suspends {!Budget_exceeded} for
-      the extent of the call: allocations past the budget are counted
-      in {!overruns} instead of raising — the escape hatch the fault
-      layer uses so a retried scan that re-charges its registers
-      degrades a report rather than aborting a recovery. The previous
-      fail-fast setting is restored on exit. *)
+      exceptions). *)
 
   val current : t -> int
   val peak : t -> int
@@ -254,16 +264,18 @@ module Group : sig
 
   val add_tape : t -> 'a tape -> unit
   (** Register a tape; all its subsequent reversals count toward the
-      group's scan budget. If the group carries an observer factory
-      ({!set_observer}), the tape is instrumented on registration.
+      group's scan budget, and its counters appear in {!report}. If the
+      group carries an observer factory ({!set_observer}), the tape gets
+      the factory's observer on registration.
       @raise Invalid_argument if the tape already belongs to a group. *)
 
   val set_observer : t -> (string -> Observer.t) option -> unit
   (** Install an observer factory on the group: every member tape —
       current and future, keyed by its {!name} — gets the factory's
-      observer installed. This is how the metrics layer reaches the
-      auxiliary tapes an algorithm creates internally. [None] removes
-      the observers from all members. *)
+      observer installed, which reaches the auxiliary tapes an
+      algorithm creates internally. A test probe (see {!Observer}); the
+      cost counters in {!report} need none. [None] removes the
+      observers from all members. *)
 
   val tape :
     t -> ?name:string -> ?codec:'a Device.Codec.t -> blank:'a -> unit -> 'a tape
@@ -293,24 +305,34 @@ module Group : sig
 
   val internal_peak : t -> int
 
+  type tape_stats = {
+    tape : string;  (** tape name *)
+    reversals : int;
+    cells : int;  (** cells used (high-water position + 1) *)
+    head_moves : int;
+    reads : int;
+    writes : int;
+    faults : int;
+        (** injected faults (zero without a fault-injection hook) *)
+  }
+  (** One member tape's own counters: {!Tape.reversals},
+      {!Tape.cells_used}, {!Tape.head_moves}, {!Tape.reads},
+      {!Tape.writes} and {!Tape.faults}. *)
+
   type report = {
     scans_used : int;
-    reversals_by_tape : (string * int) list;
+    tapes : tape_stats list;  (** registration order *)
     internal_peak_units : int;
-    cells_by_tape : (string * int) list;
-    faults_by_tape : (string * int) list;
-        (** injected faults per registered tape (all zero without a
-            fault-injection hook) *)
     budget_overruns : int;
         (** budget violations tolerated while fail-fast was off *)
   }
 
   val report : t -> report
+  (** The group's counters now. Each tape is reported under its own
+      counters, so two member tapes sharing a name stay apart. *)
 
   val faults_injected : t -> int
   (** Total injected faults over all registered tapes. *)
 
   val budget_overruns : t -> int
-
-  val pp_report : Format.formatter -> report -> unit
 end

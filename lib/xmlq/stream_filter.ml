@@ -69,7 +69,7 @@ let with_extracted ?observe stream f =
       n = String.length stream;
       scans = rep.Tape.Group.scans_used;
       registers = rep.Tape.Group.internal_peak_units;
-      tapes = List.length rep.Tape.Group.reversals_by_tape;
+      tapes = List.length rep.Tape.Group.tapes;
     } )
 
 let figure1_filter ?observe stream =

@@ -1,5 +1,6 @@
-(* Tests for the observability layer: the Tape.Observer seam and the
-   ledger recorder (exact counts, future-tape instrumentation), the
+(* Tests for the observability layer: the ledger recorder over the
+   tapes' own move/read/write counts (exact counts, future tapes,
+   same-named tapes in two groups counted apart), the
    theorem-budget audits of Theorem 8(a)/(b) and Corollary 7 (positive
    on the real deciders across N = 2^8 .. 2^14, negative on a
    deliberately over-budget zigzag machine), ledger/trace determinism
@@ -17,7 +18,7 @@ let check_int = Alcotest.(check int)
 let state seed = Random.State.make [| seed |]
 
 (* ------------------------------------------------------------------ *)
-(* observer seam / recorder exact counts *)
+(* recorder exact counts *)
 
 let test_recorder_exact_counts () =
   let r = Obs.Ledger.Recorder.create ~label:"exact" () in
@@ -40,9 +41,9 @@ let test_recorder_exact_counts () =
   check_int "reversals" 1 l.Obs.Ledger.reversals;
   check_int "scans" 2 l.Obs.Ledger.scans
 
-(* The group observer factory must reach tapes registered AFTER
-   [observe] — that is how the recorder sees the auxiliary tapes the
-   sort creates internally. *)
+(* A recorded group must report tapes registered AFTER [observe] —
+   that is how the recorder sees the auxiliary tapes the sort creates
+   internally. *)
 let test_recorder_observes_future_tapes () =
   let r = Obs.Ledger.Recorder.create () in
   let g = Tape.Group.create () in
@@ -59,6 +60,29 @@ let test_recorder_observes_future_tapes () =
   in
   check_int "late tape write seen" 1 late_stats.Obs.Ledger.writes;
   check_int "late tape read seen" 1 late_stats.Obs.Ledger.reads
+
+(* Each tape is charged its own work, whatever its name: two groups
+   that each hold a tape named "stream" must not share one count. *)
+let test_recorder_same_name_tapes () =
+  let r = Obs.Ledger.Recorder.create () in
+  let walk cells =
+    let g = Tape.Group.create () in
+    Obs.Ledger.Recorder.observe r g;
+    let t = Tape.Group.tape g ~name:"stream" ~blank:"" () in
+    for _ = 1 to cells do
+      Tape.move t Tape.Right
+    done
+  in
+  walk 3;
+  walk 5;
+  let l = Obs.Ledger.Recorder.ledger r in
+  Alcotest.(check (list (pair string int)))
+    "per-tape head moves"
+    [ ("stream", 3); ("stream", 5) ]
+    (List.map
+       (fun (ts : Obs.Ledger.tape_stats) -> (ts.tape, ts.head_moves))
+       l.Obs.Ledger.tapes);
+  check_int "total head moves" 8 (Obs.Ledger.head_moves l)
 
 let test_sort_ledger_matches_report () =
   let r = Obs.Ledger.Recorder.create ~label:"sort" () in
@@ -413,6 +437,8 @@ let () =
           Alcotest.test_case "exact counts" `Quick test_recorder_exact_counts;
           Alcotest.test_case "future tapes instrumented" `Quick
             test_recorder_observes_future_tapes;
+          Alcotest.test_case "same-named tapes counted apart" `Quick
+            test_recorder_same_name_tapes;
           Alcotest.test_case "sort ledger matches report" `Quick
             test_sort_ledger_matches_report;
           QCheck_alcotest.to_alcotest prop_sort_is_sorted_permutation;

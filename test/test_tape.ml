@@ -65,7 +65,8 @@ let test_rewind () =
 
 (* The constant-time rewind applies only to unhooked tapes; an observer
    (or injection hook) forces the per-cell loop. Whichever path runs,
-   the resulting tape state must be identical. *)
+   the resulting tape state and the tape's own move/read/write counts
+   must be identical. *)
 let null_observer =
   {
     Tape.Observer.on_read = (fun ~pos:_ -> ());
@@ -100,18 +101,27 @@ let test_seek () =
   check_int "write_at seeks" 2 (Tape.position t);
   check_int "write_at turn" 3 (Tape.reversals t)
 
+let counts t = (Tape.head_moves t, Tape.reads t, Tape.writes t)
+
 let test_rewind_fast_path_parity () =
   let run observed =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
     if observed then Tape.set_observer t (Some null_observer);
     for _ = 1 to 3 do
+      ignore (Tape.read t);
       Tape.move t Tape.Right
     done;
+    Tape.write t 'x';
     Tape.rewind t;
-    (Tape.position t, Tape.reversals t, Tape.head_direction t = Tape.Left)
+    ( (Tape.position t, Tape.reversals t, Tape.head_direction t = Tape.Left),
+      counts t )
   in
-  Alcotest.(check (triple int int bool))
-    "loop path = fast path" (run true) (run false);
+  let ((_, (moves, reads, writes)) as loop) = run true in
+  check_int "rewind counts its moves" 6 moves;
+  check_int "reads" 3 reads;
+  check_int "writes" 1 writes;
+  Alcotest.(check (pair (triple int int bool) (triple int int int)))
+    "loop path = fast path" loop (run false);
   (* and from a leftward-moving head: no extra reversal either way *)
   let run_leftward observed =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
@@ -120,10 +130,12 @@ let test_rewind_fast_path_parity () =
       Tape.move t Tape.Right
     done;
     Tape.move t Tape.Left;
+    ignore (Tape.read t);
     Tape.rewind t;
-    (Tape.position t, Tape.reversals t, Tape.head_direction t = Tape.Left)
+    ( (Tape.position t, Tape.reversals t, Tape.head_direction t = Tape.Left),
+      counts t )
   in
-  Alcotest.(check (triple int int bool))
+  Alcotest.(check (pair (triple int int bool) (triple int int int)))
     "leftward head parity" (run_leftward true) (run_leftward false)
 
 let test_rewind_budget_trip_parity () =
@@ -138,8 +150,10 @@ let test_rewind_budget_trip_parity () =
     let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
     if observed then Tape.set_observer t (Some null_observer);
     for _ = 1 to 2 do
+      Tape.write t 'z';
       Tape.move t Tape.Right
     done;
+    ignore (Tape.read t);
     let raised =
       try
         Tape.rewind t;
@@ -147,11 +161,15 @@ let test_rewind_budget_trip_parity () =
       with Tape.Budget_exceeded _ -> true
     in
     ( raised,
-      (Tape.position t, Tape.reversals t, Tape.head_direction t = Tape.Left) )
+      (Tape.position t, Tape.reversals t, Tape.head_direction t = Tape.Left),
+      counts t )
   in
-  let ((raised, _) as loop) = run true in
+  let ((raised, _, tripped_counts) as loop) = run true in
   check "budget trips" true raised;
-  Alcotest.(check (pair bool (triple int int bool)))
+  (* the tripping move never completes, so it is not counted *)
+  Alcotest.(check (triple int int int))
+    "no move counted for the trip" (2, 1, 2) tripped_counts;
+  Alcotest.(check (triple bool (triple int int bool) (triple int int int)))
     "trip state parity" loop (run false)
 
 let test_rewind_injection_sees_moves () =
@@ -220,7 +238,9 @@ let test_group_accounting () =
   Alcotest.(check (list (pair string int)))
     "per tape"
     [ ("a", 1); ("b", 1) ]
-    r.Tape.Group.reversals_by_tape
+    (List.map
+       (fun (ts : Tape.Group.tape_stats) -> (ts.tape, ts.reversals))
+       r.Tape.Group.tapes)
 
 let test_group_budget_scans () =
   let g =
