@@ -13,23 +13,9 @@
    fields. Anything unparsable, or whose checksum disagrees with its
    payload, is discarded with a warning on stderr and recomputed. *)
 
-type t = {
-  dir : string;
-  mutable stored : int;
-  mutable replayed : int;
-  mutable discarded : int;
-}
-
-type health = { entries_stored : int; entries_replayed : int; entries_discarded : int }
+type t = { dir : string }
 
 let dir t = t.dir
-
-let health t =
-  {
-    entries_stored = t.stored;
-    entries_replayed = t.replayed;
-    entries_discarded = t.discarded;
-  }
 
 let rec mkdirs d =
   if d = "" || d = "." || d = "/" then ()
@@ -44,7 +30,7 @@ let rec mkdirs d =
 
 let open_dir dir =
   mkdirs dir;
-  { dir; stored = 0; replayed = 0; discarded = 0 }
+  { dir }
 
 let path t name = Filename.concat t.dir (name ^ ".json")
 
@@ -134,7 +120,6 @@ let store t ~name ~output =
   Out_channel.with_open_bin tmp (fun oc ->
       Out_channel.output_string oc (encode ~name ~output));
   Sys.rename tmp final;
-  t.stored <- t.stored + 1;
   Obs.Counters.add_checkpoint_stored 1
 
 let lookup t ~name =
@@ -144,16 +129,14 @@ let lookup t ~name =
     let contents = In_channel.with_open_bin file In_channel.input_all in
     match decode contents with
     | Ok output ->
-        t.replayed <- t.replayed + 1;
         Obs.Counters.add_checkpoint_replayed 1;
         Some output
     | Error why ->
         (* A discard is never silent: warn on stderr AND count it, so a
            resumed run that recomputed tables because its journal rotted
-           shows up in [health] and in the observability counters. *)
+           shows up in the observability counters. *)
         Printf.eprintf "checkpoint: discarding corrupt journal %s (%s)\n%!" file
           why;
-        t.discarded <- t.discarded + 1;
         Obs.Counters.add_checkpoint_discarded 1;
         (try Sys.remove file with Sys_error _ -> ());
         None

@@ -7,7 +7,11 @@
     Entries are written atomically (tmp + rename) only after a table
     completes, so a run killed mid-table recomputes exactly that table;
     an entry that fails to parse or whose checksum disagrees with its
-    payload is discarded with a warning on stderr and recomputed. *)
+    payload is discarded with a warning on stderr and recomputed.
+    Every store, replay and discard is counted in [Obs.Counters]
+    ([checkpoint_stored], [checkpoint_replayed],
+    [checkpoint_discarded]), so a resumed run whose journal rotted
+    shows a nonzero discard count rather than quietly recomputing. *)
 
 type t
 
@@ -16,20 +20,6 @@ val open_dir : string -> t
     @raise Invalid_argument if the path exists and is not a directory. *)
 
 val dir : t -> string
-
-type health = {
-  entries_stored : int;  (** journal entries written by this handle *)
-  entries_replayed : int;  (** valid entries found and replayed *)
-  entries_discarded : int;
-      (** corrupt entries discarded and recomputed — never silent: each
-          discard also warns on stderr and bumps
-          [Obs.Counters.checkpoint_discarded] *)
-}
-
-val health : t -> health
-(** Per-handle journal accounting, in the style of
-    [Parallel.Pool.health]. A resumed run whose journal rotted shows a
-    nonzero [entries_discarded] here rather than quietly recomputing. *)
 
 val run : t option -> name:string -> (unit -> unit) -> unit
 (** [run (Some t) ~name f]: if [name] has a valid journal entry, print

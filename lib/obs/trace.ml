@@ -1,4 +1,8 @@
-type value = Bool of bool | Int of int | String of string
+type value = Util.Json.value =
+  | Bool of bool
+  | Int of int
+  | String of string
+  | Raw of string
 
 type t = { oc : out_channel; owns : bool }
 
@@ -6,25 +10,8 @@ let open_file path = { oc = open_out path; owns = true }
 let of_channel oc = { oc; owns = false }
 
 let emit t ~event fields =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"event\":\"";
-  Buffer.add_string b (Util.Json.escape event);
-  Buffer.add_char b '"';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b ",\"";
-      Buffer.add_string b (Util.Json.escape k);
-      Buffer.add_string b "\":";
-      match v with
-      | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
-      | Int i -> Buffer.add_string b (string_of_int i)
-      | String s ->
-          Buffer.add_char b '"';
-          Buffer.add_string b (Util.Json.escape s);
-          Buffer.add_char b '"')
-    fields;
-  Buffer.add_string b "}\n";
-  Out_channel.output_string t.oc (Buffer.contents b)
+  Out_channel.output_string t.oc (Util.Json.obj (("event", String event) :: fields));
+  Out_channel.output_char t.oc '\n'
 
 let close t =
   flush t.oc;

@@ -35,7 +35,11 @@
 
 type t
 
-type value = Bool of bool | Int of int | String of string
+type value = Util.Json.value =
+  | Bool of bool
+  | Int of int
+  | String of string
+  | Raw of string  (** copied as is *)
 
 val open_file : string -> t
 (** Open (truncating) a trace file. *)

@@ -5,6 +5,8 @@
    the worker count nor the coalescing below can change any response
    byte (exp20 and test_serve pin this). *)
 
+module J = Util.Json
+
 type config = {
   socket : string;
   seed : int;
@@ -142,77 +144,63 @@ let zero_stats () =
     max_queue = 0;
   }
 
-(* deterministic single-line JSON; field order is fixed by the caller *)
-let json_of_fields fields =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (Util.Json.escape k));
-      match v with
-      | `Int n -> Buffer.add_string b (string_of_int n)
-      | `Str s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (Util.Json.escape s))
-      | `Raw s -> Buffer.add_string b s)
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
 let device_kind = function
   | None | Some Tape.Device.Mem -> "mem"
   | Some (Tape.Device.File _) -> "file"
   | Some (Tape.Device.Shard _) -> "shard"
 
+(* STATS and HEALTH bodies: deterministic single-line JSON, field order
+   fixed here *)
 let stats_json st ~since =
   let c = Obs.Counters.diff (Obs.Counters.snapshot ()) ~since in
-  json_of_fields
+  J.obj
     [
-      ("frames", `Int st.frames);
-      ("pings", `Int st.pings);
-      ("decides", `Int st.decides);
-      ("batch_frames", `Int st.batch_frames);
-      ("batch_items", `Int st.batch_items);
-      ("stats", `Int st.stats_reqs);
-      ("health", `Int st.health_reqs);
-      ("yes", `Int st.yes);
-      ("no", `Int st.no);
-      ("shed", `Int st.shed);
-      ("malformed", `Int st.malformed);
-      ("audit_failures", `Int st.audit_failures);
-      ("budget_errors", `Int st.budget_errors);
-      ("internal_errors", `Int st.internal_errors);
-      ("pooled_rounds", `Int st.pooled_rounds);
-      ("bytes_in", `Int st.bytes_in);
-      ("bytes_out", `Int st.bytes_out);
-      ("max_queue", `Int st.max_queue);
+      ("frames", J.Int st.frames);
+      ("pings", J.Int st.pings);
+      ("decides", J.Int st.decides);
+      ("batch_frames", J.Int st.batch_frames);
+      ("batch_items", J.Int st.batch_items);
+      ("stats", J.Int st.stats_reqs);
+      ("health", J.Int st.health_reqs);
+      ("yes", J.Int st.yes);
+      ("no", J.Int st.no);
+      ("shed", J.Int st.shed);
+      ("malformed", J.Int st.malformed);
+      ("audit_failures", J.Int st.audit_failures);
+      ("budget_errors", J.Int st.budget_errors);
+      ("internal_errors", J.Int st.internal_errors);
+      ("pooled_rounds", J.Int st.pooled_rounds);
+      ("bytes_in", J.Int st.bytes_in);
+      ("bytes_out", J.Int st.bytes_out);
+      ("max_queue", J.Int st.max_queue);
       ( "counters",
-        `Raw
-          (json_of_fields
-             (List.map (fun (k, v) -> (k, `Int v)) (Obs.Counters.to_fields c)))
+        J.Raw
+          (J.obj
+             (List.map (fun (k, v) -> (k, J.Int v)) (Obs.Counters.to_fields c)))
       );
     ]
 
 let health_json cfg st ~stopping ~queue_depth ~pool =
   let h = Parallel.Pool.health pool in
-  json_of_fields
+  J.obj
     [
-      ("status", `Str (if stopping then "stopping" else "ok"));
-      ("protocol_version", `Int Frame.version);
-      ("seed", `Int cfg.seed);
-      ("domains", `Int cfg.domains);
-      ("device", `Str (device_kind cfg.device));
-      ("queue_bound", `Int cfg.queue_bound);
-      ("max_batch", `Int cfg.max_batch);
-      ("queue_depth", `Int queue_depth);
-      ("frames", `Int st.frames);
-      ("shed", `Int st.shed);
+      ("status", J.String (if stopping then "stopping" else "ok"));
+      ("protocol_version", J.Int Frame.version);
+      ("seed", J.Int cfg.seed);
+      ("domains", J.Int cfg.domains);
+      ("device", J.String (device_kind cfg.device));
+      ("queue_bound", J.Int cfg.queue_bound);
+      ("max_batch", J.Int cfg.max_batch);
+      ("queue_depth", J.Int queue_depth);
+      ("frames", J.Int st.frames);
+      ("shed", J.Int st.shed);
       ( "pool",
-        `Raw
-          (json_of_fields
+        J.Raw
+          (J.obj
              [
-               ("chunks_retried", `Int h.Parallel.Pool.chunks_retried);
-               ("deadline_overruns", `Int h.Parallel.Pool.deadline_overruns);
-               ("degraded_spawns", `Int h.Parallel.Pool.degraded_spawns);
+               ("chunks_retried", J.Int h.Parallel.Pool.chunks_retried);
+               ("deadline_overruns", J.Int h.Parallel.Pool.deadline_overruns);
+               ("degraded_spawns", J.Int h.Parallel.Pool.degraded_spawns);
              ]) );
     ]
 

@@ -941,8 +941,8 @@ module Scrub = struct
             if Sys.is_directory p then begin
               (* drop manifest entries whose shard was removed above
                  (or lost to the crash) so the survivors re-verify
-                 clean; same sorted format as the device's own
-                 rewrite *)
+                 clean; same sorted format and the same atomic
+                 tmp + rename write as the device's own rewrite *)
               let mpath = Filename.concat p manifest_name in
               (if Sys.file_exists mpath then
                  match parse_manifest (read_file mpath) with
@@ -952,11 +952,10 @@ module Scrub = struct
                          (fun (f, _) -> Sys.file_exists (Filename.concat p f))
                          entries
                      in
-                     if List.length live <> List.length entries then begin
-                       let oc = Out_channel.open_bin mpath in
-                       Out_channel.output_string oc (manifest_contents live);
-                       Out_channel.close oc
-                     end
+                     if List.length live <> List.length entries then
+                       write_file_atomic Raw.real mpath
+                         (Bytes.unsafe_of_string (manifest_contents live))
+                         ~fsync:true
                  | None -> ());
               (match Sys.readdir p with
               | [| m |] when m = manifest_name ->

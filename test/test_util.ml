@@ -248,6 +248,18 @@ let test_json_escape () =
     {|a\"b\\c\nd\u000de\u0009f\u0001é|}
     (Util.Json.escape "a\"b\\c\nd\re\tf\001\xc3\xa9")
 
+let test_json_obj () =
+  check_str "fields in order, keys and strings escaped, raw copied"
+    {|{"a\"":true,"n":-3,"s":"x\ny","o":{"k":1}}|}
+    (Util.Json.obj
+       [
+         ("a\"", Util.Json.Bool true);
+         ("n", Util.Json.Int (-3));
+         ("s", Util.Json.String "x\ny");
+         ("o", Util.Json.Raw {|{"k":1}|});
+       ]);
+  check_str "empty object" "{}" (Util.Json.obj [])
+
 let () =
   Alcotest.run "util"
     [
@@ -288,5 +300,9 @@ let () =
             test_crc32_matches_bytewise;
           Alcotest.test_case "splitmix64 first output" `Quick test_splitmix_vector;
         ] );
-      ("json", [ Alcotest.test_case "string escape" `Quick test_json_escape ]);
+      ( "json",
+        [
+          Alcotest.test_case "string escape" `Quick test_json_escape;
+          Alcotest.test_case "object" `Quick test_json_obj;
+        ] );
     ]
