@@ -261,9 +261,9 @@ let decide_cmd =
         max_scans
     in
     let decide_once () =
-      (* With --trace, a ledger recorder observes the decider's tapes and
-         the run's measured ledger plus its theorem-budget audit land in
-         the trace; without it no observer is installed. *)
+      (* With --trace, a ledger recorder records the decider's tape
+         groups, and the run's measured ledger plus its theorem-budget
+         audit land in the trace. *)
       let obs =
         Option.map
           (fun _ -> Obs.Ledger.Recorder.create ~label:(F.algorithm_name algorithm) ())

@@ -52,8 +52,8 @@
     including every auxiliary tape the sort creates — so that after
     the run [Obs.Ledger.Recorder.ledger] yields per-tape head
     movements, reversals, reads and writes for theorem-budget auditing
-    ({!Obs.Audit}). Without [?obs] no observer is installed and the
-    per-operation cost is a single pattern match on [None]. *)
+    ({!Obs.Audit}). The tapes count their own operations either way;
+    [?obs] only decides whether a ledger is folded from them. *)
 
 type report = {
   n : int;  (** input size [N] of the instance (or item count for raw sorts) *)

@@ -51,8 +51,8 @@ val run :
     calls so recovery pays honest reversal costs (visible in
     [report.scans]). Without [?faults], behaviour is bit-identical to
     the fault-free code. [?obs] registers the run's tape group with a
-    ledger recorder for theorem-budget auditing ({!Obs.Audit}); without
-    it no observer is installed. [?device] puts the input tape on a
+    ledger recorder for theorem-budget auditing ({!Obs.Audit}); the
+    tapes count their own operations either way. [?device] puts the input tape on a
     byte-backed backend ([Tape.Device.File]/[Shard]) behind a bounded
     cache — the two-scan decider at external N, with identical measured
     counters; the spill is deleted when the run returns. *)

@@ -127,9 +127,10 @@ let create ?name ?device ~blank () =
 
 let touch tp pos = if pos >= tp.used then tp.used <- pos + 1
 
-(* Device-level fill: no head movement, no reversal, no counted read or
-   write, no observer or injection traffic — the cost-free "the input is already on the tape"
-   premise every experiment starts from, at any backend. *)
+(* Device-level fill: no head movement, no reversal, no counted write,
+   no observer or injection traffic — the cost-free "the input is
+   already on the tape" premise every experiment starts from, at any
+   backend. *)
 let preload_seq tp items =
   Seq.iteri
     (fun i x ->
