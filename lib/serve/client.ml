@@ -1,4 +1,6 @@
-type t = { fd : Unix.file_descr; mutable inbuf : string }
+(* [buf] is allocated once per connection: a 64 KiB chunk per read
+   would go straight to the major heap and pace its collections. *)
+type t = { fd : Unix.file_descr; buf : Bytes.t; mutable inbuf : string }
 
 (* a write to a peer-closed socket must surface as EPIPE, not kill the
    process with the default SIGPIPE disposition *)
@@ -12,7 +14,7 @@ let connect ?(retries = 50) path =
   let rec go attempt =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> { fd; inbuf = "" }
+    | () -> { fd; buf = Bytes.create 65536; inbuf = "" }
     | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
       when attempt < retries ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -27,26 +29,26 @@ let connect ?(retries = 50) path =
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let send_raw t s =
-  let b = Bytes.of_string s in
   let rec go off =
-    if off < Bytes.length b then
-      go (off + Unix.write t.fd b off (Bytes.length b - off))
+    if off < String.length s then
+      go (off + Unix.write_substring t.fd s off (String.length s - off))
   in
   go 0
 
 let read_response t =
-  let chunk = Bytes.create 65536 in
   let rec go () =
     match Frame.decode t.inbuf ~pos:0 with
     | Frame.Complete (msg, consumed) ->
-        t.inbuf <- String.sub t.inbuf consumed (String.length t.inbuf - consumed);
+        let rest = String.length t.inbuf - consumed in
+        t.inbuf <- (if rest = 0 then "" else String.sub t.inbuf consumed rest);
         msg
     | Frame.Broken { message; _ } -> failwith ("undecodable response: " ^ message)
     | Frame.Incomplete -> (
-        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+        match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
         | 0 -> failwith "connection closed by server"
         | n ->
-            t.inbuf <- t.inbuf ^ Bytes.sub_string chunk 0 n;
+            let got = Bytes.sub_string t.buf 0 n in
+            t.inbuf <- (if t.inbuf = "" then got else t.inbuf ^ got);
             go ())
   in
   go ()

@@ -3,7 +3,11 @@
 
     One request in flight at a time: {!call} writes a frame and blocks
     until the matching response (the server answers in per-connection
-    order, and every response echoes the request id). *)
+    order, and every response echoes the request id).
+
+    Each connection owns one 64 KiB receive buffer, allocated by
+    {!connect} and reused by every read, so a response allocates only
+    the bytes that arrived. *)
 
 type t
 

@@ -403,6 +403,10 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   (* block index quarantined by the last CRC failure; the next clean
      load of the same block is the recovery reread the ledger counts *)
   let quarantined = ref (-1) in
+  (* the last decoded cell: a merge rereads its live heads on every
+     output step, so without it each cell is decoded several times.
+     Any load and a set of that cell invalidate it. *)
+  let memo_pos = ref (-1) and memo_val = ref blank in
   let block_off b = file_header_bytes + (b * fbytes) in
   let flush line =
     if line.dirty then begin
@@ -421,6 +425,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     raise_corrupt ~device:name ~path ~offset:(b * slots_per_block)
   in
   let load line b =
+    memo_pos := -1;
     full_pread raw fd frame ~off:(block_off b);
     io_r := !io_r + bbytes;
     if not (frame_ok frame 0 bbytes) then bad line b;
@@ -463,13 +468,21 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     dev_get =
       (fun i ->
         let line = line_for (i / slots_per_block) in
-        let off = slot_off i in
-        let len = Bytes.get_uint16_be line.buf off in
-        if len = 0 then blank
-        else fst (codec.Codec.read line.buf (off + 2) (off + 2 + len)));
+        if i = !memo_pos then !memo_val
+        else
+          let off = slot_off i in
+          let len = Bytes.get_uint16_be line.buf off in
+          if len = 0 then blank
+          else begin
+            let v = fst (codec.Codec.read line.buf (off + 2) (off + 2 + len)) in
+            memo_pos := i;
+            memo_val := v;
+            v
+          end);
     dev_set =
       (fun i v ->
         let line = line_for (i / slots_per_block) in
+        if i = !memo_pos then memo_pos := -1;
         let off = slot_off i in
         let len = codec.Codec.size v in
         if len > codec.Codec.max_bytes then

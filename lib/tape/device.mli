@@ -136,7 +136,9 @@ module Codec : sig
         (** [read buf pos limit] returns the value whose encoding starts
             at [pos] together with its end offset — encodings must be
             self-delimiting. It never looks at [limit] or past it: the
-            bytes there belong to the next slot or cell. *)
+            bytes there belong to the next slot or cell. A decoded value
+            may be returned to several reads, so cell values must be
+            immutable. *)
     max_bytes : int;
   }
 

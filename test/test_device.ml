@@ -89,9 +89,11 @@ let specs () =
   ]
 
 (* One deterministic workload on one backend: preload, a forward scan
-   that reads every cell and rewrites every third one reversed, a
-   rewind, a verification scan - all under a seeded fault plan (no
-   transients, so the walk itself never raises). Returns everything
+   that reads every cell twice and rewrites every third one reversed,
+   reading it once more after the rewrite, a rewind, a verification
+   scan - all under a seeded fault plan (no transients, so the walk
+   itself never raises). The repeated reads hit the file device's
+   decoded-cell memo and the rewrite must clear it. Returns everything
    observable above the seam. *)
 let walk ~seed items spec =
   let r = Obs.Ledger.Recorder.create ~label:"parity" () in
@@ -115,13 +117,14 @@ let walk ~seed items spec =
   let seen = ref [] in
   for i = 0 to n - 1 do
     let v = Tape.read t in
-    seen := v :: !seen;
+    seen := Tape.read t :: v :: !seen;
     (* every third cell is rewritten reversed, and every other rewrite
        grows it by two bytes or cuts it to half its length *)
     if i mod 3 = 0 then begin
       let r = String.init (String.length v) (fun j -> v.[String.length v - 1 - j]) in
       Tape.write t
-        (if i mod 2 = 0 then r ^ "\xff\x00" else String.sub r 0 (String.length r / 2))
+        (if i mod 2 = 0 then r ^ "\xff\x00" else String.sub r 0 (String.length r / 2));
+      seen := Tape.read t :: !seen
     end;
     Tape.move t Tape.Right
   done;

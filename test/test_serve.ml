@@ -5,7 +5,9 @@
    restarts / worker counts / batching (in-process and against the real
    `stlb serve` binary), backpressure (bounded queue and
    batch/frame size limits shed loudly), a malformed-frame fuzz pass
-   that the server must survive, and the decider table itself. *)
+   that the server must survive, the client's receive path (one reused
+   buffer, responses split and joined on the wire), and the decider
+   table itself. *)
 
 module F = Serve.Frame
 module D = Problems.Decide
@@ -614,6 +616,89 @@ let test_malformed_fuzz_never_kills_server () =
   Serve.Client.close c
 
 (* ------------------------------------------------------------------ *)
+(* the client's receive path *)
+
+(* Words this domain allocated directly in the major heap. On OCaml 5
+   [Gc.counters] belongs to the calling domain, so the server's domain
+   is not counted. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* A connection reads into the one buffer it owns: a round trip must
+   not allocate a fresh 64 KiB chunk (8,193 words straight in the major
+   heap) per response. *)
+let test_client_reuses_receive_buffer () =
+  with_server @@ fun socket ->
+  let c = Serve.Client.connect socket in
+  ignore (Serve.Client.ping c ~id:0);
+  let trips = 1000 in
+  let before = direct_major_words () in
+  for id = 1 to trips do
+    ignore (Serve.Client.ping c ~id)
+  done;
+  let words = direct_major_words () -. before in
+  Serve.Client.close c;
+  check
+    (Printf.sprintf "%.0f direct major words over %d pings" words trips)
+    true
+    (words < 64. *. float_of_int trips)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* A fake peer splits and joins responses the ways a stream socket may
+   deliver them: one byte per write, two responses in one write, and a
+   response larger than the client's 64 KiB receive buffer with the
+   next response in the same write. *)
+let test_client_framing_edge_cases () =
+  let path = fresh_socket () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let pong id = { F.id; payload = F.Response F.Pong } in
+  let big =
+    {
+      F.id = 4;
+      payload = F.Response (F.Stats_json (String.make 200_000 'x'));
+    }
+  in
+  let expected = [ pong 1; pong 2; pong 3; big; pong 5 ] in
+  let peer =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept lfd in
+        String.iter
+          (fun ch ->
+            write_all fd (String.make 1 ch);
+            Unix.sleepf 0.0005)
+          (F.encode (pong 1));
+        write_all fd (F.encode (pong 2) ^ F.encode (pong 3));
+        write_all fd (F.encode big ^ F.encode (pong 5));
+        Unix.close fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join peer;
+      Unix.close lfd;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let c = Serve.Client.connect path in
+      List.iter
+        (fun want ->
+          let got = Serve.Client.read_response c in
+          check (Printf.sprintf "response id=%d in order" want.F.id) true
+            (got = want))
+        expected;
+      (match Serve.Client.read_response c with
+      | m -> Alcotest.failf "read past the peer's close: %s" (F.describe m)
+      | exception Failure _ -> ());
+      Serve.Client.close c)
+
+(* ------------------------------------------------------------------ *)
 (* stats / health *)
 
 let contains ~needle hay =
@@ -685,6 +770,13 @@ let () =
         [
           Alcotest.test_case "malformed frames never kill the server" `Quick
             test_malformed_fuzz_never_kills_server;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "one receive buffer per connection" `Quick
+            test_client_reuses_receive_buffer;
+          Alcotest.test_case "split and joined responses" `Quick
+            test_client_framing_edge_cases;
         ] );
       ( "observability",
         [
