@@ -22,13 +22,6 @@ let admits spec u =
   && u.space <= spec.s u.n
   && match spec.t with None -> true | Some t -> u.tapes <= t
 
-let mode_name = function
-  | Deterministic -> "deterministic (ST)"
-  | Randomized_one_sided -> "randomized, no false positives (RST)"
-  | Co_randomized -> "randomized, no false negatives (co-RST)"
-  | Nondeterministic -> "nondeterministic (NST)"
-  | Las_vegas -> "Las Vegas (LasVegas-RST)"
-
 type membership = {
   problem : string;
   class_label : string;

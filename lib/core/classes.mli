@@ -30,8 +30,6 @@ type usage = { n : int; scans : int; space : int; tapes : int }
 val admits : spec -> usage -> bool
 (** Whether the measured usage fits inside the envelope. *)
 
-val mode_name : mode -> string
-
 type membership = {
   problem : string;
   class_label : string;

@@ -53,10 +53,6 @@ let r_const c = fun _ -> c
 let r_log ?(scale = 1.0) () =
  fun n -> max 1 (int_of_float (ceil (scale *. log2 (float_of_int (max 2 n)))))
 
-let r_loglog () =
- fun n ->
-  max 1 (int_of_float (ceil (log2 (max 2.0 (log2 (float_of_int (max 2 n)))))))
-
 let s_fourth_root ?(scale = 1.0) () =
  fun n ->
   let fn = float_of_int (max 2 n) in

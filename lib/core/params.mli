@@ -51,8 +51,5 @@ val r_const : int -> int -> int
 val r_log : ?scale:float -> unit -> int -> int
 (** [⌈scale · log2 N⌉], default scale 1. *)
 
-val r_loglog : unit -> int -> int
-(** [⌈log2 log2 N⌉] — a stock [o(log N)] function. *)
-
 val s_fourth_root : ?scale:float -> unit -> int -> int
 (** [⌈scale · N^{1/4} / log2 N⌉] — the internal-memory frontier. *)

@@ -44,9 +44,7 @@ module Plan = struct
     { seed; rates }
 
   let seed t = t.seed
-  let rates t = t.rates
   let derive t ~name = derive_words ~seed:t.seed ~name
-  let tape_state t ~name = Random.State.make (derive t ~name)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -72,7 +70,7 @@ let flip_string_bit st s =
 let hit st p = p > 0.0 && Random.State.float st 1.0 < p
 
 let injection plan ~name ~blank ~corrupt =
-  let st = Plan.tape_state plan ~name in
+  let st = Random.State.make (Plan.derive plan ~name) in
   let r = plan.Plan.rates in
   let transient op = Transient_io (Printf.sprintf "%s: transient %s fault" name op) in
   {
@@ -154,8 +152,6 @@ module Storage = struct
         write_ops = Atomic.make 0;
       }
 
-    let seed t = t.seed
-    let rates t = t.rates
     let ops t = Atomic.get t.ops
   end
 
@@ -266,7 +262,6 @@ module Retry = struct
         ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EIO), _, _) ->
         Transient
     | _ -> Fatal
-  let is_transient e = classify_default e = Transient
 
   let default =
     {

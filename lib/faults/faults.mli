@@ -21,8 +21,8 @@
 
 exception Transient_io of string
 (** A fault that a retry may clear (the injected model of a failed
-    disk/network operation). Classified [Transient] by
-    {!Retry.classify_default}. *)
+    disk/network operation). {!Retry.default} classifies it
+    [Transient]. *)
 
 (** Per-operation fault probabilities, each in [[0, 1]]. *)
 type rates = {
@@ -45,47 +45,33 @@ module Plan : sig
   val create : seed:int -> rates:rates -> t
   (** @raise Invalid_argument if any rate is outside [[0, 1]]. *)
 
-  val seed : t -> int
-  val rates : t -> rates
-
   val derive : t -> name:string -> int array
   (** The four seed words for tape [name]'s private fault stream:
       FNV-1a of the name folded into the plan seed, finalized by
       splitmix64. Depends on nothing but [(seed t, name)] — exposed for
       the determinism tests. *)
-
-  val tape_state : t -> name:string -> Random.State.t
-  (** [Random.State.make (derive t ~name)]. *)
 end
 
-val attach : Plan.t -> corrupt:(Random.State.t -> 'a -> 'a) -> 'a Tape.t -> unit
-(** Install the plan's injection hook on a tape. [corrupt] produces the
-    value a corrupted read/write sees, drawing any choices from the
-    tape's private fault stream. The hook keys on {!Tape.name}, so give
-    tapes stable explicit names — auto-generated [tapeN] names depend
-    on allocation order and would break cross-worker determinism. *)
-
 val attach_char : Plan.t -> char Tape.t -> unit
-(** {!attach} with {!flip01}: value corruption on [{0,1}] cells that
-    never damages ['#'] separators or blanks. *)
+(** Install the plan's injection hook on a tape of [{0,1}] cells. A
+    corrupted read or write sees ['0' ↔ '1'] flipped; ['#'] separators
+    and blanks are never damaged. The hook draws from the tape's
+    private fault stream and keys on {!Tape.name}, so give tapes stable
+    explicit names — auto-generated [tapeN] names depend on allocation
+    order and would break cross-worker determinism. *)
 
 val attach_string : Plan.t -> string Tape.t -> unit
-(** {!attach} with {!flip_string_bit}. *)
-
-val flip01 : Random.State.t -> char -> char
-(** ['0' ↔ '1']; any other symbol is left alone. *)
-
-val flip_string_bit : Random.State.t -> string -> string
-(** Flip the low bit of one uniformly chosen byte (the empty string is
-    returned unchanged). On the {0,1}-string items of an instance this
-    is exactly a one-bit value corruption. *)
+(** {!attach_char} for string cells: a corruption flips the low bit of
+    one uniformly chosen byte (the empty string is left unchanged). On
+    the {0,1}-string items of an instance this is exactly a one-bit
+    value corruption. *)
 
 (** Storage-level fault injection {e below} the {!Tape.Device.Raw}
     syscall seam — distinct from the above-seam {!Tape.Injection} plan
-    ({!attach}): these faults hit the bytes and syscalls of the backing
-    files themselves, so they exercise the device layer's CRC framing,
-    full-transfer loops and atomic-rename protocol rather than the
-    tape head. Streams are keyed on [("storage:" ^ tape name)], so a
+    ({!attach_char}, {!attach_string}): these faults hit the bytes and
+    syscalls of the backing files themselves, so they exercise the
+    device layer's CRC framing, full-transfer loops and atomic-rename
+    protocol rather than the tape head. Streams are keyed on [("storage:" ^ tape name)], so a
     storage plan and an injection plan may share a seed without
     correlating, and the whole campaign is bit-identical under
     -j 1/2/4. *)
@@ -126,9 +112,6 @@ module Storage : sig
         is what the crash-matrix test recovers from.
         @raise Invalid_argument if any rate is outside [[0, 1]]. *)
 
-    val seed : t -> int
-    val rates : t -> rates
-
     val ops : t -> int
     (** Raw syscalls performed so far under this plan. *)
   end
@@ -157,18 +140,14 @@ module Retry : sig
       transient errors. [last] is the final transient exception. *)
 
   val default : policy
-  (** 3 attempts, no backoff, {!classify_default}. *)
-
-  val classify_default : exn -> classification
-  (** {!Transient_io} is [Transient], as are the retryable device I/O
-      errors a byte-backed tape can surface ([Unix.EINTR]/[EAGAIN]/
-      [EWOULDBLOCK]/[EIO]) and {!Tape.Device.Corrupt} (the bad block is
-      quarantined before the raise, so a retry re-reads it from disk).
+  (** 3 attempts, no backoff, and this classifier: {!Transient_io} is
+      [Transient], as are the retryable device I/O errors a byte-backed
+      tape can surface ([Unix.EINTR]/[EAGAIN]/[EWOULDBLOCK]/[EIO]) and
+      {!Tape.Device.Corrupt} (the bad block is quarantined before the
+      raise, so a retry re-reads it from disk).
       [ENOSPC] and [EROFS] are explicitly [Fatal] — a full or read-only
       disk never heals by retrying — as is everything else, including
       {!Gave_up}, {!Storage.Crashed} and {!Tape.Budget_exceeded}. *)
-
-  val is_transient : exn -> bool
 
   val backoff : policy -> seed:int -> attempt:int -> float
   (** Backoff before retrying [attempt] (1-based):

@@ -15,8 +15,6 @@
 
 type t = { dir : string }
 
-let dir t = t.dir
-
 let rec mkdirs d =
   if d = "" || d = "." || d = "/" then ()
   else if Sys.file_exists d then begin

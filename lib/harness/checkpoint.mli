@@ -19,8 +19,6 @@ val open_dir : string -> t
 (** Open (creating as needed, like [mkdir -p]) a checkpoint directory.
     @raise Invalid_argument if the path exists and is not a directory. *)
 
-val dir : t -> string
-
 val run : t option -> name:string -> (unit -> unit) -> unit
 (** [run (Some t) ~name f]: if [name] has a valid journal entry, print
     its stored output and skip [f]; otherwise run [f] with stdout

@@ -52,26 +52,8 @@ val footer : (bool * string) list -> string -> unit
 (** [footer verdicts note] prints each verdict's line, then [note], and
     then raises {!Table_failed} with the lines whose flag is [false]. *)
 
-val exp1 : unit -> unit
-val exp2 : unit -> unit
-val exp3 : unit -> unit
-val exp4 : unit -> unit
-val exp5 : unit -> unit
-val exp6 : unit -> unit
-val exp7 : unit -> unit
-val exp8 : unit -> unit
-val exp9 : unit -> unit
-val exp10 : unit -> unit
-val exp11 : unit -> unit
-val exp12 : unit -> unit
-val exp13 : unit -> unit
-val exp14 : unit -> unit
-val exp15 : unit -> unit
-val exp16 : unit -> unit
-val exp17 : unit -> unit
-
 val all : (string * (unit -> unit)) list
-(** [("exp1", exp1); …] in order. *)
+(** Every table by name, [("exp1", …)] to [("exp22", …)], in order. *)
 
 val run_all : ?checkpoint:Checkpoint.t -> unit -> unit
 (** Print every table, separated by blank lines. With [?checkpoint],

@@ -39,7 +39,6 @@ type cell = {
 
 and shape = Syms of sym array | Written of { state : int; comps : cell array; choice : int }
 
-let cell_shape c = c.shape
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
@@ -306,14 +305,8 @@ let cell_equal_memo ~skblind memo =
 let cell_equal a b =
   a == b || (a.len = b.len && a.hash = b.hash && cell_equal_memo ~skblind:false (Hashtbl.create 16) a b)
 
-let cell_sk_equal a b =
-  a == b
-  || (a.len = b.len && a.skhash = b.skhash && cell_equal_memo ~skblind:true (Hashtbl.create 16) a b)
-
 let cell_sk_equal_memo memo = cell_equal_memo ~skblind:true memo
-let cell_hash c = c.hash
 let cell_sk_hash c = c.skhash
-let cell_uid c = c.uid
 let merge_input_positions arrays = Array.fold_left union2 [||] arrays
 
 let positions_mem arr i =
@@ -491,7 +484,6 @@ let initial_lists ~lists ~input_length =
   }
 
 let kernel_create ~lists ~input_length = kernel_of_config (initial_lists ~lists ~input_length)
-let kernel_cell k tau = k.tapes.(tau).cur.ncell
 let kernel_cells k = Array.map (fun tp -> tp.cur.ncell) k.tapes
 let kernel_position k tau = k.tapes.(tau).tpos
 let kernel_dir k tau = k.tapes.(tau).tdir
@@ -844,23 +836,4 @@ let cell_components cell =
           | Some _ | None -> None)
       | [] | (In _ | Ch _ | Open | Close) :: _ -> None)
 
-let resolve_cell ~values cell =
-  List.map
-    (function
-      | In i -> Either.Left values.(i - 1)
-      | Ch c -> Either.Right (-1 - c)
-      | St a -> Either.Right a
-      | Open -> Either.Right min_int
-      | Close -> Either.Right (min_int + 1))
-    (syms_of_cell cell)
-
 let cell_size c = c.len
-
-let pp_sym ppf = function
-  | In i -> Format.fprintf ppf "v%d" i
-  | Ch c -> Format.fprintf ppf "c%d" c
-  | St a -> Format.fprintf ppf "a%d" a
-  | Open -> Format.pp_print_string ppf "<"
-  | Close -> Format.pp_print_string ppf ">"
-
-let pp_cell ppf cell = iter_syms (fun s -> pp_sym ppf s) cell

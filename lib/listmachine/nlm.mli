@@ -41,12 +41,6 @@ type cell
     memoized DAG node. Two cells with the same flattened string are
     [cell_equal] regardless of how they were built. *)
 
-and shape = Syms of sym array | Written of { state : int; comps : cell array; choice : int }
-(** The top layer of a cell: either an explicit symbol string or a
-    written tuple [a⟨x_1⟩…⟨x_t⟩⟨c⟩] referencing its components. *)
-
-val cell_shape : cell -> shape
-
 val cell_of_syms : sym list -> cell
 (** Build a leaf cell from an explicit symbol string. *)
 
@@ -57,24 +51,19 @@ val cell_equal : cell -> cell -> bool
 (** Structural equality of the flattened strings. O(1) on physically
     shared nodes and hash-mismatching nodes; memoized descent otherwise. *)
 
-val cell_sk_equal : cell -> cell -> bool
-(** Choice-blind equality: like {!cell_equal} but every [Ch _] matches
-    every [Ch _] — the cell-level congruence of skeletons
-    (Definition 28 wildcards the choices). *)
-
-val cell_hash : cell -> int
-(** Deterministic rolling hash of the flattened string. Equal cells
-    hash equal; independent of construction history, process, domain. *)
-
 val cell_sk_hash : cell -> int
-(** Choice-blind variant of {!cell_hash}: invariant under replacing any
-    [Ch c] by [Ch c']. *)
+(** Deterministic rolling hash of the flattened string, choice-blind:
+    invariant under replacing any [Ch c] by [Ch c']. Equal cells hash
+    equal; independent of construction history, process, domain. *)
 
 val cell_sk_equal_memo : ((int * int), bool) Hashtbl.t -> cell -> cell -> bool
-(** {!cell_sk_equal} with a caller-owned memo table keyed on ordered
-    uid pairs, so a batch of comparisons over structurally shared cells
-    (all the entries of one skeleton pair) traverses each DAG node pair
-    once. The table must not be shared across domains. *)
+(** Choice-blind equality: like {!cell_equal} but every [Ch _] matches
+    every [Ch _] — the cell-level congruence of skeletons
+    (Definition 28 wildcards the choices). The caller owns the memo
+    table, keyed on ordered cell-uid pairs, so a batch of comparisons
+    over structurally shared cells (all the entries of one skeleton
+    pair) traverses each DAG node pair once. The table must not be
+    shared across domains. *)
 
 val merge_input_positions : int array array -> int array
 (** Union of sorted distinct position arrays, sorted distinct, in time
@@ -83,10 +72,6 @@ val merge_input_positions : int array array -> int array
 
 val positions_mem : int array -> int -> bool
 (** Binary-search membership in a sorted distinct position array. *)
-
-val cell_uid : cell -> int
-(** Process-global construction stamp, for physical-identity memo
-    tables. NOT deterministic across runs — never expose it in output. *)
 
 val cell_mentions : cell -> int -> bool
 (** [cell_mentions c i] — does input position [i] occur anywhere in the
@@ -196,12 +181,9 @@ val kernel_step : kernel -> state:int -> choice:int -> movement array -> int arr
 val kernel_cells : kernel -> cell array
 (** The [t] cells under the heads (fresh array). *)
 
-val kernel_cell : kernel -> int -> cell
-(** [kernel_cell k τ] — the cell under head [τ+1]. The accessors below
-    also index lists from 0, like the arrays of {!config}. *)
-
 val kernel_position : kernel -> int -> int
-(** 1-based head position. *)
+(** [kernel_position k τ] — the 1-based position of head [τ+1]. The
+    accessors below index lists from 0, like the arrays of {!config}. *)
 
 val kernel_dir : kernel -> int -> int
 val kernel_length : kernel -> int -> int
@@ -303,17 +285,7 @@ val cell_components : cell -> (int * cell list * int) option
     parsed by bracket matching. Machines use this to navigate nested
     payloads. *)
 
-val resolve_cell : values:'v array -> cell -> ('v, int) Either.t list
-(** The resolved content α may depend on: [Left value] for inputs,
-    [Right code] for the other symbols (choices as [Right (-1-c)],
-    states as [Right a], brackets as [Right min_int / min_int+1]).
-    Provided so machine implementations can be written against resolved
-    data only. Flattened view — cost [cell_size]. *)
-
 val cell_size : cell -> int
 (** Length of the flattened string (number of alphabet symbols) — the
     cell-size measure of Lemma 30(b). O(1); saturates at [max_int]. *)
 
-val pp_cell : Format.formatter -> cell -> unit
-(** Prints the full flattened string — cost [cell_size]; prefer
-    {!cell_prefix_syms}/{!cell_suffix_syms} for large cells. *)

@@ -11,11 +11,10 @@ type 'v t = {
   input_length : int;
   pilot : Nlm.kernel;
   mutable steps : 'v step list;  (* reversed *)
-  mutable count : int;
 }
 
 let create ~lists ~input_length () =
-  { lists; input_length; pilot = Nlm.kernel_create ~lists ~input_length; steps = []; count = 0 }
+  { lists; input_length; pilot = Nlm.kernel_create ~lists ~input_length; steps = [] }
 
 let cells p = Nlm.kernel_cells p.pilot
 let positions p = Array.init p.lists (Nlm.kernel_position p.pilot)
@@ -25,7 +24,6 @@ let list_length p tau =
   if tau < 1 || tau > p.lists then invalid_arg "Plan.list_length";
   Nlm.kernel_length p.pilot (tau - 1)
 
-let steps_planned p = p.count
 let reversals_planned p = Nlm.kernel_reversals p.pilot
 
 (* A built machine keeps every planned step (~39k for the m = 64
@@ -52,8 +50,7 @@ let move p ?check movements =
   (* plan-time writes carry state 0 and choice 0: the run's writes differ
      only in those symbols, never in list shape, ids or input positions *)
   ignore (Nlm.kernel_step p.pilot ~state:0 ~choice:0 movements);
-  p.steps <- { movements; check; dirs_before } :: p.steps;
-  p.count <- p.count + 1
+  p.steps <- { movements; check; dirs_before } :: p.steps
 
 let neutral p = Array.map (fun dir -> movement ~dir ~move:false) (dirs p)
 
@@ -69,24 +66,6 @@ let advance p ~tau ~dir =
   movements.(tau - 1) <- movement ~dir ~move:true;
   move p movements
 
-let walk_until p ~tau ~dir pred =
-  let fuel = ref (2 * (list_length p tau + 2)) in
-  let rec go () =
-    if pred (Nlm.kernel_cell p.pilot (tau - 1)) then ()
-    else begin
-      decr fuel;
-      if !fuel < 0 then failwith "Plan.walk_until: target not found";
-      (try advance p ~tau ~dir
-       with Invalid_argument _ -> failwith "Plan.walk_until: hit list end");
-      go ()
-    end
-  in
-  go ()
-
-let rewind p ~tau =
-  while Nlm.kernel_position p.pilot (tau - 1) > 1 do
-    advance p ~tau ~dir:(-1)
-  done
 
 let id_at p ~tau =
   if tau < 1 || tau > p.lists then invalid_arg "Plan.id_at";

@@ -40,7 +40,6 @@ val dirs : 'v t -> int array
 val list_length : 'v t -> int -> int
 (** Current pilot length of list [τ] (1-based). *)
 
-val steps_planned : 'v t -> int
 val reversals_planned : 'v t -> int
 
 val move : 'v t -> ?check:'v check -> Nlm.movement array -> unit
@@ -59,14 +58,6 @@ val advance : 'v t -> tau:int -> dir:int -> unit
     @raise Invalid_argument if the head is at the list end in that
     direction (the planner refuses silently-clamped moves). *)
 
-val walk_until : 'v t -> tau:int -> dir:int -> (Nlm.cell -> bool) -> unit
-(** {!advance} head [tau] until its current cell satisfies the
-    predicate; no-op if it already does.
-    @raise Failure if the list end is reached first. *)
-
-val rewind : 'v t -> tau:int -> unit
-(** Walk head [tau] to position 1. *)
-
 val id_at : 'v t -> tau:int -> int
 (** Stable identity of the cell under head [tau]. *)
 
@@ -79,10 +70,6 @@ val goto : 'v t -> tau:int -> id:int -> unit
     head [tau] moves, so indices on list [tau] are stable during the
     walk). No-op if already there.
     @raise Failure if no cell of list [tau] has this identity. *)
-
-val contains_input : int -> Nlm.cell -> bool
-(** [contains_input i cell] — whether [In i] occurs in the cell
-    (payloads survive nesting, so this is the standard walk target). *)
 
 val check_inputs_equal : 'v t -> eq:('v -> 'v -> bool) -> int -> int -> unit
 (** [check_inputs_equal p ~eq i j] attaches (via {!pause}) the runtime

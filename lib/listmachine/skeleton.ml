@@ -175,7 +175,6 @@ module Intern = struct
   type table = { buckets : (int, (t * int) list ref) Hashtbl.t; mutable next : int }
 
   let create () = { buckets = Hashtbl.create 64; next = 0 }
-  let count tbl = tbl.next
 
   let intern tbl sk =
     let bucket =

@@ -64,9 +64,6 @@ module Intern : sig
   (** [(id, rep)] — ids are dense, assigned in first-intern order, and
       [rep] is the first structurally equal skeleton interned (so
       repeated interning returns a physically shared representative). *)
-
-  val count : table -> int
-  (** Number of distinct classes interned so far. *)
 end
 
 val positions_of_entry : entry -> int list

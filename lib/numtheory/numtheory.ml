@@ -95,8 +95,6 @@ let primes_upto n =
     !acc
   end
 
-let count_primes_upto n = List.length (primes_upto n)
-
 (* Per-k memo of the sieve, for the per-trial prime sampling of the
    fingerprint experiments: the same k is drawn from hundreds of times
    per table row, and rejection sampling re-runs Miller-Rabin on every

@@ -32,22 +32,12 @@ val next_prime : int -> int
 val primes_upto : int -> int list
 (** Sieve of Eratosthenes; intended for tests and small experiments. *)
 
-val count_primes_upto : int -> int
-
-val primes_le : int -> int array
-(** The primes [≤ k], sieved once per distinct [k] and memoized
-    (domain-safe). Backs {!random_prime_le} below the cache threshold.
-    @raise Invalid_argument if [k < 2]. *)
-
-val prime_cache_threshold : int
-(** Largest [k] the {!primes_le} memo will sieve; above it
-    {!random_prime_le} falls back to rejection sampling. *)
-
 val random_prime_le : Random.State.t -> int -> int
-(** [random_prime_le st k] is a uniformly random prime [p ≤ k]: an
-    index into the memoized sieve for [k ≤ prime_cache_threshold]
-    (one random draw, no Miller–Rabin), rejection sampling over
-    [\[2, k\]] beyond it.
+(** [random_prime_le st k] is a uniformly random prime [p ≤ k]. Up to a
+    fixed cache threshold it is an index into a sieve of the primes
+    [≤ k], computed once per distinct [k] and memoized (domain-safe):
+    one random draw, no Miller–Rabin. Beyond the threshold it is
+    rejection sampling over [\[2, k\]].
     @raise Invalid_argument if [k < 2]. *)
 
 val bertrand_prime : int -> int

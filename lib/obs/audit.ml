@@ -49,16 +49,6 @@ let enforce spec l =
   let o = check spec l in
   if not o.ok then raise (Budget_violated o)
 
-let pp_outcome ppf o =
-  Format.fprintf ppf "@[<v>audit %s at N=%d: %s" o.spec_name o.n
-    (if o.ok then "PASS" else "FAIL");
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "@,  %-8s %d <= %d  %s" c.resource c.measured c.allowed
-        (if c.ok then "ok" else "VIOLATED"))
-    o.checks;
-  Format.fprintf ppf "@]"
-
 (* Theorem 8(a). Internal bits: the second scan holds 11 registers of
    [bits_of (6k)] bits with k = m^3 * n * ceil(log2 (m^3 n)). Since
    2m <= N and n <= N, m^3 n <= N^4 / 8, so

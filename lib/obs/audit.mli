@@ -53,8 +53,6 @@ val enforce : spec -> Ledger.t -> unit
 (** {!check}, raising {!Budget_violated} unless every resource is
     within budget. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** {2 The paper's envelopes}
 
     Constants are derived from the implementations (see the .ml for

@@ -16,25 +16,6 @@ type snapshot = {
   census_shard_merges : int;
 }
 
-let zero =
-  {
-    retry_attempts = 0;
-    retry_gave_up = 0;
-    pool_chunks = 0;
-    pool_chunk_retries = 0;
-    pool_deadline_overruns = 0;
-    pool_degraded_spawns = 0;
-    checkpoint_stored = 0;
-    checkpoint_replayed = 0;
-    checkpoint_discarded = 0;
-    device_corrupt_detected = 0;
-    device_quarantine_rereads = 0;
-    device_cleanup_failures = 0;
-    census_classes = 0;
-    census_canonical_hits = 0;
-    census_shard_merges = 0;
-  }
-
 let retry_attempts = Atomic.make 0
 let retry_gave_up = Atomic.make 0
 let pool_chunks = Atomic.make 0
@@ -47,14 +28,6 @@ let checkpoint_discarded = Atomic.make 0
 let census_classes = Atomic.make 0
 let census_canonical_hits = Atomic.make 0
 let census_shard_merges = Atomic.make 0
-
-let all =
-  [
-    retry_attempts; retry_gave_up; pool_chunks; pool_chunk_retries;
-    pool_deadline_overruns; pool_degraded_spawns; checkpoint_stored;
-    checkpoint_replayed; checkpoint_discarded; census_classes;
-    census_canonical_hits; census_shard_merges;
-  ]
 
 (* the device_* fields are owned by [Tape.Device] (the tape library
    cannot depend on this one); snapshotting reads its atomics *)
@@ -118,10 +91,6 @@ let to_fields s =
     ("census_canonical_hits", s.census_canonical_hits);
     ("census_shard_merges", s.census_shard_merges);
   ]
-
-let reset () =
-  List.iter (fun c -> Atomic.set c 0) all;
-  Tape.Device.reset_health ()
 
 let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
 

@@ -45,10 +45,8 @@ type snapshot = {
       (** shard evidence files folded by [Adversary.Shard.merge] *)
 }
 
-val zero : snapshot
-
 val snapshot : unit -> snapshot
-(** Current totals since process start (or {!reset}). *)
+(** Current totals since process start. *)
 
 val diff : snapshot -> since:snapshot -> snapshot
 (** Field-wise subtraction: the activity between two snapshots. *)
@@ -57,10 +55,6 @@ val to_fields : snapshot -> (string * int) list
 (** Every field as a [(name, value)] pair, in declaration order — the
     serialization the serve STATS endpoint and other JSON emitters
     share, so counter names stay consistent across surfaces. *)
-
-val reset : unit -> unit
-(** Zero every counter, including the device-side health atomics this
-    module mirrors (tests only). *)
 
 (** {2 Incrementors — called by the instrumented layers} *)
 

@@ -14,7 +14,6 @@ type t = {
   scans : int;
   reversals : int;
   internal_peak : int;
-  budget_overruns : int;
   faults_injected : int;
   tapes : tape_stats list;
   counters : Counters.snapshot;
@@ -36,9 +35,7 @@ let pp ppf l =
     l.reversals l.internal_peak (tape_count l) (head_moves l) (reads l)
     (writes l);
   if l.faults_injected > 0 then
-    Format.fprintf ppf "@,faults injected: %d" l.faults_injected;
-  if l.budget_overruns > 0 then
-    Format.fprintf ppf "@,budget overruns: %d" l.budget_overruns
+    Format.fprintf ppf "@,faults injected: %d" l.faults_injected
 
 module Recorder = struct
   type t = {
@@ -67,10 +64,6 @@ module Recorder = struct
         List.fold_left
           (fun acc rep -> max acc rep.Tape.Group.internal_peak_units)
           0 reports;
-      budget_overruns =
-        List.fold_left
-          (fun acc rep -> acc + rep.Tape.Group.budget_overruns)
-          0 reports;
       faults_injected =
         List.fold_left (fun acc (ts : tape_stats) -> acc + ts.faults) 0 tapes;
       tapes;
@@ -80,7 +73,7 @@ module Recorder = struct
   (* Summed device stats over every observed group — how much backing
      I/O and cache residency the run's tapes cost. Kept out of the
      ledger record so the trace schema (and its pinned goldens) is
-     unchanged; E18 emits these through [Trace.emit_device]. *)
+     unchanged; E18 emits these through [Trace.device_current]. *)
   let device_stats r =
     List.fold_left
       (fun acc g ->

@@ -35,7 +35,6 @@ type t = {
   scans : int;  (** [1 + Σ reversals] — the paper's [r(N)] usage *)
   reversals : int;
   internal_peak : int;  (** meter high-water mark — the [s(N)] usage *)
-  budget_overruns : int;
   faults_injected : int;
   tapes : tape_stats list;  (** registration order *)
   counters : Counters.snapshot;
@@ -74,5 +73,5 @@ module Recorder : sig
       tapes' [close], so this can be read after a decider returns.
       Deliberately not part of {!ledger}: the trace schema (and its
       pinned goldens) is unchanged; E18 emits these separately through
-      [Trace.emit_device]. *)
+      [Trace.device_current]. *)
 end

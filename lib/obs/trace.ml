@@ -4,18 +4,15 @@ type value = Util.Json.value =
   | String of string
   | Raw of string
 
-type t = { oc : out_channel; owns : bool }
+type t = { oc : out_channel }
 
-let open_file path = { oc = open_out path; owns = true }
-let of_channel oc = { oc; owns = false }
+let open_file path = { oc = open_out path }
 
 let emit t ~event fields =
   Out_channel.output_string t.oc (Util.Json.obj (("event", String event) :: fields));
   Out_channel.output_char t.oc '\n'
 
-let close t =
-  flush t.oc;
-  if t.owns then close_out t.oc
+let close t = close_out t.oc
 
 let ledger_fields (l : Ledger.t) =
   let c = l.Ledger.counters in
@@ -30,7 +27,6 @@ let ledger_fields (l : Ledger.t) =
     ("reads", Int (Ledger.reads l));
     ("writes", Int (Ledger.writes l));
     ("faults", Int l.Ledger.faults_injected);
-    ("budget_overruns", Int l.Ledger.budget_overruns);
     ("retry_attempts", Int c.Counters.retry_attempts);
     ("retry_gave_up", Int c.Counters.retry_gave_up);
     ("pool_chunks", Int c.Counters.pool_chunks);
@@ -55,8 +51,6 @@ let audit_fields (o : Audit.outcome) =
          ])
        o.Audit.checks)
 
-let emit_audit t o = emit t ~event:"audit" (audit_fields o)
-
 (* Device stats are deterministic for a fixed program: cache geometry
    and access pattern fix the I/O byte counts, so the event keeps the
    -j 1/2/4 bit-identity the sink promises. *)
@@ -70,12 +64,9 @@ let device_fields ~label ~kind (s : Tape.Device.stats) =
     ("backing_files", Int s.Tape.Device.backing_files);
   ]
 
-let emit_device t ~label ~kind s = emit t ~event:"device" (device_fields ~label ~kind s)
-
 (* main-domain only, like the sink itself *)
 let current_sink = ref None
 
-let set_current t = current_sink := t
 let current () = !current_sink
 
 let emit_current ~event fields =
@@ -85,10 +76,14 @@ let ledger_current l =
   match !current_sink with None -> () | Some t -> emit_ledger t l
 
 let audit_current o =
-  match !current_sink with None -> () | Some t -> emit_audit t o
+  match !current_sink with
+  | None -> ()
+  | Some t -> emit t ~event:"audit" (audit_fields o)
 
 let device_current ~label ~kind s =
-  match !current_sink with None -> () | Some t -> emit_device t ~label ~kind s
+  match !current_sink with
+  | None -> ()
+  | Some t -> emit t ~event:"device" (device_fields ~label ~kind s)
 
 (* Device integrity events flow into whatever sink is current. The
    listener is installed once, at link time; it emits tape names and

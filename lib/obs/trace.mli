@@ -20,7 +20,7 @@
       — experiment-table lifecycle (from [Harness.Checkpoint.run]);
     - [{"event":"ledger","label":..,"n":..,"scans":..,"reversals":..,
        "internal_peak":..,"tapes":..,"head_moves":..,"reads":..,
-       "writes":..,"faults":..,"budget_overruns":..,"retry_attempts":..,
+       "writes":..,"faults":..,"retry_attempts":..,
        "pool_chunks":..,"checkpoint_discarded":..}] — one captured
       {!Ledger};
     - [{"event":"audit","spec":..,"n":..,"ok":..,
@@ -44,18 +44,12 @@ type value = Util.Json.value =
 val open_file : string -> t
 (** Open (truncating) a trace file. *)
 
-val of_channel : out_channel -> t
-(** Wrap an existing channel; {!close} flushes but does not close it. *)
-
 val emit : t -> event:string -> (string * value) list -> unit
 (** Write one line: [{"event":<event>, <fields in order>}]. *)
 
 val close : t -> unit
 
 val emit_ledger : t -> Ledger.t -> unit
-val emit_audit : t -> Audit.outcome -> unit
-
-val emit_device : t -> label:string -> kind:string -> Tape.Device.stats -> unit
 
 (** {2 Current-sink plumbing}
 
@@ -65,7 +59,6 @@ val emit_device : t -> label:string -> kind:string -> Tape.Device.stats -> unit
     harness emits through {!emit_current}, a no-op when no sink is
     installed. Main-domain only, like the sink itself. *)
 
-val set_current : t option -> unit
 val current : unit -> t option
 
 val emit_current : event:string -> (string * value) list -> unit

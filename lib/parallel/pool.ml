@@ -81,7 +81,6 @@ let create ?domains ?(watchdog = default_watchdog) () =
   }
 
 let domains t = t.domains
-let watchdog t = t.watchdog
 
 let default () = create ()
 

@@ -35,13 +35,10 @@ type watchdog = {
   retryable : exn -> bool;
       (** which exceptions re-run the chunk; anything else (and
           exhausted retries) propagates to the caller. The fault
-          harness passes [Faults.Retry.is_transient]-style predicates;
-          the default accepts nothing. *)
+          harness passes predicates built from
+          [Faults.Retry.default]'s classifier; the default accepts
+          nothing. *)
 }
-
-val default_watchdog : watchdog
-(** 2 retries, no deadline, nothing retryable — a plain pool behaves
-    exactly as one without a watchdog. *)
 
 (** What the watchdog absorbed since creation / {!reset_health}. *)
 type health = {
@@ -52,11 +49,12 @@ type health = {
 
 val create : ?domains:int -> ?watchdog:watchdog -> unit -> t
 (** A pool of [domains] workers (clamped to [>= 1]); defaults to
-    {!default_domains} and {!default_watchdog}.
+    {!default_domains} and a watchdog with 2 retries, no deadline and
+    nothing retryable — a plain pool behaves exactly as one without a
+    watchdog.
     @raise Invalid_argument if [watchdog.max_chunk_retries < 0]. *)
 
 val domains : t -> int
-val watchdog : t -> watchdog
 
 val health : t -> health
 (** Cumulative over the pool's lifetime; counters are atomics, safe to

@@ -33,13 +33,11 @@ module Checkphi : sig
   type space
   (** The product space determined by [(m, n, ϕ)]. *)
 
-  val make_space : m:int -> n:int -> phi:Util.Permutation.t -> space
-  (** @raise Invalid_argument unless [m] is a power of two matching
-      [size phi], [n ≥ log2 m], and each interval has at least two
-      elements ([n > log2 m]). *)
-
   val default_space : m:int -> n:int -> space
-  (** [make_space] with [ϕ = reverse_binary m] (Remark 20). *)
+  (** The space with [ϕ = reverse_binary m] (Remark 20).
+      @raise Invalid_argument unless [m] is a power of two,
+      [n ≥ log2 m], and each interval has at least two elements
+      ([n > log2 m]). *)
 
   val phi : space -> Util.Permutation.t
   val intervals : space -> Intervals.t

@@ -65,5 +65,3 @@ let equal a b =
   Array.length a.xs = Array.length b.xs
   && Array.for_all2 B.equal a.xs b.xs
   && Array.for_all2 B.equal a.ys b.ys
-
-let pp ppf t = Format.pp_print_string ppf (encode t)

@@ -49,4 +49,3 @@ val decode : string -> t
     strings). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -13,7 +13,6 @@ let make ~m ~n =
   if n < log2m then invalid_arg "Intervals.make: n < log2 m";
   { m; n; log2m }
 
-let m p = p.m
 let n p = p.n
 let log2m p = p.log2m
 

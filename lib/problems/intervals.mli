@@ -14,7 +14,6 @@ val make : m:int -> n:int -> t
 (** @raise Invalid_argument unless [m] is a positive power of two and
     [n ≥ log2 m]. *)
 
-val m : t -> int
 val n : t -> int
 val log2m : t -> int
 

@@ -33,11 +33,6 @@ type stmt = Bind of string * expr | Eval of expr
 
 type program = stmt list
 
-(* Structural equality; string lists, so polymorphic compare is exact.
-   Named so the qcheck round-trip property reads as a law. *)
-let equal_expr (a : expr) (b : expr) = a = b
-let equal_program (a : program) (b : program) = a = b
-
 (* The language's atom alphabet. Deliberately excludes angle brackets,
    ampersands, double quotes and NUL so every atom can flow into
    relalg's NUL-joined tuple encoding and the XML document stream
@@ -47,8 +42,6 @@ let atom_char c =
   || (c >= 'A' && c <= 'Z')
   || (c >= '0' && c <= '9')
   || c = '_' || c = '.' || c = '-'
-
-let is_atom s = String.for_all atom_char s
 
 (* Atoms spelled like canonical integers print bare (and re-lex as
    INT); everything else prints quoted. Bounded length keeps the
@@ -60,16 +53,3 @@ let is_canonical_int s =
   && (n = 1 || s.[0] <> '0')
 
 let reserved = [ "o"; "xfilter"; "xeq"; "_" ]
-
-let is_ident s =
-  String.length s > 0
-  && s.[0] >= 'a'
-  && s.[0] <= 'z'
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z')
-         || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9')
-         || c = '_')
-       s
-  && not (List.mem s reserved)

@@ -1,14 +1,3 @@
-(* Lowering: query AST → relalg plans, with the two document builtins
-   (xfilter/xeq) split off as xmlq sub-plans whose boolean results
-   re-enter the enclosing relalg expression as unary relations.
-
-   Canonical schemas: every compiled (sub)expression produces columns
-   c1..ck, so set operations line up by construction. Internal
-   attribute names (l*/r* for composition, g<i>_<j> for comprehension
-   generators, h<j> for constant head legs) can never collide with
-   canonical names or each other. Fresh relation names start with '%',
-   which the surface language cannot spell. *)
-
 open Ast
 
 type plan = {
@@ -20,10 +9,6 @@ type plan = {
 
 and sub = Sfilter of plan * plan | Sxeq of plan * plan
 
-(* Hidden fault-injection switch for the differential fuzzer's
-   negative control: when set, composition compiles with its operands
-   swapped — a classic silent planner bug the naive evaluator must
-   catch. Never set outside tests/E21. *)
 let swap_compose = ref false
 
 let col j = Printf.sprintf "c%d" j
@@ -180,8 +165,7 @@ let compile (env : Typecheck.env) (e : expr) : (plan, string) result =
       in
       Ok (plan_of e)
 
-(* Count the relalg operator nodes of a compiled segment — what the
-   REPL reports and E21 tabulates. *)
+(* the relalg operator nodes of one compiled segment *)
 let rec node_count (e : Relalg.expr) =
   match e with
   | Relalg.Rel _ -> 1

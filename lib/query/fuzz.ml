@@ -1,15 +1,3 @@
-(* Differential query fuzzer: seeded splitmix64 generation of
-   well-typed random queries, executed both by the naive in-memory
-   oracle (Naive) and the compiled tape pipeline (Exec), with
-   deterministic shrinking of any disagreement.
-
-   Determinism contract (pinned by the test suite): case [index] of
-   stream [seed] depends only on (seed, index) — generation draws from
-   [Parallel.Rng.state ~seed ~index] and the campaign folds case
-   fingerprints in index order, so a campaign's FNV-1a fingerprint is
-   bit-identical for any pool size and for mem/file/shard devices
-   (backend-blind cost accounting is the E18 property this leans on). *)
-
 open Ast
 
 (* ------------------------------------------------------------------ *)
@@ -47,7 +35,8 @@ let fresh_var g =
   g.vars <- g.vars + 1;
   Printf.sprintf "v%d" g.vars
 
-(* [wb] budgets the product width (Typecheck.product_width) so every
+(* [wb] budgets the product width — the relation-valued leaves under
+   products, which bound an intermediate stream at N^wb — so every
    generated plan stays inside relalg_node_spec's constant. *)
 let rec gen_expr g ~arity ~depth ~wb =
   let rng = g.rng in

@@ -1,9 +1,3 @@
-(* Reference evaluator: direct in-memory semantics over sorted
-   deduplicated row lists. Deliberately shares no code with the
-   compiler or relalg — it is the independent oracle the differential
-   fuzzer trusts. Callers typecheck first; ill-typed input raises
-   [Invalid_argument]. *)
-
 open Ast
 
 type value = string list list (* sorted, distinct; row length = arity *)

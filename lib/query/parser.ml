@@ -1,9 +1,3 @@
-(* Hand-written lexer + recursive-descent parser. Total: every entry
-   point returns [Ok _ | Error located] and never raises, whatever the
-   input bytes — a property the qcheck suite hammers with arbitrary
-   strings. A nesting cap keeps adversarial inputs from overflowing
-   the parser's stack. *)
-
 open Ast
 
 type error = { line : int; col : int; msg : string }

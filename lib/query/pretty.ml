@@ -1,9 +1,3 @@
-(* Canonical printer. The parser/printer pair is a law the test suite
-   pins: [parse_expr (expr e) = Ok e] for every well-formed AST the
-   fuzzer generates. Minimal parentheses: sum ops (+ - &) are one
-   left-associative level, composition (o) binds tighter, everything
-   else is atomic. *)
-
 open Ast
 
 let atom s = if is_canonical_int s then s else "\"" ^ s ^ "\""
@@ -41,14 +35,6 @@ and qual = function
 
 let expr e = at 0 e
 
-let stmt = function
-  | Bind (x, e) -> x ^ " = " ^ expr e
-  | Eval e -> expr e
-
-let program stmts = String.concat "; " (List.map stmt stmts)
-
-(* A result relation, printed as a re-parseable literal in sorted row
-   order — what the REPL echoes and what discrepancy reports embed. *)
 let rows rs =
   match rs with
   | [] -> "[]"

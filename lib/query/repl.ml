@@ -1,10 +1,3 @@
-(* Statement processor behind both [stlb query] (one-shot) and
-   [stlb repl] (interactive / batch). Every evaluation runs the
-   compiled plan on the tape substrate, audits each node, and
-   cross-checks the naive oracle; output is deterministic (no wall
-   clocks, no device paths) so batch transcripts can be golden-tested
-   byte-for-byte. *)
-
 type t = {
   mutable env : Naive.env;
   mutable device : Tape.Device.spec;
@@ -163,10 +156,6 @@ let do_line st line =
     `Continue
   end
 
-(* Drive a whole channel. [echo] reproduces the input lines in the
-   output (prefixed with the prompt) so a batch transcript reads like
-   an interactive session; [prompt] writes the prompt eagerly for a
-   human on a tty. *)
 let drive st ~echo ~prompt ic =
   let rec loop () =
     if prompt then begin

@@ -1,6 +1,3 @@
-(* Arity checking — the language's whole type system. A relation's
-   type is its arity; [[]] is the empty unary relation. *)
-
 open Ast
 
 type env = (string * int) list (* relation name -> arity *)
@@ -98,21 +95,3 @@ and comp_arity env head quals =
               else head_ok (v :: seen) rest
         in
         head_ok [] head
-
-(* A plan-size witness the audit layer cares about: the number of
-   relation-valued leaves under products bounds how large an
-   intermediate stream can get (N^depth). The fuzzer keeps this ≤ 4 so
-   [Obs.Audit.relalg_node_spec]'s constant covers every generated
-   plan. *)
-let rec product_width = function
-  | Lit _ | Ref _ -> 1
-  | Union (a, b) | Diff (a, b) | Inter (a, b) -> max (product_width a) (product_width b)
-  | Compose (a, b) -> product_width a + product_width b
-  | Comp (_, quals) ->
-      List.fold_left
-        (fun acc -> function
-          | Gen (_, e) -> acc + product_width e
-          | Guard _ -> acc)
-        0 quals
-      |> max 1
-  | Xfilter (a, b) | Xeq (a, b) -> max (product_width a) (product_width b)

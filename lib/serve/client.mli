@@ -1,9 +1,10 @@
 (** A minimal synchronous client for the stlb/1 protocol — the library
     behind [stlb loadgen], the E20 harness and the serve tests.
 
-    One request in flight at a time: {!call} writes a frame and blocks
-    until the matching response (the server answers in per-connection
-    order, and every response echoes the request id).
+    One request in flight at a time: each request ({!ping}, {!decide},
+    {!batch}, …) writes a frame and blocks until the matching response
+    (the server answers in per-connection order, and every response
+    echoes the request id).
 
     Each connection owns one 64 KiB receive buffer, allocated by
     {!connect} and reused by every read, so a response allocates only
@@ -18,10 +19,6 @@ val connect : ?retries:int -> string -> t
     @raise Unix.Unix_error when the last retry fails. *)
 
 val close : t -> unit
-
-val call : t -> Frame.msg -> Frame.msg
-(** Send one request frame, read one response frame.
-    @raise Failure on a closed connection or an undecodable response. *)
 
 val send_raw : t -> string -> unit
 (** Write raw bytes (fuzz tests: malformed frames on purpose). *)

@@ -128,7 +128,5 @@ val describe : msg -> string
     PROTOCOL.md's worked examples pair each hex dump with exactly this
     string, and the conformance test compares them verbatim. *)
 
-val problem_byte : problem -> int
 val problem_name : problem -> string
-val algorithm_byte : algorithm -> int
 val algorithm_name : algorithm -> string

@@ -1,7 +1,7 @@
 (* Pluggable storage backends for tapes.
 
    A device is the dumb cell store underneath a tape: get/set by
-   position, extent, sync, close.  Everything the cost model cares
+   position, sync, close.  Everything the cost model cares
    about — head position, direction, reversal counting, budgets, fault
    injection, observers — lives above this seam in [Tape], so swapping
    the backend cannot change any measured number.
@@ -62,11 +62,6 @@ let cleanup_counter = Atomic.make 0
 let corrupt_detected () = Atomic.get corrupt_counter
 let quarantine_rereads () = Atomic.get reread_counter
 let cleanup_failures () = Atomic.get cleanup_counter
-
-let reset_health () =
-  Atomic.set corrupt_counter 0;
-  Atomic.set reread_counter 0;
-  Atomic.set cleanup_counter 0
 
 exception Corrupt of { device : string; path : string; offset : int }
 
@@ -168,28 +163,18 @@ let write_file_atomic (raw : Raw.t) path content ~fsync =
   raw.Raw.rename tmp path
 
 type 'a t = {
-  dev_kind : string;
   dev_get : int -> 'a;
   dev_set : int -> 'a -> unit;
-  dev_extent : unit -> int;
   dev_sync : unit -> unit;
   dev_close : unit -> unit;
   dev_stats : unit -> stats;
-  dev_verify : unit -> verify_report;
 }
 
-and verify_report = { blocks_checked : int; corrupt_at : int list }
-
-let clean_report = { blocks_checked = 0; corrupt_at = [] }
-
-let kind d = d.dev_kind
 let get d i = d.dev_get i
 let set d i v = d.dev_set i v
-let extent d = d.dev_extent ()
 let sync d = d.dev_sync ()
 let close d = d.dev_close ()
 let stats d = d.dev_stats ()
-let verify d = d.dev_verify ()
 
 module Codec = struct
   (* How cells of type ['a] become bytes, in place: [write buf pos v]
@@ -241,8 +226,6 @@ type spec =
     }
   | Shard of { dir : string; shard_bytes : int; raw : raw_factory option }
 
-let mem_spec = Mem
-
 let file_spec ?(block_bytes = 1 lsl 16) ?(cache_blocks = 16) ?raw dir =
   File { dir; block_bytes; cache_blocks; raw }
 
@@ -253,7 +236,6 @@ let shard_spec ?(shard_bytes = 1 lsl 20) ?raw dir = Shard { dir; shard_bytes; ra
 
 let mem ~blank =
   let cells = ref (Array.make 16 blank) in
-  let hi = ref 0 in
   let grow pos =
     if pos >= Array.length !cells then begin
       let cap = max (pos + 1) (2 * Array.length !cells) in
@@ -263,20 +245,16 @@ let mem ~blank =
     end
   in
   {
-    dev_kind = "mem";
     dev_get = (fun i -> if i < Array.length !cells then !cells.(i) else blank);
     dev_set =
       (fun i v ->
         grow i;
-        !cells.(i) <- v;
-        if i >= !hi then hi := i + 1);
-    dev_extent = (fun () -> !hi);
+        !cells.(i) <- v);
     dev_sync = (fun () -> ());
     dev_close = (fun () -> ());
     dev_stats =
       (fun () ->
         { zero_stats with resident_bytes = Array.length !cells * 8 });
-    dev_verify = (fun () -> clean_report);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -397,7 +375,6 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
         { blk = -1; dirty = false; buf = Bytes.create bbytes })
   in
   let nlines = Array.length cache in
-  let hi = ref 0 in
   let io_r = ref 0 and io_w = ref 0 in
   let last_loaded = ref (-2) in
   (* block index quarantined by the last CRC failure; the next clean
@@ -464,7 +441,6 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   in
   let slot_off i = i mod slots_per_block * slot_bytes in
   {
-    dev_kind = "file";
     dev_get =
       (fun i ->
         let line = line_for (i / slots_per_block) in
@@ -501,9 +477,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
            backing file deterministic: only a shrink leaves bytes to
            clear *)
         if old_len > len then Bytes.fill line.buf stop (old_len - len) '\x00';
-        line.dirty <- true;
-        if i >= !hi then hi := i + 1);
-    dev_extent = (fun () -> !hi);
+        line.dirty <- true);
     dev_sync =
       (fun () ->
         Array.iter flush cache;
@@ -522,19 +496,6 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
           io_write_bytes = !io_w;
           backing_files = 1;
         });
-    dev_verify =
-      (fun () ->
-        Array.iter flush cache;
-        let nblocks = (!hi + slots_per_block - 1) / slots_per_block in
-        let scratch = Bytes.create fbytes in
-        let corrupt_at = ref [] in
-        for b = nblocks - 1 downto 0 do
-          full_pread raw fd scratch ~off:(block_off b);
-          io_r := !io_r + bbytes;
-          if not (frame_ok scratch 0 bbytes) then
-            corrupt_at := (b * slots_per_block) :: !corrupt_at
-        done;
-        { blocks_checked = nblocks; corrupt_at = !corrupt_at });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -592,7 +553,6 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
         })
   in
   let nlines = Array.length cache in
-  let hi = ref 0 in
   let io_r = ref 0 and io_w = ref 0 in
   let nfiles = ref 0 in
   let quarantined = ref (-1) in
@@ -700,7 +660,6 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
     line
   in
   {
-    dev_kind = "shard";
     dev_get =
       (fun i ->
         let line = line_for (i / cells) in
@@ -712,9 +671,7 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
         let j = i mod cells in
         line.vals.(j) <- v;
         Bytes.set line.present j '\x01';
-        line.sh_dirty <- true;
-        if i >= !hi then hi := i + 1);
-    dev_extent = (fun () -> !hi);
+        line.sh_dirty <- true);
     dev_sync =
       (fun () ->
         Array.iter flush cache;
@@ -741,24 +698,6 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
           io_write_bytes = !io_w;
           backing_files = !nfiles;
         });
-    dev_verify =
-      (fun () ->
-        Array.iter flush cache;
-        let nshards = (!hi + cells - 1) / cells in
-        let corrupt_at = ref [] in
-        let checked = ref 0 in
-        for s = nshards - 1 downto 0 do
-          if Sys.file_exists (path s) then begin
-            incr checked;
-            match read_shard s with
-            | Some data -> io_r := !io_r + Bytes.length data - shard_header_bytes
-            | None -> ()
-            | exception Corrupt _ ->
-                quarantined := -1;
-                corrupt_at := (s * cells) :: !corrupt_at
-          end
-        done;
-        { blocks_checked = !checked; corrupt_at = !corrupt_at });
   }
 
 let instantiate (type a) ?(codec : a Codec.t option) spec ~(blank : a) ~name :

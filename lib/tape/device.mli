@@ -2,18 +2,19 @@
     instrumented head run over RAM, a flat file, or a directory of run
     files, with identical cost accounting.
 
-    A device is a dumb cell store: get/set by position, extent, sync,
-    close. Head position, direction, reversal counting, budgets, fault
+    A device is a dumb cell store: get/set by position, sync, close.
+    Head position, direction, reversal counting, budgets, fault
     injection and observers all live {e above} this seam in [Tape], so
     swapping the backend cannot change any measured number — the
     backend-parity property the test suite pins down.
 
     The byte-backed backends are additionally {e crash- and
     corruption-hardened}: every block/shard is CRC-32 framed and
-    verified on read ({!Corrupt}, {!verify}), whole files are written
-    via atomic tmp+rename, shard directories carry a MANIFEST, and all
-    syscalls go through the {!Raw} seam so [lib/faults] can inject
-    storage-level failures deterministically. *)
+    verified on read ({!Corrupt}; {!Scrub} re-checks a spill directory
+    offline), whole files are written via atomic tmp+rename, shard
+    directories carry a MANIFEST, and all syscalls go through the
+    {!Raw} seam so [lib/faults] can inject storage-level failures
+    deterministically. *)
 
 type stats = {
   resident_bytes : int;  (** bytes currently cached in RAM *)
@@ -33,8 +34,8 @@ exception Corrupt of { device : string; path : string; offset : int }
     is the tape name, [path] the backing file, [offset] the first tape
     cell position the bad block covers. The offending cache line is
     quarantined before the raise, so a retry that re-reads the region
-    goes back to disk — {!Faults.Retry.classify_default} treats
-    [Corrupt] as transient for exactly this reason. *)
+    goes back to disk — [Faults.Retry.default] classifies [Corrupt]
+    as transient for exactly this reason. *)
 
 (** {2 Integrity health — process-wide counters and events}
 
@@ -58,9 +59,6 @@ val on_event : (event -> unit) -> unit
 val corrupt_detected : unit -> int
 val quarantine_rereads : unit -> int
 val cleanup_failures : unit -> int
-
-val reset_health : unit -> unit
-(** Zero the three health counters (tests only). *)
 
 (** {2 The raw syscall seam} *)
 
@@ -91,14 +89,8 @@ type 'a t
 (** A cell store for values of type ['a]. Positions are 0-based;
     reading a never-written position yields the blank. *)
 
-val kind : 'a t -> string
-(** ["mem"], ["file"] or ["shard"]. *)
-
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
-
-val extent : 'a t -> int
-(** One past the highest position ever written (0 if none). *)
 
 val sync : 'a t -> unit
 (** Flush dirty cached state to backing storage and make it durable:
@@ -112,14 +104,6 @@ val close : 'a t -> unit
     {!on_event}. *)
 
 val stats : 'a t -> stats
-
-type verify_report = { blocks_checked : int; corrupt_at : int list }
-(** [corrupt_at] lists the first cell position of each bad block. *)
-
-val verify : 'a t -> verify_report
-(** Flush, then re-read and CRC-check every block/shard of a live
-    device without disturbing its cache. Diagnostic: reports rather
-    than raises. Trivially clean for [mem]. *)
 
 (** How cells become bytes. Byte-backed devices need one; the mem
     backend does not. Cells are written and read in place in the
@@ -171,8 +155,6 @@ type spec =
           by an atomically-renamed MANIFEST; whole shards load and
           rewrite on cache eviction, so sequential run writes touch
           each file once per pass *)
-
-val mem_spec : spec
 
 val file_spec :
   ?block_bytes:int -> ?cache_blocks:int -> ?raw:raw_factory -> string -> spec

@@ -13,12 +13,9 @@ module Meter = struct
     mutable current : int;
     mutable peak : int;
     mutable limit : int option;
-    mutable fail_fast : bool;
-    mutable overruns : int;
   }
 
-  let create () =
-    { current = 0; peak = 0; limit = None; fail_fast = true; overruns = 0 }
+  let create () = { current = 0; peak = 0; limit = None }
 
   let alloc m n =
     if n < 0 then invalid_arg "Meter.alloc: negative";
@@ -27,11 +24,9 @@ module Meter = struct
       m.peak <- m.current;
       match m.limit with
       | Some lim when m.peak > lim ->
-          if m.fail_fast then
-            raise
-              (Budget_exceeded
-                 (Printf.sprintf "internal memory: peak %d > budget %d" m.peak lim))
-          else m.overruns <- m.overruns + 1
+          raise
+            (Budget_exceeded
+               (Printf.sprintf "internal memory: peak %d > budget %d" m.peak lim))
       | Some _ | None -> ()
     end
 
@@ -45,7 +40,6 @@ module Meter = struct
 
   let current m = m.current
   let peak m = m.peak
-  let overruns m = m.overruns
 end
 
 module Injection = struct
@@ -76,8 +70,6 @@ and group_state = {
   mutable members : member list; (* reversed registration order *)
   g_meter : Meter.t;
   max_scans : int option;
-  mutable g_fail_fast : bool;
-  mutable scan_overruns : int;
   mutable g_observer : (string -> Observer.t) option;
   g_device : Device.spec;
 }
@@ -147,14 +139,8 @@ let of_list ?name ?device ~blank items =
 
 let name tp = tp.name
 let blank tp = tp.blank
-let device_kind tp = Device.kind tp.dev
-let device_stats tp = Device.stats tp.dev
-let sync tp = Device.sync tp.dev
-let close tp = Device.close tp.dev
 
 let set_injection tp h = tp.injection <- h
-let faults tp = tp.faults
-let set_observer tp o = tp.observer <- o
 
 (* Reads, writes and moves are counted (and shown to an observer) only
    once the operation has completed: an operation aborted by an
@@ -230,12 +216,10 @@ let check_scan_budget tp =
       | Some lim ->
           let scans = 1 + total_group_reversals g in
           if scans > lim then
-            if g.g_fail_fast then
-              raise
-                (Budget_exceeded
-                   (Printf.sprintf "scans: %d > budget %d (reversal on %s)" scans
-                      lim tp.name))
-            else g.scan_overruns <- g.scan_overruns + 1)
+            raise
+              (Budget_exceeded
+                 (Printf.sprintf "scans: %d > budget %d (reversal on %s)" scans
+                    lim tp.name)))
 
 let move tp dir =
   (match dir with
@@ -331,17 +315,13 @@ module Group = struct
 
   let unlimited = { max_scans = None; max_internal = None }
 
-  let create ?(fail_fast = true) ?(budget = unlimited) ?(device = Device.Mem) ()
-      =
+  let create ?(budget = unlimited) ?(device = Device.Mem) () =
     let meter = Meter.create () in
     meter.Meter.limit <- budget.max_internal;
-    meter.Meter.fail_fast <- fail_fast;
     {
       members = [];
       g_meter = meter;
       max_scans = budget.max_scans;
-      g_fail_fast = fail_fast;
-      scan_overruns = 0;
       g_observer = None;
       g_device = device;
     }
@@ -386,8 +366,6 @@ module Group = struct
     preload tp items;
     tp
 
-  let sync_all g = List.iter (fun (Member tp) -> Device.sync tp.dev) g.members
-
   let close_all g = List.iter (fun (Member tp) -> Device.close tp.dev) g.members
 
   let device_stats g =
@@ -422,13 +400,10 @@ module Group = struct
     scans_used : int;
     tapes : tape_stats list;
     internal_peak_units : int;
-    budget_overruns : int;
   }
 
   let faults_injected g =
     List.fold_left (fun acc (Member tp) -> acc + tp.faults) 0 g.members
-
-  let budget_overruns g = g.scan_overruns + Meter.overruns g.g_meter
 
   let stats_of (Member tp) =
     {
@@ -446,6 +421,5 @@ module Group = struct
       scans_used = scans g;
       tapes = List.rev_map stats_of g.members;
       internal_peak_units = internal_peak g;
-      budget_overruns = budget_overruns g;
     }
 end

@@ -55,17 +55,6 @@ val preload_seq : 'a t -> 'a Seq.t -> unit
 (** {!preload} from a sequence — fills huge external tapes without
     materializing an intermediate list. *)
 
-val sync : 'a t -> unit
-(** Flush the device's dirty cached state to backing storage. *)
-
-val close : 'a t -> unit
-(** Flush and release the device (deleting any backing files). *)
-
-val device_kind : 'a t -> string
-(** ["mem"], ["file"] or ["shard"]. *)
-
-val device_stats : 'a t -> Device.stats
-
 val name : 'a t -> string
 
 val blank : 'a t -> 'a
@@ -154,7 +143,7 @@ val iter_right : 'a t -> ('a -> unit) -> unit
 
     A hook sees every [read], [write] and [move] on the tape and decides
     its outcome. Any outcome other than [*_ok] increments the tape's
-    {!faults} counter (surfaced per tape in {!Group.report}); [*_fail]
+    fault counter (reported per tape by {!Group.report}); [*_fail]
     outcomes additionally raise the carried exception at the call site
     (the fault layer uses a transient-I/O exception that its retry
     combinators classify). The substrate itself stays policy-free:
@@ -185,16 +174,17 @@ end
 
 val set_injection : 'a t -> 'a Injection.t option -> unit
 (** Install (or with [None] remove) the tape's fault-injection hook.
-    Fault-free tapes pay a single [match] per operation. *)
+    A tape with neither a hook nor an {!Observer} pays two [match]es
+    per operation: one on the hook, one on the observer as the
+    operation is counted. *)
 
-val faults : 'a t -> int
-(** Number of injected faults (corrupted/dropped/failed operations) so
-    far on this tape. *)
-
-(** A per-operation probe, symmetric with {!Injection}, for tests that
-    pin the order of a tape's accesses. The tape counts its own moves,
+(** A per-operation probe, symmetric with {!Injection}, installed on a
+    whole group by {!Group.set_observer}. The tape counts its own moves,
     reads and writes ({!head_moves}, {!reads}, {!writes}); no library
-    module installs an observer.
+    module installs an observer. One test needs it: test_extsort's
+    two-way replay digest pins the order in which [Extsort.sort_tape]
+    touches the cells of every tape it creates, auxiliary ones
+    included, and no counter records an order.
 
     An observer sees every completed [read], [write] and [move] on the
     tape — exactly the operations those counters count. Observers are
@@ -209,14 +199,9 @@ module Observer : sig
   }
 end
 
-val set_observer : 'a t -> Observer.t option -> unit
-(** Install (or with [None] remove) the tape's observer. *)
-
 (** Internal-memory meter (the [s(N)] resource). *)
 module Meter : sig
   type t
-
-  val create : unit -> t
 
   val alloc : t -> int -> unit
   (** Charge [n ≥ 0] units (bytes/cells — the unit is the caller's
@@ -231,9 +216,6 @@ module Meter : sig
 
   val current : t -> int
   val peak : t -> int
-
-  val overruns : t -> int
-  (** Allocations that exceeded the budget while fail-fast was off. *)
 end
 
 (** Aggregation of tapes + meter against an [(r, s, t)] budget. *)
@@ -246,15 +228,9 @@ module Group : sig
     max_internal : int option;  (** bound on the meter's peak *)
   }
 
-  val unlimited : budget
-
-  val create :
-    ?fail_fast:bool -> ?budget:budget -> ?device:Device.spec -> unit -> t
-  (** [~fail_fast:false] (default [true]) makes budget violations —
-      both the scan bound and the meter's internal-memory bound —
-      accumulate in [report.budget_overruns] instead of raising
-      {!Budget_exceeded}: the fault layer's escape hatch for runs that
-      must survive to the end of a recovery.
+  val create : ?budget:budget -> ?device:Device.spec -> unit -> t
+  (** [budget] (default: no bound) is enforced as it is crossed: the
+      reversal or allocation that exceeds it raises {!Budget_exceeded}.
 
       [device] (default {!Device.Mem}) is the backend recipe for member
       tapes created through {!tape}/{!tape_of_list} {e with a codec}:
@@ -288,22 +264,18 @@ module Group : sig
     'a tape
   (** {!tape} followed by a device-level {!preload} — no head motion. *)
 
-  val sync_all : t -> unit
-  (** {!Tape.sync} every member tape. *)
-
   val close_all : t -> unit
-  (** {!Tape.close} every member tape (deleting backing files). *)
+  (** Flush and release every member tape's device (deleting backing
+      files). *)
 
   val device_stats : t -> Device.stats
   (** Member devices' stats, summed. *)
 
   val meter : t -> Meter.t
 
-  val total_reversals : t -> int
   val scans : t -> int
-  (** [1 + total_reversals] — the paper's [r(N)] usage. *)
-
-  val internal_peak : t -> int
+  (** One plus the member tapes' reversals — the paper's [r(N)]
+      usage. *)
 
   type tape_stats = {
     tape : string;  (** tape name *)
@@ -317,14 +289,12 @@ module Group : sig
   }
   (** One member tape's own counters: {!Tape.reversals},
       {!Tape.cells_used}, {!Tape.head_moves}, {!Tape.reads},
-      {!Tape.writes} and {!Tape.faults}. *)
+      {!Tape.writes}, and the injected-fault count. *)
 
   type report = {
     scans_used : int;
     tapes : tape_stats list;  (** registration order *)
     internal_peak_units : int;
-    budget_overruns : int;
-        (** budget violations tolerated while fail-fast was off *)
   }
 
   val report : t -> report
@@ -333,6 +303,4 @@ module Group : sig
 
   val faults_injected : t -> int
   (** Total injected faults over all registered tapes. *)
-
-  val budget_overruns : t -> int
 end

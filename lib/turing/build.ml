@@ -45,11 +45,12 @@ let state b ?(final = false) ?(accepting = false) name =
   b.count <- q + 1;
   q
 
-let on b ~from ~reads ~to_ ~writes ~moves =
+let on' b ~from ~reads ~to_ ~writes ~moves =
+  let moves = Array.of_list moves in
   let tapes = b.ext + b.int_ in
   if String.length reads <> tapes || String.length writes <> tapes then
-    invalid_arg "Build.on: reads/writes arity";
-  if Array.length moves <> tapes then invalid_arg "Build.on: moves arity";
+    invalid_arg "Build.on': reads/writes arity";
+  if Array.length moves <> tapes then invalid_arg "Build.on': moves arity";
   (* expand '?' in reads over the alphabet *)
   let rec expand i acc =
     if i = String.length reads then List.map List.rev acc
@@ -76,9 +77,6 @@ let on b ~from ~reads ~to_ ~writes ~moves =
         }
         :: b.pendings)
     (expand 0 [ [] ])
-
-let on' b ~from ~reads ~to_ ~writes ~moves =
-  on b ~from ~reads ~to_ ~writes ~moves:(Array.of_list moves)
 
 let build b =
   if b.count = 0 then invalid_arg "Build.build: no states";

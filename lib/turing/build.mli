@@ -24,17 +24,12 @@ val state : b -> ?final:bool -> ?accepting:bool -> string -> int
     @raise Invalid_argument on duplicate names or [accepting] without
     [final]. *)
 
-val on :
-  b -> from:int -> reads:string -> to_:int -> writes:string ->
-  moves:Machine.move array -> unit
-(** Add transitions for every wildcard expansion of [reads]. Several
-    [on] entries from the same [(state, reads)] make the machine
-    nondeterministic there, numbered in declaration order. *)
-
 val on' :
   b -> from:int -> reads:string -> to_:int -> writes:string ->
   moves:Machine.move list -> unit
-(** [on] with a list of moves, saving an [\[| ... |\]]. *)
+(** Add transitions for every wildcard expansion of [reads]. Several
+    [on'] entries from the same [(state, reads)] make the machine
+    nondeterministic there, numbered in declaration order. *)
 
 val build : b -> Machine.t
 (** Finalize. @raise Invalid_argument if no state was declared or the

@@ -317,9 +317,6 @@ let run ?(fuel = 10_000_000) m ~input ~choices =
 
 let run_deterministic ?fuel m ~input = run ?fuel m ~input ~choices:(fun _ -> 0)
 
-let max_branching m =
-  Hashtbl.fold (fun _ trs acc -> max acc (List.length trs)) m.delta 1
-
 let tape_contents m c i =
   let raw = Bytes.sub_string c.tapes.(i) 0 (min c.used.(i) (Bytes.length c.tapes.(i))) in
   let last = ref (String.length raw) in

@@ -119,11 +119,6 @@ val run_deterministic : ?fuel:int -> t -> input:string -> run_stats
 (** [run] with all choice numbers 0 — the unique run when the machine is
     deterministic. *)
 
-val max_branching : t -> int
-(** [b = max |Next_T(γ)|], computed from the transition table (the
-    largest transition-list length; at least 1). Definition 17 sets
-    [C_T = {1,..,lcm(1..b)}]. *)
-
 val tape_contents : t -> config -> int -> string
 (** Contents of tape [i] (0-based tape index) up to the last used cell,
     with trailing blanks trimmed. *)

@@ -53,5 +53,3 @@ let fold_bits f v init =
   let acc = ref init in
   String.iteri (fun i c -> acc := f i (c = '1') !acc) v;
   !acc
-
-let pp ppf v = Format.pp_print_string ppf v

@@ -60,5 +60,3 @@ val random_in_range : Random.State.t -> width:int -> lo:int -> hi:int -> t
 val fold_bits : (int -> bool -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold_bits f v init] folds [f] over the bits MSB-first, passing the
     bit index and value. Used by streaming [mod] computations. *)
-
-val pp : Format.formatter -> t -> unit

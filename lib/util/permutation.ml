@@ -85,10 +85,3 @@ let longest_decreasing a =
   longest_increasing (Array.map (fun x -> -x) a)
 
 let sortedness p = max (longest_increasing p) (longest_decreasing p)
-
-let pp ppf p =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-       Format.pp_print_int)
-    p

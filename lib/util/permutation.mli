@@ -51,5 +51,3 @@ val longest_increasing : int array -> int
 (** Length of the longest strictly increasing subsequence. *)
 
 val longest_decreasing : int array -> int
-
-val pp : Format.formatter -> t -> unit

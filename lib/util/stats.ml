@@ -1,17 +1,3 @@
-let mean a =
-  if Array.length a = 0 then invalid_arg "Stats.mean: empty";
-  Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-
-let stddev a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Stats.stddev: empty";
-  if n = 1 then 0.0
-  else begin
-    let m = mean a in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 let linear_fit pts =
   let n = Array.length pts in
   if n < 2 then invalid_arg "Stats.linear_fit: need >= 2 points";

@@ -4,21 +4,12 @@
     (Corollary 7 / Theorem 11 upper bounds are O(log N)) and report
     empirical error rates with confidence margins (Theorem 8(a)). *)
 
-val mean : float array -> float
-(** @raise Invalid_argument on the empty array. *)
-
-val stddev : float array -> float
-(** Sample standard deviation (n−1 denominator); 0 for singletons.
-    @raise Invalid_argument on the empty array. *)
-
-val linear_fit : (float * float) array -> float * float * float
-(** [linear_fit pts] least-squares fit [y = a·x + b]; returns
-    [(a, b, r2)] where [r2] is the coefficient of determination
-    ([1.0] when the y-variance is zero).
-    @raise Invalid_argument with fewer than two points. *)
-
 val log2_fit : (int * int) array -> float * float * float
-(** [log2_fit pts] fits [y = a·log2 x + b] over [(x, y)] pairs. *)
+(** [log2_fit pts] least-squares fits [y = a·log2 x + b] over [(x, y)]
+    pairs; returns [(a, b, r2)] where [r2] is the coefficient of
+    determination ([1.0] when the y-variance is zero).
+    @raise Invalid_argument with fewer than two points or a single
+    distinct [x]. *)
 
 val binomial_ci95 : successes:int -> trials:int -> float * float
 (** Normal-approximation 95% confidence interval for a proportion,

@@ -11,8 +11,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.columns :: rows in

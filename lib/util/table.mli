@@ -12,8 +12,6 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row arity differs from the header. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 (** The full table: title, header, rule, rows; right-pads cells. *)
 

@@ -128,11 +128,3 @@ let rec string_value = function
   | Text s -> s
   | Element (_, children) -> String.concat "" (List.map string_value children)
 
-let equal (a : t) (b : t) = a = b
-
-let rec pp ppf = function
-  | Text s -> Format.pp_print_string ppf s
-  | Element (name, children) ->
-      Format.fprintf ppf "@[<hv 2><%s>%a@]</%s>" name
-        (Format.pp_print_list ~pp_sep:(fun _ () -> ()) pp)
-        children name

@@ -44,5 +44,3 @@ val string_value : t -> string
 (** Concatenated text content, in document order (the XPath
     string-value of the node). *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (* Tests for the fault-injection layer: plan determinism (including
    across worker counts - the load-bearing property), corruption
    detection by the deciders, the retry combinators, the pool watchdog,
-   the fail_fast escape hatch, and the checkpoint journal. *)
+   and the checkpoint journal. *)
 
 module D = Problems.Decide
 module G = Problems.Generators
@@ -226,31 +226,6 @@ let test_watchdog_deadline_flags_overruns () =
     (Pool.health pool).Pool.deadline_overruns
 
 (* ------------------------------------------------------------------ *)
-(* fail_fast escape hatch *)
-
-let test_fail_fast_off_counts_overruns () =
-  let budget = { Tape.Group.max_scans = Some 1; max_internal = None } in
-  let g = Tape.Group.create ~fail_fast:false ~budget () in
-  let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
-  Tape.move t Tape.Right;
-  Tape.move t Tape.Left;
-  Tape.move t Tape.Right;
-  check "no Budget_exceeded raised" true (Tape.Group.scans g > 1);
-  check "overruns recorded" true (Tape.Group.budget_overruns g > 0);
-  let r = Tape.Group.report g in
-  check "report surfaces the overruns" true (r.Tape.Group.budget_overruns > 0)
-
-let test_fail_fast_on_still_raises () =
-  let budget = { Tape.Group.max_scans = Some 1; max_internal = None } in
-  let g = Tape.Group.create ~budget () in
-  let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b' ] in
-  Tape.move t Tape.Right;
-  check "raises on the reversal" true
-    (match Tape.move t Tape.Left with
-    | () -> false
-    | exception Tape.Budget_exceeded _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* checkpoint journal *)
 
 let with_tmp_dir f =
@@ -343,13 +318,6 @@ let () =
             test_watchdog_exhausts_retries;
           Alcotest.test_case "deadline overruns flagged" `Quick
             test_watchdog_deadline_flags_overruns;
-        ] );
-      ( "fail-fast",
-        [
-          Alcotest.test_case "off: overruns counted" `Quick
-            test_fail_fast_off_counts_overruns;
-          Alcotest.test_case "on: still raises" `Quick
-            test_fail_fast_on_still_raises;
         ] );
       ( "checkpoint",
         [

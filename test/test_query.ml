@@ -103,21 +103,20 @@ let test_deep_nesting_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected depth-cap error"
 
-(* the fuzzer's generator as a qcheck generator *)
+(* the fuzzer's generator as a qcheck generator: a random case of a
+   random stream *)
 let gen_ast_expr =
   QCheck.make
     ~print:(fun e -> Q.Pretty.expr e)
     (fun st ->
-      let g = { Q.Fuzz.rng = st; vars = 0 } in
-      let arity = 1 + Random.State.int st 2 in
-      let depth = 2 + Random.State.int st 2 in
-      Q.Fuzz.gen_expr g ~arity ~depth ~wb:4)
+      let seed = Random.State.bits st and index = Random.State.bits st in
+      snd (Q.Fuzz.gen_case ~seed ~index))
 
 let test_roundtrip_qcheck =
   QCheck.Test.make ~count:500 ~name:"parse (pretty_print e) = e" gen_ast_expr
     (fun e ->
       match Q.Parser.parse_expr_string (Q.Pretty.expr e) with
-      | Ok e' -> Q.Ast.equal_expr e e'
+      | Ok e' -> e = e'
       | Error err ->
           QCheck.Test.fail_reportf "re-parse failed: %s on %s"
             (Q.Parser.error_to_string err) (Q.Pretty.expr e))

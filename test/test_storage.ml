@@ -204,8 +204,9 @@ let test_enospc_is_fatal_not_retried () =
 
 let test_corrupt_is_transient () =
   check "Corrupt classified transient" true
-    (Faults.Retry.is_transient
-       (Dev.Corrupt { device = "t"; path = "p"; offset = 0 }))
+    (Faults.Retry.default.classify
+       (Dev.Corrupt { device = "t"; path = "p"; offset = 0 })
+    = Faults.Retry.Transient)
 
 (* The backoff jitter is derived from (seed, label, attempt): a fixed
    policy replays the same delays in the same run and across -j 1/2/4

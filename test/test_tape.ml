@@ -63,39 +63,36 @@ let test_rewind () =
   Tape.move fresh Tape.Right;
   check_int "subsequent rightward move still free" 0 (Tape.reversals fresh)
 
-(* The constant-time rewind applies only to unhooked tapes; an observer
-   (or injection hook) forces the per-cell loop. Whichever path runs,
+(* The constant-time rewind applies only to unhooked tapes; an injection
+   hook (or an observer) forces the per-cell loop. Whichever path runs,
    the resulting tape state and the tape's own move/read/write counts
-   must be identical. *)
-let null_observer =
+   must be identical. A hook that lets every operation through changes
+   nothing but the path. *)
+let pass_through =
   {
-    Tape.Observer.on_read = (fun ~pos:_ -> ());
-    on_write = (fun ~pos:_ -> ());
-    on_move = (fun ~pos:_ _ -> ());
+    Tape.Injection.on_read = (fun ~pos:_ _ -> Tape.Injection.Read_ok);
+    on_write = (fun ~pos:_ _ -> Tape.Injection.Write_ok);
+    on_move = (fun ~pos:_ _ -> Tape.Injection.Move_ok);
   }
 
 (* [seek] walks one [move] per cell: |delta| moves, one reversal per
-   turn, nothing at all when already there. Moves are counted by an
-   observer, so the walk is checked step by step. *)
+   turn, nothing at all when already there. *)
 let test_seek () =
-  let moves = ref 0 in
   let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ] in
-  Tape.set_observer t
-    (Some { null_observer with on_move = (fun ~pos:_ _ -> incr moves) });
   Tape.seek t 4;
-  check_int "forward moves" 4 !moves;
+  check_int "forward moves" 4 (Tape.head_moves t);
   check_int "forward is no turn" 0 (Tape.reversals t);
   Tape.seek t 4;
-  check_int "seek in place moves nothing" 4 !moves;
+  check_int "seek in place moves nothing" 4 (Tape.head_moves t);
   check_int "seek in place turns nothing" 0 (Tape.reversals t);
   Tape.seek t 1;
-  check_int "backward moves" 7 !moves;
+  check_int "backward moves" 7 (Tape.head_moves t);
   check_int "a turn costs one reversal" 1 (Tape.reversals t);
   Tape.seek t 0;
   check_int "same direction, no new reversal" 1 (Tape.reversals t);
   Tape.seek t 5;
   check_int "turn again" 2 (Tape.reversals t);
-  check_int "total moves" 13 !moves;
+  check_int "total moves" 13 (Tape.head_moves t);
   Tape.write_at t 2 'x';
   check "write_at" true (Tape.read_at t 2 = 'x');
   check_int "write_at seeks" 2 (Tape.position t);
@@ -104,9 +101,9 @@ let test_seek () =
 let counts t = (Tape.head_moves t, Tape.reads t, Tape.writes t)
 
 let test_rewind_fast_path_parity () =
-  let run observed =
+  let run hooked =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
-    if observed then Tape.set_observer t (Some null_observer);
+    if hooked then Tape.set_injection t (Some pass_through);
     for _ = 1 to 3 do
       ignore (Tape.read t);
       Tape.move t Tape.Right
@@ -123,9 +120,9 @@ let test_rewind_fast_path_parity () =
   Alcotest.(check (pair (triple int int bool) (triple int int int)))
     "loop path = fast path" loop (run false);
   (* and from a leftward-moving head: no extra reversal either way *)
-  let run_leftward observed =
+  let run_leftward hooked =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
-    if observed then Tape.set_observer t (Some null_observer);
+    if hooked then Tape.set_injection t (Some pass_through);
     for _ = 1 to 3 do
       Tape.move t Tape.Right
     done;
@@ -141,14 +138,14 @@ let test_rewind_fast_path_parity () =
 let test_rewind_budget_trip_parity () =
   (* a rewind that trips the scan budget must leave the same tape state
      on both paths: reversal charged, direction flipped, head unmoved *)
-  let run observed =
+  let run hooked =
     let g =
       Tape.Group.create
         ~budget:{ Tape.Group.max_scans = Some 1; max_internal = None }
         ()
     in
     let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
-    if observed then Tape.set_observer t (Some null_observer);
+    if hooked then Tape.set_injection t (Some pass_through);
     for _ = 1 to 2 do
       Tape.write t 'z';
       Tape.move t Tape.Right
@@ -178,8 +175,7 @@ let test_rewind_injection_sees_moves () =
   let moves = ref 0 in
   let hook =
     {
-      Tape.Injection.on_read = (fun ~pos:_ _ -> Tape.Injection.Read_ok);
-      on_write = (fun ~pos:_ _ -> Tape.Injection.Write_ok);
+      pass_through with
       on_move =
         (fun ~pos:_ _ ->
           incr moves;
@@ -210,7 +206,7 @@ let test_to_list_iter () =
   Alcotest.(check (list char)) "iter from middle" [ 'c'; 'b' ] !seen2
 
 let test_meter () =
-  let m = Tape.Meter.create () in
+  let m = Tape.Group.meter (Tape.Group.create ()) in
   Tape.Meter.alloc m 5;
   check_int "current" 5 (Tape.Meter.current m);
   Tape.Meter.free m 2;
@@ -232,8 +228,7 @@ let test_group_accounting () =
   Tape.move t1 Tape.Left;
   Tape.move t2 Tape.Right;
   Tape.move t2 Tape.Left;
-  check_int "two reversals" 2 (Tape.Group.total_reversals g);
-  check_int "three scans" 3 (Tape.Group.scans g);
+  check_int "three scans: two reversals" 3 (Tape.Group.scans g);
   let r = Tape.Group.report g in
   Alcotest.(check (list (pair string int)))
     "per tape"

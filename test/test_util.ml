@@ -149,14 +149,9 @@ let prop_sortedness_invariant_under_reverse =
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
-let test_mean_stddev () =
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Util.Stats.mean [| 1.0; 2.0; 3.0; 4.0 |]);
-  Alcotest.(check (float 1e-9)) "stddev single" 0.0 (Util.Stats.stddev [| 5.0 |]);
-  let sd = Util.Stats.stddev [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  Alcotest.(check (float 1e-6)) "stddev" 2.13809 sd
-
+(* the least-squares core: at x = 2, 4, 8 the fit is y = 2 log2 x + 1 *)
 let test_linear_fit () =
-  let a, b, r2 = Util.Stats.linear_fit [| (1.0, 3.0); (2.0, 5.0); (3.0, 7.0) |] in
+  let a, b, r2 = Util.Stats.log2_fit [| (2, 3); (4, 5); (8, 7) |] in
   Alcotest.(check (float 1e-9)) "slope" 2.0 a;
   Alcotest.(check (float 1e-9)) "intercept" 1.0 b;
   Alcotest.(check (float 1e-9)) "r2" 1.0 r2
@@ -181,7 +176,7 @@ let test_binomial_ci () =
 let test_table () =
   let t = Util.Table.create ~title:"T" ~columns:[ "a"; "bb" ] in
   Util.Table.add_row t [ "1"; "2" ];
-  Util.Table.add_rows t [ [ "333"; "4" ] ];
+  Util.Table.add_row t [ "333"; "4" ];
   let s = Util.Table.render t in
   check "has title" true (String.length s > 0 && s.[0] = 'T');
   check "aligned" true
@@ -286,7 +281,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "mean/stddev" `Quick test_mean_stddev;
           Alcotest.test_case "linear fit" `Quick test_linear_fit;
           Alcotest.test_case "log2 fit" `Quick test_log2_fit;
           Alcotest.test_case "binomial ci" `Quick test_binomial_ci;
