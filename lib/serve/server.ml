@@ -210,13 +210,11 @@ let health_json cfg st ~stopping ~queue_depth ~pool =
 type pending = { pconn : conn; pmsg : Frame.msg }
 
 let write_all st conn s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   try
     let rec go off =
       if off < len then
-        let n = Unix.write conn.fd b off (len - off) in
-        go (off + n)
+        go (off + Unix.write_substring conn.fd s off (len - off))
     in
     go 0;
     st.bytes_out <- st.bytes_out + len;
@@ -260,7 +258,10 @@ let run ?(on_ready = fun () -> ()) cfg =
     let rec go pos =
       match Frame.decode ~max_frame:cfg.max_frame c.inbuf ~pos with
       | Frame.Incomplete ->
-          c.inbuf <- String.sub c.inbuf pos (String.length c.inbuf - pos)
+          if pos > 0 then begin
+            let rest = String.length c.inbuf - pos in
+            c.inbuf <- (if rest = 0 then "" else String.sub c.inbuf pos rest)
+          end
       | Frame.Complete (msg, consumed) ->
           frame_seen ();
           if Queue.length queue >= cfg.queue_bound then begin
@@ -291,13 +292,18 @@ let run ?(on_ready = fun () -> ()) cfg =
     in
     go 0
   in
+  (* One receive buffer per server, not per connection: the select
+     loop reads on this domain only, and an idle client then costs no
+     64 KiB. A fresh chunk per read would go straight to the major heap
+     and pace its collections. *)
+  let buf = Bytes.create 65536 in
   let read_some c =
-    let chunk = Bytes.create 65536 in
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    match Unix.read c.fd buf 0 (Bytes.length buf) with
     | 0 -> close_conn c
     | n ->
         st.bytes_in <- st.bytes_in + n;
-        c.inbuf <- c.inbuf ^ Bytes.sub_string chunk 0 n;
+        let got = Bytes.sub_string buf 0 n in
+        c.inbuf <- (if c.inbuf = "" then got else c.inbuf ^ got);
         ingest c
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         close_conn c

@@ -24,7 +24,13 @@
     closed only when framing itself is unrecoverable). Every response
     to a decide runs under its theorem-budget audit ({!Obs.Audit}); a
     run that exceeds its budget is reported as an [AUDIT_FAILED] error,
-    never as a silent verdict. *)
+    never as a silent verdict.
+
+    Memory: each server owns one 64 KiB receive buffer, shared by all
+    its connections and reused by every read, so a read allocates only
+    the bytes that arrived. [run] leaves the GC settings alone: [stlb
+    serve] sets its own (OPERATIONS.md §1), and an in-process server
+    keeps its host's. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path (stale paths are taken over) *)

@@ -5,9 +5,9 @@
    restarts / worker counts / batching (in-process and against the real
    `stlb serve` binary), backpressure (bounded queue and
    batch/frame size limits shed loudly), a malformed-frame fuzz pass
-   that the server must survive, the client's receive path (one reused
-   buffer, responses split and joined on the wire), and the decider
-   table itself. *)
+   that the server must survive, the client's and the server's receive
+   paths (one reused buffer each, frames split and joined on the wire),
+   and the decider table itself. *)
 
 module F = Serve.Frame
 module D = Problems.Decide
@@ -616,7 +616,7 @@ let test_malformed_fuzz_never_kills_server () =
   Serve.Client.close c
 
 (* ------------------------------------------------------------------ *)
-(* the client's receive path *)
+(* the client's and the server's receive paths *)
 
 (* Words this domain allocated directly in the major heap. On OCaml 5
    [Gc.counters] belongs to the calling domain, so the server's domain
@@ -644,12 +644,87 @@ let test_client_reuses_receive_buffer () =
     true
     (words < 64. *. float_of_int trips)
 
+(* The server reads every connection into the one buffer it owns. It
+   runs on this domain, so the direct major words counted here are its
+   own: a round trip must not cost a fresh 64 KiB chunk per read. *)
+let test_server_reuses_receive_buffer () =
+  let socket = fresh_socket () in
+  let ready = Atomic.make false in
+  let trips = 1000 in
+  let client =
+    Domain.spawn (fun () ->
+        while not (Atomic.get ready) do
+          Unix.sleepf 0.002
+        done;
+        let c = Serve.Client.connect socket in
+        Fun.protect
+          ~finally:(fun () ->
+            (try Serve.Client.shutdown c ~id:0 with _ -> ());
+            Serve.Client.close c)
+          (fun () ->
+            List.for_all
+              (fun id -> Serve.Client.ping c ~id)
+              (List.init trips succ)))
+  in
+  let before = direct_major_words () in
+  Serve.Server.run
+    ~on_ready:(fun () -> Atomic.set ready true)
+    (Serve.Server.default ~socket);
+  let words = direct_major_words () -. before in
+  check "every ping answered" true (Domain.join client);
+  check
+    (Printf.sprintf "%.0f direct major words over %d round trips" words
+       (trips + 1))
+    true
+    (words < 64. *. float_of_int (trips + 1))
+
 let write_all fd s =
   let rec go off =
     if off < String.length s then
       go (off + Unix.write_substring fd s off (String.length s - off))
   in
   go 0
+
+(* A raw client splits and joins frames the ways a stream socket may
+   deliver them to the server: a PING one byte per write, two PINGs in
+   one write, a DECIDE larger than the server's 64 KiB receive buffer
+   with a PING in the same write, and half a frame before a close. *)
+let test_server_framing_edge_cases () =
+  with_server @@ fun socket ->
+  let ping id = F.encode { F.id; payload = F.Request F.Ping } in
+  let big = Serve.Loadgen.mixed_item ~seed:7 ~m:1000 ~n:50 ~id:4 in
+  let big_frame = F.encode { F.id = 4; payload = F.Request (F.Decide big) } in
+  check "DECIDE frame outgrows the receive buffer" true
+    (String.length big_frame > 65536);
+  let c = Serve.Client.connect socket in
+  String.iter
+    (fun ch ->
+      Serve.Client.send_raw c (String.make 1 ch);
+      Unix.sleepf 0.0005)
+    (ping 1);
+  Serve.Client.send_raw c (ping 2 ^ ping 3);
+  Serve.Client.send_raw c (big_frame ^ ping 5);
+  List.iter
+    (fun id ->
+      let got = Serve.Client.read_response c in
+      check (Printf.sprintf "response id=%d in order" id) true (got.F.id = id);
+      match got.F.payload with
+      | F.Response F.Pong when id <> 4 -> ()
+      | F.Response (F.Verdict v) when id = 4 ->
+          check "big DECIDE audited" true v.F.audited
+      | p ->
+          Alcotest.failf "id=%d: unexpected %s" id
+            (F.describe { id; payload = p }))
+    [ 1; 2; 3; 4; 5 ];
+  Serve.Client.close c;
+  let half = ping 6 in
+  let c = Serve.Client.connect socket in
+  Serve.Client.send_raw c (String.sub half 0 (String.length half / 2));
+  Serve.Client.close c;
+  let c = Serve.Client.connect socket in
+  check "a new connection is answered after the close" true
+    (Serve.Client.ping c ~id:7);
+  Serve.Client.close c
 
 (* A fake peer splits and joins responses the ways a stream socket may
    deliver them: one byte per write, two responses in one write, and a
@@ -777,6 +852,13 @@ let () =
             test_client_reuses_receive_buffer;
           Alcotest.test_case "split and joined responses" `Quick
             test_client_framing_edge_cases;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "one receive buffer per server" `Quick
+            test_server_reuses_receive_buffer;
+          Alcotest.test_case "split and joined requests" `Quick
+            test_server_framing_edge_cases;
         ] );
       ( "observability",
         [
