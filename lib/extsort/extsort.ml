@@ -46,12 +46,9 @@ let codec_for g items =
    turns the readback into O(len · seek). *)
 let read_run tp ~len =
   Tape.seek tp 0;
-  let out = ref [] in
-  for i = 0 to len - 1 do
-    if i > 0 then Tape.move tp Tape.Right;
-    out := Tape.read tp :: !out
-  done;
-  List.rev !out
+  List.init len (fun i ->
+      if i > 0 then Tape.move tp Tape.Right;
+      Tape.read tp)
 
 let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
   if ways < 2 then invalid_arg "Extsort.sort_tape: ways >= 2";
@@ -67,8 +64,14 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
       Array.iter (attach_opt faults) aux;
       let counts = Array.make ways 0 in
       let idx = Array.make ways 0 and hi = Array.make ways 0 in
+      (* one cell register per stream; the distribution pass moves its
+         cells through the first *)
+      let regs = Array.init ways (fun _ -> Tape.register t) in
       let live w = idx.(w) < hi.(w) in
-      let head w = Tape.read_at aux.(w) idx.(w) in
+      let head w =
+        Tape.seek aux.(w) idx.(w);
+        Tape.load aux.(w) regs.(w)
+      in
       (* The stream whose head goes out next, or -1 once all are
          exhausted. A lone live stream is taken unread; otherwise every
          live head is read, last stream first, and the smallest wins,
@@ -82,15 +85,15 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
           end
         done;
         if !n_live > 1 then begin
-          let smallest = ref "" in
           best := -1;
           for w = ways - 1 downto 0 do
             if live w then begin
-              let x = head w in
-              if !best < 0 || String.compare x !smallest <= 0 then begin
-                best := w;
-                smallest := x
-              end
+              head w;
+              if
+                !best < 0
+                || Tape.compare_registers String.compare regs.(w) regs.(!best)
+                   <= 0
+              then best := w
             end
           done
         end;
@@ -103,9 +106,11 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
         Faults.phase ?faults ?retry ~label:"sort-distribute" (fun () ->
             Array.fill counts 0 ways 0;
             for i = 0 to len - 1 do
-              let x = Tape.read_at t i in
+              Tape.seek t i;
+              Tape.load t regs.(0);
               let w = i / !run mod ways in
-              Tape.write_at aux.(w) counts.(w) x;
+              Tape.seek aux.(w) counts.(w);
+              Tape.store aux.(w) regs.(0);
               counts.(w) <- counts.(w) + 1
             done);
         (* merge groups of [ways] runs back onto t; a retry re-merges
@@ -119,7 +124,9 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
               done;
               let w = ref (next ()) in
               while !w >= 0 do
-                Tape.write_at t !out (head !w);
+                head !w;
+                Tape.seek t !out;
+                Tape.store t regs.(!w);
                 idx.(!w) <- idx.(!w) + 1;
                 incr out;
                 w := next ()

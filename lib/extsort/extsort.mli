@@ -78,7 +78,11 @@ val sort_tape :
     registers. Each merge step takes a lone live stream unread;
     otherwise it reads every live head once, last stream first, and
     the smallest wins (ties to the lower stream), then re-reads the
-    winner to write it. The head is left at position 0. [?faults]
+    winner to write it. Cells move through {!Tape.register}s, one per
+    stream: on unhooked file tapes they stay in their stored bytes and
+    compare bytewise, so the passes decode and encode nothing, and a
+    winner's re-read is charged without touching the device. The head
+    is left at position 0. [?faults]
     attaches the plan to the auxiliary tapes it creates (the caller
     attaches it to [t]) and wraps each pass in retries.
 

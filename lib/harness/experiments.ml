@@ -1127,6 +1127,9 @@ let exp18 () =
             mb ds.Tape.Device.resident_bytes;
           ];
         ( l.Obs.Ledger.scans,
+          Obs.Ledger.head_moves l,
+          Obs.Ledger.reads l,
+          Obs.Ledger.writes l,
           l.Obs.Ledger.internal_peak,
           Obs.Ledger.tape_count l,
           o.Obs.Audit.ok,
@@ -1145,7 +1148,7 @@ let exp18 () =
   footer
     [
       ( ok,
-        "  backend parity (scans, internal, tapes, audit): "
+        "  backend parity (scans, moves, reads, writes, internal, tapes, audit): "
         ^ if ok then "IDENTICAL" else "DIVERGED" );
     ]
     "  expected: per decider, all three backends report the same scans,\n\

@@ -162,20 +162,6 @@ let write_file_atomic (raw : Raw.t) path content ~fsync =
      raise e);
   raw.Raw.rename tmp path
 
-type 'a t = {
-  dev_get : int -> 'a;
-  dev_set : int -> 'a -> unit;
-  dev_sync : unit -> unit;
-  dev_close : unit -> unit;
-  dev_stats : unit -> stats;
-}
-
-let get d i = d.dev_get i
-let set d i v = d.dev_set i v
-let sync d = d.dev_sync ()
-let close d = d.dev_close ()
-let stats d = d.dev_stats ()
-
 module Codec = struct
   (* How cells of type ['a] become bytes, in place: [write buf pos v]
      writes exactly [size v] bytes at [pos] and returns the end offset;
@@ -216,6 +202,33 @@ module Codec = struct
     }
 end
 
+(* A byte device's cells as their stored bytes: [load i dst] copies
+   cell [i]'s encoding to the front of [dst] (at least
+   [codec.max_bytes] long) and returns its length - the blank's
+   encoding for a never-written cell; [store i src len] makes the
+   first [len] bytes of [src] cell [i]'s encoding. *)
+type 'a slots = {
+  codec : 'a Codec.t;
+  load : int -> Bytes.t -> int;
+  store : int -> Bytes.t -> int -> unit;
+}
+
+type 'a t = {
+  dev_get : int -> 'a;
+  dev_set : int -> 'a -> unit;
+  dev_slots : 'a slots option;
+  dev_sync : unit -> unit;
+  dev_close : unit -> unit;
+  dev_stats : unit -> stats;
+}
+
+let get d i = d.dev_get i
+let set d i v = d.dev_set i v
+let slots d = d.dev_slots
+let sync d = d.dev_sync ()
+let close d = d.dev_close ()
+let stats d = d.dev_stats ()
+
 type spec =
   | Mem
   | File of {
@@ -250,6 +263,7 @@ let mem ~blank =
       (fun i v ->
         grow i;
         !cells.(i) <- v);
+    dev_slots = None;
     dev_sync = (fun () -> ());
     dev_close = (fun () -> ());
     dev_stats =
@@ -380,10 +394,6 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   (* block index quarantined by the last CRC failure; the next clean
      load of the same block is the recovery reread the ledger counts *)
   let quarantined = ref (-1) in
-  (* the last decoded cell: a merge rereads its live heads on every
-     output step, so without it each cell is decoded several times.
-     Any load and a set of that cell invalidate it. *)
-  let memo_pos = ref (-1) and memo_val = ref blank in
   let block_off b = file_header_bytes + (b * fbytes) in
   let flush line =
     if line.dirty then begin
@@ -402,7 +412,6 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     raise_corrupt ~device:name ~path ~offset:(b * slots_per_block)
   in
   let load line b =
-    memo_pos := -1;
     full_pread raw fd frame ~off:(block_off b);
     io_r := !io_r + bbytes;
     if not (frame_ok frame 0 bbytes) then bad line b;
@@ -440,44 +449,61 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     line
   in
   let slot_off i = i mod slots_per_block * slot_bytes in
+  (* the buffer of the cache line holding slot [i], made ready for a
+     [len]-byte payload at [slot_off i + 2]: length prefix set, line
+     dirty. Slack past a slot's length is always zero (loads fill or
+     copy whole blocks, and every write keeps it so), which keeps the
+     backing file deterministic: only a shrink leaves bytes to clear. *)
+  let slot_for_write i len =
+    let line = line_for (i / slots_per_block) in
+    if len > codec.Codec.max_bytes then
+      invalid_arg "Device.file: encoded cell exceeds codec max_bytes";
+    if len > max_slot_payload then
+      invalid_arg
+        (Printf.sprintf
+           "Device.file: encoded cell of %d bytes exceeds the %d-byte slot \
+            limit"
+           len max_slot_payload);
+    let off = slot_off i in
+    let old_len = Bytes.get_uint16_be line.buf off in
+    Bytes.set_uint16_be line.buf off len;
+    if old_len > len then Bytes.fill line.buf (off + 2 + len) (old_len - len) '\x00';
+    line.dirty <- true;
+    line.buf
+  in
+  let blank_bytes = Bytes.create (codec.Codec.size blank) in
+  ignore (codec.Codec.write blank_bytes 0 blank);
   {
     dev_get =
       (fun i ->
         let line = line_for (i / slots_per_block) in
-        if i = !memo_pos then !memo_val
-        else
-          let off = slot_off i in
-          let len = Bytes.get_uint16_be line.buf off in
-          if len = 0 then blank
-          else begin
-            let v = fst (codec.Codec.read line.buf (off + 2) (off + 2 + len)) in
-            memo_pos := i;
-            memo_val := v;
-            v
-          end);
+        let off = slot_off i in
+        let len = Bytes.get_uint16_be line.buf off in
+        if len = 0 then blank
+        else fst (codec.Codec.read line.buf (off + 2) (off + 2 + len)));
     dev_set =
       (fun i v ->
-        let line = line_for (i / slots_per_block) in
-        if i = !memo_pos then memo_pos := -1;
-        let off = slot_off i in
         let len = codec.Codec.size v in
-        if len > codec.Codec.max_bytes then
-          invalid_arg "Device.file: encoded cell exceeds codec max_bytes";
-        if len > max_slot_payload then
-          invalid_arg
-            (Printf.sprintf
-               "Device.file: encoded cell of %d bytes exceeds the %d-byte \
-                slot limit"
-               len max_slot_payload);
-        let old_len = Bytes.get_uint16_be line.buf off in
-        Bytes.set_uint16_be line.buf off len;
-        let stop = codec.Codec.write line.buf (off + 2) v in
-        (* slack past a slot's length is always zero (loads fill or copy
-           whole blocks, and every set keeps it so), which keeps the
-           backing file deterministic: only a shrink leaves bytes to
-           clear *)
-        if old_len > len then Bytes.fill line.buf stop (old_len - len) '\x00';
-        line.dirty <- true);
+        ignore (codec.Codec.write (slot_for_write i len) (slot_off i + 2) v));
+    dev_slots =
+      Some
+        {
+          codec;
+          load =
+            (fun i dst ->
+              let line = line_for (i / slots_per_block) in
+              let off = slot_off i in
+              match Bytes.get_uint16_be line.buf off with
+              | 0 ->
+                  Bytes.blit blank_bytes 0 dst 0 (Bytes.length blank_bytes);
+                  Bytes.length blank_bytes
+              | len ->
+                  Bytes.blit line.buf (off + 2) dst 0 len;
+                  len);
+          store =
+            (fun i src len ->
+              Bytes.blit src 0 (slot_for_write i len) (slot_off i + 2) len);
+        };
     dev_sync =
       (fun () ->
         Array.iter flush cache;
@@ -672,6 +698,7 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
         line.vals.(j) <- v;
         Bytes.set line.present j '\x01';
         line.sh_dirty <- true);
+    dev_slots = None;
     dev_sync =
       (fun () ->
         Array.iter flush cache;

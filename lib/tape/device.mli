@@ -114,17 +114,24 @@ module Codec : sig
         (** bytes [write] takes for a value; at most [max_bytes] *)
     write : Bytes.t -> int -> 'a -> int;
         (** [write buf pos v] writes [size v] bytes at [pos] and returns
-            the end offset. Order-preserving encoders (the {!Tuple}
-            ones) make stored cells compare bytewise like their values *)
+            the end offset. *)
     read : Bytes.t -> int -> int -> 'a * int;
         (** [read buf pos limit] returns the value whose encoding starts
             at [pos] together with its end offset — encodings must be
             self-delimiting. It never looks at [limit] or past it: the
-            bytes there belong to the next slot or cell. A decoded value
-            may be returned to several reads, so cell values must be
-            immutable. *)
+            bytes there belong to the next slot or cell. *)
     max_bytes : int;
   }
+  (** {b Contract: stored bytes order like the values.} For any two
+      values [a] and [b], the unsigned lexicographic order of their
+      encodings ([String.compare], shorter prefix first) has the sign
+      of the order the cell type's users compare values by, and equal
+      encodings are equal values. [Tape]'s cell registers compare two
+      cells stored by the same codec by their bytes alone, so a codec
+      that breaks this makes a register-based sort (Extsort's) sort
+      differently on a byte device than in RAM. The {!Tuple} codecs
+      keep it for [String.compare] and integer order (a tested
+      property). *)
 
   type 'a t = 'a codec
 
@@ -135,6 +142,25 @@ module Codec : sig
   val tuple_int : int t
   val tuple_char : char t
 end
+
+(** A byte device's cells as their stored bytes, without decoding:
+    what [Tape]'s cell registers use. Only the {!File} backend has them. *)
+type 'a slots = {
+  codec : 'a Codec.t;  (** the codec that wrote the bytes *)
+  load : int -> Bytes.t -> int;
+      (** [load i dst] copies cell [i]'s stored bytes to the front of
+          [dst] (at least [codec.max_bytes] long) and returns their
+          length. A never-written cell gives the blank's encoding, the
+          bytes a write of the blank stores. *)
+  store : int -> Bytes.t -> int -> unit;
+      (** [store i src len] makes the first [len] bytes of [src] cell
+          [i]'s stored bytes, exactly as writing the value they encode
+          would. *)
+}
+
+val slots : 'a t -> 'a slots option
+(** The device's slot accessor: [Some] on the file backend, [None] on
+    mem and shard (the shard backend caches decoded values). *)
 
 (** A backend recipe: what to build when a tape is created. *)
 type spec =

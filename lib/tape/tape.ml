@@ -75,9 +75,12 @@ and group_state = {
 }
 
 and 'a t = {
+  id : int;
   name : string;
   blank : 'a;
   dev : 'a Device.t;
+  slots : 'a Device.slots option;
+  mutable epoch : int; (* bumped by every write to the device *)
   mutable used : int; (* highest position visited or written, plus one *)
   mutable pos : int;
   mutable dir : direction;
@@ -101,9 +104,12 @@ let create ?name ?device ~blank () =
   in
   let dev = match device with Some d -> d | None -> Device.mem ~blank in
   {
+    id;
     name;
     blank;
     dev;
+    slots = Device.slots dev;
+    epoch = 0;
     used = 0;
     pos = 0;
     dir = Right;
@@ -123,14 +129,17 @@ let touch tp pos = if pos >= tp.used then tp.used <- pos + 1
    no observer or injection traffic — the cost-free "the input is
    already on the tape" premise every experiment starts from, at any
    backend. *)
-let preload_seq tp items =
-  Seq.iteri
-    (fun i x ->
-      touch tp i;
-      Device.set tp.dev i x)
-    items
+let preload_cell tp i x =
+  touch tp i;
+  Device.set tp.dev i x
 
-let preload tp items = preload_seq tp (List.to_seq items)
+let preload_seq tp items =
+  tp.epoch <- tp.epoch + 1;
+  Seq.iteri (preload_cell tp) items
+
+let preload tp items =
+  tp.epoch <- tp.epoch + 1;
+  List.iteri (preload_cell tp) items
 
 let of_list ?name ?device ~blank items =
   let tp = create ?name ?device ~blank () in
@@ -183,6 +192,7 @@ let read tp =
 
 let write tp x =
   touch tp tp.pos;
+  tp.epoch <- tp.epoch + 1;
   match tp.injection with
   | None ->
       Device.set tp.dev tp.pos x;
@@ -305,6 +315,96 @@ let iter_right tp f =
     f (read tp);
     move tp Right
   done
+
+(* A cell register. [slots = Some s]: the cell is the first [len]
+   bytes of [buf], as codec [s.codec] stored them; [None]: the cell is
+   [value]. [src, src_pos, src_epoch] name the cell it was loaded from
+   (tape id, position, that tape's epoch then); [src = -1] when it
+   cannot be trusted to match the device: loaded through an injection
+   hook, or not loaded at all. *)
+type 'a register = {
+  mutable slots : 'a Device.slots option;
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable value : 'a;
+  mutable src : int;
+  mutable src_pos : int;
+  mutable src_epoch : int;
+}
+
+let register tp =
+  {
+    slots = None;
+    buf = Bytes.empty;
+    len = 0;
+    value = tp.blank;
+    src = -1;
+    src_pos = 0;
+    src_epoch = 0;
+  }
+
+(* The slot accessor when the register may hold stored bytes: the same
+   condition as [rewind]'s fast path - nobody is entitled to see the
+   cell values go by. *)
+let byte_slots tp =
+  match (tp.injection, tp.observer) with None, None -> tp.slots | _ -> None
+
+let load tp r =
+  match tp.injection with
+  | Some _ ->
+      r.value <- read tp;
+      r.slots <- None;
+      r.src <- -1
+  | None ->
+      touch tp tp.pos;
+      if r.src <> tp.id || r.src_pos <> tp.pos || r.src_epoch <> tp.epoch
+      then begin
+        (* a device that raises does so before the register changes *)
+        (match byte_slots tp with
+        | Some s as slots ->
+            let grow = s.Device.codec.Device.Codec.max_bytes - Bytes.length r.buf in
+            if grow > 0 then r.buf <- Bytes.extend r.buf 0 grow;
+            r.len <- s.Device.load tp.pos r.buf;
+            if r.slots != slots then r.slots <- slots
+        | None ->
+            r.value <- Device.get tp.dev tp.pos;
+            if r.slots != None then r.slots <- None);
+        r.src <- tp.id;
+        r.src_pos <- tp.pos;
+        r.src_epoch <- tp.epoch
+      end;
+      count_read tp
+
+let contents r =
+  match r.slots with
+  | None -> r.value
+  | Some s -> fst (s.Device.codec.Device.Codec.read r.buf 0 r.len)
+
+let store tp r =
+  match r.slots with
+  | None -> write tp r.value
+  | Some rs -> (
+      match byte_slots tp with
+      | Some s when s.Device.codec == rs.Device.codec ->
+          touch tp tp.pos;
+          tp.epoch <- tp.epoch + 1;
+          s.Device.store tp.pos r.buf r.len;
+          count_write tp
+      | _ -> write tp (contents r))
+
+(* unsigned lexicographic order of [a[0..la)] and [b[0..lb)], from [i] *)
+let rec compare_bytes a la b lb i =
+  if i = la || i = lb then compare la lb
+  else
+    let c = Char.code (Bytes.unsafe_get a i) - Char.code (Bytes.unsafe_get b i) in
+    if c <> 0 then c else compare_bytes a la b lb (i + 1)
+
+let compare_registers cmp a b =
+  match (a.slots, b.slots) with
+  | None, None -> cmp a.value b.value
+  | Some sa, Some sb when sa.Device.codec == sb.Device.codec ->
+      compare_bytes a.buf a.len b.buf b.len 0
+  | _ -> cmp (contents a) (contents b)
 
 let tape_create = create
 

@@ -118,6 +118,53 @@ val rewind : 'a t -> unit
     the per-cell loop runs, so fault plans and observers see every
     step. *)
 
+(** {2 Cell registers}
+
+    A register is a piece of internal memory holding one cell. Loading
+    and storing one is charged exactly as {!read} and {!write}: the
+    same counters, budget checks, observer calls and injection-hook
+    outcomes, in the same order. Registers change only what the host
+    does per cell.
+
+    {b Form.} When the tape has neither an injection hook nor an
+    observer (the condition of {!rewind}'s fast path) and its device
+    exposes slots ({!Device.slots}: the file backend), a load copies the
+    cell's stored bytes out of the cache line, decoding nothing, and a
+    store into such a tape copies them into its slot. Otherwise the
+    register holds the decoded value, as {!read} returns it.
+
+    {b Reloads.} Loading, from a tape with no injection hook, the cell
+    a register already holds, while that tape has not been written
+    since ({!write}, {!store} or {!preload}), charges the read and leaves
+    the device alone. A hooked tape is always read through its hook,
+    which may answer differently each time.
+
+    {b Blank cells.} A register loaded from a never-written cell acts
+    as the blank value, and storing it stores exactly what writing the
+    blank stores. *)
+
+type 'a register
+
+val register : 'a t -> 'a register
+(** A fresh register for cells of the tape's type, holding its blank. *)
+
+val load : 'a t -> 'a register -> unit
+(** Load the cell under the head into the register; charged as
+    {!read}. *)
+
+val store : 'a t -> 'a register -> unit
+(** Overwrite the cell under the head with the register's cell;
+    charged as {!write}. *)
+
+val compare_registers :
+  ('a -> 'a -> int) -> 'a register -> 'a register -> int
+(** [compare_registers cmp a b]: two registers holding bytes stored by
+    the same codec compare bytewise (unsigned, shorter prefix first),
+    with no call to [cmp]; any other pair is compared by [cmp] on the
+    decoded values. Sound when [cmp] orders values as the codec's
+    encodings order bytewise — the {!Device.Codec} contract, which the
+    {!Tuple} codecs keep for [String.compare]. *)
+
 val seek : 'a t -> int -> unit
 (** [seek tp target] walks the head to [target] one {!move} at a time:
     [|target - position|] moves, plus one reversal when the walk turns

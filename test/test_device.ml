@@ -92,9 +92,8 @@ let specs () =
    that reads every cell twice and rewrites every third one reversed,
    reading it once more after the rewrite, a rewind, a verification
    scan - all under a seeded fault plan (no transients, so the walk
-   itself never raises). The repeated reads hit the file device's
-   decoded-cell memo and the rewrite must clear it. Returns everything
-   observable above the seam. *)
+   itself never raises). Returns everything observable above the
+   seam. *)
 let walk ~seed items spec =
   let r = Obs.Ledger.Recorder.create ~label:"parity" () in
   let g = Tape.Group.create ~device:spec () in
@@ -243,11 +242,11 @@ let backing_files root =
    block/shard device, sync, and return the MD5 of its backing files'
    contents (their names carry an allocation counter, so they are left
    out); every written position must read back as its last value. *)
-let disk_digest (type a) spec_of (codec : a Tape.Device.Codec.t) ~(blank : a)
-    (writes : (int * a) list) =
+let disk_digest (type a) ?(put = Tape.Device.set) spec_of
+    (codec : a Tape.Device.Codec.t) ~(blank : a) (writes : (int * a) list) =
   let dir = Printf.sprintf "%s-pin" spill in
   let d = Tape.Device.instantiate ~codec (spec_of dir) ~blank ~name:"pin" in
-  List.iter (fun (i, v) -> Tape.Device.set d i v) writes;
+  List.iter (fun (i, v) -> put d i v) writes;
   Tape.Device.sync d;
   let files = backing_files dir in
   let last = Hashtbl.create 64 in
@@ -318,6 +317,37 @@ let test_on_disk_format_pinned () =
     ]
     got
 
+(* A register's store: the file device's slot accessor stores encoded
+   bytes, a blank as the bytes loaded from a never-written cell. The
+   backing files must come out as [Device.set] writes them. *)
+let test_slot_store_bytes () =
+  let put (type a) ~(blank : a) d i (v : a) =
+    let s = Option.get (Tape.Device.slots d) in
+    let buf = Bytes.create s.Tape.Device.codec.Tape.Device.Codec.max_bytes in
+    let len =
+      if v = blank then s.Tape.Device.load 100_000 buf
+      else s.Tape.Device.codec.Tape.Device.Codec.write buf 0 v
+    in
+    s.Tape.Device.store i buf len
+  in
+  let file dir = Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:1 dir in
+  let module C = Tape.Device.Codec in
+  let digests (type a) (codec : a C.t) ~(blank : a) writes =
+    ( disk_digest file codec ~blank writes,
+      disk_digest ~put:(put ~blank) file codec ~blank writes )
+  in
+  let same what (by_set, by_slots) =
+    Alcotest.(check string) what by_set by_slots
+  in
+  same "strings"
+    (digests (C.tuple_string ~max_len:12) ~blank:""
+       (pin_writes [| ""; "\x00\xff\x00"; "twelve-bytes"; "ab" |]
+          [ (2, "x"); (0, "now-longer"); (50, "") ]));
+  same "ints"
+    (digests C.tuple_int ~blank:0 (pin_writes [| -1; 0; max_int |] [ (5, 0) ]));
+  Alcotest.(check bool) "no slots on mem" true
+    (Tape.Device.slots (Tape.Device.mem ~blank:"") = None)
+
 let () =
   Alcotest.run "device"
     [
@@ -335,6 +365,8 @@ let () =
             test_file_device_io;
           Alcotest.test_case "file slot length limit" `Quick
             test_file_slot_limit;
+          Alcotest.test_case "slot stores write set's bytes" `Quick
+            test_slot_store_bytes;
           Alcotest.test_case "on-disk format pinned" `Quick
             test_on_disk_format_pinned;
         ] );

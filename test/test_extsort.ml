@@ -151,6 +151,67 @@ let test_two_way_replay () =
   Alcotest.(check int64) "digest" 0x426fbb7a81a8b8b8L !h;
   Alcotest.(check int) "scans" 80 (Tape.Group.scans g)
 
+let spill =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "stlb-test-extsort-%d" (Unix.getpid ()))
+
+let () = at_exit (fun () -> try Unix.rmdir spill with Unix.Unix_error _ -> ())
+
+(* The merge holds its cells in tape registers: stored bytes on an
+   unhooked file tape, decoded values on mem, on shard and on a hooked
+   file tape (a zero-rate fault plan injects nothing but installs the
+   hooks). Both forms must sort alike and charge every tape alike. *)
+let prop_register_forms_agree =
+  let item =
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl [ '\x00'; '\xff'; 'a'; 'b' ])
+        (int_range 0 5))
+  in
+  QCheck.Test.make ~name:"register forms sort alike on mem/file/shard/hooked file"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (w, l) ->
+         Printf.sprintf "ways %d: %s" w
+           (String.concat "," (List.map String.escaped l)))
+       QCheck.Gen.(pair (int_range 2 6) (list_size (int_range 0 40) item)))
+    (fun (ways, items) ->
+      let file = Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:2 spill in
+      let run ?faults device =
+        let r = Obs.Ledger.Recorder.create () in
+        let sorted, _ = Extsort.sort ?faults ~obs:r ~device ~ways items in
+        (sorted, (Obs.Ledger.Recorder.ledger r).Obs.Ledger.tapes)
+      in
+      let runs =
+        [
+          run Tape.Device.Mem;
+          run file;
+          run (Tape.Device.shard_spec ~shard_bytes:256 spill);
+          run ~faults:(Faults.Plan.create ~seed:1 ~rates:Faults.zero) file;
+        ]
+      in
+      let expected = List.sort String.compare items in
+      List.for_all (fun (sorted, _) -> sorted = expected) runs
+      && List.for_all (fun (_, tapes) -> tapes = snd (List.hd runs)) runs)
+
+(* On the file device the sort moves stored bytes and decodes nothing:
+   what it allocates is set-up, the encoded input and the decoded
+   output, not a string and a pair per cell read. *)
+let test_sort_allocation () =
+  let n = 4096 and passes = 12 (* = log2 4096 two-way passes *) in
+  let items = List.init n (fun i -> Printf.sprintf "%05d" (i * 7919 mod n)) in
+  let device = Tape.Device.file_spec spill in
+  let w0 = Gc.minor_words () in
+  let sorted, _ = Extsort.sort ~device items in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (list string)) "sorted" (List.sort String.compare items) sorted;
+  check
+    (Printf.sprintf "%.0f minor words < 1 per cell per pass (%d)" words
+       (n * passes))
+    true
+    (words < float_of_int (n * passes))
+
 let test_budget_enforcement () =
   let st = Random.State.make [| 47 |] in
   let inst = G.yes_instance st D.Check_sort ~m:64 ~n:8 in
@@ -213,6 +274,8 @@ let () =
           Alcotest.test_case "k-way merge" `Quick test_kway_sort;
           Alcotest.test_case "2-way replay digest" `Quick test_two_way_replay;
           QCheck_alcotest.to_alcotest prop_kway_matches_stdlib;
+          QCheck_alcotest.to_alcotest prop_register_forms_agree;
+          Alcotest.test_case "file sort allocation" `Quick test_sort_allocation;
         ] );
       ( "corollary 7 deciders",
         [

@@ -272,6 +272,51 @@ let test_double_registration () =
   Alcotest.check_raises "regrouped" (Invalid_argument "Group.add_tape: tape already grouped")
     (fun () -> Tape.Group.add_tape g t)
 
+(* Cell registers: stored bytes on an unhooked file tape, decoded
+   values on a mem tape; both forms must act alike, also against each
+   other. *)
+let test_registers () =
+  let spill =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stlb-test-tape-%d" (Unix.getpid ()))
+  in
+  let g = Tape.Group.create ~device:(Tape.Device.file_spec spill) () in
+  let codec = Tape.Device.Codec.tuple_string ~max_len:4 in
+  let file = Tape.Group.tape_of_list g ~codec ~blank:"" [ "b\x00"; "a" ] in
+  let out = Tape.Group.tape g ~codec ~blank:"" () in
+  let mem = Tape.of_list ~blank:"" [ "b"; "" ] in
+  let rf = Tape.register file and rm = Tape.register mem in
+  let sign_regs () = compare (Tape.compare_registers String.compare rf rm) 0 in
+  let sign a b = compare (String.compare a b) 0 in
+  Tape.load file rf;
+  Tape.load mem rm;
+  check_int "bytes vs value" (sign "b\x00" "b") (sign_regs ());
+  check_int "loads charged as reads" 1 (Tape.reads file);
+  (* a reload after a write sees the new cell, not the held one *)
+  Tape.write file "a";
+  Tape.load file rf;
+  check_int "reload after write" (sign "a" "b") (sign_regs ());
+  (* a never-written cell acts as the blank and stores as the blank *)
+  Tape.seek file 5;
+  Tape.load file rf;
+  Tape.seek mem 1;
+  Tape.load mem rm;
+  check_int "never-written = blank" 0 (sign_regs ());
+  Tape.store out rf;
+  Alcotest.(check (list string)) "stored blank" [ "" ] (Tape.to_list out);
+  (* stored bytes into a file tape, their value into the mem tape *)
+  Tape.seek file 1;
+  Tape.load file rf;
+  Tape.store out rf;
+  Tape.seek mem 0;
+  Tape.store mem rf;
+  Alcotest.(check (list string)) "bytes stored" [ "a" ] (Tape.to_list out);
+  Alcotest.(check (list string)) "value stored" [ "a"; "" ] (Tape.to_list mem);
+  check_int "stores charged as writes" 2 (Tape.writes out);
+  Tape.Group.close_all g;
+  Unix.rmdir spill
+
 let prop_reversals_count_direction_changes =
   (* random walk: reversals = number of adjacent direction changes among
      executed moves *)
@@ -313,6 +358,7 @@ let () =
             test_rewind_injection_sees_moves;
           Alcotest.test_case "seek" `Quick test_seek;
           Alcotest.test_case "to_list/iter" `Quick test_to_list_iter;
+          Alcotest.test_case "registers" `Quick test_registers;
           QCheck_alcotest.to_alcotest prop_reversals_count_direction_changes;
         ] );
       ( "meter",
