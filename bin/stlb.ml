@@ -19,9 +19,11 @@
    A run that trips an enforced resource budget (Tape.Budget_exceeded,
    e.g. decide --max-scans) exits with status 10 and a one-line
    diagnostic instead of an uncaught backtrace. A decide instance that
-   is missing, empty or malformed exits 123; an algorithm that does not
-   decide the problem exits 124. An experiment table whose parity
-   verdict disagrees exits 4, like a query-fuzz discrepancy. *)
+   is missing, empty or malformed exits 123, as does an adversary
+   --merge evidence set that is unreadable, malformed, incomplete or
+   inconsistent; an algorithm that does not decide the problem exits
+   124. An experiment table whose parity verdict disagrees exits 4,
+   like a query-fuzz discrepancy. *)
 
 open Cmdliner
 
@@ -252,7 +254,7 @@ let decide_cmd =
       match storage_plan with
       | None -> None
       | Some _ ->
-          Some { Faults.Retry.default with Faults.Retry.attempts = 8 }
+          Some { Faults.Retry.attempts = 8 }
     in
     let device = device_spec ~tag:"decide" ?raw dev in
     let budget =
@@ -608,19 +610,24 @@ let adversary_cmd =
     in
     match merges with
     | _ :: _ ->
-        (* fold shard evidence files into the single-process verdict *)
+        (* fold shard evidence files into the single-process verdict;
+           everything is read and merged before anything is printed, so
+           bad evidence exits 123 with nothing on stdout *)
         let read_evidence path =
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          Stcore.Adversary.Shard.of_string s
+          match In_channel.with_open_bin path In_channel.input_all with
+          | s -> (
+              try Stcore.Adversary.Shard.of_string s
+              with Failure m -> raise (Bad_instance (path ^ ": " ^ m)))
+          | exception Sys_error m -> raise (Bad_instance m)
+        in
+        let census =
+          let evs = List.map read_evidence merges in
+          try Stcore.Adversary.Shard.merge ~space ~machine evs
+          with Failure m | Invalid_argument m -> raise (Bad_instance m)
         in
         Printf.printf "machine: %s (complete coverage needs %d chains)\n"
           machine.Listmachine.Nlm.name needed;
-        print_census ~space ~machine
-          (Stcore.Adversary.Shard.merge ~space ~machine
-             (List.map read_evidence merges))
+        print_census ~space ~machine census
     | [] -> (
         let i, k = shard in
         if k = 1 && out = None then begin

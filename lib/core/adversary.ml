@@ -35,6 +35,19 @@ let run_with ~fuel machine ~seed inst =
   Nlm.run_view ~fuel machine ~values:(values_of inst)
     ~choices:(choice_fn ~seed ~num_choices:machine.Nlm.num_choices)
 
+(* The census's fixed sizes: yes-instances drawn, candidate choice
+   sequences tried (1 suffices for a deterministic machine), and the
+   bound on step 4's active resampling search. *)
+let yes_samples = 48
+let choice_trials = 8
+let resample_tries = 32
+
+(* A scripted machine visits one state per step, so the run budget must
+   cover the script (the m = 128 staircase alone plans past 200k
+   steps). Every shard derives the same number from the same machine,
+   keeping evidence mergeable. *)
+let fuel_for machine = max 200_000 (2 * machine.Nlm.state_count)
+
 (* Every random draw the attack makes comes from a splitmix64 stream
    keyed on (root, index): samples at indices [0 .. yes_samples-1],
    candidate choice seeds after them, resampling states after those. So
@@ -42,18 +55,18 @@ let run_with ~fuel machine ~seed inst =
    pool's worker count and of how the sample space is sharded across
    processes, and replayable by passing [~seed]. *)
 let sample_index i = i
-let trial_index ~yes_samples t = yes_samples + t
-let resample_index ~yes_samples ~choice_trials n = yes_samples + choice_trials + n
+let trial_index t = yes_samples + t
+let resample_index n = yes_samples + choice_trials + n
 
 let sample_at ~root space i =
   G.Checkphi.yes (Parallel.Rng.state ~seed:root ~index:(sample_index i)) space
 
-let trial_seeds ~machine ~root ~yes_samples ~choice_trials =
+let trial_seeds ~machine ~root =
   if machine.Nlm.num_choices = 1 then [| 0 |]
   else
     Array.init choice_trials (fun t ->
         if t = 0 then 0
-        else (Parallel.Rng.derive ~seed:root ~index:(trial_index ~yes_samples t)).(0))
+        else (Parallel.Rng.derive ~seed:root ~index:(trial_index t)).(0))
 
 (* ------------------------------------------------------------------ *)
 (* Canonical-form reduction.
@@ -374,17 +387,11 @@ module Shard = struct
 
   let fingerprint e = Util.Hash.(fnv_string fnv_offset (to_string e))
 
-  let collect ?pool ?(canon = true) ~root ~space ~machine ?(yes_samples = 48)
-      ?(choice_trials = 8) ?(resample_tries = 32) ?fuel ~shard ~of_:shards () =
+  let collect ?pool ?(canon = true) ~root ~space ~machine ~shard ~of_:shards ()
+      =
     if shards < 1 || shard < 1 || shard > shards then
       invalid_arg "Adversary.Shard.collect: shard index out of range";
-    (* a scripted machine visits one state per step, so the default
-       budget must cover the script: every shard derives the same
-       number from the same machine, keeping evidence mergeable *)
-    let fuel = match fuel with
-      | Some f -> f
-      | None -> max 200_000 (2 * machine.Nlm.state_count)
-    in
+    let fuel = fuel_for machine in
     let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
     let phi = G.Checkphi.phi space in
     let m = P.size phi in
@@ -398,7 +405,7 @@ module Shard = struct
            (List.init yes_samples Fun.id))
     in
     let insts = Array.map (fun i -> sample_at ~root space i) owned in
-    let seeds = trial_seeds ~machine ~root ~yes_samples ~choice_trials in
+    let seeds = trial_seeds ~machine ~root in
     let r = make_runner ~machine ~fuel ~canon in
     let tbl = Skeleton.Intern.create () in
     let classes = ref [] in
@@ -456,6 +463,13 @@ module Shard = struct
       | [] -> invalid_arg "Adversary.Shard.merge: no evidence"
       | e :: _ -> e
     in
+    let phi = G.Checkphi.phi space in
+    let m = P.size phi in
+    if m <> e0.m || Problems.Intervals.n (G.Checkphi.intervals space) <> e0.n then
+      invalid_arg "Adversary.Shard.merge: space does not match the evidence";
+    if machine.Nlm.name <> e0.machine_name then
+      invalid_arg "Adversary.Shard.merge: machine does not match the evidence";
+    let fuel = fuel_for machine in
     let k = e0.shards in
     if List.length evs <> k then
       failwith
@@ -468,21 +482,15 @@ module Shard = struct
         if
           e.root <> e0.root || e.m <> e0.m || e.n <> e0.n
           || e.machine_name <> e0.machine_name
-          || e.yes_samples <> e0.yes_samples
-          || e.choice_trials <> e0.choice_trials
-          || e.resample_tries <> e0.resample_tries
-          || e.fuel <> e0.fuel || e.canon <> e0.canon || e.shards <> k
+          || e.yes_samples <> yes_samples
+          || e.choice_trials <> choice_trials
+          || e.resample_tries <> resample_tries
+          || e.fuel <> fuel || e.canon <> e0.canon || e.shards <> k
           || e.trial_seeds <> e0.trial_seeds
         then failwith "Adversary.Shard.merge: inconsistent shard evidence")
       evs;
-    let phi = G.Checkphi.phi space in
-    let m = P.size phi in
-    if m <> e0.m || Problems.Intervals.n (G.Checkphi.intervals space) <> e0.n then
-      invalid_arg "Adversary.Shard.merge: space does not match the evidence";
-    if machine.Nlm.name <> e0.machine_name then
-      invalid_arg "Adversary.Shard.merge: machine does not match the evidence";
     Obs.Counters.add_census_shard_merges 1;
-    let root = e0.root and yes_samples = e0.yes_samples in
+    let root = e0.root in
     let evs_arr = Array.of_list evs in
     (* Lemma 26 seed selection over the union of the shards' sample
        records: per-trial hit totals, first strictly-better seed wins —
@@ -502,7 +510,7 @@ module Shard = struct
       match !best with Some b -> b | None -> assert false
     in
     let yes_acceptance = float_of_int hits /. float_of_int yes_samples in
-    let r = make_runner ~machine ~fuel:e0.fuel ~canon:e0.canon in
+    let r = make_runner ~machine ~fuel ~canon:e0.canon in
     let outcome, skeleton_classes =
       if 2 * hits < yes_samples then (Contract_violated { yes_acceptance }, 0)
       else begin
@@ -610,13 +618,10 @@ module Shard = struct
                  and keep variants whose run has skeleton ζ and accepts *)
               let intervals = G.Checkphi.intervals space in
               let rec try_ n =
-                if n > e0.resample_tries then None
+                if n > resample_tries then None
                 else begin
                   let rng =
-                    Parallel.Rng.state ~seed:root
-                      ~index:
-                        (resample_index ~yes_samples
-                           ~choice_trials:e0.choice_trials n)
+                    Parallel.Rng.state ~seed:root ~index:(resample_index n)
                   in
                   let fresh =
                     Problems.Intervals.random_element rng intervals
@@ -706,29 +711,21 @@ module Shard = struct
     }
 end
 
-let attack_census ?pool ?seed ?(canon = true) st ~space ~machine
-    ?(yes_samples = 48) ?(choice_trials = 8) ?(resample_tries = 32) ?fuel () =
+let attack_census ?pool ?seed ?(canon = true) st ~space ~machine () =
   let root =
     match seed with Some s -> s | None -> Parallel.Rng.seed_of_state st
   in
-  let ev =
-    Shard.collect ?pool ~canon ~root ~space ~machine ~yes_samples
-      ~choice_trials ~resample_tries ?fuel ~shard:1 ~of_:1 ()
-  in
+  let ev = Shard.collect ?pool ~canon ~root ~space ~machine ~shard:1 ~of_:1 () in
   Shard.merge ~space ~machine [ ev ]
 
-let attack ?pool ?seed ?canon st ~space ~machine ?yes_samples
-    ?choice_trials ?resample_tries ?fuel () =
-  (attack_census ?pool ?seed ?canon st ~space ~machine ?yes_samples
-     ?choice_trials ?resample_tries ?fuel ())
-    .outcome
+let attack ?pool ?seed ?canon st ~space ~machine () =
+  (attack_census ?pool ?seed ?canon st ~space ~machine ()).outcome
 
 let verify_fooled ~space ~machine outcome =
   match outcome with
   | Fooled f ->
       G.Checkphi.member space f.input
       && (not (G.Checkphi.is_yes space f.input))
-      && (run_with ~fuel:(max 200_000 (2 * machine.Nlm.state_count)) machine
-            ~seed:f.choice_seed f.input)
+      && (run_with ~fuel:(fuel_for machine) machine ~seed:f.choice_seed f.input)
            .Nlm.vaccepted
   | Not_fooled _ | Contract_violated _ -> false

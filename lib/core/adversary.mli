@@ -140,10 +140,6 @@ module Shard : sig
     root:int ->
     space:Problems.Generators.Checkphi.space ->
     machine:Util.Bitstring.t Listmachine.Nlm.t ->
-    ?yes_samples:int ->
-    ?choice_trials:int ->
-    ?resample_tries:int ->
-    ?fuel:int ->
     shard:int ->
     of_:int ->
     unit ->
@@ -161,7 +157,9 @@ module Shard : sig
     census
   (** Fold a complete shard set (any order) into the single-process
       verdict. [space]/[machine] must be the ones the shards ran
-      against (checked against the evidence headers).
+      against (checked against the evidence headers), and every header
+      must carry the census sizes {!Shard.collect} writes (48 samples,
+      8 trials, 32 resample tries, the machine's fuel).
       @raise Failure on an incomplete, duplicated or inconsistent set.
       @raise Invalid_argument if [space]/[machine] mismatch the set. *)
 end
@@ -173,10 +171,6 @@ val attack_census :
   Random.State.t ->
   space:Problems.Generators.Checkphi.space ->
   machine:Util.Bitstring.t Listmachine.Nlm.t ->
-  ?yes_samples:int ->
-  ?choice_trials:int ->
-  ?resample_tries:int ->
-  ?fuel:int ->
   unit ->
   census
 (** The full pipeline with its census summary:
@@ -190,16 +184,12 @@ val attack :
   Random.State.t ->
   space:Problems.Generators.Checkphi.space ->
   machine:Util.Bitstring.t Listmachine.Nlm.t ->
-  ?yes_samples:int ->
-  ?choice_trials:int ->
-  ?resample_tries:int ->
-  ?fuel:int ->
   unit ->
   outcome
-(** Run the pipeline. [yes_samples] (default 48) yes-instances are
-    drawn from the space; [choice_trials] (default 8) candidate choice
-    sequences are tried (1 suffices for deterministic machines);
-    [resample_tries] (default 32) bounds the active search in step 4.
+(** Run the pipeline. 48 yes-instances are drawn from the space; 8
+    candidate choice sequences are tried (1 for a deterministic
+    machine); at most 32 resamples are tried in the active search of
+    step 4.
 
     Determinism: every random draw (samples, candidate choice seeds,
     resampling) comes from a splitmix64 stream keyed on a root seed and
@@ -217,9 +207,10 @@ val attack :
     for a machine that inspects value content; it changes no outcome
     bit.
 
-    [fuel] defaults to [max 200_000 (2 * state_count)] — a scripted
-    machine visits one state per step, so the budget always covers the
-    script (the m = 128 staircase alone plans past 200k steps). *)
+    Each machine run gets [max 200_000 (2 * state_count)] steps — a
+    scripted machine visits one state per step, so the budget always
+    covers the script (the m = 128 staircase alone plans past 200k
+    steps). *)
 
 val verify_fooled : space:Problems.Generators.Checkphi.space ->
   machine:Util.Bitstring.t Listmachine.Nlm.t -> outcome -> bool

@@ -27,17 +27,13 @@ let attach_opt faults tp =
 let observe_opt obs g =
   match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g
 
-(* A byte-backed device needs a cell codec; the items themselves bound
-   the encoded size. [Tuple] framing is order-preserving, so cells in a
-   spilled run compare bytewise exactly as the in-RAM strings do. *)
-let codec_for g items =
-  match Tape.Group.device g with
-  | Tape.Device.Mem -> None
-  | _ ->
-      let max_len =
-        List.fold_left (fun a s -> max a (String.length s)) 1 items
-      in
-      Some (Tape.Device.Codec.tuple_string ~max_len)
+(* A byte-backed device needs a cell codec (a mem group ignores it);
+   the items themselves bound the encoded size. [Tuple] framing is
+   order-preserving, so cells in a spilled run compare bytewise exactly
+   as the in-RAM strings do. *)
+let codec_for items =
+  let max_len = List.fold_left (fun a s -> max a (String.length s)) 1 items in
+  Tape.Device.Codec.tuple_string ~max_len
 
 (* Read cells [0 .. len-1] in one left-to-right scan: seek once, then
    read/advance cell by cell. Indexed [read_at] reads would re-seek
@@ -151,13 +147,13 @@ let report_of g n =
 let sort ?budget ?faults ?retry ?obs ?device ?ways items =
   let g = Tape.Group.create ?budget ?device () in
   observe_opt obs g;
-  let codec = codec_for g items in
+  let codec = codec_for items in
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
-  let t = Tape.Group.tape g ~name:"data" ?codec ~blank:"" () in
+  let t = Tape.Group.tape g ~name:"data" ~codec ~blank:"" () in
   Faults.phase ?faults ?retry ~label:"preload" (fun () -> Tape.preload t items);
   attach_opt faults t;
   let len = List.length items in
-  if len > 1 then sort_tape ?faults ?retry ?codec ?ways g t ~len;
+  if len > 1 then sort_tape ?faults ?retry ~codec ?ways g t ~len;
   let out =
     Faults.phase ?faults ?retry ~label:"sort-readback" (fun () ->
         read_run t ~len)
@@ -173,9 +169,9 @@ let items_of half = Array.to_list (Array.map B.to_string half)
    exactly as before, so injection runs never fault their own setup. *)
 let instance_tapes ?faults ?retry g inst =
   let xs = items_of (I.xs inst) and ys = items_of (I.ys inst) in
-  let codec = codec_for g (xs @ ys) in
-  let tx = Tape.Group.tape g ~name:"xs" ?codec ~blank:"" () in
-  let ty = Tape.Group.tape g ~name:"ys" ?codec ~blank:"" () in
+  let codec = codec_for (xs @ ys) in
+  let tx = Tape.Group.tape g ~name:"xs" ~codec ~blank:"" () in
+  let ty = Tape.Group.tape g ~name:"ys" ~codec ~blank:"" () in
   Faults.phase ?faults ?retry ~label:"preload" (fun () ->
       Tape.preload tx xs;
       Tape.preload ty ys);
@@ -194,8 +190,8 @@ let sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys ~registers scan
   let m = I.m inst in
   let tx, ty, codec = instance_tapes ?faults ?retry g inst in
   if m > 1 then begin
-    sort_tape ?faults ?retry ?codec g tx ~len:m;
-    if sort_ys then sort_tape ?faults ?retry ?codec g ty ~len:m
+    sort_tape ?faults ?retry ~codec g tx ~len:m;
+    if sort_ys then sort_tape ?faults ?retry ~codec g ty ~len:m
   end;
   let ok =
     Tape.Meter.with_units (Tape.Group.meter g) registers (fun () ->

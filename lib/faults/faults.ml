@@ -1,5 +1,5 @@
 (* Deterministic fault injection for the tape substrate, plus the
-   retry/backoff combinators the deciders use to survive it.
+   bounded-retry combinator the deciders use to survive it.
 
    The whole module is seeded: a [Plan] derives one private
    [Random.State] per tape from [(plan seed, tape name)] by the same
@@ -23,15 +23,13 @@ let check_rate label r =
   if not (r >= 0.0 && r <= 1.0) then
     invalid_arg (Printf.sprintf "Faults: %s rate %g outside [0,1]" label r)
 
-(* FNV-1a of a name folded into a seed — the shared name-hashing half
-   of every derived stream (per-tape injection, per-device storage
-   faults, per-label backoff jitter). *)
-let fnv64 ~seed name = Util.Hash.fnv_string (Int64.of_int seed) name
-
-(* [fnv64] finalized by splitmix64 into the four words a [Random.State]
-   wants. The name is the only per-stream input: streams created in any
-   order, on any domain, with the same name draw identically. *)
-let derive_words ~seed ~name = Util.Hash.seed_words (fnv64 ~seed name)
+(* FNV-1a of a name folded into a seed, finalized by splitmix64 into
+   the four words a [Random.State] wants — every derived stream
+   (per-tape injection, per-device storage faults). The name is the
+   only per-stream input: streams created in any order, on any domain,
+   with the same name draw identically. *)
+let derive_words ~seed ~name =
+  Util.Hash.seed_words (Util.Hash.fnv_string (Int64.of_int seed) name)
 
 module Plan = struct
   type t = { seed : int; rates : rates }
@@ -43,7 +41,6 @@ module Plan = struct
     check_rate "transient" rates.transient;
     { seed; rates }
 
-  let seed t = t.seed
   let derive t ~name = derive_words ~seed:t.seed ~name
 end
 
@@ -231,17 +228,12 @@ module Storage = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* retry/backoff *)
+(* retry *)
 
 module Retry = struct
   type classification = Transient | Fatal
 
-  type policy = {
-    attempts : int;
-    base_backoff_s : float;
-    sleep : float -> unit;
-    classify : exn -> classification;
-  }
+  type policy = { attempts : int }
 
   exception Gave_up of { label : string; attempts : int; last : exn }
 
@@ -254,7 +246,7 @@ module Retry = struct
      up after [attempts]). ENOSPC and EROFS are explicitly fatal — a
      full or read-only disk never heals by retrying, it needs the
      operator (and exit code 10). *)
-  let classify_default = function
+  let classify = function
     | Transient_io _ -> Transient
     | Tape.Device.Corrupt _ -> Transient
     | Unix.Unix_error ((Unix.ENOSPC | Unix.EROFS), _, _) -> Fatal
@@ -263,37 +255,14 @@ module Retry = struct
         Transient
     | _ -> Fatal
 
-  let default =
-    {
-      attempts = 3;
-      base_backoff_s = 0.0;
-      sleep = (fun _ -> ());
-      classify = classify_default;
-    }
+  let default = { attempts = 3 }
 
-  (* Exponential backoff with a deterministic jitter in [1, 2): the
-     jitter is splitmix64 of (seed, attempt), never a clock or a shared
-     RNG, so two runs of the same plan back off identically. *)
-  let backoff policy ~seed ~attempt =
-    if policy.base_backoff_s <= 0.0 then 0.0
-    else begin
-      let word = Util.Hash.splitmix_at (Int64.of_int seed) attempt in
-      let jitter =
-        Int64.to_float (Int64.logand word 0xFFFFFFL) /. float_of_int 0x1000000
-      in
-      policy.base_backoff_s *. (2.0 ** float_of_int (attempt - 1)) *. (1.0 +. jitter)
-    end
-
-  let run ?(policy = default) ?(seed = 0) ?(label = "operation") ?on_retry f =
+  let run ?(policy = default) ~label f =
     if policy.attempts < 1 then invalid_arg "Faults.Retry.run: attempts >= 1";
-    (* fold the phase label into the jitter seed: concurrent phases of
-       one plan de-correlate their backoff schedules, yet the schedule
-       of a given (seed, label) pair is fixed for every worker count *)
-    let seed = Int64.to_int (fnv64 ~seed label) in
     let rec go attempt =
       try f ()
       with e -> (
-        match policy.classify e with
+        match classify e with
         | Fatal -> raise e
         | Transient ->
             if attempt >= policy.attempts then begin
@@ -302,9 +271,6 @@ module Retry = struct
             end
             else begin
               Obs.Counters.add_retry_attempts 1;
-              (match on_retry with Some h -> h ~attempt e | None -> ());
-              let d = backoff policy ~seed ~attempt in
-              if d > 0.0 then policy.sleep d;
               go (attempt + 1)
             end)
     in
@@ -314,6 +280,4 @@ end
 let phase ?faults ?retry ~label f =
   match (faults, retry) with
   | None, None -> f ()
-  | _ ->
-      let seed = match faults with Some p -> Plan.seed p | None -> 0 in
-      Retry.run ?policy:retry ~seed ~label f
+  | _ -> Retry.run ?policy:retry ~label f

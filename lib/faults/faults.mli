@@ -12,16 +12,16 @@
     seeding, so a faulty run is bit-identical for every worker count —
     the E16 experiment and [test/test_faults.ml] pin this down.
 
-    {!Retry} provides the recovery side: bounded attempts with
-    deterministic jittered exponential backoff and
-    transient-versus-fatal exception classification. The extsort merge
-    passes and fingerprint scans wrap their restartable phases in
-    {!Retry.run}; a retried scan re-walks its tape through the ordinary
-    [move] calls, so recovery is charged honest reversal costs. *)
+    {!Retry} provides the recovery side: a bounded number of immediate
+    re-attempts on exceptions {!Retry.classify} calls transient. The
+    extsort merge passes and fingerprint scans wrap their restartable
+    phases in {!Retry.run}; a retried scan re-walks its tape through
+    the ordinary [move] calls, so recovery is charged honest reversal
+    costs. *)
 
 exception Transient_io of string
 (** A fault that a retry may clear (the injected model of a failed
-    disk/network operation). {!Retry.default} classifies it
+    disk/network operation). {!Retry.classify} calls it
     [Transient]. *)
 
 (** Per-operation fault probabilities, each in [[0, 1]]. *)
@@ -121,57 +121,39 @@ module Storage : sig
       [?raw] to {!Tape.Device.file_spec}/{!Tape.Device.shard_spec}. *)
 end
 
-(** Bounded retry with deterministic backoff — the recovery combinators
-    used by the extsort and fingerprint scan phases. *)
+(** Bounded retry — the recovery combinator used by the extsort and
+    fingerprint scan phases. *)
 module Retry : sig
   type classification = Transient | Fatal
 
   type policy = {
     attempts : int;  (** total attempts, including the first ([≥ 1]) *)
-    base_backoff_s : float;  (** 0 disables backoff entirely *)
-    sleep : float -> unit;
-        (** how to spend the backoff; defaults to a no-op so simulated
-            faults never slow a test suite down *)
-    classify : exn -> classification;
   }
 
   exception Gave_up of { label : string; attempts : int; last : exn }
   (** Raised — and classified fatal — once all attempts failed on
       transient errors. [last] is the final transient exception. *)
 
-  val default : policy
-  (** 3 attempts, no backoff, and this classifier: {!Transient_io} is
-      [Transient], as are the retryable device I/O errors a byte-backed
-      tape can surface ([Unix.EINTR]/[EAGAIN]/[EWOULDBLOCK]/[EIO]) and
+  val classify : exn -> classification
+  (** {!Transient_io} is [Transient], as are the retryable device I/O
+      errors a byte-backed tape can surface
+      ([Unix.EINTR]/[EAGAIN]/[EWOULDBLOCK]/[EIO]) and
       {!Tape.Device.Corrupt} (the bad block is quarantined before the
-      raise, so a retry re-reads it from disk).
-      [ENOSPC] and [EROFS] are explicitly [Fatal] — a full or read-only
-      disk never heals by retrying — as is everything else, including
-      {!Gave_up}, {!Storage.Crashed} and {!Tape.Budget_exceeded}. *)
+      raise, so a retry re-reads it from disk). [ENOSPC] and [EROFS]
+      are explicitly [Fatal] — a full or read-only disk never heals by
+      retrying — as is everything else, including {!Gave_up},
+      {!Storage.Crashed} and {!Tape.Budget_exceeded}. *)
 
-  val backoff : policy -> seed:int -> attempt:int -> float
-  (** Backoff before retrying [attempt] (1-based):
-      [base · 2^(attempt−1) · (1 + jitter)] with the jitter in [[0, 1)]
-      derived by splitmix64 from [(seed, attempt)] — deterministic, so
-      identically seeded runs back off identically. *)
+  val default : policy
+  (** 3 attempts. *)
 
-  val run :
-    ?policy:policy ->
-    ?seed:int ->
-    ?label:string ->
-    ?on_retry:(attempt:int -> exn -> unit) ->
-    (unit -> 'a) ->
-    'a
-  (** Run [f], retrying on [Transient]-classified exceptions up to
-      [policy.attempts] total attempts with {!backoff} between them —
-      the jitter seed is [(seed, label)] (FNV-1a of the label folded
-      into [seed]), so concurrent phases de-correlate their schedules
-      while staying reproducible for every worker count.
-      Fatal exceptions propagate immediately; exhausting the attempts
-      raises {!Gave_up}. [f] must be restartable: each attempt must
-      redo any state the previous one half-built (the tape-walking
-      callers restart by rewinding, which charges honest reversals).
-      [on_retry] is called before each re-attempt. *)
+  val run : ?policy:policy -> label:string -> (unit -> 'a) -> 'a
+  (** Run [f], re-running it at once on [Transient]-classified
+      exceptions up to [policy.attempts] total attempts. Fatal
+      exceptions propagate immediately; exhausting the attempts raises
+      {!Gave_up} naming [label]. [f] must be restartable: each attempt
+      must redo any state the previous one half-built (the tape-walking
+      callers restart by rewinding, which charges honest reversals). *)
 end
 
 val phase :
@@ -179,7 +161,7 @@ val phase :
 (** Run one restartable decider phase (a distribution or merge pass, a
     comparison scan). With neither a plan nor a policy, [f ()] runs
     bare: no combinator, bit-identical to fault-free code. With either,
-    it runs under {!Retry.run} seeded by the plan (0 without one). A
+    it runs under {!Retry.run} ({!Retry.default} without a policy). A
     policy alone still matters: storage faults injected below the
     device seam surface as [Corrupt] or I/O errors from ordinary reads
     and writes, and the phase recovers from those exactly as from

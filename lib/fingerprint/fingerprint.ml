@@ -28,17 +28,15 @@ let run ?faults ?retry ?obs ?device st inst =
      the group's device spec; the preload is device-level (no head
      motion), so the decider still measures exactly two scans at any
      backend — the Theorem 8(a) audit is backend-independent. *)
-  let codec =
-    match Tape.Group.device g with
-    | Tape.Device.Mem -> None
-    | _ -> Some Tape.Device.Codec.tuple_char
+  let tape =
+    Tape.Group.tape g ~name:"input" ~codec:Tape.Device.Codec.tuple_char
+      ~blank:'_' ()
   in
-  let tape = Tape.Group.tape g ~name:"input" ?codec ~blank:'_' () in
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
   (* the preload is device-level and idempotent, so a below-seam I/O
      fault during the initial spill heals by re-preloading *)
   Faults.phase ?faults ?retry ~label:"fp-preload" (fun () ->
-      Tape.preload_seq tape (String.to_seq encoded));
+      Tape.preload_init tape (String.length encoded) (String.get encoded));
   (match faults with None -> () | Some p -> Faults.attach_char p tape);
   (* Under injection a read may return any symbol (a stuck read shows
      the blank); parse leniently then instead of rejecting the input. *)

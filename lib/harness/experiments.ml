@@ -37,6 +37,27 @@ let env_int ~name ~default ~min =
       | Some n -> max min n
       | None -> invalid_arg (Printf.sprintf "%s=%S: not an integer" name v))
 
+(* Run [f] on the scratch directory stlb-[name]-PID under the temp
+   dir, then remove whatever is left under it - also when [f] raises.
+   The devices delete their own files on close; this catches the
+   directory itself and anything a failed row left behind. *)
+let with_spill name f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stlb-%s-%d" name (Unix.getpid ()))
+  in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      try remove dir with Sys_error _ | Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
 exception Table_failed of string list
 
 let agree = function [] -> true | x :: rest -> List.for_all (( = ) x) rest
@@ -1070,10 +1091,7 @@ let exp18 () =
   let inst = G.yes_instance st D.Multiset_equality ~m ~n in
   let inst_fp = G.yes_instance st D.Multiset_equality ~m:m_fp ~n:n_fp in
   let size = I.size inst in
-  let spill =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stlb-e18-%d" (Unix.getpid ()))
-  in
+  with_spill "e18" @@ fun spill ->
   let devices () =
     [
       ("mem", Tape.Device.Mem);
@@ -1143,7 +1161,6 @@ let exp18 () =
       Serve.Frame.[ (Fingerprint, m_fp, inst_fp); (Sort, m, inst) ]
   in
   T.print t;
-  (try Unix.rmdir spill with Unix.Unix_error _ -> ());
   let ok = List.for_all Fun.id parity in
   footer
     [
@@ -1180,10 +1197,7 @@ let exp19 () =
   let inst = G.yes_instance st D.Multiset_equality ~m ~n in
   let inst_fp = G.yes_instance st D.Multiset_equality ~m:m_fp ~n:n_fp in
   let size = I.size inst in
-  let spill =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stlb-e19-%d" (Unix.getpid ()))
-  in
+  with_spill "e19" @@ fun spill ->
   (* Geometry scaled to the instance so every pass genuinely streams
      through the raw seam at ANY STLB_E19_N: each item tape (~m cells,
      ~size/2 bytes) spans a few dozen blocks and the cache holds only
@@ -1195,7 +1209,7 @@ let exp19 () =
     | "file" -> Tape.Device.file_spec ~block_bytes ~cache_blocks:4 ~raw spill
     | _ -> Tape.Device.shard_spec ~shard_bytes:block_bytes ~raw spill
   in
-  let retry = { Faults.Retry.default with Faults.Retry.attempts = 8 } in
+  let retry = { Faults.Retry.attempts = 8 } in
   let seed = 0x5EED in
   (* one row: run [algorithm] on [dev_name] under [plan], classify the
      outcome (the verdict and its audit, or why it aborted), and report
@@ -1352,10 +1366,7 @@ let exp19 () =
   T.print t2;
   (* ---- the reopen protocol, offline: scrub a synthetic crashed
      spill directory built byte-by-byte from the documented formats *)
-  let scrub_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stlb-e19scrub-%d" (Unix.getpid ()))
-  in
+  with_spill "e19scrub" @@ fun scrub_dir ->
   Unix.mkdir scrub_dir 0o755;
   let write path s =
     let oc = Out_channel.open_bin path in
@@ -1416,12 +1427,6 @@ let exp19 () =
   scrub_row "scrub --fix" ~fix:true;
   scrub_row "re-scrub" ~fix:false;
   T.print t3;
-  (* leave no trace of either scratch tree *)
-  ignore (Tape.Device.Scrub.dir ~fix:true scrub_dir);
-  (try Sys.remove (Filename.concat scrub_dir "xs-0.tape") with Sys_error _ -> ());
-  (try Unix.rmdir sdir with Unix.Unix_error _ -> ());
-  (try Unix.rmdir scrub_dir with Unix.Unix_error _ -> ());
-  (try Unix.rmdir spill with Unix.Unix_error _ -> ());
   print_endline
     "  expected: every corruption is either healed (corrupt = rereads, paid\n\
     \  in retries and extra scans) or aborts loudly - no row ever reports a\n\
@@ -1449,10 +1454,7 @@ let exp20 () =
   let batch = env_int ~name:"STLB_E20_BATCH" ~default:8 ~min:1 in
   let m = 6 and n = 8 in
   let seed = 42 and load_seed = 0x5EED in
-  let spill =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stlb-e20-%d" (Unix.getpid ()))
-  in
+  with_spill "e20" @@ fun spill ->
   let row_idx = ref 0 in
   let run_row ~dev ~jobs ~batch =
     incr row_idx;
@@ -1532,7 +1534,6 @@ let exp20 () =
   let singleton = run_row ~dev:"mem" ~jobs:2 ~batch:1 in
   fingerprints := singleton.Serve.Loadgen.fingerprint :: !fingerprints;
   T.print t;
-  (try Unix.rmdir spill with Unix.Unix_error _ -> ());
   let total = List.length !fingerprints in
   let ok = agree !fingerprints in
   footer
@@ -1567,10 +1568,7 @@ let exp21 () =
      use the default). *)
   let iters = env_int ~name:"STLB_E21_ITERS" ~default:400 ~min:10 in
   let seed = 2021 in
-  let spill =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stlb-e21-%d" (Unix.getpid ()))
-  in
+  with_spill "e21" @@ fun spill ->
   let t =
     T.create
       ~title:
@@ -1626,7 +1624,6 @@ let exp21 () =
     ~finally:(fun () -> Query.Compile.swap_compose := false)
     (fun () -> row ~name:"mem + planted bug" ~clean:false ());
   T.print t;
-  (try Unix.rmdir spill with Unix.Unix_error _ -> ());
   let total = List.length !fingerprints in
   (* a clean row that disagrees with the oracle (or its budget audit) is
      a mismatch even when every row disagrees identically *)

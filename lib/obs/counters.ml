@@ -2,8 +2,6 @@ type snapshot = {
   retry_attempts : int;
   retry_gave_up : int;
   pool_chunks : int;
-  pool_chunk_retries : int;
-  pool_deadline_overruns : int;
   pool_degraded_spawns : int;
   checkpoint_stored : int;
   checkpoint_replayed : int;
@@ -19,8 +17,6 @@ type snapshot = {
 let retry_attempts = Atomic.make 0
 let retry_gave_up = Atomic.make 0
 let pool_chunks = Atomic.make 0
-let pool_chunk_retries = Atomic.make 0
-let pool_deadline_overruns = Atomic.make 0
 let pool_degraded_spawns = Atomic.make 0
 let checkpoint_stored = Atomic.make 0
 let checkpoint_replayed = Atomic.make 0
@@ -36,8 +32,6 @@ let snapshot () =
     retry_attempts = Atomic.get retry_attempts;
     retry_gave_up = Atomic.get retry_gave_up;
     pool_chunks = Atomic.get pool_chunks;
-    pool_chunk_retries = Atomic.get pool_chunk_retries;
-    pool_deadline_overruns = Atomic.get pool_deadline_overruns;
     pool_degraded_spawns = Atomic.get pool_degraded_spawns;
     checkpoint_stored = Atomic.get checkpoint_stored;
     checkpoint_replayed = Atomic.get checkpoint_replayed;
@@ -55,9 +49,6 @@ let diff now ~since =
     retry_attempts = now.retry_attempts - since.retry_attempts;
     retry_gave_up = now.retry_gave_up - since.retry_gave_up;
     pool_chunks = now.pool_chunks - since.pool_chunks;
-    pool_chunk_retries = now.pool_chunk_retries - since.pool_chunk_retries;
-    pool_deadline_overruns =
-      now.pool_deadline_overruns - since.pool_deadline_overruns;
     pool_degraded_spawns = now.pool_degraded_spawns - since.pool_degraded_spawns;
     checkpoint_stored = now.checkpoint_stored - since.checkpoint_stored;
     checkpoint_replayed = now.checkpoint_replayed - since.checkpoint_replayed;
@@ -78,8 +69,6 @@ let to_fields s =
     ("retry_attempts", s.retry_attempts);
     ("retry_gave_up", s.retry_gave_up);
     ("pool_chunks", s.pool_chunks);
-    ("pool_chunk_retries", s.pool_chunk_retries);
-    ("pool_deadline_overruns", s.pool_deadline_overruns);
     ("pool_degraded_spawns", s.pool_degraded_spawns);
     ("checkpoint_stored", s.checkpoint_stored);
     ("checkpoint_replayed", s.checkpoint_replayed);
@@ -97,8 +86,6 @@ let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
 let add_retry_attempts n = add retry_attempts n
 let add_retry_gave_up n = add retry_gave_up n
 let add_pool_chunks n = add pool_chunks n
-let add_pool_chunk_retries n = add pool_chunk_retries n
-let add_pool_deadline_overruns n = add pool_deadline_overruns n
 let add_pool_degraded_spawns n = add pool_degraded_spawns n
 let add_checkpoint_stored n = add checkpoint_stored n
 let add_checkpoint_replayed n = add checkpoint_replayed n

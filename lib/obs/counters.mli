@@ -18,8 +18,6 @@ type snapshot = {
           transient failure *)
   retry_gave_up : int;  (** [Faults.Retry.Gave_up] raises *)
   pool_chunks : int;  (** pool jobs executed (chunk granularity) *)
-  pool_chunk_retries : int;  (** watchdog chunk re-runs *)
-  pool_deadline_overruns : int;  (** chunks that finished past a deadline *)
   pool_degraded_spawns : int;  (** [Domain.spawn] failures absorbed *)
   checkpoint_stored : int;  (** journal entries written *)
   checkpoint_replayed : int;  (** tables replayed from the journal *)
@@ -61,8 +59,6 @@ val to_fields : snapshot -> (string * int) list
 val add_retry_attempts : int -> unit
 val add_retry_gave_up : int -> unit
 val add_pool_chunks : int -> unit
-val add_pool_chunk_retries : int -> unit
-val add_pool_deadline_overruns : int -> unit
 val add_pool_degraded_spawns : int -> unit
 val add_checkpoint_stored : int -> unit
 val add_checkpoint_replayed : int -> unit

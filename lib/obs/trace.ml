@@ -30,7 +30,6 @@ let ledger_fields (l : Ledger.t) =
     ("retry_attempts", Int c.Counters.retry_attempts);
     ("retry_gave_up", Int c.Counters.retry_gave_up);
     ("pool_chunks", Int c.Counters.pool_chunks);
-    ("pool_chunk_retries", Int c.Counters.pool_chunk_retries);
     ("checkpoint_discarded", Int c.Counters.checkpoint_discarded);
     ("device_corrupt", Int c.Counters.device_corrupt_detected);
     ("device_rereads", Int c.Counters.device_quarantine_rereads);

@@ -3,49 +3,19 @@
    No domainslib: workers are plain [Domain.spawn]ed fibers that pull
    job indices off a shared atomic counter, write results into
    per-index slots, and join before the call returns. A pool value is
-   just a worker count plus a watchdog - there are no persistent
-   domains to leak, so "shutdown" is the join at the end of every call
-   and a pool survives a raising job (the exception is re-raised on the
-   caller's domain after every worker has stopped).
+   just a worker count plus a spawn-failure counter - there are no
+   persistent domains to leak, so "shutdown" is the join at the end of
+   every call and a pool survives a raising job (the exception is
+   re-raised on the caller's domain after every worker has stopped).
 
    Determinism: job i's result lands in slot i and reductions fold the
    slots in index order, so every result is bit-identical for any
    worker count, including 1 (which never spawns and runs the exact
-   same chunk-seeded code inline). The watchdog preserves this: a
-   retried job re-runs [exec i] verbatim, and every seeded caller
-   (monte_carlo below) re-derives chunk i's generator from
-   [Rng.state ~seed ~index:i] inside [exec], so attempt 2 of a chunk
-   produces exactly what attempt 1 would have. *)
+   same chunk-seeded code inline). Every seeded caller (monte_carlo
+   below) derives chunk i's generator from [Rng.state ~seed ~index:i]
+   inside [exec], so which domain runs a chunk never matters. *)
 
-(* Chunk-level supervision. Deadlines are cooperative: OCaml domains
-   cannot be killed from outside, so an overrunning chunk is detected
-   when it finishes (or raises) and counted in [health] rather than
-   interrupted - the honest option on a runtime without asynchronous
-   cancellation. Retries fire on exceptions [retryable] selects;
-   nothing is retryable by default, so plain pools behave exactly as
-   before. *)
-type watchdog = {
-  max_chunk_retries : int;
-  chunk_deadline_s : float option;
-  retryable : exn -> bool;
-}
-
-let default_watchdog =
-  { max_chunk_retries = 2; chunk_deadline_s = None; retryable = (fun _ -> false) }
-
-type health = {
-  chunks_retried : int;
-  deadline_overruns : int;
-  degraded_spawns : int;
-}
-
-type t = {
-  domains : int;
-  watchdog : watchdog;
-  retried : int Atomic.t;
-  timed_out : int Atomic.t;
-  degraded : int Atomic.t;
-}
+type t = { domains : int; degraded : int Atomic.t }
 
 let clamp d = max 1 d
 
@@ -69,14 +39,9 @@ let default_domains () =
   if o > 0 then o
   else match env_domains () with Some d -> d | None -> hardware_domains ()
 
-let create ?domains ?(watchdog = default_watchdog) () =
-  if watchdog.max_chunk_retries < 0 then
-    invalid_arg "Pool.create: max_chunk_retries < 0";
+let create ?domains () =
   {
     domains = (match domains with Some d -> clamp d | None -> default_domains ());
-    watchdog;
-    retried = Atomic.make 0;
-    timed_out = Atomic.make 0;
     degraded = Atomic.make 0;
   }
 
@@ -84,57 +49,21 @@ let domains t = t.domains
 
 let default () = create ()
 
-let health t =
-  {
-    chunks_retried = Atomic.get t.retried;
-    deadline_overruns = Atomic.get t.timed_out;
-    degraded_spawns = Atomic.get t.degraded;
-  }
-
-let reset_health t =
-  Atomic.set t.retried 0;
-  Atomic.set t.timed_out 0;
-  Atomic.set t.degraded 0
-
-(* Run one job under the watchdog: time it against the (cooperative)
-   deadline, re-run it on retryable exceptions with the SAME index -
-   and therefore the same derived seed - up to the retry bound. *)
-let guarded_exec t exec i =
-  let w = t.watchdog in
-  Obs.Counters.add_pool_chunks 1;
-  let rec attempt k =
-    let t0 =
-      match w.chunk_deadline_s with None -> 0.0 | Some _ -> Unix.gettimeofday ()
-    in
-    let check_deadline () =
-      match w.chunk_deadline_s with
-      | Some d when Unix.gettimeofday () -. t0 > d ->
-          Atomic.incr t.timed_out;
-          Obs.Counters.add_pool_deadline_overruns 1
-      | _ -> ()
-    in
-    match exec i with
-    | () -> check_deadline ()
-    | exception e ->
-        check_deadline ();
-        if w.retryable e && k < w.max_chunk_retries then begin
-          Atomic.incr t.retried;
-          Obs.Counters.add_pool_chunk_retries 1;
-          attempt (k + 1)
-        end
-        else raise e
-  in
-  attempt 0
+let degraded_spawns t = Atomic.get t.degraded
 
 (* Run [exec 0 .. exec (jobs-1)], work-stealing off an atomic counter.
-   The first (post-retry) exception wins; late workers stop claiming
-   new jobs. If [Domain.spawn] itself fails (fd or thread exhaustion),
-   the pool degrades gracefully: the failed spawn is counted in
-   [health] and its share of the work is absorbed by the domains that
-   did start - in the worst case the caller's own domain runs
-   everything sequentially, which is the bit-identical -j 1 path. *)
+   The first exception wins; late workers stop claiming new jobs. If
+   [Domain.spawn] itself fails (fd or thread exhaustion), the pool
+   degrades gracefully: the failed spawn is counted in
+   [degraded_spawns] and its share of the work is absorbed by the
+   domains that did start - in the worst case the caller's own domain
+   runs everything sequentially, which is the bit-identical -j 1
+   path. *)
 let run_jobs t ~jobs exec =
-  let exec i = guarded_exec t exec i in
+  let exec i =
+    Obs.Counters.add_pool_chunks 1;
+    exec i
+  in
   if jobs <= 0 then ()
   else if t.domains <= 1 || jobs = 1 then
     for i = 0 to jobs - 1 do

@@ -12,55 +12,22 @@
 
     Pools hold no persistent domains: each call spawns, joins, and
     returns, so an exception in a worker is re-raised at the call site
-    after all workers have stopped, and the pool remains usable.
-
-    A pool also carries a {!watchdog}: per-chunk supervision that
-    re-runs a failing chunk (with the {e same} index, hence the same
-    derived seed — attempt 2 computes exactly what attempt 1 would
-    have), flags chunks that overran a cooperative deadline, and
-    degrades gracefully to fewer workers — ultimately the sequential
-    path — when [Domain.spawn] itself fails. {!health} reports what the
-    watchdog absorbed. *)
+    after all workers have stopped, and the pool remains usable. When
+    [Domain.spawn] itself fails, the pool degrades to fewer workers —
+    ultimately the sequential path — and counts the failure in
+    {!degraded_spawns}. *)
 
 type t
 
-(** Chunk supervision policy. *)
-type watchdog = {
-  max_chunk_retries : int;
-      (** extra attempts per chunk after the first ([≥ 0]) *)
-  chunk_deadline_s : float option;
-      (** cooperative deadline: OCaml domains cannot be interrupted
-          from outside, so an overrunning chunk is {e flagged} in
-          {!health} when it completes, never killed mid-flight *)
-  retryable : exn -> bool;
-      (** which exceptions re-run the chunk; anything else (and
-          exhausted retries) propagates to the caller. The fault
-          harness passes predicates built from
-          [Faults.Retry.default]'s classifier; the default accepts
-          nothing. *)
-}
-
-(** What the watchdog absorbed since creation / {!reset_health}. *)
-type health = {
-  chunks_retried : int;  (** chunk re-runs (each kept its chunk seed) *)
-  deadline_overruns : int;  (** chunks that finished past the deadline *)
-  degraded_spawns : int;  (** [Domain.spawn] failures absorbed *)
-}
-
-val create : ?domains:int -> ?watchdog:watchdog -> unit -> t
+val create : ?domains:int -> unit -> t
 (** A pool of [domains] workers (clamped to [>= 1]); defaults to
-    {!default_domains} and a watchdog with 2 retries, no deadline and
-    nothing retryable — a plain pool behaves exactly as one without a
-    watchdog.
-    @raise Invalid_argument if [watchdog.max_chunk_retries < 0]. *)
+    {!default_domains}. *)
 
 val domains : t -> int
 
-val health : t -> health
-(** Cumulative over the pool's lifetime; counters are atomics, safe to
-    read from any domain. *)
-
-val reset_health : t -> unit
+val degraded_spawns : t -> int
+(** [Domain.spawn] failures absorbed over the pool's lifetime (an
+    atomic, safe to read from any domain). *)
 
 val default : unit -> t
 (** [create ()] - a pool sized by {!default_domains}. *)
@@ -77,10 +44,8 @@ val default_domains : unit -> int
 val map_chunks : t -> chunks:int -> (int -> 'a) -> 'a array
 (** [map_chunks t ~chunks f] computes [[| f 0; ...; f (chunks-1) |]],
     running the [f i] on the pool's domains. Result order is index
-    order regardless of scheduling. Each [f i] runs under the pool's
-    watchdog (retries re-run [f i] verbatim). An exception in any
-    [f i] — after the watchdog's retries — is re-raised after all
-    workers stop; remaining indices are skipped. *)
+    order regardless of scheduling. An exception in any [f i] is
+    re-raised after all workers stop; remaining indices are skipped. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map t f arr] is [Array.map f arr] with each element its own pool

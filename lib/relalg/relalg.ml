@@ -209,20 +209,20 @@ type stream = { tape : string Tape.t; len : int; sschema : string list }
    domain pool) never hand two tapes the same name. *)
 let fresh_counter = Atomic.make 0
 
-(* Evaluation context: the tape group plus the two optional hooks the
-   query layer threads in — a byte codec (opting every intermediate
-   tape into the group's device spec) and a per-node profile callback
-   receiving (operator label, scans spent by that node exclusive of
-   its children). *)
+(* Evaluation context: the tape group, the byte codec every
+   intermediate tape carries (a mem group ignores it; any other spec
+   spills through it), and a per-node profile callback receiving
+   (operator label, scans spent by that node exclusive of its
+   children). *)
 type ctx = {
   g : Tape.Group.t;
-  codec : string Tape.Device.Codec.t option;
+  codec : string Tape.Device.Codec.t;
   prof : string -> int -> unit;
 }
 
 let fresh_tape ctx =
   let id = Atomic.fetch_and_add fresh_counter 1 + 1 in
-  Tape.Group.tape ctx.g ?codec:ctx.codec
+  Tape.Group.tape ctx.g ~codec:ctx.codec
     ~name:(Printf.sprintf "op%d" id)
     ~blank:"" ()
 
@@ -241,7 +241,7 @@ let map_stream ctx s ~schema ~f =
 
 let sorted_copy ctx s =
   let out = map_stream ctx s ~schema:s.sschema ~f:(fun c -> [ c ]) in
-  if out.len > 1 then Extsort.sort_tape ?codec:ctx.codec ctx.g out.tape ~len:out.len;
+  if out.len > 1 then Extsort.sort_tape ~codec:ctx.codec ctx.g out.tape ~len:out.len;
   out
 
 (* merge two sorted streams; [emit] decides, per distinct key, given
@@ -343,7 +343,7 @@ let rec eval_stream ctx db = function
       let cells = List.map encode_tuple r.tuples in
       let tape =
         let id = Atomic.fetch_and_add fresh_counter 1 + 1 in
-        Tape.Group.tape_of_list ctx.g ?codec:ctx.codec
+        Tape.Group.tape_of_list ctx.g ~codec:ctx.codec
           ~name:(Printf.sprintf "in-%s%d" name id)
           ~blank:"" cells
       in
@@ -469,11 +469,7 @@ let max_cell_bytes db expr =
 let eval_streaming ?device ?observe ?profile db expr =
   let g = Tape.Group.create ?device () in
   (match observe with None -> () | Some f -> f g);
-  let codec =
-    match Tape.Group.device g with
-    | Tape.Device.Mem -> None
-    | _ -> Some (Tape.Device.Codec.tuple_string ~max_len:(max_cell_bytes db expr))
-  in
+  let codec = Tape.Device.Codec.tuple_string ~max_len:(max_cell_bytes db expr) in
   let ctx =
     { g; codec; prof = (match profile with None -> fun _ _ -> () | Some f -> f) }
   in

@@ -181,7 +181,6 @@ let stats_json st ~since =
     ]
 
 let health_json cfg st ~stopping ~queue_depth ~pool =
-  let h = Parallel.Pool.health pool in
   J.obj
     [
       ("status", J.String (if stopping then "stopping" else "ok"));
@@ -197,11 +196,8 @@ let health_json cfg st ~stopping ~queue_depth ~pool =
       ( "pool",
         J.Raw
           (J.obj
-             [
-               ("chunks_retried", J.Int h.Parallel.Pool.chunks_retried);
-               ("deadline_overruns", J.Int h.Parallel.Pool.deadline_overruns);
-               ("degraded_spawns", J.Int h.Parallel.Pool.degraded_spawns);
-             ]) );
+             [ ("degraded_spawns", J.Int (Parallel.Pool.degraded_spawns pool)) ])
+      );
     ]
 
 (* ---------------------------------------------------------------- *)

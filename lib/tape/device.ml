@@ -173,6 +173,7 @@ module Codec = struct
     size : 'a -> int;
     write : Bytes.t -> int -> 'a -> int;
     read : Bytes.t -> int -> int -> 'a * int;
+    value : Bytes.t -> int -> int -> 'a;
     max_bytes : int;
   }
 
@@ -183,12 +184,19 @@ module Codec = struct
       size = Tuple.str_size;
       write = Tuple.write_str;
       read = Tuple.read_str;
+      value = (fun buf pos limit -> fst (Tuple.read_str buf pos limit));
       (* worst case: every byte escaped, plus code + terminator *)
       max_bytes = (2 * max_len) + 2;
     }
 
   let tuple_int =
-    { size = Tuple.int_size; write = Tuple.write_int; read = Tuple.read_int; max_bytes = 9 }
+    {
+      size = Tuple.int_size;
+      write = Tuple.write_int;
+      read = Tuple.read_int;
+      value = Tuple.int_value;
+      max_bytes = 9;
+    }
 
   let tuple_char =
     {
@@ -198,6 +206,9 @@ module Codec = struct
         (fun buf pos limit ->
           let n, stop = Tuple.read_int buf pos limit in
           (Char.chr (n land 0xff), stop));
+      value =
+        (fun buf pos limit ->
+          Char.chr (Tuple.int_value buf pos limit land 0xff));
       max_bytes = 2;
     }
 end
@@ -480,7 +491,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
         let off = slot_off i in
         let len = Bytes.get_uint16_be line.buf off in
         if len = 0 then blank
-        else fst (codec.Codec.read line.buf (off + 2) (off + 2 + len)));
+        else codec.Codec.value line.buf (off + 2) (off + 2 + len));
     dev_set =
       (fun i v ->
         let len = codec.Codec.size v in

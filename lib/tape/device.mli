@@ -34,8 +34,8 @@ exception Corrupt of { device : string; path : string; offset : int }
     is the tape name, [path] the backing file, [offset] the first tape
     cell position the bad block covers. The offending cache line is
     quarantined before the raise, so a retry that re-reads the region
-    goes back to disk — [Faults.Retry.default] classifies [Corrupt]
-    as transient for exactly this reason. *)
+    goes back to disk — [Faults.Retry.classify] calls [Corrupt]
+    transient for exactly this reason. *)
 
 (** {2 Integrity health — process-wide counters and events}
 
@@ -120,6 +120,9 @@ module Codec : sig
             at [pos] together with its end offset — encodings must be
             self-delimiting. It never looks at [limit] or past it: the
             bytes there belong to the next slot or cell. *)
+    value : Bytes.t -> int -> int -> 'a;
+        (** [read] without the end offset, for the callers that drop
+            it: the int and char codecs allocate nothing. *)
     max_bytes : int;
   }
   (** {b Contract: stored bytes order like the values.} For any two

@@ -133,9 +133,11 @@ let preload_cell tp i x =
   touch tp i;
   Device.set tp.dev i x
 
-let preload_seq tp items =
+let preload_init tp n f =
   tp.epoch <- tp.epoch + 1;
-  Seq.iteri (preload_cell tp) items
+  for i = 0 to n - 1 do
+    preload_cell tp i (f i)
+  done
 
 let preload tp items =
   tp.epoch <- tp.epoch + 1;
@@ -378,7 +380,7 @@ let load tp r =
 let contents r =
   match r.slots with
   | None -> r.value
-  | Some s -> fst (s.Device.codec.Device.Codec.read r.buf 0 r.len)
+  | Some s -> s.Device.codec.Device.Codec.value r.buf 0 r.len
 
 let store tp r =
   match r.slots with
@@ -425,8 +427,6 @@ module Group = struct
       g_observer = None;
       g_device = device;
     }
-
-  let device g = g.g_device
 
   let add_tape g tp =
     (match tp.group with

@@ -51,9 +51,9 @@ val preload : 'a t -> 'a list -> unit
     the cost-free "the input is already on the tape" premise of the
     model, available on every backend. *)
 
-val preload_seq : 'a t -> 'a Seq.t -> unit
-(** {!preload} from a sequence — fills huge external tapes without
-    materializing an intermediate list. *)
+val preload_init : 'a t -> int -> (int -> 'a) -> unit
+(** [preload_init t n f] is {!preload} of [[f 0; ...; f (n-1)]] without
+    building the list — fills huge external tapes cell by cell. *)
 
 val name : 'a t -> string
 
@@ -282,8 +282,6 @@ module Group : sig
       [device] (default {!Device.Mem}) is the backend recipe for member
       tapes created through {!tape}/{!tape_of_list} {e with a codec}:
       the group owns the policy, each call site owns the byte format. *)
-
-  val device : t -> Device.spec
 
   val add_tape : t -> 'a tape -> unit
   (** Register a tape; all its subsequent reversals count toward the

@@ -134,7 +134,7 @@ let write_int buf pos n =
     pos + 1 + k
   end
 
-let read_int buf pos limit =
+let int_value buf pos limit =
   check_span buf pos limit;
   let code = Char.code (Bytes.get buf pos) in
   if code < zero_code - max_int_bytes || code > zero_code + max_int_bytes then
@@ -146,12 +146,14 @@ let read_int buf pos limit =
   for i = pos + 1 to pos + k do
     mag := (!mag lsl 8) lor Char.code (Bytes.get buf i)
   done;
-  let n =
-    if code >= zero_code then !mag
-    else if k < max_int_bytes then !mag - (1 lsl (8 * k)) + 1
-    else !mag + 1
-  in
-  (n, pos + 1 + k)
+  if code >= zero_code then !mag
+  else if k < max_int_bytes then !mag - (1 lsl (8 * k)) + 1
+  else !mag + 1
+
+(* [int_value] has checked the code byte, which carries the length *)
+let read_int buf pos limit =
+  let n = int_value buf pos limit in
+  (n, pos + 1 + abs (Char.code (Bytes.get buf pos) - zero_code))
 
 (* ---------------- tuples ------------------------------------------- *)
 

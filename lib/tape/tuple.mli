@@ -43,6 +43,10 @@ val write_int : Bytes.t -> int -> int -> int
 val read_int : Bytes.t -> int -> int -> int * int
 (** @raise Malformed *)
 
+val int_value : Bytes.t -> int -> int -> int
+(** {!read_int} without the end offset (and without allocating the
+    pair). @raise Malformed *)
+
 val pack : elt list -> string
 
 val unpack : string -> elt list

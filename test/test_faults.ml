@@ -1,7 +1,7 @@
 (* Tests for the fault-injection layer: plan determinism (including
    across worker counts - the load-bearing property), corruption
-   detection by the deciders, the retry combinators, the pool watchdog,
-   and the checkpoint journal. *)
+   detection by the deciders, the retry combinator and the checkpoint
+   journal. *)
 
 module D = Problems.Decide
 module G = Problems.Generators
@@ -115,7 +115,8 @@ let test_retry_succeeds_after_transients () =
   let attempts = ref 0 in
   let v =
     Faults.Retry.run
-      ~policy:{ Faults.Retry.default with attempts = 5 }
+      ~policy:{ Faults.Retry.attempts = 5 }
+      ~label:"flaky"
       (fun () ->
         incr attempts;
         if !attempts < 3 then raise (Faults.Transient_io "flaky");
@@ -125,12 +126,11 @@ let test_retry_succeeds_after_transients () =
   check_int "two failures + one success" 3 !attempts
 
 let test_retry_gives_up_after_k () =
-  let attempts = ref 0 and retries = ref 0 in
+  let attempts = ref 0 in
   (match
      Faults.Retry.run
-       ~policy:{ Faults.Retry.default with attempts = 4 }
+       ~policy:{ Faults.Retry.attempts = 4 }
        ~label:"always-failing"
-       ~on_retry:(fun ~attempt:_ _ -> incr retries)
        (fun () ->
          incr attempts;
          raise (Faults.Transient_io "down"))
@@ -141,89 +141,16 @@ let test_retry_gives_up_after_k () =
       check_int "gave up after the policy's attempts" 4 k;
       check "last transient preserved" true
         (match last with Faults.Transient_io _ -> true | _ -> false));
-  check_int "ran exactly K times" 4 !attempts;
-  check_int "on_retry before each re-attempt" 3 !retries
+  check_int "ran exactly K times" 4 !attempts
 
 let test_retry_fatal_propagates_immediately () =
   let attempts = ref 0 in
   Alcotest.check_raises "fatal exception not retried"
     (Invalid_argument "broken") (fun () ->
-      Faults.Retry.run (fun () ->
+      Faults.Retry.run ~label:"broken" (fun () ->
           incr attempts;
           raise (Invalid_argument "broken")));
   check_int "single attempt" 1 !attempts
-
-let test_backoff_deterministic () =
-  let policy = { Faults.Retry.default with base_backoff_s = 0.5 } in
-  let b attempt = Faults.Retry.backoff policy ~seed:7 ~attempt in
-  check "same (seed, attempt) -> same backoff" true (b 1 = b 1);
-  check "grows with attempt" true (b 3 > b 1);
-  check "zero base disables backoff" true
-    (Faults.Retry.backoff Faults.Retry.default ~seed:7 ~attempt:1 = 0.0)
-
-(* ------------------------------------------------------------------ *)
-(* pool watchdog *)
-
-let watchdog_pool ?(deadline = None) ~domains ~retries () =
-  Pool.create ~domains
-    ~watchdog:
-      {
-        Pool.max_chunk_retries = retries;
-        chunk_deadline_s = deadline;
-        retryable = (function Faults.Transient_io _ -> true | _ -> false);
-      }
-    ()
-
-(* A chunk that dies on its first attempt is re-run with the same index
-   (hence the same chunk seed) and must land the same result a clean
-   pool computes. *)
-let test_watchdog_retries_killed_chunks () =
-  let reference =
-    Pool.monte_carlo (Pool.create ~domains:1 ()) ~trials:100 ~seed:0xDEAD
-      (fun st -> Random.State.full_int st 1_000_000)
-  in
-  List.iter
-    (fun domains ->
-      let pool = watchdog_pool ~domains ~retries:2 () in
-      let first_attempts = Array.init 4 (fun _ -> Atomic.make true) in
-      let got =
-        Pool.monte_carlo pool ~trials:100 ~seed:0xDEAD (fun st ->
-            let v = Random.State.full_int st 1_000_000 in
-            (* kill chunks 0 and 2 on their first visit, mid-chunk *)
-            let chunk = v mod 4 in
-            if
-              chunk mod 2 = 0
-              && Atomic.compare_and_set first_attempts.(chunk) true false
-            then raise (Faults.Transient_io "chunk killed");
-            v)
-      in
-      check
-        (Printf.sprintf "retried chunks reproduce the clean run at -j %d"
-           domains)
-        true (got = reference);
-      check "watchdog reports the retries" true
-        ((Pool.health pool).Pool.chunks_retried >= 1))
-    [ 1; 2; 4 ]
-
-let test_watchdog_exhausts_retries () =
-  let pool = watchdog_pool ~domains:1 ~retries:2 () in
-  Alcotest.check_raises "persistent fault propagates after retries"
-    (Faults.Transient_io "stuck") (fun () ->
-      Pool.map_chunks pool ~chunks:1 (fun _ ->
-          raise (Faults.Transient_io "stuck"))
-      |> ignore);
-  check_int "all retries spent" 2 (Pool.health pool).Pool.chunks_retried
-
-let test_watchdog_deadline_flags_overruns () =
-  (* a negative deadline flags every chunk, deterministically *)
-  let pool = watchdog_pool ~deadline:(Some (-1.0)) ~domains:2 ~retries:0 () in
-  let got = Pool.map_chunks pool ~chunks:6 (fun i -> i * i) in
-  check "results unaffected" true (got = Array.init 6 (fun i -> i * i));
-  check_int "every chunk flagged as overrunning" 6
-    (Pool.health pool).Pool.deadline_overruns;
-  Pool.reset_health pool;
-  check_int "reset clears the counters" 0
-    (Pool.health pool).Pool.deadline_overruns
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint journal *)
@@ -307,17 +234,6 @@ let () =
             test_retry_gives_up_after_k;
           Alcotest.test_case "fatal propagates immediately" `Quick
             test_retry_fatal_propagates_immediately;
-          Alcotest.test_case "backoff deterministic" `Quick
-            test_backoff_deterministic;
-        ] );
-      ( "watchdog",
-        [
-          Alcotest.test_case "retried chunks keep their seeds" `Slow
-            test_watchdog_retries_killed_chunks;
-          Alcotest.test_case "exhausted retries propagate" `Quick
-            test_watchdog_exhausts_retries;
-          Alcotest.test_case "deadline overruns flagged" `Quick
-            test_watchdog_deadline_flags_overruns;
         ] );
       ( "checkpoint",
         [

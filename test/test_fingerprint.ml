@@ -123,6 +123,34 @@ let test_order_invariance () =
     check "still accepted" true ok
   done
 
+(* The file-device input path allocates nothing per cell: the preload
+   writes the encoded characters straight into the device, and a char
+   read decodes its slot without building a pair. The bound (one minor
+   word per input cell over the preload and both scans, about 3N cell
+   operations) leaves room only for per-run setup. *)
+let test_file_input_allocation () =
+  let st = Random.State.make [| 7 |] in
+  let inst = G.yes_instance st D.Multiset_equality ~m:1024 ~n:16 in
+  let cells = I.size inst in
+  let spill =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stlb-test-fingerprint-%d" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () ->
+      try Unix.rmdir spill with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let device = Tape.Device.file_spec spill in
+  let w0 = Gc.minor_words () in
+  let ok, rep, _ = Fingerprint.run ~device st inst in
+  let words = Gc.minor_words () -. w0 in
+  check "yes accepted" true ok;
+  check_int "two scans" 2 rep.Fingerprint.scans;
+  check
+    (Printf.sprintf "%.0f minor words < 1 per input cell (%d)" words cells)
+    true
+    (words < float_of_int cells)
+
 let () =
   Alcotest.run "fingerprint"
     [
@@ -139,5 +167,7 @@ let () =
             test_detects_multiset_difference_with_equal_sets;
           Alcotest.test_case "degenerate" `Quick test_degenerate;
           Alcotest.test_case "order invariance" `Quick test_order_invariance;
+          Alcotest.test_case "file input allocation" `Quick
+            test_file_input_allocation;
         ] );
     ]

@@ -796,7 +796,12 @@ let test_stats_and_health () =
   let h = Serve.Client.health c ~id:4 in
   List.iter
     (fun needle -> check ("health has " ^ needle) true (contains ~needle h))
-    [ "\"status\":\"ok\""; "\"seed\":13"; "\"device\":\"mem\"" ];
+    [
+      "\"status\":\"ok\"";
+      "\"seed\":13";
+      "\"device\":\"mem\"";
+      "\"pool\":{\"degraded_spawns\":0}";
+    ];
   Serve.Client.close c
 
 (* ------------------------------------------------------------------ *)

@@ -169,6 +169,63 @@ let prop_evidence_roundtrip =
       ev' = ev
       && Int64.equal (Adv.Shard.fingerprint ev') (Adv.Shard.fingerprint ev))
 
+(* Shard.merge refuses any set that is not exactly one consistent
+   evidence per shard: a duplicate, a gap, or a header that differs
+   from its siblings or from the census sizes collect writes. *)
+let shard_evs ~k =
+  let machine = Machines.staircase_checkphi ~space ~chains:2 ~optimistic:true in
+  ( machine,
+    List.init k (fun i ->
+        Adv.Shard.collect ~root:77 ~space ~machine ~shard:(i + 1) ~of_:k ()) )
+
+let test_merge_rejects_duplicate () =
+  let machine, evs = shard_evs ~k:2 in
+  let e1 = List.hd evs in
+  Alcotest.check_raises "shard 1 twice"
+    (Failure "Adversary.Shard.merge: duplicate or missing shard") (fun () ->
+      ignore (Adv.Shard.merge ~space ~machine [ e1; e1 ]))
+
+let test_merge_rejects_missing () =
+  let machine, evs = shard_evs ~k:3 in
+  Alcotest.check_raises "two of three shards"
+    (Failure "Adversary.Shard.merge: have 2 shard(s), expected 3") (fun () ->
+      ignore (Adv.Shard.merge ~space ~machine (List.tl evs)))
+
+(* the evidence with the first [sub] of its rendering replaced *)
+let edited ev ~sub ~by =
+  let s = Adv.Shard.to_string ev in
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  Adv.Shard.of_string
+    (String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n))
+
+let test_merge_rejects_inconsistent_headers () =
+  let inconsistent = Failure "Adversary.Shard.merge: inconsistent shard evidence" in
+  let machine, evs = shard_evs ~k:2 in
+  let e1 = List.nth evs 0 and e2 = List.nth evs 1 in
+  Alcotest.check_raises "another root" inconsistent (fun () ->
+      ignore
+        (Adv.Shard.merge ~space ~machine
+           [ e1; edited e2 ~sub:"root=77 " ~by:"root=78 " ]));
+  Alcotest.check_raises "another sample count" inconsistent (fun () ->
+      ignore
+        (Adv.Shard.merge ~space ~machine [ e1; edited e2 ~sub:"yes=48" ~by:"yes=47" ]));
+  (* a lone shard has no sibling to disagree with: its header must
+     still carry the census sizes *)
+  let _, lone = shard_evs ~k:1 in
+  let lone = List.hd lone in
+  List.iter
+    (fun (sub, by) ->
+      Alcotest.check_raises sub inconsistent (fun () ->
+          ignore (Adv.Shard.merge ~space ~machine [ edited lone ~sub ~by ])))
+    [
+      ("yes=48", "yes=47");
+      ("trials=8", "trials=7");
+      ("resample=32", "resample=31");
+      ("fuel=200000", "fuel=199999");
+    ]
+
 let test_verify_fooled_rejects_others () =
   let machine = Machines.blind ~input_length:16 ~accept:true in
   check "not-fooled does not verify" false
@@ -410,6 +467,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_canon_preserves_outcome;
           QCheck_alcotest.to_alcotest prop_shard_merge_matches_direct;
           QCheck_alcotest.to_alcotest prop_evidence_roundtrip;
+          Alcotest.test_case "shard merge rejects a duplicate" `Quick
+            test_merge_rejects_duplicate;
+          Alcotest.test_case "shard merge rejects a missing shard" `Quick
+            test_merge_rejects_missing;
+          Alcotest.test_case "shard merge rejects inconsistent headers" `Quick
+            test_merge_rejects_inconsistent_headers;
         ] );
       ( "composition",
         [

@@ -2,8 +2,8 @@
    fault plan (determinism, ENOSPC persistence, crash points), CRC
    corruption detection with tape name + offset, quarantine recovery
    through the retrying deciders, fatal-vs-transient classification,
-   label-keyed deterministic backoff, the no-orphans guarantee on a
-   full disk, and the offline scrubber. *)
+   the no-orphans guarantee on a full disk, and the offline
+   scrubber. *)
 
 module D = Problems.Decide
 module G = Problems.Generators
@@ -168,7 +168,7 @@ let test_decider_heals_transient_rot () =
   let device =
     Dev.file_spec ~block_bytes:128 ~cache_blocks:2 ~raw:(S.raw_for plan) dir
   in
-  let retry = { Faults.Retry.default with Faults.Retry.attempts = 12 } in
+  let retry = { Faults.Retry.attempts = 12 } in
   let clean, _ = Extsort.multiset_equality inst in
   let ok, _ = Extsort.multiset_equality ~retry ~device inst in
   check "verdict matches the in-RAM run" clean ok;
@@ -177,7 +177,7 @@ let test_decider_heals_transient_rot () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
-(* classification and backoff *)
+(* classification *)
 
 let test_enospc_is_fatal_not_retried () =
   let attempts = ref 0 in
@@ -204,31 +204,9 @@ let test_enospc_is_fatal_not_retried () =
 
 let test_corrupt_is_transient () =
   check "Corrupt classified transient" true
-    (Faults.Retry.default.classify
+    (Faults.Retry.classify
        (Dev.Corrupt { device = "t"; path = "p"; offset = 0 })
     = Faults.Retry.Transient)
-
-(* The backoff jitter is derived from (seed, label, attempt): a fixed
-   policy replays the same delays in the same run and across -j 1/2/4
-   (nothing draws from shared state), and distinct labels de-correlate
-   their delays. *)
-let test_backoff_label_jitter_deterministic () =
-  let policy = { Faults.Retry.default with Faults.Retry.base_backoff_s = 0.01 } in
-  let sleeps label =
-    let out = ref [] in
-    let policy = { policy with Faults.Retry.sleep = (fun s -> out := s :: !out) } in
-    (try
-       Faults.Retry.run ~policy ~seed:9 ~label (fun () ->
-           raise (Unix.Unix_error (Unix.EIO, "x", "")))
-     with Faults.Retry.Gave_up _ -> ());
-    List.rev !out
-  in
-  let a = sleeps "phase-a" in
-  check "backoff recorded" true (List.length a = 2);
-  check "same label -> identical backoff" true (a = sleeps "phase-a");
-  check "different label -> different jitter" true (a <> sleeps "phase-b");
-  check "delays grow exponentially" true
-    (match a with [ d1; d2 ] -> d2 > d1 | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* the ENOSPC abort contract: exit loudly, leave nothing behind *)
@@ -339,8 +317,6 @@ let () =
           Alcotest.test_case "ENOSPC/EROFS fatal" `Quick
             test_enospc_is_fatal_not_retried;
           Alcotest.test_case "Corrupt transient" `Quick test_corrupt_is_transient;
-          Alcotest.test_case "label-keyed backoff" `Quick
-            test_backoff_label_jitter_deterministic;
         ] );
       ( "enospc",
         [
