@@ -459,14 +459,41 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     else last_loaded := b;
     line
   in
-  let slot_off i = i mod slots_per_block * slot_bytes in
-  (* the buffer of the cache line holding slot [i], made ready for a
-     [len]-byte payload at [slot_off i + 2]: length prefix set, line
-     dirty. Slack past a slot's length is always zero (loads fill or
-     copy whole blocks, and every write keeps it so), which keeps the
+  (* The window: the block [slot] last resolved, its first slot and its
+     cache line, so a cell of that block is found with a subtraction
+     and a multiply instead of [line_for]'s divisions. It is valid only
+     while the line's [blk] still names the block (an eviction, a
+     prefetch or a CRC quarantine changes it), and it starts at block
+     -2, which no line holds (-1 marks an empty one). A hit is
+     [line_for]'s hit and does what that does, [last_loaded := b], so
+     read-ahead decides as it would without the window. *)
+  let win_blk = ref (-2) in
+  let win_first = ref (-2 * slots_per_block) in
+  let win_line = ref cache.(0) in
+  (* the offset of slot [i] in [!win_line.buf], after moving the
+     window onto its block *)
+  let slot i =
+    let d = i - !win_first in
+    if d >= 0 && d < slots_per_block && !win_line.blk = !win_blk then begin
+      last_loaded := !win_blk;
+      d * slot_bytes
+    end
+    else begin
+      let b = i / slots_per_block in
+      let line = line_for b in
+      win_blk := b;
+      win_first := b * slots_per_block;
+      win_line := line;
+      (i - !win_first) * slot_bytes
+    end
+  in
+  (* the offset of slot [i] in [!win_line.buf], made ready for a
+     [len]-byte payload at offset + 2: length prefix set, line dirty.
+     Slack past a slot's length is always zero (loads fill or copy
+     whole blocks, and every write keeps it so), which keeps the
      backing file deterministic: only a shrink leaves bytes to clear. *)
   let slot_for_write i len =
-    let line = line_for (i / slots_per_block) in
+    let off = slot i in
     if len > codec.Codec.max_bytes then
       invalid_arg "Device.file: encoded cell exceeds codec max_bytes";
     if len > max_slot_payload then
@@ -475,45 +502,46 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
            "Device.file: encoded cell of %d bytes exceeds the %d-byte slot \
             limit"
            len max_slot_payload);
-    let off = slot_off i in
+    let line = !win_line in
     let old_len = Bytes.get_uint16_be line.buf off in
     Bytes.set_uint16_be line.buf off len;
     if old_len > len then Bytes.fill line.buf (off + 2 + len) (old_len - len) '\x00';
     line.dirty <- true;
-    line.buf
+    off
   in
   let blank_bytes = Bytes.create (codec.Codec.size blank) in
   ignore (codec.Codec.write blank_bytes 0 blank);
   {
     dev_get =
       (fun i ->
-        let line = line_for (i / slots_per_block) in
-        let off = slot_off i in
-        let len = Bytes.get_uint16_be line.buf off in
-        if len = 0 then blank
-        else codec.Codec.value line.buf (off + 2) (off + 2 + len));
+        let off = slot i in
+        let buf = !win_line.buf in
+        let len = Bytes.get_uint16_be buf off in
+        if len = 0 then blank else codec.Codec.value buf (off + 2) (off + 2 + len));
     dev_set =
       (fun i v ->
         let len = codec.Codec.size v in
-        ignore (codec.Codec.write (slot_for_write i len) (slot_off i + 2) v));
+        let off = slot_for_write i len in
+        ignore (codec.Codec.write !win_line.buf (off + 2) v));
     dev_slots =
       Some
         {
           codec;
           load =
             (fun i dst ->
-              let line = line_for (i / slots_per_block) in
-              let off = slot_off i in
-              match Bytes.get_uint16_be line.buf off with
+              let off = slot i in
+              let buf = !win_line.buf in
+              match Bytes.get_uint16_be buf off with
               | 0 ->
                   Bytes.blit blank_bytes 0 dst 0 (Bytes.length blank_bytes);
                   Bytes.length blank_bytes
               | len ->
-                  Bytes.blit line.buf (off + 2) dst 0 len;
+                  Bytes.blit buf (off + 2) dst 0 len;
                   len);
           store =
             (fun i src len ->
-              Bytes.blit src 0 (slot_for_write i len) (slot_off i + 2) len);
+              let off = slot_for_write i len in
+              Bytes.blit src 0 !win_line.buf (off + 2) len);
         };
     dev_sync =
       (fun () ->

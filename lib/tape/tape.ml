@@ -263,42 +263,45 @@ let head_moves tp = tp.moves
 let reads tp = tp.reads
 let writes tp = tp.writes
 
-(* Invariant: a head already at position 0 — in particular the initial
-   head, still moving Right — issues no move, so rewinding it charges no
-   reversal and leaves the direction untouched.
-
-   Fast path: with no injection hook and no observer installed, nobody
-   is entitled to see the individual [move Left] steps, so the seek is
-   constant-time. It replicates the per-cell loop's accounting exactly,
-   including the failure state: the loop's first leftward move charges
-   the reversal and checks the scan budget BEFORE the position changes,
-   so on [Budget_exceeded] the head must still be at its old position
-   with [dir = Left], the reversal recorded and no move counted. A
+(* Fast path: with no injection hook and no observer installed, nobody
+   is entitled to see the individual moves, so a seek to a position
+   [>= 0] is constant-time. It replicates the per-cell loop's
+   accounting exactly, including the failure state: the loop's first
+   move charges the reversal (if the head turns) and checks the scan
+   budget BEFORE the position changes, so on [Budget_exceeded] the head
+   must still be at its old position with the new direction, the
+   reversal recorded and no move counted. Touching the target alone is
+   enough: [used] only grows, and a leftward walk stays below it. A
    hooked tape takes the loop so fault plans and observers still see
-   every step. *)
-let rewind tp =
-  if tp.pos > 0 then
-    match (tp.injection, tp.observer) with
-    | None, None ->
-        if tp.dir <> Left then begin
+   every step, and a negative target takes it so the walk fails at
+   position 0 exactly as [move] does.
+
+   Invariant: a head already at the target - in particular the initial
+   head at position 0 - issues no move, so [rewind] there charges no
+   reversal and leaves the direction untouched. *)
+let seek tp target =
+  match (tp.injection, tp.observer) with
+  | None, None when target >= 0 ->
+      if target <> tp.pos then begin
+        let dir = if target > tp.pos then Right else Left in
+        if dir <> tp.dir then begin
           tp.revs <- tp.revs + 1;
-          tp.dir <- Left;
+          tp.dir <- dir;
           check_scan_budget tp
         end;
-        tp.moves <- tp.moves + tp.pos;
-        tp.pos <- 0
-    | _ ->
-        while tp.pos > 0 do
-          move tp Left
-        done
+        tp.moves <- tp.moves + abs (target - tp.pos);
+        tp.pos <- target;
+        touch tp target
+      end
+  | _ ->
+      while tp.pos < target do
+        move tp Right
+      done;
+      while tp.pos > target do
+        move tp Left
+      done
 
-let seek tp target =
-  while tp.pos < target do
-    move tp Right
-  done;
-  while tp.pos > target do
-    move tp Left
-  done
+let rewind tp = seek tp 0
 
 let read_at tp pos =
   seek tp pos;
@@ -346,7 +349,7 @@ let register tp =
   }
 
 (* The slot accessor when the register may hold stored bytes: the same
-   condition as [rewind]'s fast path - nobody is entitled to see the
+   condition as [seek]'s fast path - nobody is entitled to see the
    cell values go by. *)
 let byte_slots tp =
   match (tp.injection, tp.observer) with None, None -> tp.slots | _ -> None

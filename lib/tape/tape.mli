@@ -86,7 +86,7 @@ val cells_used : 'a t -> int
 (** Highest position ever visited or written, plus one. *)
 
 val head_moves : 'a t -> int
-(** Completed {!move}s so far, including every cell a {!rewind} crosses.
+(** Completed {!move}s so far, including every cell a {!seek} crosses.
     An operation aborted by an injected fault is not counted, so a
     retried scan recounts its operations honestly, exactly as it
     re-pays its reversals. *)
@@ -99,24 +99,15 @@ val writes : 'a t -> int
     {!head_moves}). *)
 
 val rewind : 'a t -> unit
-(** Move the head back to position 0 by repeated [move Left]
-    (costing one reversal if the head was last moving right and is not
-    already at position 0).
+(** [seek tp 0]: move the head back to position 0, costing one
+    reversal if the head was last moving right and is not already at
+    position 0.
 
     {b Invariant}: a head already at position 0 — in particular a fresh
     head still moving {!Right} — issues no movement at all, so the call
     charges no reversal and the head direction is unchanged. Restart
     code (the fault layer's retried scans) relies on this: prefixing a
-    forward scan with [rewind] is free when nothing needs rewinding.
-
-    {b Fast path}: when the tape has neither an injection hook nor an
-    observer, the rewind is a constant-time seek with identical
-    accounting (one reversal if the head was moving right, budget
-    checked before the position changes, then one head move per cell
-    crossed — so a {!Budget_exceeded} run observes the same tape state
-    and counts the per-cell loop would leave). With a hook installed
-    the per-cell loop runs, so fault plans and observers see every
-    step. *)
+    forward scan with [rewind] is free when nothing needs rewinding. *)
 
 (** {2 Cell registers}
 
@@ -127,7 +118,7 @@ val rewind : 'a t -> unit
     does per cell.
 
     {b Form.} When the tape has neither an injection hook nor an
-    observer (the condition of {!rewind}'s fast path) and its device
+    observer (the condition of {!seek}'s fast path) and its device
     exposes slots ({!Device.slots}: the file backend), a load copies the
     cell's stored bytes out of the cache line, decoding nothing, and a
     store into such a tape copies them into its slot. Otherwise the
@@ -166,11 +157,20 @@ val compare_registers :
     {!Tuple} codecs keep for [String.compare]. *)
 
 val seek : 'a t -> int -> unit
-(** [seek tp target] walks the head to [target] one {!move} at a time:
-    [|target - position|] moves, plus one reversal when the walk turns
-    the head around. Seeking to the current position issues no move.
-    Unlike {!rewind} there is no fast path, so injection hooks and
-    observers see every step. *)
+(** [seek tp target] moves the head to [target] as [|target - position|]
+    {!move}s would: that many head moves, plus one reversal when the
+    walk turns the head around. Seeking to the current position issues
+    no move.
+
+    {b Fast path}: when the tape has neither an injection hook nor an
+    observer and [target >= 0], the seek is constant-time with
+    identical accounting: one reversal if the head turns, the scan
+    budget checked before the position changes, then one head move per
+    cell crossed — so a {!Budget_exceeded} run leaves the same tape
+    state and counts the per-cell loop would. With a hook or an
+    observer installed, or a negative [target] (which fails at position
+    0 with [Invalid_argument], as {!move} does), the per-cell loop
+    runs, so fault plans and observers see every step. *)
 
 val read_at : 'a t -> int -> 'a
 (** {!seek}, then {!read}. *)
@@ -236,7 +236,7 @@ val set_injection : 'a t -> 'a Injection.t option -> unit
     An observer sees every completed [read], [write] and [move] on the
     tape — exactly the operations those counters count. Observers are
     value-blind: they receive positions only, so one observer type
-    serves tapes of every cell type. An observed tape rewinds by the
+    serves tapes of every cell type. An observed tape seeks by the
     per-cell loop, so the observer sees every step. *)
 module Observer : sig
   type t = {

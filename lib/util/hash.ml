@@ -23,12 +23,13 @@ let fnv_string h s =
 
 (* ---------------- CRC-32 (IEEE 802.3, reflected 0xEDB88320) -------- *)
 
-(* Slicing-by-8 (Kounavis & Berry): table [k] advances the CRC of a
-   byte that is followed by [k] more bytes, so one step folds 8 bytes
-   with 8 lookups.  [t.(k * 256 + b)] is table [k] at byte [b]. *)
+(* Slicing-by-16 (Kounavis & Berry's slicing, 16 bytes a step): table
+   [k] advances the CRC of a byte that is followed by [k] more bytes, so
+   one step folds 16 bytes with 16 lookups.  [t.(k * 256 + b)] is table
+   [k] at byte [b]. *)
 let crc_tables =
   lazy
-    (let t = Array.make (8 * 256) 0 in
+    (let t = Array.make (16 * 256) 0 in
      for n = 0 to 255 do
        let c = ref n in
        for _ = 0 to 7 do
@@ -36,7 +37,7 @@ let crc_tables =
        done;
        t.(n) <- !c
      done;
-     for k = 1 to 7 do
+     for k = 1 to 15 do
        for n = 0 to 255 do
          let c = t.(((k - 1) * 256) + n) in
          t.((k * 256) + n) <- (c lsr 8) lxor t.(c land 0xff)
@@ -44,28 +45,50 @@ let crc_tables =
      done;
      t)
 
+external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
 let crc32_sub buf pos len =
+  (* the one bounds check: every load below stays inside [pos, pos + len) *)
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Hash.crc32_sub";
   let t = Lazy.force crc_tables in
   let tb k b = Array.unsafe_get t ((k * 256) + b) in
-  let u32 i = Int32.to_int (Bytes.get_int32_le buf i) land 0xFFFFFFFF in
+  let u32 i =
+    let w = unsafe_get32 buf i in
+    Int32.to_int (if Sys.big_endian then bswap32 w else w) land 0xFFFFFFFF
+  in
   let c = ref 0xFFFFFFFF in
   let i = ref pos in
   let stop = pos + len in
-  while !i + 8 <= stop do
-    let lo = u32 !i lxor !c and hi = u32 (!i + 4) in
+  while !i + 16 <= stop do
+    let w0 = u32 !i lxor !c
+    and w1 = u32 (!i + 4)
+    and w2 = u32 (!i + 8)
+    and w3 = u32 (!i + 12) in
     c :=
-      tb 7 (lo land 0xff)
-      lxor tb 6 ((lo lsr 8) land 0xff)
-      lxor tb 5 ((lo lsr 16) land 0xff)
-      lxor tb 4 (lo lsr 24)
-      lxor tb 3 (hi land 0xff)
-      lxor tb 2 ((hi lsr 8) land 0xff)
-      lxor tb 1 ((hi lsr 16) land 0xff)
-      lxor tb 0 (hi lsr 24);
-    i := !i + 8
+      tb 15 (w0 land 0xff)
+      lxor tb 14 ((w0 lsr 8) land 0xff)
+      lxor tb 13 ((w0 lsr 16) land 0xff)
+      lxor tb 12 (w0 lsr 24)
+      lxor tb 11 (w1 land 0xff)
+      lxor tb 10 ((w1 lsr 8) land 0xff)
+      lxor tb 9 ((w1 lsr 16) land 0xff)
+      lxor tb 8 (w1 lsr 24)
+      lxor tb 7 (w2 land 0xff)
+      lxor tb 6 ((w2 lsr 8) land 0xff)
+      lxor tb 5 ((w2 lsr 16) land 0xff)
+      lxor tb 4 (w2 lsr 24)
+      lxor tb 3 (w3 land 0xff)
+      lxor tb 2 ((w3 lsr 8) land 0xff)
+      lxor tb 1 ((w3 lsr 16) land 0xff)
+      lxor tb 0 (w3 lsr 24);
+    i := !i + 16
   done;
   while !i < stop do
-    c := tb 0 ((!c lxor Char.code (Bytes.get buf !i)) land 0xff) lxor (!c lsr 8);
+    c :=
+      tb 0 ((!c lxor Char.code (Bytes.unsafe_get buf !i)) land 0xff)
+      lxor (!c lsr 8);
     incr i
   done;
   !c lxor 0xFFFFFFFF

@@ -27,8 +27,9 @@ val fnv_string : int64 -> string -> int64
 
 val crc32_sub : Bytes.t -> int -> int -> int
 (** [crc32_sub buf pos len]: IEEE 802.3 CRC-32 (reflected polynomial
-    0xEDB88320, slicing-by-8 over eight 256-entry tables) of [len]
-    bytes of [buf] from [pos]. *)
+    0xEDB88320, slicing-by-16 over sixteen 256-entry tables) of [len]
+    bytes of [buf] from [pos]. Raises [Invalid_argument] unless
+    [0 <= pos], [0 <= len] and [pos + len <= Bytes.length buf]. *)
 
 val crc32 : string -> int
 

@@ -348,6 +348,118 @@ let test_slot_store_bytes () =
   Alcotest.(check bool) "no slots on mem" true
     (Tape.Device.slots (Tape.Device.mem ~blank:"") = None)
 
+(* ------------------------------------------------------------------ *)
+(* the file device's one-block window *)
+
+(* The real syscalls, counted, with one byte of the next pread at file
+   offset [!rot_at] flipped: bit rot in transit, so the re-read
+   heals. *)
+let counting_raw () =
+  let module R = Tape.Device.Raw in
+  let preads = ref 0 and pwrites = ref 0 and rot_at = ref (-1) in
+  let raw =
+    {
+      R.real with
+      R.pread =
+        (fun fd buf ~pos ~len ~off ->
+          incr preads;
+          let n = R.real.R.pread fd buf ~pos ~len ~off in
+          if off = !rot_at && n > 8 then begin
+            rot_at := -1;
+            Bytes.set buf (pos + 8)
+              (Char.chr (Char.code (Bytes.get buf (pos + 8)) lxor 1))
+          end;
+          n);
+      pwrite =
+        (fun fd buf ~pos ~len ~off ->
+          incr pwrites;
+          R.real.R.pwrite fd buf ~pos ~len ~off);
+    }
+  in
+  (raw, preads, pwrites, rot_at)
+
+(* An access pattern aimed at the window's edges, on 4-slot blocks and
+   two cache lines: cells of two blocks alternated (in two lines, then
+   in one), a backward walk across block boundaries, a cell overwritten
+   by a shorter one, a slot load and store, and a block read again after
+   a CRC failure has emptied the window's line - so the window must
+   notice its line no longer holds its block. Returns the pread and
+   pwrite counts, the MD5 of the synced backing file and the number of
+   reads that did not return the cell's last value. *)
+let window_walk () =
+  let module D = Tape.Device in
+  let dir = Printf.sprintf "%s-window" spill in
+  let raw, preads, pwrites, rot_at = counting_raw () in
+  (* max_bytes 14: 16-byte slots, 4 to a 64-byte block, 69-byte frames *)
+  let codec = D.Codec.tuple_string ~max_len:6 in
+  let d =
+    D.instantiate ~codec
+      (D.file_spec ~block_bytes:64 ~cache_blocks:2 ~raw:(fun ~name:_ -> raw) dir)
+      ~blank:"" ~name:"window"
+  in
+  let model = Hashtbl.create 64 and bad = ref 0 in
+  let put i v =
+    D.set d i v;
+    Hashtbl.replace model i v
+  in
+  let get i =
+    let want = Option.value (Hashtbl.find_opt model i) ~default:"" in
+    if D.get d i <> want then incr bad
+  in
+  for i = 0 to 15 do
+    put i (Printf.sprintf "c%d" i)
+  done;
+  for k = 0 to 7 do
+    get (k mod 4);
+    put (4 + (k mod 4)) (Printf.sprintf "a%d" k)
+  done;
+  for k = 0 to 5 do
+    get (k mod 4);
+    get (8 + (k mod 4))
+  done;
+  for i = 13 downto 2 do
+    get i
+  done;
+  put 6 "longer";
+  put 6 "s";
+  get 6;
+  get 7;
+  let s = Option.get (D.slots d) in
+  let buf = Bytes.create codec.D.Codec.max_bytes in
+  s.D.store 1 buf (s.D.load 9 buf);
+  Hashtbl.replace model 1 (Hashtbl.find model 9);
+  get 1;
+  D.sync d;
+  (* the window on block 0 in line 0; block 2's rotten frame empties
+     that line; block 0 must then be read from disk again *)
+  get 0;
+  rot_at := 16 + (2 * 69);
+  (match D.get d 8 with
+  | _ -> Alcotest.fail "a rotten frame read back without Corrupt"
+  | exception D.Corrupt _ -> ());
+  get 0;
+  put 1 "w";
+  get 8;
+  put 9 "ww";
+  D.sync d;
+  let md5 =
+    match Sys.readdir dir with
+    | [| f |] -> Digest.to_hex (Digest.file (Filename.concat dir f))
+    | fs -> Alcotest.failf "expected one backing file, got %d" (Array.length fs)
+  in
+  D.close d;
+  Unix.rmdir dir;
+  (!preads, !pwrites, md5, !bad)
+
+(* The counts and the digest are what the file device gave before it
+   had a window: the window must change no syscall and no byte. *)
+let test_file_window () =
+  Alcotest.(check (pair (triple int int string) int))
+    "preads, pwrites, backing-file MD5; bad reads"
+    ((29, 10, "74fb72672540048c071c9f3f6261da42"), 0)
+    (let p, w, m, b = window_walk () in
+     ((p, w, m), b))
+
 let () =
   Alcotest.run "device"
     [
@@ -369,5 +481,7 @@ let () =
             test_slot_store_bytes;
           Alcotest.test_case "on-disk format pinned" `Quick
             test_on_disk_format_pinned;
+          Alcotest.test_case "file window: same syscalls and bytes" `Quick
+            test_file_window;
         ] );
     ]

@@ -48,6 +48,12 @@ let spill =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "stlb-test-query-%d" (Unix.getpid ()))
 
+(* the devices delete their spill files on close, so only the directory
+   is left to remove; a file still in it fails the run here *)
+let () =
+  at_exit (fun () ->
+      try Unix.rmdir spill with Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+
 let device_specs () =
   [
     ("mem", Tape.Device.Mem);

@@ -34,7 +34,13 @@ let files_under root =
   in
   go [] root
 
-let rm_rf root = ignore (Dev.Scrub.dir ~fix:true root)
+let rec rm_rf p =
+  match Sys.is_directory p with
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Unix.rmdir p
+  | false -> Sys.remove p
+  | exception Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* plan determinism and semantics *)

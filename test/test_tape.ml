@@ -192,6 +192,77 @@ let test_rewind_injection_sees_moves () =
   check_int "rewound" 0 (Tape.position t);
   check_int "one reversal" 1 (Tape.reversals t)
 
+(* [seek]'s constant-time path against the per-cell loop a
+   pass-through hook or an observer forces: after any sequence of seeks
+   (each followed by a read, a write or nothing) the three tapes agree
+   on every piece of state and every count, and under a scan budget
+   they trip at the same call and leave the same state behind. *)
+let seek_state t =
+  ( (Tape.position t, Tape.head_direction t = Tape.Left, Tape.reversals t),
+    (Tape.head_moves t, Tape.cells_used t),
+    (Tape.reads t, Tape.writes t) )
+
+let run_seeks path max_scans steps =
+  let g =
+    Tape.Group.create ~budget:{ Tape.Group.max_scans; max_internal = None } ()
+  in
+  let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
+  (match path with
+  | `Fast -> ()
+  | `Hooked -> Tape.set_injection t (Some pass_through)
+  | `Observed ->
+      Tape.Group.set_observer g
+        (Some
+           (fun _ ->
+             {
+               Tape.Observer.on_read = (fun ~pos:_ -> ());
+               on_write = (fun ~pos:_ -> ());
+               on_move = (fun ~pos:_ _ -> ());
+             })));
+  let rec go k = function
+    | [] -> None
+    | (target, op) :: rest -> (
+        match Tape.seek t target with
+        | exception Tape.Budget_exceeded _ -> Some k
+        | () ->
+            (match op with
+            | 0 -> ignore (Tape.read t)
+            | 1 -> Tape.write t 'x'
+            | _ -> ());
+            go (k + 1) rest)
+  in
+  let tripped = go 0 steps in
+  (tripped, seek_state t)
+
+let prop_seek_fast_path_parity =
+  QCheck.Test.make ~name:"seek fast path = per-cell loop" ~count:500
+    QCheck.(
+      pair
+        (option (int_range 1 8))
+        (list_of_size Gen.(int_range 0 30) (pair (int_range 0 20) (int_range 0 2))))
+    (fun (max_scans, steps) ->
+      let fast = run_seeks `Fast max_scans steps in
+      fast = run_seeks `Hooked max_scans steps
+      && fast = run_seeks `Observed max_scans steps)
+
+(* a negative target takes the loop on both paths: it walks to position
+   0, charging the turn and every move, then fails as [move] does *)
+let test_seek_negative_target () =
+  let run hooked =
+    let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
+    if hooked then Tape.set_injection t (Some pass_through);
+    Tape.seek t 3;
+    Alcotest.check_raises "seek -1"
+      (Invalid_argument "Tape.move: left of position 0") (fun () ->
+        Tape.seek t (-1));
+    seek_state t
+  in
+  let ((pos_dir_revs, (moves, _), _) as loop) = run true in
+  Alcotest.(check (triple int bool int))
+    "walked to 0 and turned once" (0, true, 1) pos_dir_revs;
+  check_int "3 right, then 3 left" 6 moves;
+  check "fast and hooked tapes agree" true (loop = run false)
+
 let test_to_list_iter () =
   let t = Tape.of_list ~blank:'_' [ 'x'; 'y' ] in
   Alcotest.(check (list char)) "to_list" [ 'x'; 'y' ] (Tape.to_list t);
@@ -357,6 +428,9 @@ let () =
           Alcotest.test_case "rewind under injection" `Quick
             test_rewind_injection_sees_moves;
           Alcotest.test_case "seek" `Quick test_seek;
+          Alcotest.test_case "seek to a negative target" `Quick
+            test_seek_negative_target;
+          QCheck_alcotest.to_alcotest prop_seek_fast_path_parity;
           Alcotest.test_case "to_list/iter" `Quick test_to_list_iter;
           Alcotest.test_case "registers" `Quick test_registers;
           QCheck_alcotest.to_alcotest prop_reversals_count_direction_changes;

@@ -206,10 +206,10 @@ let test_crc32_known_values () =
   check_int "crc32_sub of a slice" 0xCBF43926
     (Util.Hash.crc32_sub (Bytes.of_string "xx123456789y") 2 9)
 
-(* slicing-by-8 against the bitwise definition, one byte at a time:
-   every start offset 0-7 (so the 8-byte steps straddle any alignment)
-   with every length 0-70 (so every tail length after 0-8 steps), plus
-   one 64 KiB buffer *)
+(* slicing-by-16 against the bitwise definition, one byte at a time:
+   every start offset 0-15 (so the 16-byte steps straddle any
+   alignment) with every length 0-140 (so every tail length after 0-8
+   steps), plus one 64 KiB buffer *)
 let test_crc32_matches_bytewise () =
   let oracle buf pos len =
     let c = ref 0xFFFFFFFF in
@@ -224,8 +224,8 @@ let test_crc32_matches_bytewise () =
   let st = Random.State.make [| 32 |] in
   let buf = Bytes.init (1 lsl 16) (fun _ -> Char.chr (Random.State.int st 256)) in
   let mismatches = ref [] in
-  for pos = 0 to 7 do
-    for len = 0 to 70 do
+  for pos = 0 to 15 do
+    for len = 0 to 140 do
       if Util.Hash.crc32_sub buf pos len <> oracle buf pos len then
         mismatches := (pos, len) :: !mismatches
     done
@@ -233,6 +233,27 @@ let test_crc32_matches_bytewise () =
   Alcotest.(check (list (pair int int))) "(offset, length) mismatches" [] !mismatches;
   check_int "crc32_sub of 64 KiB" (oracle buf 0 (1 lsl 16))
     (Util.Hash.crc32_sub buf 0 (1 lsl 16))
+
+(* the loads past the entry check are unchecked, so a slice outside the
+   buffer must be refused there *)
+let test_crc32_sub_rejects_bad_slices () =
+  let buf = Bytes.make 32 'x' in
+  List.iter
+    (fun (what, pos, len) ->
+      Alcotest.check_raises what (Invalid_argument "Hash.crc32_sub") (fun () ->
+          ignore (Util.Hash.crc32_sub buf pos len)))
+    [
+      ("negative pos", -1, 4);
+      ("negative pos, empty slice", -1, 0);
+      ("negative len", 0, -1);
+      ("pos + len past the end", 20, 13);
+      ("pos past the end", 33, 0);
+      ("len past the end", 0, 33);
+      ("overflowing pos + len", 1, max_int);
+    ];
+  check_int "a slice ending at the end is fine" (Util.Hash.crc32 "xxxx")
+    (Util.Hash.crc32_sub buf 28 4);
+  check_int "an empty slice at the end is fine" 0 (Util.Hash.crc32_sub buf 32 0)
 
 let test_splitmix_vector () =
   (* the first splitmix64 output from seed 0: the finaliser of the gamma *)
@@ -290,8 +311,10 @@ let () =
         [
           Alcotest.test_case "fnv-1a 64 test vectors" `Quick test_fnv_vectors;
           Alcotest.test_case "crc32 check values" `Quick test_crc32_known_values;
-          Alcotest.test_case "crc32 slicing-by-8 = bytewise" `Quick
+          Alcotest.test_case "crc32 slicing-by-16 = bytewise" `Quick
             test_crc32_matches_bytewise;
+          Alcotest.test_case "crc32_sub bounds" `Quick
+            test_crc32_sub_rejects_bad_slices;
           Alcotest.test_case "splitmix64 first output" `Quick test_splitmix_vector;
         ] );
       ( "json",
