@@ -28,9 +28,10 @@ let micro_tests () =
   let sort_items =
     List.init 256 (fun i -> Printf.sprintf "%05d" ((i * 7919) mod 256))
   in
-  (* file-backed variant of the merge sort: same items, cells on
-     64 KiB-block-cached spill files (created and deleted every run -
-     the backend's setup cost is part of what is being measured) *)
+  (* file- and shard-backed variants of the merge sort: same items,
+     cells on 64 KiB-block-cached spill files or in 64 KiB shards
+     (created and deleted every run - the backend's setup cost is part
+     of what is being measured) *)
   let spill =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -39,6 +40,7 @@ let micro_tests () =
   let file_device =
     Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:16 spill
   in
+  let shard_device = Tape.Device.shard_spec ~shard_bytes:(1 lsl 16) spill in
   let tuples =
     List.init 1000 (fun i ->
         Tape.Tuple.[ Str (Printf.sprintf "cell-%04d" i); Int ((i * 7919) - 500) ])
@@ -156,6 +158,9 @@ let micro_tests () =
     Test.make ~name:"tape-file-merge-sort-64k"
       (Staged.stage (fun () ->
            ignore (Extsort.sort ~device:file_device sort_items)));
+    Test.make ~name:"tape-shard-merge-sort-64k"
+      (Staged.stage (fun () ->
+           ignore (Extsort.sort ~device:shard_device sort_items)));
     Test.make ~name:"tuple-encode-decode-1k"
       (Staged.stage (fun () ->
            List.iter

@@ -160,21 +160,23 @@ let sort ?budget ?faults ?retry ?obs ?device ?ways items =
   in
   (out, report_of g len)
 
-let items_of half = Array.to_list (Array.map B.to_string half)
-
 (* The preload is device-level and idempotent (fixed-position writes of
    fixed values), so it runs under the same retry combinator as the
    scan phases: a below-seam I/O error during the initial spill heals
    by re-preloading. The above-seam plan is attached only afterwards,
    exactly as before, so injection runs never fault their own setup. *)
 let instance_tapes ?faults ?retry g inst =
-  let xs = items_of (I.xs inst) and ys = items_of (I.ys inst) in
-  let codec = codec_for (xs @ ys) in
+  let xs = I.xs inst and ys = I.ys inst in
+  let longest = Array.fold_left (fun a v -> max a (B.length v)) in
+  let codec = Tape.Device.Codec.tuple_string ~max_len:(longest (longest 1 xs) ys) in
   let tx = Tape.Group.tape g ~name:"xs" ~codec ~blank:"" () in
   let ty = Tape.Group.tape g ~name:"ys" ~codec ~blank:"" () in
+  let preload tp half =
+    Tape.preload_init tp (Array.length half) (fun i -> B.to_string half.(i))
+  in
   Faults.phase ?faults ?retry ~label:"preload" (fun () ->
-      Tape.preload tx xs;
-      Tape.preload ty ys);
+      preload tx xs;
+      preload ty ys);
   attach_opt faults tx;
   attach_opt faults ty;
   (tx, ty, codec)

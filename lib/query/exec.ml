@@ -50,7 +50,7 @@ type acc = {
   mutable a_segments : int;
 }
 
-let run ?device ?observe ~(env : Naive.env) (e : expr) :
+let run ?device ?obs ~(env : Naive.env) (e : expr) :
     (outcome, string) result =
   let tenv = List.map (fun (n, (k, _)) -> (n, k)) env in
   match Compile.compile tenv e with
@@ -75,14 +75,14 @@ let run ?device ?observe ~(env : Naive.env) (e : expr) :
                 | Compile.Sfilter (pa, pb) ->
                     let ra = exec_plan pa and rb = exec_plan pb in
                     let v, rep =
-                      Xmlq.Stream_filter.figure1_filter ?observe
+                      Xmlq.Stream_filter.figure1_filter ?obs
                         (doc_of_rows ra rb)
                     in
                     ("xfilter", v, rep)
                 | Compile.Sxeq (pa, pb) ->
                     let ra = exec_plan pa and rb = exec_plan pb in
                     let v, rep =
-                      Xmlq.Stream_filter.theorem12_query ?observe
+                      Xmlq.Stream_filter.theorem12_query ?obs
                         (doc_of_rows ra rb)
                     in
                     ("xeq", v, rep)
@@ -112,7 +112,7 @@ let run ?device ?observe ~(env : Naive.env) (e : expr) :
         in
         let seg_n = max 1 (Relalg.db_size db) in
         let result, rep =
-          Relalg.eval_streaming ?device ?observe
+          Relalg.eval_streaming ?device ?obs
             ~profile:(fun label scans ->
               audit_node Obs.Audit.relalg_node_spec label scans ~n:seg_n)
             db p.Compile.rexpr

@@ -3,11 +3,11 @@
     A compiled plan is a tree of segments: one relalg expression plus
     xmlq sub-plans (xfilter/xeq) whose boolean verdicts feed it as
     unary relations. Each segment runs on its own [Tape.Group]
-    (relalg and the stream filters create their own); [observe] is
-    forwarded to every group so one [Obs.Ledger.Recorder] can fold the
-    whole run. Every relalg operator's exclusive scan delta is audited
-    against [Obs.Audit.relalg_node_spec]; every document builtin
-    against [Obs.Audit.xpath_filter_spec]. *)
+    (relalg and the stream filters create their own); [obs] observes
+    every group, so one [Obs.Ledger.Recorder] folds the whole run.
+    Every relalg operator's exclusive scan delta is audited against
+    [Obs.Audit.relalg_node_spec]; every document builtin against
+    [Obs.Audit.xpath_filter_spec]. *)
 
 type node_audit = { label : string; scans : int; allowed : int; ok : bool }
 
@@ -24,7 +24,7 @@ type outcome = {
 
 val run :
   ?device:Tape.Device.spec ->
-  ?observe:(Tape.Group.t -> unit) ->
+  ?obs:Obs.Ledger.Recorder.t ->
   env:Naive.env ->
   Ast.expr ->
   (outcome, string) result

@@ -29,8 +29,7 @@ let close st =
 (* one audited run of [e] in the current environment *)
 let run_expr st e =
   let recorder = Obs.Ledger.Recorder.create ~label:"query" () in
-  let observe = Obs.Ledger.Recorder.observe recorder in
-  match Exec.run ~device:st.device ~observe ~env:st.env e with
+  match Exec.run ~device:st.device ~obs:recorder ~env:st.env e with
   | Error m ->
       st.failed <- true;
       printf st "error: %s" m;

@@ -466,9 +466,9 @@ let max_cell_bytes db expr =
   let width = max 1 (leaf_width expr) in
   width * (max_atom + 1)
 
-let eval_streaming ?device ?observe ?profile db expr =
+let eval_streaming ?device ?obs ?profile db expr =
   let g = Tape.Group.create ?device () in
-  (match observe with None -> () | Some f -> f g);
+  (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
   let codec = Tape.Device.Codec.tuple_string ~max_len:(max_cell_bytes db expr) in
   let ctx =
     { g; codec; prof = (match profile with None -> fun _ _ -> () | Some f -> f) }

@@ -63,7 +63,7 @@ type report = { n : int; scans : int; registers : int; tapes : int }
 
 val eval_streaming :
   ?device:Tape.Device.spec ->
-  ?observe:(Tape.Group.t -> unit) ->
+  ?obs:Obs.Ledger.Recorder.t ->
   ?profile:(string -> int -> unit) ->
   db -> expr -> relation * report
 (** Evaluate with every tuple movement going through metered tapes:
@@ -74,9 +74,8 @@ val eval_streaming :
     [device] selects the backend for every tape of the run (default
     mem); under a byte-backed spec all intermediate tapes use a
     fixed-width tuple codec sized by a static pass over [db] and
-    [expr]. [observe] is called with the tape group right after
-    creation — the seam for attaching an {!Obs.Ledger.Recorder} without
-    a [relalg → obs] dependency. [profile] receives, for each plan
+    [expr]. [obs] observes the run's tape group, so its ledger covers
+    every tape of the run. [profile] receives, for each plan
     node in post-order, its operator label ([input], [select],
     [project], [rename], [union], [diff], [inter], [product], [join])
     and the scans that node spent exclusive of its children — the query

@@ -18,7 +18,6 @@ let on_tapes ?drawn spec verdict ~scans ~internal ~tapes =
   { verdict; cost = Some { scans; internal; tapes }; spec = Some spec; drawn }
 
 let run ?budget ?retry ?obs ?device st problem algorithm inst =
-  let observe = Option.map Obs.Ledger.Recorder.observe obs in
   match (problem, algorithm) with
   | Frame.Core p, Frame.Reference -> reference (D.decide p inst)
   (* YES iff the halves are equal as sets (Theorem 11(b)) *)
@@ -45,7 +44,7 @@ let run ?budget ?retry ?obs ?device st problem algorithm inst =
       | v, None -> { (reference v) with spec = Some Obs.Audit.nst_spec })
   | Frame.Relalg_symdiff, Frame.Sort ->
       let result, rep =
-        Relalg.eval_streaming ?device ?observe (Relalg.instance_db inst)
+        Relalg.eval_streaming ?device ?obs (Relalg.instance_db inst)
           (Relalg.symmetric_difference "R1" "R2")
       in
       on_tapes Obs.Audit.relalg_symdiff_spec (result.Relalg.tuples = [])
@@ -53,7 +52,7 @@ let run ?budget ?retry ?obs ?device st problem algorithm inst =
         ~tapes:rep.Relalg.tapes
   | Frame.Xpath_filter, Frame.Sort ->
       let stream = Xmlq.Doc.serialize (Xmlq.Doc.of_instance inst) in
-      let v, rep = Xmlq.Stream_filter.figure1_filter ?observe stream in
+      let v, rep = Xmlq.Stream_filter.figure1_filter ?obs stream in
       on_tapes Obs.Audit.xpath_filter_spec v ~scans:rep.Xmlq.Stream_filter.scans
         ~internal:rep.Xmlq.Stream_filter.registers
         ~tapes:rep.Xmlq.Stream_filter.tapes

@@ -9,16 +9,19 @@
    Three backends:
    - [Mem]: the original growable in-RAM array (the default, and the
      fallback when no byte codec is available for the cell type);
-   - [File]: one flat file of CRC-framed fixed-size-slot blocks behind
-     a direct-mapped block cache with sequential read-ahead;
+   - [File]: one flat file of CRC-framed fixed-size-slot blocks, with
+     sequential read-ahead;
    - [Shard]: a directory of run files, each a CRC-framed
      concatenation of self-delimiting tuple-framed cells (Extsort's
      spill format; the encodings are order-preserving, so stored cells
      compare bytewise like their values), indexed by an
      atomically-renamed MANIFEST.
 
-   Both byte backends encode and decode cells in place in their block
-   or shard buffer through [Codec].
+   Both byte backends keep their cells in one slot cache ([slot_cache]
+   below): lines of fixed-size slots of stored bytes, which [Codec]
+   encodes and decodes in place and [slots] hands to [Tape]'s
+   registers as they are. A backend brings only its block I/O and its
+   replacement policy.
 
    The byte-backed backends do all their syscalls through a [Raw]
    record of closures (pread/pwrite/fsync/rename/remove), so
@@ -122,11 +125,12 @@ end
 
 type raw_factory = name:string -> Raw.t
 
-(* Full-transfer loops over the single-syscall seam.  A zero-byte read
-   means EOF: the rest of the buffer is blank (the backing file is
-   sparse at never-written offsets). *)
-let full_pread (raw : Raw.t) fd buf ~off =
-  let len = Bytes.length buf in
+(* Full-transfer loops over the single-syscall seam, for the first
+   [len] bytes of [buf] (all of it by default).  A zero-byte read means
+   EOF: the rest is blank (the backing file is sparse at never-written
+   offsets). *)
+let full_pread ?len (raw : Raw.t) fd buf ~off =
+  let len = Option.value len ~default:(Bytes.length buf) in
   let rec go done_ =
     if done_ < len then begin
       let n = raw.pread fd buf ~pos:done_ ~len:(len - done_) ~off:(off + done_) in
@@ -135,8 +139,8 @@ let full_pread (raw : Raw.t) fd buf ~off =
   in
   go 0
 
-let full_pwrite (raw : Raw.t) fd buf ~off =
-  let len = Bytes.length buf in
+let full_pwrite ?len (raw : Raw.t) fd buf ~off =
+  let len = Option.value len ~default:(Bytes.length buf) in
   let rec go done_ =
     if done_ < len then
       go (done_ + raw.pwrite fd buf ~pos:done_ ~len:(len - done_) ~off:(off + done_))
@@ -147,11 +151,11 @@ let full_pwrite (raw : Raw.t) fd buf ~off =
    sibling and renamed into place, so a crash at any raw-op boundary
    leaves either the old file, the new file, or a detectable ".tmp"
    torn tail — never a silently half-new file under the final name. *)
-let write_file_atomic (raw : Raw.t) path content ~fsync =
+let write_file_atomic ?len (raw : Raw.t) path content ~fsync =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (try
-     full_pwrite raw fd content ~off:0;
+     full_pwrite ?len raw fd content ~off:0;
      if fsync then raw.Raw.fsync fd;
      Unix.close fd
    with e ->
@@ -165,14 +169,14 @@ let write_file_atomic (raw : Raw.t) path content ~fsync =
 module Codec = struct
   (* How cells of type ['a] become bytes, in place: [write buf pos v]
      writes exactly [size v] bytes at [pos] and returns the end offset;
-     [read buf pos limit] returns the value and its end offset without
-     looking at [limit] or past it, so shard files need no cell index
-     and a file slot's neighbours are never read.  [size v] must not
-     exceed [max_bytes] (the file backend sizes its slots with it). *)
+     [skip buf pos limit] returns the end offset of the encoding at
+     [pos] without looking at [limit] or past it, so shard files need no
+     cell index.  [size v] must not exceed [max_bytes] (the slot cache
+     sizes its slots with it). *)
   type 'a codec = {
     size : 'a -> int;
     write : Bytes.t -> int -> 'a -> int;
-    read : Bytes.t -> int -> int -> 'a * int;
+    skip : Bytes.t -> int -> int -> int;
     value : Bytes.t -> int -> int -> 'a;
     max_bytes : int;
   }
@@ -183,8 +187,8 @@ module Codec = struct
     {
       size = Tuple.str_size;
       write = Tuple.write_str;
-      read = Tuple.read_str;
-      value = (fun buf pos limit -> fst (Tuple.read_str buf pos limit));
+      skip = Tuple.str_end;
+      value = Tuple.str_value;
       (* worst case: every byte escaped, plus code + terminator *)
       max_bytes = (2 * max_len) + 2;
     }
@@ -193,7 +197,7 @@ module Codec = struct
     {
       size = Tuple.int_size;
       write = Tuple.write_int;
-      read = Tuple.read_int;
+      skip = Tuple.int_end;
       value = Tuple.int_value;
       max_bytes = 9;
     }
@@ -202,10 +206,7 @@ module Codec = struct
     {
       size = (fun c -> Tuple.int_size (Char.code c));
       write = (fun buf pos c -> Tuple.write_int buf pos (Char.code c));
-      read =
-        (fun buf pos limit ->
-          let n, stop = Tuple.read_int buf pos limit in
-          (Char.chr (n land 0xff), stop));
+      skip = Tuple.int_end;
       value =
         (fun buf pos limit ->
           Char.chr (Tuple.int_value buf pos limit land 0xff));
@@ -326,22 +327,16 @@ let frame_ok buf off bbytes =
       = Int32.of_int (Util.Hash.crc32_sub buf (off + frame_overhead) bbytes)
   | _ -> false
 
-(* a slot's length prefix is 2 bytes *)
-let max_slot_payload = 0xffff
-
 let shard_magic = "STLBSHD2"
 let shard_header_bytes = 12
 
-(* The payload CRC-32 of a whole shard file when its frame is intact
-   (magic, then the stored CRC of the payload), [None] otherwise. *)
-let shard_payload_crc data =
-  let len = String.length data in
-  if len < shard_header_bytes || String.sub data 0 8 <> shard_magic then None
+(* The payload CRC-32 of a whole shard file, the first [len] bytes of
+   [b], when its frame is intact (magic, then the stored CRC of the
+   payload), [None] otherwise. *)
+let shard_payload_crc b len =
+  if len < shard_header_bytes || Bytes.sub_string b 0 8 <> shard_magic then None
   else
-    let b = Bytes.unsafe_of_string data in
-    let crc =
-      Util.Hash.crc32_sub b shard_header_bytes (len - shard_header_bytes)
-    in
+    let crc = Util.Hash.crc32_sub b shard_header_bytes (len - shard_header_bytes) in
     if Bytes.get_int32_be b 8 = Int32.of_int crc then Some crc else None
 
 let manifest_name = "MANIFEST"
@@ -360,82 +355,64 @@ let manifest_contents entries =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* File: CRC-framed fixed-size slots, direct-mapped cache, read-ahead. *)
+(* The slot cache both byte backends keep.                             *)
 
-type block = {
+(* One cache line: a block of fixed-size slots, each a 2-byte
+   big-endian length, then that many stored bytes, then zeros up to the
+   next slot. Length 0 means never written, so a zero-filled line is
+   all blank. *)
+type line = {
   mutable blk : int; (* block index, -1 = empty *)
   mutable dirty : bool;
   buf : Bytes.t;
 }
 
-let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
-    ~(blank : a) ~name : a t =
-  mkdir_p dir;
-  let raw = (raw_of raw) ~name in
-  let id = Atomic.fetch_and_add file_counter 1 in
-  let path = Filename.concat dir (Printf.sprintf "%s-%d.tape" (sanitize name) id) in
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (* slot = 2-byte big-endian payload length + payload; length 0 means
-     never written, so a fresh (sparse) region reads as blank *)
-  let slot_bytes = codec.Codec.max_bytes + 2 in
-  let slots_per_block = max 1 (block_bytes / slot_bytes) in
-  let bbytes = slots_per_block * slot_bytes in
-  let fbytes = frame_overhead + bbytes in
-  (* self-describing header so the offline scrubber can walk the file
-     without knowing the codec *)
-  let hdr = Bytes.make file_header_bytes '\x00' in
-  Bytes.blit_string file_magic 0 hdr 0 8;
-  Bytes.set_int32_be hdr 8 (Int32.of_int bbytes);
-  Bytes.set_int32_be hdr 12 (Int32.of_int slot_bytes);
-  (* if the header write itself fails (ENOSPC on a just-created file),
-     the constructor must not leak the empty file it O_CREAT'd *)
-  (try full_pwrite raw fd hdr ~off:0
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try raw.Raw.remove path with _ -> ());
-     raise e);
-  let frame = Bytes.create fbytes in
+(* a slot's length prefix is 2 bytes *)
+let max_slot_payload = 0xffff
+let slot_bytes (codec : _ Codec.t) = codec.Codec.max_bytes + 2
+
+(* The cells of a byte device: [nlines] direct-mapped lines of
+   [per_block]-slot blocks, slots [codec.max_bytes + 2] bytes long. A
+   backend brings only its block I/O and its replacement policy:
+   - [fetch line b] fills [line.buf] with block [b]'s slots, or answers
+     false when the block fails its integrity check ([where b] is then
+     the file named by [Corrupt]);
+   - [write_back line] stores [line.buf] as block [line.blk];
+   - [read_ahead]: a miss on the block after the last one resolved also
+     loads the next block, if its line is idle;
+   - [sync], [close] and [stats] finish the device's own operations
+     ([stats]' resident size is filled in here). *)
+let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
+    ~nlines ~read_ahead ~fetch ~where ~write_back ~sync ~close ~stats : a t =
+  let slot_bytes = slot_bytes codec in
+  let bbytes = per_block * slot_bytes in
   let cache =
-    Array.init (max 1 cache_blocks) (fun _ ->
-        { blk = -1; dirty = false; buf = Bytes.create bbytes })
+    Array.init nlines (fun _ -> { blk = -1; dirty = false; buf = Bytes.create bbytes })
   in
-  let nlines = Array.length cache in
-  let io_r = ref 0 and io_w = ref 0 in
-  let last_loaded = ref (-2) in
-  (* block index quarantined by the last CRC failure; the next clean
-     load of the same block is the recovery reread the ledger counts *)
-  let quarantined = ref (-1) in
-  let block_off b = file_header_bytes + (b * fbytes) in
   let flush line =
     if line.dirty then begin
-      Bytes.set frame 0 '\x01';
-      Bytes.set_int32_be frame 1
-        (Int32.of_int (Util.Hash.crc32_sub line.buf 0 bbytes));
-      Bytes.blit line.buf 0 frame frame_overhead bbytes;
-      full_pwrite raw fd frame ~off:(block_off line.blk);
-      io_w := !io_w + bbytes;
+      write_back line;
       line.dirty <- false
     end
   in
-  let bad line b =
-    line.blk <- -1;
-    quarantined := b;
-    raise_corrupt ~device:name ~path ~offset:(b * slots_per_block)
-  in
+  (* block index quarantined by the last integrity failure; the next
+     clean load of the same block is the recovery reread the ledger
+     counts *)
+  let quarantined = ref (-1) in
   let load line b =
-    full_pread raw fd frame ~off:(block_off b);
-    io_r := !io_r + bbytes;
-    if not (frame_ok frame 0 bbytes) then bad line b;
-    (* a blank frame is a never-written (sparse) region *)
-    if Bytes.get frame 0 = '\x00' then Bytes.fill line.buf 0 bbytes '\x00'
-    else Bytes.blit frame frame_overhead line.buf 0 bbytes;
+    if not (fetch line b) then begin
+      line.blk <- -1;
+      quarantined := b;
+      raise_corrupt ~device:name ~path:(where b) ~offset:(b * per_block)
+    end;
     if !quarantined = b then begin
       quarantined := -1;
       Atomic.incr reread_counter;
-      emit_event (Quarantine_reread { device = name; offset = b * slots_per_block })
+      emit_event (Quarantine_reread { device = name; offset = b * per_block })
     end;
     line.blk <- b
   in
+  let last_loaded = ref (-2) in
   let line_for b =
     let line = cache.(b mod nlines) in
     if line.blk <> b then begin
@@ -445,7 +422,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
       last_loaded := b;
       (* sequential scan: pull the next block in while the disk head is
          here, provided its cache line is idle *)
-      if sequential && nlines > 1 then begin
+      if sequential && read_ahead then begin
         let nb = b + 1 in
         let nline = cache.(nb mod nlines) in
         (* a speculative prefetch must not fail a block nobody asked
@@ -464,44 +441,40 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
      and a multiply instead of [line_for]'s divisions. It is valid only
      while the line's [blk] still names the block (an eviction, a
      prefetch or a CRC quarantine changes it), and it starts at block
-     -2, which no line holds (-1 marks an empty one). A hit is
-     [line_for]'s hit and does what that does, [last_loaded := b], so
-     read-ahead decides as it would without the window. *)
+     -2, which no line holds (-1 marks an empty one). A hit is a hit
+     of [line_for] on the block it last resolved, so it leaves the
+     read-ahead state as it is. *)
   let win_blk = ref (-2) in
-  let win_first = ref (-2 * slots_per_block) in
+  let win_first = ref (-2 * per_block) in
   let win_line = ref cache.(0) in
   (* the offset of slot [i] in [!win_line.buf], after moving the
      window onto its block *)
   let slot i =
     let d = i - !win_first in
-    if d >= 0 && d < slots_per_block && !win_line.blk = !win_blk then begin
-      last_loaded := !win_blk;
-      d * slot_bytes
-    end
+    if d >= 0 && d < per_block && !win_line.blk = !win_blk then d * slot_bytes
     else begin
-      let b = i / slots_per_block in
+      let b = i / per_block in
       let line = line_for b in
       win_blk := b;
-      win_first := b * slots_per_block;
+      win_first := b * per_block;
       win_line := line;
       (i - !win_first) * slot_bytes
     end
   in
   (* the offset of slot [i] in [!win_line.buf], made ready for a
      [len]-byte payload at offset + 2: length prefix set, line dirty.
-     Slack past a slot's length is always zero (loads fill or copy
+     Slack past a slot's length is always zero (fetches fill or copy
      whole blocks, and every write keeps it so), which keeps the
      backing file deterministic: only a shrink leaves bytes to clear. *)
   let slot_for_write i len =
     let off = slot i in
     if len > codec.Codec.max_bytes then
-      invalid_arg "Device.file: encoded cell exceeds codec max_bytes";
+      invalid_arg (Printf.sprintf "Device.%s: encoded cell exceeds codec max_bytes" kind);
     if len > max_slot_payload then
       invalid_arg
         (Printf.sprintf
-           "Device.file: encoded cell of %d bytes exceeds the %d-byte slot \
-            limit"
-           len max_slot_payload);
+           "Device.%s: encoded cell of %d bytes exceeds the %d-byte slot limit"
+           kind len max_slot_payload);
     let line = !win_line in
     let old_len = Bytes.get_uint16_be line.buf off in
     Bytes.set_uint16_be line.buf off len;
@@ -546,48 +519,90 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
     dev_sync =
       (fun () ->
         Array.iter flush cache;
-        raw.Raw.fsync fd);
-    dev_close =
-      (fun () ->
-        (* the spill file is about to be deleted, so dirty cache lines
-           are not flushed: a close must succeed even on a full disk *)
-        (try Unix.close fd with e -> cleanup_failed ~device:name ~path e);
-        try raw.Raw.remove path with e -> cleanup_failed ~device:name ~path e);
-    dev_stats =
-      (fun () ->
-        {
-          resident_bytes = nlines * bbytes;
-          io_read_bytes = !io_r;
-          io_write_bytes = !io_w;
-          backing_files = 1;
-        });
+        sync ());
+    dev_close = close;
+    dev_stats = (fun () -> { (stats ()) with resident_bytes = nlines * bbytes });
   }
 
 (* ------------------------------------------------------------------ *)
-(* Shard: directory of run files of self-delimiting framed cells.      *)
+(* File: one flat file of CRC-framed blocks, with read-ahead.          *)
 
-(* In-cache image of one shard: the decoded cells plus a written map.
-   On disk each cell is a 1-byte presence flag (0x00 = blank, 0x01 =
-   present) followed, when present, by the codec's self-delimiting
-   encoding — so a fully-written run file is exactly the concatenation
-   of order-preserving cell encodings interleaved with 0x01 flags, and
-   boundaries are recovered from [codec.read]'s end offsets.  The
-   file itself carries an 8-byte magic and the CRC-32 of that payload,
-   and the directory's MANIFEST lists every run file with its expected
-   checksum — the reopen protocol (see DESIGN.md) discards anything
-   the MANIFEST does not vouch for. *)
-type 'a shard = {
-  mutable sh : int; (* shard index, -1 = empty *)
-  mutable sh_dirty : bool;
-  vals : 'a array;
-  present : Bytes.t;
-}
+let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
+    ~(blank : a) ~name : a t =
+  mkdir_p dir;
+  let raw = (raw_of raw) ~name in
+  let id = Atomic.fetch_and_add file_counter 1 in
+  let path = Filename.concat dir (Printf.sprintf "%s-%d.tape" (sanitize name) id) in
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let slot_bytes = slot_bytes codec in
+  let slots_per_block = max 1 (block_bytes / slot_bytes) in
+  let bbytes = slots_per_block * slot_bytes in
+  let fbytes = frame_overhead + bbytes in
+  (* self-describing header so the offline scrubber can walk the file
+     without knowing the codec *)
+  let hdr = Bytes.make file_header_bytes '\x00' in
+  Bytes.blit_string file_magic 0 hdr 0 8;
+  Bytes.set_int32_be hdr 8 (Int32.of_int bbytes);
+  Bytes.set_int32_be hdr 12 (Int32.of_int slot_bytes);
+  (* if the header write itself fails (ENOSPC on a just-created file),
+     the constructor must not leak the empty file it O_CREAT'd *)
+  (try full_pwrite raw fd hdr ~off:0
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     (try raw.Raw.remove path with _ -> ());
+     raise e);
+  let frame = Bytes.create fbytes in
+  let io_r = ref 0 and io_w = ref 0 in
+  let block_off b = file_header_bytes + (b * fbytes) in
+  let nlines = max 1 cache_blocks in
+  slot_cache ~kind:"file" ~codec ~blank ~name ~per_block:slots_per_block ~nlines
+    ~read_ahead:(nlines > 1)
+    ~fetch:(fun line b ->
+      full_pread raw fd frame ~off:(block_off b);
+      io_r := !io_r + bbytes;
+      frame_ok frame 0 bbytes
+      && begin
+           (* a blank frame is a never-written (sparse) region *)
+           if Bytes.get frame 0 = '\x00' then Bytes.fill line.buf 0 bbytes '\x00'
+           else Bytes.blit frame frame_overhead line.buf 0 bbytes;
+           true
+         end)
+    ~where:(fun _ -> path)
+    ~write_back:(fun line ->
+      Bytes.set frame 0 '\x01';
+      Bytes.set_int32_be frame 1 (Int32.of_int (Util.Hash.crc32_sub line.buf 0 bbytes));
+      Bytes.blit line.buf 0 frame frame_overhead bbytes;
+      full_pwrite raw fd frame ~off:(block_off line.blk);
+      io_w := !io_w + bbytes)
+    ~sync:(fun () -> raw.Raw.fsync fd)
+    ~close:(fun () ->
+      (* the spill file is about to be deleted, so dirty cache lines
+         are not flushed: a close must succeed even on a full disk *)
+      (try Unix.close fd with e -> cleanup_failed ~device:name ~path e);
+      try raw.Raw.remove path with e -> cleanup_failed ~device:name ~path e)
+    ~stats:(fun () ->
+      { zero_stats with io_read_bytes = !io_r; io_write_bytes = !io_w;
+        backing_files = 1 })
+
+(* ------------------------------------------------------------------ *)
+(* Shard: a directory of run files of self-delimiting framed cells.    *)
+
+(* On disk each cell of a shard is a 1-byte presence flag (0x00 =
+   blank, 0x01 = present) followed, when present, by its stored bytes,
+   which are self-delimiting - so a fully-written run file is exactly
+   the concatenation of order-preserving cell encodings interleaved
+   with 0x01 flags, and boundaries are recovered from [codec.skip]'s
+   end offsets. The file itself carries an 8-byte magic and the CRC-32
+   of that payload, and the directory's MANIFEST lists every run file
+   with its expected checksum - the reopen protocol (see DESIGN.md)
+   discards anything the MANIFEST does not vouch for. A shard is one
+   block of the slot cache. *)
 
 (* shards a shard device keeps in RAM *)
 let cache_shards = 2
 
-let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
-    ~(blank : a) ~name : a t =
+let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~name :
+    a t =
   mkdir_p dir;
   let raw = (raw_of raw) ~name in
   let id = Atomic.fetch_and_add file_counter 1 in
@@ -608,19 +623,12 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
   | exception Sys_error _ -> ());
   (* cells per shard from the target shard size and the worst-case cell *)
   let cells = max 16 (shard_bytes / (codec.Codec.max_bytes + 1)) in
-  let cache =
-    Array.init cache_shards (fun _ ->
-        {
-          sh = -1;
-          sh_dirty = false;
-          vals = Array.make cells blank;
-          present = Bytes.make cells '\x00';
-        })
-  in
-  let nlines = Array.length cache in
+  let slot_bytes = slot_bytes codec in
+  (* the run file being read or written: large enough for any shard
+     this device writes *)
+  let data = Bytes.create (shard_header_bytes + (cells * (codec.Codec.max_bytes + 1))) in
   let io_r = ref 0 and io_w = ref 0 in
   let nfiles = ref 0 in
-  let quarantined = ref (-1) in
   (* filename -> (payload crc, payload bytes); mirrored to MANIFEST on
      every flush (atomic tmp+rename), fsync'd on [sync] *)
   let manifest : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
@@ -633,138 +641,88 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t)
       (Bytes.unsafe_of_string (manifest_contents entries))
       ~fsync
   in
-  let flush line =
-    if line.sh_dirty then begin
-      let payload = ref 0 in
-      for i = 0 to cells - 1 do
-        payload :=
-          !payload + 1
-          + if Bytes.get line.present i = '\x00' then 0 else codec.Codec.size line.vals.(i)
-      done;
-      let payload = !payload in
-      let data = Bytes.create (shard_header_bytes + payload) in
+  (* copy the present cells of the intact run file [src, len) into
+     their slots *)
+  let unpack (line : line) src len =
+    let pos = ref shard_header_bytes and i = ref 0 in
+    while !pos < len && !i < cells do
+      (match Bytes.get src !pos with
+      | '\x00' -> incr pos
+      | _ ->
+          let start = !pos + 1 in
+          let stop = codec.Codec.skip src start len in
+          let off = !i * slot_bytes in
+          Bytes.set_uint16_be line.buf off (stop - start);
+          Bytes.blit src start line.buf (off + 2) (stop - start);
+          pos := stop);
+      incr i
+    done
+  in
+  slot_cache ~kind:"shard" ~codec ~blank ~name ~per_block:cells ~nlines:cache_shards
+    ~read_ahead:false
+    ~fetch:(fun line s ->
+      (* the line holds no block from here until the fetch succeeds *)
+      line.blk <- -1;
+      Bytes.fill line.buf 0 (Bytes.length line.buf) '\x00';
+      let p = path s in
+      (* an absent run file is a never-written shard *)
+      (not (Sys.file_exists p))
+      || begin
+           let fd = Unix.openfile p [ Unix.O_RDONLY ] 0o644 in
+           let len = (Unix.fstat fd).Unix.st_size in
+           let src = if len <= Bytes.length data then data else Bytes.create len in
+           (try full_pread raw fd src ~len ~off:0
+            with e ->
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              raise e);
+           Unix.close fd;
+           shard_payload_crc src len <> None
+           && begin
+                io_r := !io_r + len - shard_header_bytes;
+                unpack line src len;
+                true
+              end
+         end)
+    ~where:path
+    ~write_back:(fun line ->
       Bytes.blit_string shard_magic 0 data 0 8;
       let pos = ref shard_header_bytes in
       for i = 0 to cells - 1 do
-        if Bytes.get line.present i = '\x00' then begin
-          Bytes.set data !pos '\x00';
-          incr pos
-        end
-        else begin
-          Bytes.set data !pos '\x01';
-          pos := codec.Codec.write data (!pos + 1) line.vals.(i)
-        end
+        let off = i * slot_bytes in
+        match Bytes.get_uint16_be line.buf off with
+        | 0 ->
+            Bytes.set data !pos '\x00';
+            incr pos
+        | n ->
+            Bytes.set data !pos '\x01';
+            Bytes.blit line.buf (off + 2) data (!pos + 1) n;
+            pos := !pos + 1 + n
       done;
+      let payload = !pos - shard_header_bytes in
       let crc = Util.Hash.crc32_sub data shard_header_bytes payload in
       Bytes.set_int32_be data 8 (Int32.of_int crc);
-      let f = fname line.sh in
+      let f = fname line.blk in
       if not (Hashtbl.mem manifest f) then incr nfiles;
-      write_file_atomic raw (path line.sh) data ~fsync:false;
+      write_file_atomic ~len:!pos raw (path line.blk) data ~fsync:false;
       Hashtbl.replace manifest f (crc, payload);
       write_manifest ~fsync:false;
-      io_w := !io_w + payload;
-      line.sh_dirty <- false
-    end
-  in
-  (* read + CRC-check one shard file; [None] when absent, the whole
-     file (header included) when intact, [Corrupt] (with the shard's
-     first cell position) when the frame fails any check *)
-  let read_shard s =
-    let p = path s in
-    if not (Sys.file_exists p) then None
-    else begin
-      let fd = Unix.openfile p [ Unix.O_RDONLY ] 0o644 in
-      let size = (Unix.fstat fd).Unix.st_size in
-      let data = Bytes.create size in
-      (try full_pread raw fd data ~off:0
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      Unix.close fd;
-      if shard_payload_crc (Bytes.unsafe_to_string data) = None then begin
-        quarantined := s;
-        raise_corrupt ~device:name ~path:p ~offset:(s * cells)
-      end;
-      Some data
-    end
-  in
-  let load line s =
-    Array.fill line.vals 0 cells blank;
-    Bytes.fill line.present 0 cells '\x00';
-    line.sh <- -1;
-    (match read_shard s with
-    | None -> ()
-    | Some data ->
-        let limit = Bytes.length data in
-        io_r := !io_r + limit - shard_header_bytes;
-        let pos = ref shard_header_bytes in
-        let i = ref 0 in
-        while !pos < limit && !i < cells do
-          (match Bytes.get data !pos with
-          | '\x00' -> incr pos
-          | _ ->
-              let v, stop = codec.Codec.read data (!pos + 1) limit in
-              line.vals.(!i) <- v;
-              Bytes.set line.present !i '\x01';
-              pos := stop);
-          incr i
-        done);
-    if !quarantined = s then begin
-      quarantined := -1;
-      Atomic.incr reread_counter;
-      emit_event (Quarantine_reread { device = name; offset = s * cells })
-    end;
-    line.sh <- s
-  in
-  let line_for s =
-    let line = cache.(s mod nlines) in
-    if line.sh <> s then begin
-      flush line;
-      load line s
-    end;
-    line
-  in
-  {
-    dev_get =
-      (fun i ->
-        let line = line_for (i / cells) in
-        let j = i mod cells in
-        if Bytes.get line.present j = '\x00' then blank else line.vals.(j));
-    dev_set =
-      (fun i v ->
-        let line = line_for (i / cells) in
-        let j = i mod cells in
-        line.vals.(j) <- v;
-        Bytes.set line.present j '\x01';
-        line.sh_dirty <- true);
-    dev_slots = None;
-    dev_sync =
-      (fun () ->
-        Array.iter flush cache;
-        write_manifest ~fsync:true);
-    dev_close =
-      (fun () ->
-        (* spill is scratch: delete without flushing, and never raise —
-           each failure is counted instead of aborting the sweep *)
-        (match Sys.readdir base with
-        | entries ->
-            Array.iter
-              (fun f ->
-                let p = Filename.concat base f in
-                try raw.Raw.remove p
-                with e -> cleanup_failed ~device:name ~path:p e)
-              entries
-        | exception Sys_error _ -> ());
-        try Unix.rmdir base with e -> cleanup_failed ~device:name ~path:base e);
-    dev_stats =
-      (fun () ->
-        {
-          resident_bytes = nlines * cells * (codec.Codec.max_bytes + 1);
-          io_read_bytes = !io_r;
-          io_write_bytes = !io_w;
-          backing_files = !nfiles;
-        });
-  }
+      io_w := !io_w + payload)
+    ~sync:(fun () -> write_manifest ~fsync:true)
+    ~close:(fun () ->
+      (* spill is scratch: delete without flushing, and never raise —
+         each failure is counted instead of aborting the sweep *)
+      (match Sys.readdir base with
+      | entries ->
+          Array.iter
+            (fun f ->
+              let p = Filename.concat base f in
+              try raw.Raw.remove p with e -> cleanup_failed ~device:name ~path:p e)
+            entries
+      | exception Sys_error _ -> ());
+      try Unix.rmdir base with e -> cleanup_failed ~device:name ~path:base e)
+    ~stats:(fun () ->
+      { zero_stats with io_read_bytes = !io_r; io_write_bytes = !io_w;
+        backing_files = !nfiles })
 
 let instantiate (type a) ?(codec : a Codec.t option) spec ~(blank : a) ~name :
     a t =
@@ -887,7 +845,10 @@ module Scrub = struct
               | None -> None
               | Some entries -> List.assoc_opt f entries
             in
-            match (shard_payload_crc data, vouched) with
+            match
+              (shard_payload_crc (Bytes.unsafe_of_string data) (String.length data),
+               vouched)
+            with
             | None, _ ->
                 findings := finding ~path:p ~offset:0 "crc-mismatch" :: !findings
             | Some _, None ->

@@ -107,7 +107,7 @@ val stats : 'a t -> stats
 
 (** How cells become bytes. Byte-backed devices need one; the mem
     backend does not. Cells are written and read in place in the
-    device's block or shard buffer. *)
+    device's cache slots. *)
 module Codec : sig
   type 'a codec = {
     size : 'a -> int;
@@ -115,14 +115,15 @@ module Codec : sig
     write : Bytes.t -> int -> 'a -> int;
         (** [write buf pos v] writes [size v] bytes at [pos] and returns
             the end offset. *)
-    read : Bytes.t -> int -> int -> 'a * int;
-        (** [read buf pos limit] returns the value whose encoding starts
-            at [pos] together with its end offset — encodings must be
-            self-delimiting. It never looks at [limit] or past it: the
-            bytes there belong to the next slot or cell. *)
+    skip : Bytes.t -> int -> int -> int;
+        (** [skip buf pos limit] returns the end offset of the encoding
+            that starts at [pos] — encodings must be self-delimiting. It
+            never looks at [limit] or past it: the bytes there belong to
+            the next cell. The shard backend cuts its run files into
+            cells with it. *)
     value : Bytes.t -> int -> int -> 'a;
-        (** [read] without the end offset, for the callers that drop
-            it: the int and char codecs allocate nothing. *)
+        (** [value buf pos limit] decodes the encoding that fills
+            [[pos, limit)]: the int and char codecs allocate nothing. *)
     max_bytes : int;
   }
   (** {b Contract: stored bytes order like the values.} For any two
@@ -147,7 +148,7 @@ module Codec : sig
 end
 
 (** A byte device's cells as their stored bytes, without decoding:
-    what [Tape]'s cell registers use. Only the {!File} backend has them. *)
+    what [Tape]'s cell registers use. Both byte backends have them. *)
 type 'a slots = {
   codec : 'a Codec.t;  (** the codec that wrote the bytes *)
   load : int -> Bytes.t -> int;
@@ -162,8 +163,8 @@ type 'a slots = {
 }
 
 val slots : 'a t -> 'a slots option
-(** The device's slot accessor: [Some] on the file backend, [None] on
-    mem and shard (the shard backend caches decoded values). *)
+(** The device's slot accessor: [Some] on the file and shard backends,
+    [None] on mem. *)
 
 (** A backend recipe: what to build when a tape is created. *)
 type spec =
@@ -177,13 +178,16 @@ type spec =
       (** one flat file of CRC-framed blocks of fixed-size slots
           (2-byte length prefix + payload, slot size from the codec's
           [max_bytes]) behind a direct-mapped block cache with
-          sequential read-ahead *)
+          sequential read-ahead; an encoded cell is at most 65535
+          bytes *)
   | Shard of { dir : string; shard_bytes : int; raw : raw_factory option }
       (** a directory of CRC-framed run files, each the concatenation
           of presence-flagged self-delimiting cell encodings, indexed
           by an atomically-renamed MANIFEST; whole shards load and
           rewrite on cache eviction, so sequential run writes touch
-          each file once per pass *)
+          each file once per pass. In RAM a shard is a block of the
+          file backend's slot cache, so the same 65535-byte cell limit
+          holds. *)
 
 val file_spec :
   ?block_bytes:int -> ?cache_blocks:int -> ?raw:raw_factory -> string -> spec

@@ -119,10 +119,11 @@ val rewind : 'a t -> unit
 
     {b Form.} When the tape has neither an injection hook nor an
     observer (the condition of {!seek}'s fast path) and its device
-    exposes slots ({!Device.slots}: the file backend), a load copies the
-    cell's stored bytes out of the cache line, decoding nothing, and a
-    store into such a tape copies them into its slot. Otherwise the
-    register holds the decoded value, as {!read} returns it.
+    exposes slots ({!Device.slots}: both byte backends, file and
+    shard), a load copies the cell's stored bytes out of the cache line,
+    decoding nothing, and a store into such a tape copies them into its
+    slot. Otherwise (mem, or a hooked tape) the register holds the
+    decoded value, as {!read} returns it.
 
     {b Reloads.} Loading, from a tape with no injection hook, the cell
     a register already holds, while that tape has not been written

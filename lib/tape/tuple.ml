@@ -71,32 +71,35 @@ let write_str buf pos s =
   Bytes.set buf stop '\x00';
   stop + 1
 
-let read_str buf pos limit =
+(* just past the first 0x00 at or after [i] not followed by 0xFF, before
+   [limit] *)
+let rec terminator buf i limit =
+  if i >= limit then raise (Malformed "unterminated string element")
+  else if Bytes.unsafe_get buf i <> '\x00' then terminator buf (i + 1) limit
+  else if i + 1 < limit && Bytes.unsafe_get buf (i + 1) = '\xFF' then
+    terminator buf (i + 2) limit
+  else i + 1
+
+(* the end offset of the string element at [pos] *)
+let str_end buf pos limit =
   check_span buf pos limit;
   if Bytes.get buf pos <> str_code then raise (Malformed "expected a string element");
-  (* the terminator is the first 0x00 not followed by 0xFF before [limit] *)
-  let stop = ref (-1) and escapes = ref 0 and i = ref (pos + 1) in
-  while !stop < 0 do
-    if !i >= limit then raise (Malformed "unterminated string element");
-    if Bytes.unsafe_get buf !i <> '\x00' then incr i
-    else if !i + 1 < limit && Bytes.unsafe_get buf (!i + 1) = '\xFF' then begin
-      incr escapes;
-      i := !i + 2
-    end
-    else stop := !i
-  done;
-  let stop = !stop in
-  if !escapes = 0 then (Bytes.sub_string buf (pos + 1) (stop - pos - 1), stop + 1)
-  else begin
-    let out = Bytes.create (stop - pos - 1 - !escapes) in
-    let j = ref (pos + 1) in
-    for k = 0 to Bytes.length out - 1 do
-      let c = Bytes.unsafe_get buf !j in
-      Bytes.unsafe_set out k c;
-      j := !j + if c = '\x00' then 2 else 1
-    done;
-    (Bytes.unsafe_to_string out, stop + 1)
-  end
+  terminator buf (pos + 1) limit
+
+let str_value buf pos limit =
+  let stop = str_end buf pos limit in
+  let raw = Bytes.sub_string buf (pos + 1) (stop - pos - 2) in
+  match zeros raw with
+  | 0 -> raw
+  | z ->
+      (* every 0x00 in [raw] is an escape: drop the 0xFF after it *)
+      let out = Bytes.create (String.length raw - z) and j = ref 0 in
+      for k = 0 to Bytes.length out - 1 do
+        let c = String.unsafe_get raw !j in
+        Bytes.unsafe_set out k c;
+        j := !j + if c = '\x00' then 2 else 1
+      done;
+      Bytes.unsafe_to_string out
 
 (* ---------------- ints --------------------------------------------- *)
 
@@ -134,39 +137,33 @@ let write_int buf pos n =
     pos + 1 + k
   end
 
-let int_value buf pos limit =
+(* the end offset of the int element at [pos]: its code byte carries
+   its length *)
+let int_end buf pos limit =
   check_span buf pos limit;
   let code = Char.code (Bytes.get buf pos) in
   if code < zero_code - max_int_bytes || code > zero_code + max_int_bytes then
     raise (Malformed (Printf.sprintf "unknown type code 0x%02x" code));
-  let k = abs (code - zero_code) in
-  if pos + 1 + k > limit then raise (Malformed "truncated int element");
+  let stop = pos + 1 + abs (code - zero_code) in
+  if stop > limit then raise (Malformed "truncated int element");
+  stop
+
+let int_value buf pos limit =
+  let stop = int_end buf pos limit in
+  let k = stop - pos - 1 in
   (* the big-endian magnitude, mod 2^63 like [Int64.to_int] *)
   let mag = ref 0 in
-  for i = pos + 1 to pos + k do
+  for i = pos + 1 to stop - 1 do
     mag := (!mag lsl 8) lor Char.code (Bytes.get buf i)
   done;
-  if code >= zero_code then !mag
+  if Char.code (Bytes.get buf pos) >= zero_code then !mag
   else if k < max_int_bytes then !mag - (1 lsl (8 * k)) + 1
   else !mag + 1
-
-(* [int_value] has checked the code byte, which carries the length *)
-let read_int buf pos limit =
-  let n = int_value buf pos limit in
-  (n, pos + 1 + abs (Char.code (Bytes.get buf pos) - zero_code))
 
 (* ---------------- tuples ------------------------------------------- *)
 
 let elt_size = function Str s -> str_size s | Int n -> int_size n
 let write_elt buf pos = function Str s -> write_str buf pos s | Int n -> write_int buf pos n
-
-let read_elt buf pos limit =
-  if Bytes.get buf pos = str_code then
-    let s, stop = read_str buf pos limit in
-    (Str s, stop)
-  else
-    let n, stop = read_int buf pos limit in
-    (Int n, stop)
 
 let pack elts =
   let buf = Bytes.create (List.fold_left (fun acc e -> acc + elt_size e) 0 elts) in
@@ -177,8 +174,8 @@ let unpack s =
   let buf = Bytes.unsafe_of_string s and n = String.length s in
   let rec go pos acc =
     if pos >= n then List.rev acc
-    else
-      let elt, stop = read_elt buf pos n in
-      go stop (elt :: acc)
+    else if Bytes.get buf pos = str_code then
+      go (str_end buf pos n) (Str (str_value buf pos n) :: acc)
+    else go (int_end buf pos n) (Int (int_value buf pos n) :: acc)
   in
   go 0 []

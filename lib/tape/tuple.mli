@@ -13,8 +13,8 @@
 
     Elements are written and read {e in place}: [write_* buf pos v]
     writes at [pos] and returns the offset just past the encoding;
-    [read_* buf pos limit] returns the value and that end offset,
-    never looking at bytes at or past [limit]. *)
+    [*_value buf pos limit] returns the value and [*_end buf pos limit]
+    that end offset, never looking at bytes at or past [limit]. *)
 
 type elt =
   | Int of int  (** code byte [0x14 ± k], [k] big-endian payload bytes *)
@@ -30,8 +30,12 @@ val str_size : string -> int
 val write_str : Bytes.t -> int -> string -> int
 (** A string with no 0x00 byte is one [Bytes.blit_string]. *)
 
-val read_str : Bytes.t -> int -> int -> string * int
+val str_value : Bytes.t -> int -> int -> string
 (** A string with no escaped 0x00 is one [Bytes.sub_string].
+    @raise Malformed *)
+
+val str_end : Bytes.t -> int -> int -> int
+(** Found by scanning for the terminator; allocates nothing.
     @raise Malformed *)
 
 val int_size : int -> int
@@ -40,12 +44,11 @@ val int_size : int -> int
 
 val write_int : Bytes.t -> int -> int -> int
 
-val read_int : Bytes.t -> int -> int -> int * int
-(** @raise Malformed *)
-
 val int_value : Bytes.t -> int -> int -> int
-(** {!read_int} without the end offset (and without allocating the
-    pair). @raise Malformed *)
+(** Allocates nothing. @raise Malformed *)
+
+val int_end : Bytes.t -> int -> int -> int
+(** Read off the code byte. @raise Malformed *)
 
 val pack : elt list -> string
 

@@ -46,9 +46,9 @@ let extract input tx ty =
   if !in_tag then invalid_arg "Stream_filter: unterminated tag";
   (!nx, !ny)
 
-let with_extracted ?observe stream f =
+let with_extracted ?obs stream f =
   let g = Tape.Group.create () in
-  (match observe with None -> () | Some f -> f g);
+  (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
   let meter = Tape.Group.meter g in
   let input =
     Tape.Group.tape_of_list g ~name:"stream" ~blank:' '
@@ -72,9 +72,9 @@ let with_extracted ?observe stream f =
       tapes = List.length rep.Tape.Group.tapes;
     } )
 
-let figure1_filter ?observe stream =
+let figure1_filter ?obs stream =
   (* does some set1 string miss from set2? (one selected node exists) *)
-  with_extracted ?observe stream (fun tx nx ty ny ->
+  with_extracted ?obs stream (fun tx nx ty ny ->
       let missing = ref false in
       let j = ref 0 in
       for i = 0 to nx - 1 do
@@ -86,7 +86,7 @@ let figure1_filter ?observe stream =
       done;
       !missing)
 
-let theorem12_query ?observe stream =
+let theorem12_query ?obs stream =
   (* set equality of the two sides: compare deduplicated sorted streams *)
-  with_extracted ?observe stream (fun tx nx ty ny ->
+  with_extracted ?obs stream (fun tx nx ty ny ->
       Extsort.same_set tx ~nx ty ~ny)

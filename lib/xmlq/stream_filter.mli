@@ -12,17 +12,16 @@
 type report = { n : int; scans : int; registers : int; tapes : int }
 
 val figure1_filter :
-  ?observe:(Tape.Group.t -> unit) -> string -> bool * report
+  ?obs:Obs.Ledger.Recorder.t -> string -> bool * report
 (** [figure1_filter stream] — does the Figure 1 XPath query select at
     least one node of the document serialized as [stream]? Measured on
-    the tape substrate; [n] is the stream length. [observe] is called
-    with the run's tape group right after creation (the hook the query
-    and serve layers use to attach an [Obs.Ledger.Recorder]).
+    the tape substrate; [n] is the stream length. [obs] observes the
+    run's tape group, as the deciders' [?obs] does.
     @raise Invalid_argument if the stream is not a serialized Section 4
     instance document. *)
 
 val theorem12_query :
-  ?observe:(Tape.Group.t -> unit) -> string -> bool * report
+  ?obs:Obs.Ledger.Recorder.t -> string -> bool * report
 (** The Theorem 12 XQuery decision ("the two string sets are equal"),
     streaming: the same extraction scan, then sorted deduplicated
     comparison of the two sides. Also [O(log N)] scans — the

@@ -317,9 +317,10 @@ let test_on_disk_format_pinned () =
     ]
     got
 
-(* A register's store: the file device's slot accessor stores encoded
-   bytes, a blank as the bytes loaded from a never-written cell. The
-   backing files must come out as [Device.set] writes them. *)
+(* A register's store: a byte device's slot accessor stores encoded
+   bytes, a blank as the bytes loaded from a never-written cell. On the
+   file and the shard backend alike, the backing files must come out as
+   [Device.set] writes them. *)
 let test_slot_store_bytes () =
   let put (type a) ~(blank : a) d i (v : a) =
     let s = Option.get (Tape.Device.slots d) in
@@ -330,21 +331,26 @@ let test_slot_store_bytes () =
     in
     s.Tape.Device.store i buf len
   in
-  let file dir = Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:1 dir in
   let module C = Tape.Device.Codec in
-  let digests (type a) (codec : a C.t) ~(blank : a) writes =
-    ( disk_digest file codec ~blank writes,
-      disk_digest ~put:(put ~blank) file codec ~blank writes )
-  in
-  let same what (by_set, by_slots) =
-    Alcotest.(check string) what by_set by_slots
-  in
-  same "strings"
-    (digests (C.tuple_string ~max_len:12) ~blank:""
-       (pin_writes [| ""; "\x00\xff\x00"; "twelve-bytes"; "ab" |]
-          [ (2, "x"); (0, "now-longer"); (50, "") ]));
-  same "ints"
-    (digests C.tuple_int ~blank:0 (pin_writes [| -1; 0; max_int |] [ (5, 0) ]));
+  List.iter
+    (fun (kind, spec_of) ->
+      let digests (type a) (codec : a C.t) ~(blank : a) writes =
+        ( disk_digest spec_of codec ~blank writes,
+          disk_digest ~put:(put ~blank) spec_of codec ~blank writes )
+      in
+      let same what (by_set, by_slots) =
+        Alcotest.(check string) (kind ^ " " ^ what) by_set by_slots
+      in
+      same "strings"
+        (digests (C.tuple_string ~max_len:12) ~blank:""
+           (pin_writes [| ""; "\x00\xff\x00"; "twelve-bytes"; "ab" |]
+              [ (2, "x"); (0, "now-longer"); (50, "") ]));
+      same "ints"
+        (digests C.tuple_int ~blank:0 (pin_writes [| -1; 0; max_int |] [ (5, 0) ])))
+    [
+      ("file", fun dir -> Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:1 dir);
+      ("shard", fun dir -> Tape.Device.shard_spec ~shard_bytes:256 dir);
+    ];
   Alcotest.(check bool) "no slots on mem" true
     (Tape.Device.slots (Tape.Device.mem ~blank:"") = None)
 

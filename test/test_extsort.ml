@@ -212,6 +212,43 @@ let test_sort_allocation () =
     true
     (words < float_of_int (n * passes))
 
+(* The same bound on a shard tape: 1,890-cell shards, so each 4,096-cell
+   tape spans three shards, one more than a shard device keeps in RAM,
+   and every pass reloads and rewrites shards. Loading and flushing
+   them copies stored bytes and decodes no cell. *)
+let test_shard_sort_allocation () =
+  let n = 4096 and passes = 12 in
+  let items = List.init n (fun i -> Printf.sprintf "%05d" (i * 7919 mod n)) in
+  let device = Tape.Device.shard_spec ~shard_bytes:24576 spill in
+  let w0 = Gc.minor_words () in
+  let sorted, _ = Extsort.sort ~device items in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (list string)) "sorted" (List.sort String.compare items) sorted;
+  check
+    (Printf.sprintf "%.0f minor words < 1 per cell per pass (%d)" words
+       (n * passes))
+    true
+    (words < float_of_int (n * passes))
+
+(* A decider preloads its tapes from the instance itself: no list of
+   the input, no copy of it. What it does allocate (the comparison
+   scan reads both halves as strings) stays under a few words per
+   input string. *)
+let test_decider_allocation () =
+  let m = 2048 in
+  let inst =
+    G.yes_instance (Random.State.make [| 53 |]) D.Multiset_equality ~m ~n:12
+  in
+  let device = Tape.Device.file_spec spill in
+  let w0 = Gc.minor_words () in
+  let ok, _ = Extsort.multiset_equality ~device inst in
+  let words = Gc.minor_words () -. w0 in
+  check "multiset-eq holds" true ok;
+  check
+    (Printf.sprintf "%.0f minor words < 5 per input string (%d)" words (5 * 2 * m))
+    true
+    (words < float_of_int (5 * 2 * m))
+
 let test_budget_enforcement () =
   let st = Random.State.make [| 47 |] in
   let inst = G.yes_instance st D.Check_sort ~m:64 ~n:8 in
@@ -276,6 +313,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_kway_matches_stdlib;
           QCheck_alcotest.to_alcotest prop_register_forms_agree;
           Alcotest.test_case "file sort allocation" `Quick test_sort_allocation;
+          Alcotest.test_case "shard sort allocation" `Quick test_shard_sort_allocation;
         ] );
       ( "corollary 7 deciders",
         [
@@ -285,6 +323,7 @@ let () =
           Alcotest.test_case "SHORT instances" `Quick test_short_instances_round_trip;
           Alcotest.test_case "disjoint sets" `Quick test_disjoint_decider;
           Alcotest.test_case "budget enforcement" `Quick test_budget_enforcement;
+          Alcotest.test_case "file decider allocation" `Quick test_decider_allocation;
           QCheck_alcotest.to_alcotest prop_sorting_solves_checksort;
         ] );
     ]
