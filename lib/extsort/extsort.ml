@@ -16,10 +16,9 @@ type report = {
    [Faults.phase] survives injected [Faults.Transient_io] failures (and
    storage faults from below the device seam) — and the re-seeks go
    through the ordinary [move] calls, so recovery is charged honest
-   reversal costs by the tapes themselves. *)
-
-let attach_opt faults tp =
-  match faults with None -> () | Some p -> Faults.attach_string p tp
+   reversal costs by the tapes themselves. A fault plan rides on the
+   data tapes as their injection maker, and [sort_tape] hands it on to
+   the auxiliary tapes it creates. *)
 
 (* Register the decider's private group with the caller's ledger
    recorder: the ledger then covers the data tapes and every auxiliary
@@ -46,7 +45,7 @@ let read_run tp ~len =
       if i > 0 then Tape.move tp Tape.Right;
       Tape.read tp)
 
-let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
+let sort_tape ?retry ?codec ?(ways = 2) g t ~len =
   if ways < 2 then invalid_arg "Extsort.sort_tape: ways >= 2";
   let meter = Tape.Group.meter g in
   (* registers: run length, [ways] stream indices and bounds, counters *)
@@ -57,7 +56,7 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
               ~name:(Printf.sprintf "%s-aux%d" (Tape.name t) (w + 1))
               ?codec ~blank:"" ())
       in
-      Array.iter (attach_opt faults) aux;
+      Array.iter (fun tp -> Tape.set_injection tp (Tape.injection t)) aux;
       let counts = Array.make ways 0 in
       let idx = Array.make ways 0 and hi = Array.make ways 0 in
       (* one cell register per stream; the distribution pass moves its
@@ -99,7 +98,7 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
       while !run < len do
         (* distribute runs of length !run round-robin over the aux
            tapes; a retry redistributes from the (unchanged) data tape *)
-        Faults.phase ?faults ?retry ~label:"sort-distribute" (fun () ->
+        Faults.phase ?retry ~label:"sort-distribute" (fun () ->
             Array.fill counts 0 ways 0;
             for i = 0 to len - 1 do
               Tape.seek t i;
@@ -111,7 +110,7 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
             done);
         (* merge groups of [ways] runs back onto t; a retry re-merges
            from the (unchanged) aux tapes, rewriting t from position 0 *)
-        Faults.phase ?faults ?retry ~label:"sort-merge" (fun () ->
+        Faults.phase ?retry ~label:"sort-merge" (fun () ->
             let out = ref 0 and lo = ref 0 in
             while !out < len do
               for w = 0 to ways - 1 do
@@ -131,7 +130,7 @@ let sort_tape ?faults ?retry ?codec ?(ways = 2) g t ~len =
             done);
         run := !run * ways
       done;
-      Faults.phase ?faults ?retry ~label:"sort-rewind" (fun () -> Tape.seek t 0))
+      Faults.phase ?retry ~label:"sort-rewind" (fun () -> Tape.seek t 0))
 
 let report_of g n =
   let r = Tape.Group.report g in
@@ -145,18 +144,18 @@ let report_of g n =
   }
 
 let sort ?budget ?faults ?retry ?obs ?device ?ways items =
+  let retry = Faults.policy faults retry in
   let g = Tape.Group.create ?budget ?device () in
   observe_opt obs g;
   let codec = codec_for items in
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
   let t = Tape.Group.tape g ~name:"data" ~codec ~blank:"" () in
-  Faults.phase ?faults ?retry ~label:"preload" (fun () -> Tape.preload t items);
-  attach_opt faults t;
+  Faults.phase ?retry ~label:"preload" (fun () -> Tape.preload t items);
+  Option.iter (fun p -> Faults.attach_string p t) faults;
   let len = List.length items in
-  if len > 1 then sort_tape ?faults ?retry ~codec ?ways g t ~len;
+  if len > 1 then sort_tape ?retry ~codec ?ways g t ~len;
   let out =
-    Faults.phase ?faults ?retry ~label:"sort-readback" (fun () ->
-        read_run t ~len)
+    Faults.phase ?retry ~label:"sort-readback" (fun () -> read_run t ~len)
   in
   (out, report_of g len)
 
@@ -174,11 +173,10 @@ let instance_tapes ?faults ?retry g inst =
   let preload tp half =
     Tape.preload_init tp (Array.length half) (fun i -> B.to_string half.(i))
   in
-  Faults.phase ?faults ?retry ~label:"preload" (fun () ->
+  Faults.phase ?retry ~label:"preload" (fun () ->
       preload tx xs;
       preload ty ys);
-  attach_opt faults tx;
-  attach_opt faults ty;
+  Option.iter (fun p -> List.iter (Faults.attach_string p) [ tx; ty ]) faults;
   (tx, ty, codec)
 
 (* The shell every Corollary 7 decider shares: load the halves, sort
@@ -186,26 +184,33 @@ let instance_tapes ?faults ?retry g inst =
    as a restartable phase holding [registers] item registers. *)
 let sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys ~registers scan
     inst =
+  let retry = Faults.policy faults retry in
   let g = Tape.Group.create ?budget ?device () in
   observe_opt obs g;
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
   let m = I.m inst in
   let tx, ty, codec = instance_tapes ?faults ?retry g inst in
   if m > 1 then begin
-    sort_tape ?faults ?retry ~codec g tx ~len:m;
-    if sort_ys then sort_tape ?faults ?retry ~codec g ty ~len:m
+    sort_tape ?retry ~codec g tx ~len:m;
+    if sort_ys then sort_tape ?retry ~codec g ty ~len:m
   end;
   let ok =
     Tape.Meter.with_units (Tape.Group.meter g) registers (fun () ->
-        Faults.phase ?faults ?retry ~label:"compare" (fun () -> scan tx ty m))
+        Faults.phase ?retry ~label:"compare" (fun () -> scan tx ty m))
   in
   (ok, report_of g (I.size inst))
 
+(* Every cell pair is read, with no early exit, so the charges do not
+   depend on where the halves first differ. *)
 let pointwise_equal tx ty m =
+  let rx = Tape.register tx and ry = Tape.register ty in
   let ok = ref true in
   for i = 0 to m - 1 do
-    if not (String.equal (Tape.read_at tx i) (Tape.read_at ty i)) then
-      ok := false
+    Tape.seek tx i;
+    Tape.load tx rx;
+    Tape.seek ty i;
+    Tape.load ty ry;
+    if Tape.compare_registers String.compare rx ry <> 0 then ok := false
   done;
   !ok
 

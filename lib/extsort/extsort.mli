@@ -24,18 +24,21 @@
     genuinely needed by this implementation.
 
     All deciders also accept an optional fault plan ([?faults]) and
-    retry policy ([?retry]). With a plan attached, every data and
-    auxiliary tape draws injected faults from the plan's deterministic
-    per-tape streams, and each restartable phase (a distribution pass,
-    a merge pass, a comparison scan) runs under [Faults.Retry.run]: a
-    transient I/O fault re-runs the phase from scratch, re-seeking the
-    tapes through ordinary [move] calls so recovery pays honest
-    reversal costs. A [?retry] policy alone (no plan) engages the same
-    combinator for faults that originate {e below} the device seam — a
-    storage fault plan ({!Faults.Storage}) surfaces checksum failures
-    and I/O errors from ordinary reads and writes, and the phases
-    recover identically. Without both the retry machinery is skipped
-    entirely and behaviour is bit-identical to the pre-fault code.
+    retry policy ([?retry]). A plan is attached to the data tapes
+    after their preload ({!Faults.attach_string}); {!sort_tape} hands
+    it on to the auxiliary tapes it creates, so every tape draws
+    injected faults from the plan's deterministic stream for its own
+    name. The two options become one policy ({!Faults.policy}): each
+    restartable phase (a distribution pass, a merge pass, a comparison
+    scan) then runs under [Faults.Retry.run], and a transient I/O fault
+    re-runs the phase from scratch, re-seeking the tapes through
+    ordinary [move] calls so recovery pays honest reversal costs. A
+    [?retry] policy alone (no plan) engages the same combinator for
+    faults that originate {e below} the device seam — a storage fault
+    plan ({!Faults.Storage}) surfaces checksum failures and I/O errors
+    from ordinary reads and writes, and the phases recover
+    identically. Without both the retry machinery is skipped entirely
+    and behaviour is bit-identical to the pre-fault code.
 
     Every decider further accepts an optional device spec
     ([?device]): with [Tape.Device.File _] or [Shard _] the data and
@@ -65,7 +68,6 @@ type report = {
 }
 
 val sort_tape :
-  ?faults:Faults.Plan.t ->
   ?retry:Faults.Retry.policy ->
   ?codec:string Tape.Device.Codec.t ->
   ?ways:int ->
@@ -82,9 +84,11 @@ val sort_tape :
     stream: on unhooked file tapes they stay in their stored bytes and
     compare bytewise, so the passes decode and encode nothing, and a
     winner's re-read is charged without touching the device. The head
-    is left at position 0. [?faults]
-    attaches the plan to the auxiliary tapes it creates (the caller
-    attaches it to [t]) and wraps each pass in retries.
+    is left at position 0. Each auxiliary tape gets [t]'s injection
+    maker ({!Tape.injection}), applied to its own name, so a fault plan
+    or a recording hook installed on [t] reaches every tape of the
+    sort. With [?retry] each pass runs under that retry policy
+    ({!Faults.phase}).
 
     The ablation experiment (E14) measures the [ways] trade-off: more
     tapes per pass but logarithmically fewer passes, the classic

@@ -90,8 +90,8 @@ let injection plan ~name ~blank ~corrupt =
   }
 
 let attach plan ~corrupt tp =
-  Tape.set_injection tp
-    (Some (injection plan ~name:(Tape.name tp) ~blank:(Tape.blank tp) ~corrupt))
+  let blank = Tape.blank tp in
+  Tape.set_injection tp (Some (fun name -> injection plan ~name ~blank ~corrupt))
 
 let attach_char plan tp = attach plan ~corrupt:flip01 tp
 let attach_string plan tp = attach plan ~corrupt:flip_string_bit tp
@@ -277,7 +277,11 @@ module Retry = struct
     go 1
 end
 
-let phase ?faults ?retry ~label f =
+let policy faults retry =
   match (faults, retry) with
-  | None, None -> f ()
-  | _ -> Retry.run ?policy:retry ~label f
+  | _, Some _ -> retry
+  | Some _, None -> Some Retry.default
+  | None, None -> None
+
+let phase ?retry ~label f =
+  match retry with None -> f () | Some policy -> Retry.run ~policy ~label f

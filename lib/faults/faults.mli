@@ -58,7 +58,10 @@ val attach_char : Plan.t -> char Tape.t -> unit
     and blanks are never damaged. The hook draws from the tape's
     private fault stream and keys on {!Tape.name}, so give tapes stable
     explicit names — auto-generated [tapeN] names depend on allocation
-    order and would break cross-worker determinism. *)
+    order and would break cross-worker determinism. It is installed as
+    a maker ({!Tape.set_injection}), so tapes derived from this one get
+    their own streams keyed by their own names; a stuck read on any of
+    them shows this tape's blank. *)
 
 val attach_string : Plan.t -> string Tape.t -> unit
 (** {!attach_char} for string cells: a corruption flips the low bit of
@@ -156,13 +159,16 @@ module Retry : sig
       callers restart by rewinding, which charges honest reversals). *)
 end
 
-val phase :
-  ?faults:Plan.t -> ?retry:Retry.policy -> label:string -> (unit -> 'a) -> 'a
+val policy : Plan.t option -> Retry.policy option -> Retry.policy option
+(** The policy a decider's phases retry under: the given one, else
+    {!Retry.default} when a plan is attached, else none. A policy alone
+    still matters: storage faults injected below the device seam
+    surface as [Corrupt] or I/O errors from ordinary reads and writes,
+    and a phase recovers from those exactly as from injected tape
+    faults. *)
+
+val phase : ?retry:Retry.policy -> label:string -> (unit -> 'a) -> 'a
 (** Run one restartable decider phase (a distribution or merge pass, a
-    comparison scan). With neither a plan nor a policy, [f ()] runs
-    bare: no combinator, bit-identical to fault-free code. With either,
-    it runs under {!Retry.run} ({!Retry.default} without a policy). A
-    policy alone still matters: storage faults injected below the
-    device seam surface as [Corrupt] or I/O errors from ordinary reads
-    and writes, and the phase recovers from those exactly as from
-    injected tape faults. *)
+    comparison scan). Without a policy, [f ()] runs bare: no
+    combinator, bit-identical to fault-free code. With one, it runs
+    under {!Retry.run}. *)

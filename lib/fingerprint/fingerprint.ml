@@ -20,6 +20,7 @@ let bits_of v = max 1 (int_of_float (ceil (log (float_of_int (max 2 v)) /. log 2
    ordinary [move] calls, charging honest reversal costs, and rebuilds
    its registers from scratch. *)
 let run ?faults ?retry ?obs ?device st inst =
+  let retry = Faults.policy faults retry in
   let g = Tape.Group.create ?device () in
   (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
   let meter = Tape.Group.meter g in
@@ -35,16 +36,16 @@ let run ?faults ?retry ?obs ?device st inst =
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
   (* the preload is device-level and idempotent, so a below-seam I/O
      fault during the initial spill heals by re-preloading *)
-  Faults.phase ?faults ?retry ~label:"fp-preload" (fun () ->
+  Faults.phase ?retry ~label:"fp-preload" (fun () ->
       Tape.preload_init tape (String.length encoded) (String.get encoded));
-  (match faults with None -> () | Some p -> Faults.attach_char p tape);
+  Option.iter (fun p -> Faults.attach_char p tape) faults;
   (* Under injection a read may return any symbol (a stuck read shows
      the blank); parse leniently then instead of rejecting the input. *)
   let strict = faults = None in
   let len0 = String.length encoded in
   (* ---- scan 1 (forward): determine m, n, N ---- *)
   let hashes = ref 0 and cur = ref 0 and maxlen = ref 0 and total = ref 0 in
-  Faults.phase ?faults ?retry ~label:"fp-scan1" (fun () ->
+  Faults.phase ?retry ~label:"fp-scan1" (fun () ->
       Tape.rewind tape;
       hashes := 0;
       cur := 0;
@@ -78,7 +79,7 @@ let run ?faults ?retry ?obs ?device st inst =
   let reg_bits = 11 * bits_of (6 * k) in
   let accept =
     Tape.Meter.with_units meter reg_bits (fun () ->
-        Faults.phase ?faults ?retry ~label:"fp-scan2" (fun () ->
+        Faults.phase ?retry ~label:"fp-scan2" (fun () ->
             (* ---- scan 2 (backward): accumulate the two sums ---- *)
             (* The head is one past the last cell after scan 1 (a retry
                re-seeks it there, paying the reversals); strings come in

@@ -9,7 +9,7 @@
     current and future, so internally created auxiliary tapes are
     covered. {!Recorder.ledger} folds those group reports and the
     counter deltas into one immutable {!t}. Nothing is installed on the
-    tapes: [Tape.Observer] is a test probe, not the ledger's feed.
+    tapes: the ledger reads their counters, not their operations.
 
     Determinism: a ledger captured around a single-domain run depends
     only on the run itself. Ledgers captured around pool fan-outs see

@@ -3,7 +3,7 @@
    A device is the dumb cell store underneath a tape: get/set by
    position, sync, close.  Everything the cost model cares
    about — head position, direction, reversal counting, budgets, fault
-   injection, observers — lives above this seam in [Tape], so swapping
+   injection — lives above this seam in [Tape], so swapping
    the backend cannot change any measured number.
 
    Three backends:

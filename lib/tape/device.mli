@@ -3,8 +3,8 @@
     files, with identical cost accounting.
 
     A device is a dumb cell store: get/set by position, sync, close.
-    Head position, direction, reversal counting, budgets, fault
-    injection and observers all live {e above} this seam in [Tape], so
+    Head position, direction, reversal counting, budgets and fault
+    injection all live {e above} this seam in [Tape], so
     swapping the backend cannot change any measured number — the
     backend-parity property the test suite pins down.
 

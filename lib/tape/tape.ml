@@ -54,14 +54,6 @@ module Injection = struct
   }
 end
 
-module Observer = struct
-  type t = {
-    on_read : pos:int -> unit;
-    on_write : pos:int -> unit;
-    on_move : pos:int -> direction -> unit;
-  }
-end
-
 (* A group member of any cell type: the group reads its counters and
    drives its device directly. *)
 type member = Member : 'a t -> member
@@ -70,7 +62,6 @@ and group_state = {
   mutable members : member list; (* reversed registration order *)
   g_meter : Meter.t;
   max_scans : int option;
-  mutable g_observer : (string -> Observer.t) option;
   g_device : Device.spec;
 }
 
@@ -89,9 +80,9 @@ and 'a t = {
   mutable reads : int;
   mutable writes : int;
   mutable group : group_state option;
-  mutable injection : 'a Injection.t option;
+  mutable injector : (string -> 'a Injection.t) option;
+  mutable injection : 'a Injection.t option; (* [injector] applied to [name] *)
   mutable faults : int;
-  mutable observer : Observer.t option;
 }
 
 (* atomic: tapes are created from several domains at once under the
@@ -118,15 +109,15 @@ let create ?name ?device ~blank () =
     reads = 0;
     writes = 0;
     group = None;
+    injector = None;
     injection = None;
     faults = 0;
-    observer = None;
   }
 
 let touch tp pos = if pos >= tp.used then tp.used <- pos + 1
 
 (* Device-level fill: no head movement, no reversal, no counted write,
-   no observer or injection traffic — the cost-free "the input is
+   no injection traffic — the cost-free "the input is
    already on the tape" premise every experiment starts from, at any
    backend. *)
 let preload_cell tp i x =
@@ -151,42 +142,32 @@ let of_list ?name ?device ~blank items =
 let name tp = tp.name
 let blank tp = tp.blank
 
-let set_injection tp h = tp.injection <- h
+let set_injection tp maker =
+  tp.injector <- maker;
+  tp.injection <- Option.map (fun make -> make tp.name) maker
 
-(* Reads, writes and moves are counted (and shown to an observer) only
-   once the operation has completed: an operation aborted by an
-   injected fault is re-counted when its phase retries, so these counts
-   are as honest as the reversal accounting. *)
-let count_read tp =
-  tp.reads <- tp.reads + 1;
-  match tp.observer with None -> () | Some o -> o.Observer.on_read ~pos:tp.pos
+let injection tp = tp.injector
 
-let count_write tp =
-  tp.writes <- tp.writes + 1;
-  match tp.observer with None -> () | Some o -> o.Observer.on_write ~pos:tp.pos
-
-let count_move tp dir =
-  tp.moves <- tp.moves + 1;
-  match tp.observer with
-  | None -> ()
-  | Some o -> o.Observer.on_move ~pos:tp.pos dir
-
+(* Reads, writes and moves are counted only once the operation has
+   completed: an operation aborted by an injected fault is re-counted
+   when its phase retries, so these counts are as honest as the
+   reversal accounting. *)
 let read tp =
   touch tp tp.pos;
   let v = Device.get tp.dev tp.pos in
   match tp.injection with
   | None ->
-      count_read tp;
+      tp.reads <- tp.reads + 1;
       v
   | Some h -> (
       match h.Injection.on_read ~pos:tp.pos v with
       | Injection.Read_ok ->
-          count_read tp;
+          tp.reads <- tp.reads + 1;
           v
       | Injection.Read_value v' ->
           (* silent read corruption: the cell itself is untouched *)
           tp.faults <- tp.faults + 1;
-          count_read tp;
+          tp.reads <- tp.reads + 1;
           v'
       | Injection.Read_fail e ->
           tp.faults <- tp.faults + 1;
@@ -198,20 +179,20 @@ let write tp x =
   match tp.injection with
   | None ->
       Device.set tp.dev tp.pos x;
-      count_write tp
+      tp.writes <- tp.writes + 1
   | Some h -> (
       match h.Injection.on_write ~pos:tp.pos x with
       | Injection.Write_ok ->
           Device.set tp.dev tp.pos x;
-          count_write tp
+          tp.writes <- tp.writes + 1
       | Injection.Write_value x' ->
           tp.faults <- tp.faults + 1;
           Device.set tp.dev tp.pos x';
-          count_write tp
+          tp.writes <- tp.writes + 1
       | Injection.Write_drop ->
           (* torn write: the old cell content survives *)
           tp.faults <- tp.faults + 1;
-          count_write tp
+          tp.writes <- tp.writes + 1
       | Injection.Write_fail e ->
           tp.faults <- tp.faults + 1;
           raise e)
@@ -252,7 +233,7 @@ let move tp dir =
   end;
   tp.pos <- (match dir with Left -> tp.pos - 1 | Right -> tp.pos + 1);
   touch tp tp.pos;
-  count_move tp dir
+  tp.moves <- tp.moves + 1
 
 let position tp = tp.pos
 let head_direction tp = tp.dir
@@ -263,25 +244,24 @@ let head_moves tp = tp.moves
 let reads tp = tp.reads
 let writes tp = tp.writes
 
-(* Fast path: with no injection hook and no observer installed, nobody
-   is entitled to see the individual moves, so a seek to a position
-   [>= 0] is constant-time. It replicates the per-cell loop's
-   accounting exactly, including the failure state: the loop's first
-   move charges the reversal (if the head turns) and checks the scan
-   budget BEFORE the position changes, so on [Budget_exceeded] the head
-   must still be at its old position with the new direction, the
-   reversal recorded and no move counted. Touching the target alone is
-   enough: [used] only grows, and a leftward walk stays below it. A
-   hooked tape takes the loop so fault plans and observers still see
-   every step, and a negative target takes it so the walk fails at
-   position 0 exactly as [move] does.
+(* Fast path: with no injection hook installed, nobody is entitled to
+   see the individual moves, so a seek to a position [>= 0] is
+   constant-time. It replicates the per-cell loop's accounting exactly,
+   including the failure state: the loop's first move charges the
+   reversal (if the head turns) and checks the scan budget BEFORE the
+   position changes, so on [Budget_exceeded] the head must still be at
+   its old position with the new direction, the reversal recorded and
+   no move counted. Touching the target alone is enough: [used] only
+   grows, and a leftward walk stays below it. A hooked tape takes the
+   loop so its hook still sees every step, and a negative target takes
+   it so the walk fails at position 0 exactly as [move] does.
 
    Invariant: a head already at the target - in particular the initial
    head at position 0 - issues no move, so [rewind] there charges no
    reversal and leaves the direction untouched. *)
 let seek tp target =
-  match (tp.injection, tp.observer) with
-  | None, None when target >= 0 ->
+  match tp.injection with
+  | None when target >= 0 ->
       if target <> tp.pos then begin
         let dir = if target > tp.pos then Right else Left in
         if dir <> tp.dir then begin
@@ -351,8 +331,7 @@ let register tp =
 (* The slot accessor when the register may hold stored bytes: the same
    condition as [seek]'s fast path - nobody is entitled to see the
    cell values go by. *)
-let byte_slots tp =
-  match (tp.injection, tp.observer) with None, None -> tp.slots | _ -> None
+let byte_slots tp = match tp.injection with None -> tp.slots | Some _ -> None
 
 let load tp r =
   match tp.injection with
@@ -378,7 +357,7 @@ let load tp r =
         r.src_pos <- tp.pos;
         r.src_epoch <- tp.epoch
       end;
-      count_read tp
+      tp.reads <- tp.reads + 1
 
 let contents r =
   match r.slots with
@@ -394,7 +373,7 @@ let store tp r =
           touch tp tp.pos;
           tp.epoch <- tp.epoch + 1;
           s.Device.store tp.pos r.buf r.len;
-          count_write tp
+          tp.writes <- tp.writes + 1
       | _ -> write tp (contents r))
 
 (* unsigned lexicographic order of [a[0..la)] and [b[0..lb)], from [i] *)
@@ -427,7 +406,6 @@ module Group = struct
       members = [];
       g_meter = meter;
       max_scans = budget.max_scans;
-      g_observer = None;
       g_device = device;
     }
 
@@ -436,16 +414,7 @@ module Group = struct
     | Some _ -> invalid_arg "Group.add_tape: tape already grouped"
     | None -> ());
     tp.group <- Some g;
-    (match g.g_observer with
-    | None -> ()
-    | Some factory -> tp.observer <- Some (factory tp.name));
     g.members <- Member tp :: g.members
-
-  let set_observer g factory =
-    g.g_observer <- factory;
-    List.iter
-      (fun (Member tp) -> tp.observer <- Option.map (fun f -> f tp.name) factory)
-      g.members
 
   (* A codec opts the tape into the group's device spec; without one the
      cell type has no byte format, so the tape stays in RAM. *)

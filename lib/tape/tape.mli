@@ -47,7 +47,7 @@ val of_list : ?name:string -> ?device:'a Device.t -> blank:'a -> 'a list -> 'a t
 
 val preload : 'a t -> 'a list -> unit
 (** Fill cells [0 .. length - 1] at the device level: no head movement,
-    no reversal, no counted write, no injection or observer traffic —
+    no reversal, no counted write, no injection traffic —
     the cost-free "the input is already on the tape" premise of the
     model, available on every backend. *)
 
@@ -113,17 +113,16 @@ val rewind : 'a t -> unit
 
     A register is a piece of internal memory holding one cell. Loading
     and storing one is charged exactly as {!read} and {!write}: the
-    same counters, budget checks, observer calls and injection-hook
-    outcomes, in the same order. Registers change only what the host
-    does per cell.
+    same counters, budget checks and injection-hook outcomes, in the
+    same order. Registers change only what the host does per cell.
 
-    {b Form.} When the tape has neither an injection hook nor an
-    observer (the condition of {!seek}'s fast path) and its device
-    exposes slots ({!Device.slots}: both byte backends, file and
-    shard), a load copies the cell's stored bytes out of the cache line,
-    decoding nothing, and a store into such a tape copies them into its
-    slot. Otherwise (mem, or a hooked tape) the register holds the
-    decoded value, as {!read} returns it.
+    {b Form.} When the tape has no injection hook (the condition of
+    {!seek}'s fast path) and its device exposes slots ({!Device.slots}:
+    both byte backends, file and shard), a load copies the cell's
+    stored bytes out of the cache line, decoding nothing, and a store
+    into such a tape copies them into its slot. Otherwise (mem, or a
+    hooked tape) the register holds the decoded value, as {!read}
+    returns it.
 
     {b Reloads.} Loading, from a tape with no injection hook, the cell
     a register already holds, while that tape has not been written
@@ -163,15 +162,14 @@ val seek : 'a t -> int -> unit
     walk turns the head around. Seeking to the current position issues
     no move.
 
-    {b Fast path}: when the tape has neither an injection hook nor an
-    observer and [target >= 0], the seek is constant-time with
-    identical accounting: one reversal if the head turns, the scan
-    budget checked before the position changes, then one head move per
-    cell crossed — so a {!Budget_exceeded} run leaves the same tape
-    state and counts the per-cell loop would. With a hook or an
-    observer installed, or a negative [target] (which fails at position
-    0 with [Invalid_argument], as {!move} does), the per-cell loop
-    runs, so fault plans and observers see every step. *)
+    {b Fast path}: when the tape has no injection hook and
+    [target >= 0], the seek is constant-time with identical accounting:
+    one reversal if the head turns, the scan budget checked before the
+    position changes, then one head move per cell crossed — so a
+    {!Budget_exceeded} run leaves the same tape state and counts the
+    per-cell loop would. With a hook installed, or a negative [target]
+    (which fails at position 0 with [Invalid_argument], as {!move}
+    does), the per-cell loop runs, so the hook sees every step. *)
 
 val read_at : 'a t -> int -> 'a
 (** {!seek}, then {!read}. *)
@@ -196,7 +194,9 @@ val iter_right : 'a t -> ('a -> unit) -> unit
     (the fault layer uses a transient-I/O exception that its retry
     combinators classify). The substrate itself stays policy-free:
     which faults fire, at what rate and how values are corrupted is
-    entirely the hook's business. *)
+    entirely the hook's business. Every callback gets the head position
+    as the operation starts, so [on_move] sees the cell the head
+    leaves. *)
 module Injection : sig
   type 'a read_outcome =
     | Read_ok  (** faithful read *)
@@ -220,32 +220,18 @@ module Injection : sig
   }
 end
 
-val set_injection : 'a t -> 'a Injection.t option -> unit
-(** Install (or with [None] remove) the tape's fault-injection hook.
-    A tape with neither a hook nor an {!Observer} pays two [match]es
-    per operation: one on the hook, one on the observer as the
-    operation is counted. *)
+val set_injection : 'a t -> (string -> 'a Injection.t) option -> unit
+(** [set_injection t (Some make)] installs [make (name t)] as the
+    tape's hook; [None] removes it. The tape keeps [make] itself too
+    ({!injection}), so an algorithm that derives working tapes of the
+    same cell type from [t] — [Extsort.sort_tape]'s auxiliary tapes —
+    hooks each of them with [make] applied to its own name: a fault
+    plan's streams stay keyed by tape name, and a recording hook sees
+    every tape of the sort. An unhooked tape pays one [match] per
+    operation. *)
 
-(** A per-operation probe, symmetric with {!Injection}, installed on a
-    whole group by {!Group.set_observer}. The tape counts its own moves,
-    reads and writes ({!head_moves}, {!reads}, {!writes}); no library
-    module installs an observer. One test needs it: test_extsort's
-    two-way replay digest pins the order in which [Extsort.sort_tape]
-    touches the cells of every tape it creates, auxiliary ones
-    included, and no counter records an order.
-
-    An observer sees every completed [read], [write] and [move] on the
-    tape — exactly the operations those counters count. Observers are
-    value-blind: they receive positions only, so one observer type
-    serves tapes of every cell type. An observed tape seeks by the
-    per-cell loop, so the observer sees every step. *)
-module Observer : sig
-  type t = {
-    on_read : pos:int -> unit;
-    on_write : pos:int -> unit;
-    on_move : pos:int -> direction -> unit;
-  }
-end
+val injection : 'a t -> (string -> 'a Injection.t) option
+(** The hook maker installed by {!set_injection}, if any. *)
 
 (** Internal-memory meter (the [s(N)] resource). *)
 module Meter : sig
@@ -286,18 +272,8 @@ module Group : sig
 
   val add_tape : t -> 'a tape -> unit
   (** Register a tape; all its subsequent reversals count toward the
-      group's scan budget, and its counters appear in {!report}. If the
-      group carries an observer factory ({!set_observer}), the tape gets
-      the factory's observer on registration.
+      group's scan budget, and its counters appear in {!report}.
       @raise Invalid_argument if the tape already belongs to a group. *)
-
-  val set_observer : t -> (string -> Observer.t) option -> unit
-  (** Install an observer factory on the group: every member tape —
-      current and future, keyed by its {!name} — gets the factory's
-      observer installed, which reaches the auxiliary tapes an
-      algorithm creates internally. A test probe (see {!Observer}); the
-      cost counters in {!report} need none. [None] removes the
-      observers from all members. *)
 
   val tape :
     t -> ?name:string -> ?codec:'a Device.Codec.t -> blank:'a -> unit -> 'a tape

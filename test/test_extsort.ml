@@ -125,25 +125,36 @@ let prop_kway_matches_stdlib =
    completed read, write and move on every tape of the group, folded
    in order into one FNV-1a digest. Pinned so a rewrite of the merge
    loop that reorders a single head access fails here before it moves
-   a scan count or a per-tape fault stream. *)
+   a scan count or a per-tape fault stream. The recording hook is
+   installed on [data] only; [sort_tape] hands its maker on to the
+   auxiliary tapes. A move is recorded at the cell it lands on. *)
 let test_two_way_replay () =
   let items = List.init 97 (fun i -> Printf.sprintf "%03d" ((i * 37) mod 61)) in
   let g = Tape.Group.create () in
   let h = ref Util.Hash.fnv_offset and events = ref 0 in
-  Tape.Group.set_observer g
-    (Some
-       (fun tape ->
-         let ev op pos =
-           incr events;
-           h := Util.Hash.fnv_string !h (Printf.sprintf "%s %s %d" tape op pos)
-         in
-         {
-           Tape.Observer.on_read = (fun ~pos -> ev "read" pos);
-           on_write = (fun ~pos -> ev "write" pos);
-           on_move = (fun ~pos _ -> ev "move" pos);
-         }));
+  let record tape =
+    let ev op pos =
+      incr events;
+      h := Util.Hash.fnv_string !h (Printf.sprintf "%s %s %d" tape op pos)
+    in
+    {
+      Tape.Injection.on_read =
+        (fun ~pos _ ->
+          ev "read" pos;
+          Tape.Injection.Read_ok);
+      on_write =
+        (fun ~pos _ ->
+          ev "write" pos;
+          Tape.Injection.Write_ok);
+      on_move =
+        (fun ~pos dir ->
+          ev "move" (match dir with Tape.Right -> pos + 1 | Tape.Left -> pos - 1);
+          Tape.Injection.Move_ok);
+    }
+  in
   let t = Tape.Group.tape g ~name:"data" ~blank:"" () in
   Tape.preload t items;
+  Tape.set_injection t (Some record);
   Extsort.sort_tape g t ~len:97;
   Alcotest.(check (list string)) "sorted" (List.sort String.compare items)
     (Tape.to_list t);
@@ -231,9 +242,9 @@ let test_shard_sort_allocation () =
     (words < float_of_int (n * passes))
 
 (* A decider preloads its tapes from the instance itself: no list of
-   the input, no copy of it. What it does allocate (the comparison
-   scan reads both halves as strings) stays under a few words per
-   input string. *)
+   the input, no copy of it, and its comparison scan loads both halves
+   into registers, so on the file device it decodes no cell. It
+   allocates less than one minor word per input string. *)
 let test_decider_allocation () =
   let m = 2048 in
   let inst =
@@ -245,9 +256,9 @@ let test_decider_allocation () =
   let words = Gc.minor_words () -. w0 in
   check "multiset-eq holds" true ok;
   check
-    (Printf.sprintf "%.0f minor words < 5 per input string (%d)" words (5 * 2 * m))
+    (Printf.sprintf "%.0f minor words < 1 per input string (%d)" words (2 * m))
     true
-    (words < float_of_int (5 * 2 * m))
+    (words < float_of_int (2 * m))
 
 let test_budget_enforcement () =
   let st = Random.State.make [| 47 |] in

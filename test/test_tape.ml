@@ -64,7 +64,7 @@ let test_rewind () =
   check_int "subsequent rightward move still free" 0 (Tape.reversals fresh)
 
 (* The constant-time rewind applies only to unhooked tapes; an injection
-   hook (or an observer) forces the per-cell loop. Whichever path runs,
+   hook forces the per-cell loop. Whichever path runs,
    the resulting tape state and the tape's own move/read/write counts
    must be identical. A hook that lets every operation through changes
    nothing but the path. *)
@@ -103,7 +103,7 @@ let counts t = (Tape.head_moves t, Tape.reads t, Tape.writes t)
 let test_rewind_fast_path_parity () =
   let run hooked =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
-    if hooked then Tape.set_injection t (Some pass_through);
+    if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     for _ = 1 to 3 do
       ignore (Tape.read t);
       Tape.move t Tape.Right
@@ -122,7 +122,7 @@ let test_rewind_fast_path_parity () =
   (* and from a leftward-moving head: no extra reversal either way *)
   let run_leftward hooked =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
-    if hooked then Tape.set_injection t (Some pass_through);
+    if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     for _ = 1 to 3 do
       Tape.move t Tape.Right
     done;
@@ -145,7 +145,7 @@ let test_rewind_budget_trip_parity () =
         ()
     in
     let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
-    if hooked then Tape.set_injection t (Some pass_through);
+    if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     for _ = 1 to 2 do
       Tape.write t 'z';
       Tape.move t Tape.Right
@@ -186,15 +186,15 @@ let test_rewind_injection_sees_moves () =
   for _ = 1 to 4 do
     Tape.move t Tape.Right
   done;
-  Tape.set_injection t (Some hook);
+  Tape.set_injection t (Some (fun _ -> hook));
   Tape.rewind t;
   check_int "hook saw every step" 4 !moves;
   check_int "rewound" 0 (Tape.position t);
   check_int "one reversal" 1 (Tape.reversals t)
 
 (* [seek]'s constant-time path against the per-cell loop a
-   pass-through hook or an observer forces: after any sequence of seeks
-   (each followed by a read, a write or nothing) the three tapes agree
+   pass-through hook forces: after any sequence of seeks (each followed
+   by a read, a write or nothing) the two tapes agree
    on every piece of state and every count, and under a scan budget
    they trip at the same call and leave the same state behind. *)
 let seek_state t =
@@ -202,23 +202,12 @@ let seek_state t =
     (Tape.head_moves t, Tape.cells_used t),
     (Tape.reads t, Tape.writes t) )
 
-let run_seeks path max_scans steps =
+let run_seeks ~hooked max_scans steps =
   let g =
     Tape.Group.create ~budget:{ Tape.Group.max_scans; max_internal = None } ()
   in
   let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
-  (match path with
-  | `Fast -> ()
-  | `Hooked -> Tape.set_injection t (Some pass_through)
-  | `Observed ->
-      Tape.Group.set_observer g
-        (Some
-           (fun _ ->
-             {
-               Tape.Observer.on_read = (fun ~pos:_ -> ());
-               on_write = (fun ~pos:_ -> ());
-               on_move = (fun ~pos:_ _ -> ());
-             })));
+  if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
   let rec go k = function
     | [] -> None
     | (target, op) :: rest -> (
@@ -241,16 +230,15 @@ let prop_seek_fast_path_parity =
         (option (int_range 1 8))
         (list_of_size Gen.(int_range 0 30) (pair (int_range 0 20) (int_range 0 2))))
     (fun (max_scans, steps) ->
-      let fast = run_seeks `Fast max_scans steps in
-      fast = run_seeks `Hooked max_scans steps
-      && fast = run_seeks `Observed max_scans steps)
+      run_seeks ~hooked:false max_scans steps
+      = run_seeks ~hooked:true max_scans steps)
 
 (* a negative target takes the loop on both paths: it walks to position
    0, charging the turn and every move, then fails as [move] does *)
 let test_seek_negative_target () =
   let run hooked =
     let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
-    if hooked then Tape.set_injection t (Some pass_through);
+    if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     Tape.seek t 3;
     Alcotest.check_raises "seek -1"
       (Invalid_argument "Tape.move: left of position 0") (fun () ->
