@@ -102,7 +102,7 @@ let micro_tests () =
   (* the cell codec alone: set then get every slot of one cached
      64 KiB block of short strings - no eviction, so no CRC and no
      syscall after the first run *)
-  let cell_codec = Tape.Device.Codec.tuple_string ~max_len:12 in
+  let cell_codec = Tape.Device.Codec.tuple_string ~max_bytes:26 in
   let cell_dev =
     Tape.Device.instantiate ~codec:cell_codec
       (Tape.Device.file_spec ~block_bytes:(1 lsl 16) ~cache_blocks:1 spill)

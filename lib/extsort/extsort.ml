@@ -26,13 +26,19 @@ type report = {
 let observe_opt obs g =
   match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g
 
-(* A byte-backed device needs a cell codec (a mem group ignores it);
-   the items themselves bound the encoded size. [Tuple] framing is
-   order-preserving, so cells in a spilled run compare bytewise exactly
-   as the in-RAM strings do. *)
+(* A byte-backed device needs a cell codec (a mem group ignores it).
+   Its slots are sized to the largest encoding the tape will hold: the
+   items' (a sort only permutes them) and the blank's, so a bitstring
+   cell of n characters takes n + 2 bytes, not the 2n + 2 of a string
+   that is all 0x00. [Tuple] framing is order-preserving, so cells in a
+   spilled run compare bytewise exactly as the in-RAM strings do. *)
+let blank_bytes = Tape.Tuple.str_size ""
+
 let codec_for items =
-  let max_len = List.fold_left (fun a s -> max a (String.length s)) 1 items in
-  Tape.Device.Codec.tuple_string ~max_len
+  let max_bytes =
+    List.fold_left (fun a s -> max a (Tape.Tuple.str_size s)) blank_bytes items
+  in
+  Tape.Device.Codec.tuple_string ~max_bytes
 
 (* Read cells [0 .. len-1] in one left-to-right scan: seek once, then
    read/advance cell by cell. Indexed [read_at] reads would re-seek
@@ -166,8 +172,12 @@ let sort ?budget ?faults ?retry ?obs ?device ?ways items =
    exactly as before, so injection runs never fault their own setup. *)
 let instance_tapes ?faults ?retry g inst =
   let xs = I.xs inst and ys = I.ys inst in
-  let longest = Array.fold_left (fun a v -> max a (B.length v)) in
-  let codec = Tape.Device.Codec.tuple_string ~max_len:(longest (longest 1 xs) ys) in
+  let largest =
+    Array.fold_left (fun a v -> max a (Tape.Tuple.str_size (B.to_string v)))
+  in
+  let codec =
+    Tape.Device.Codec.tuple_string ~max_bytes:(largest (largest blank_bytes xs) ys)
+  in
   let tx = Tape.Group.tape g ~name:"xs" ~codec ~blank:"" () in
   let ty = Tape.Group.tape g ~name:"ys" ~codec ~blank:"" () in
   let preload tp half =
@@ -200,27 +210,41 @@ let sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys ~registers scan
   in
   (ok, report_of g (I.size inst))
 
+(* move the head to cell [i] and load it into register [r] *)
+let load_at tp r i =
+  Tape.seek tp i;
+  Tape.load tp r
+
 (* Every cell pair is read, with no early exit, so the charges do not
    depend on where the halves first differ. *)
 let pointwise_equal tx ty m =
   let rx = Tape.register tx and ry = Tape.register ty in
   let ok = ref true in
   for i = 0 to m - 1 do
-    Tape.seek tx i;
-    Tape.load tx rx;
-    Tape.seek ty i;
-    Tape.load ty ry;
+    load_at tx rx i;
+    load_at ty ry i;
     if Tape.compare_registers String.compare rx ry <> 0 then ok := false
   done;
   !ok
 
-(* compare the deduplicated sorted streams with one carried item each *)
+(* Compare the deduplicated sorted streams with one carried item each.
+   The cells go through registers, so a byte device decodes none of
+   them. Each step reads ys before xs: a fault plan's streams and the
+   scan budget see the two tapes interleaved in that order. *)
 let same_set tx ~nx ty ~ny =
-  let next_distinct tp len i =
-    (* first index > i whose item differs from item at i *)
-    let x = Tape.read_at tp i in
+  let cx = Tape.register tx and cy = Tape.register ty in
+  let rx = Tape.register tx and ry = Tape.register ty in
+  (* first index > i whose item differs from item i, carried in [c] *)
+  let next_distinct tp len i c r =
+    load_at tp c i;
     let j = ref (i + 1) in
-    while !j < len && String.equal (Tape.read_at tp !j) x do
+    while
+      !j < len
+      && begin
+           load_at tp r !j;
+           Tape.compare_registers String.compare r c = 0
+         end
+    do
       incr j
     done;
     !j
@@ -228,18 +252,27 @@ let same_set tx ~nx ty ~ny =
   let rec go i j =
     if i >= nx && j >= ny then true
     else if i >= nx || j >= ny then false
-    else if not (String.equal (Tape.read_at tx i) (Tape.read_at ty j)) then
-      false
-    else go (next_distinct tx nx i) (next_distinct ty ny j)
+    else begin
+      load_at ty ry j;
+      load_at tx rx i;
+      Tape.compare_registers String.compare rx ry = 0
+      &&
+      let j' = next_distinct ty ny j cy ry in
+      let i' = next_distinct tx nx i cx rx in
+      go i' j'
+    end
   in
   go 0 0
 
-(* one merge scan looking for a common element *)
+(* one merge scan looking for a common element, ys read before xs *)
 let no_common tx ty m =
+  let rx = Tape.register tx and ry = Tape.register ty in
   let i = ref 0 and j = ref 0 in
   let shared = ref false in
   while !i < m && !j < m do
-    let c = String.compare (Tape.read_at tx !i) (Tape.read_at ty !j) in
+    load_at ty ry !j;
+    load_at tx rx !i;
+    let c = Tape.compare_registers String.compare rx ry in
     if c = 0 then begin
       shared := true;
       i := m

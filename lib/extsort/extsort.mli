@@ -47,8 +47,10 @@
     hooks and ledgers behave identically to the in-RAM backend (the
     backend-parity property the tests pin down). Spill files are
     scratch: they are deleted when the decider returns. [?codec] on the
-    in-place sorts is the cell byte-format the group's device needs;
-    the wrappers derive it from the items automatically.
+    in-place sorts is the cell byte-format the group's device needs,
+    and its [max_bytes] must cover every cell the tape holds (the
+    auxiliary tapes hold the same cells); the wrappers derive it from
+    the items, sizing slots to the largest item's encoding.
 
     Finally, every decider accepts an optional ledger recorder
     ([?obs]). The recorder observes the decider's private tape group —
@@ -140,8 +142,10 @@ val same_set : string Tape.t -> nx:int -> string Tape.t -> ny:int -> bool
 (** [same_set tx ~nx ty ~ny]: do the sorted cells [0 .. nx-1] of [tx]
     and [0 .. ny-1] of [ty] hold the same set of items? One comparison
     scan with on-the-fly duplicate elimination (one carried item per
-    stream). The scan behind {!set_equality} and the Theorem 12 XQuery
-    of [Xmlq.Stream_filter]. *)
+    stream, held in a {!Tape.register}, so on an unhooked byte-device
+    tape no cell is decoded). Each step reads [ty] before [tx]. The
+    scan behind {!set_equality} and the Theorem 12 XQuery of
+    [Xmlq.Stream_filter]. *)
 
 val decide :
   ?budget:Tape.Group.budget ->

@@ -469,7 +469,11 @@ let max_cell_bytes db expr =
 let eval_streaming ?device ?obs ?profile db expr =
   let g = Tape.Group.create ?device () in
   (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
-  let codec = Tape.Device.Codec.tuple_string ~max_len:(max_cell_bytes db expr) in
+  (* the evaluator's intermediate cells are not known up front: slots
+     take the worst case, every byte of the widest cell escaped *)
+  let codec =
+    Tape.Device.Codec.tuple_string ~max_bytes:((2 * max_cell_bytes db expr) + 2)
+  in
   let ctx =
     { g; codec; prof = (match profile with None -> fun _ _ -> () | Some f -> f) }
   in

@@ -34,7 +34,7 @@
    in the health counters below. *)
 
 type stats = {
-  resident_bytes : int;  (** bytes currently cached in RAM *)
+  resident_bytes : int;  (** RAM the cells take (a byte device: its cache capacity) *)
   io_read_bytes : int;
   io_write_bytes : int;
   backing_files : int;  (** files created; close does not decrement it *)
@@ -171,8 +171,10 @@ module Codec = struct
      writes exactly [size v] bytes at [pos] and returns the end offset;
      [skip buf pos limit] returns the end offset of the encoding at
      [pos] without looking at [limit] or past it, so shard files need no
-     cell index.  [size v] must not exceed [max_bytes] (the slot cache
-     sizes its slots with it). *)
+     cell index.  [size v] must not exceed [max_bytes]: the slot cache
+     sizes its slots with it, so a string codec takes the largest
+     encoding its tape will hold rather than assuming every byte
+     escaped. *)
   type 'a codec = {
     size : 'a -> int;
     write : Bytes.t -> int -> 'a -> int;
@@ -183,14 +185,13 @@ module Codec = struct
 
   type 'a t = 'a codec
 
-  let tuple_string ~max_len =
+  let tuple_string ~max_bytes =
     {
       size = Tuple.str_size;
       write = Tuple.write_str;
       skip = Tuple.str_end;
       value = Tuple.str_value;
-      (* worst case: every byte escaped, plus code + terminator *)
-      max_bytes = (2 * max_len) + 2;
+      max_bytes;
     }
 
   let tuple_int =
@@ -343,16 +344,20 @@ let manifest_name = "MANIFEST"
 let manifest_magic = "STLBMAN2"
 
 (* MANIFEST contents: the magic line, then one "crc len file" line per
-   run file, sorted. *)
+   run file, sorted by file name. *)
+let manifest_header = manifest_magic ^ "\n"
+let manifest_line f (crc, len) = Printf.sprintf "%08x %d %s\n" crc len f
+
 let manifest_contents entries =
-  let b = Buffer.create 256 in
-  Buffer.add_string b manifest_magic;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun (f, (crc, len)) ->
-      Buffer.add_string b (Printf.sprintf "%08x %d %s\n" crc len f))
-    (List.sort compare entries);
-  Buffer.contents b
+  String.concat ""
+    (manifest_header
+    :: List.map (fun (f, meta) -> manifest_line f meta) (List.sort compare entries))
+
+module Names = Map.Make (String)
+
+(* a run file's MANIFEST entry: (payload crc, payload bytes) and the
+   line that says so *)
+type manifest_entry = { mutable meta : int * int; mutable line : string }
 
 (* ------------------------------------------------------------------ *)
 (* The slot cache both byte backends keep.                             *)
@@ -364,7 +369,7 @@ let manifest_contents entries =
 type line = {
   mutable blk : int; (* block index, -1 = empty *)
   mutable dirty : bool;
-  buf : Bytes.t;
+  mutable buf : Bytes.t; (* empty until the line first takes a block *)
 }
 
 (* a slot's length prefix is 2 bytes *)
@@ -387,7 +392,7 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
   let slot_bytes = slot_bytes codec in
   let bbytes = per_block * slot_bytes in
   let cache =
-    Array.init nlines (fun _ -> { blk = -1; dirty = false; buf = Bytes.create bbytes })
+    Array.init nlines (fun _ -> { blk = -1; dirty = false; buf = Bytes.empty })
   in
   let flush line =
     if line.dirty then begin
@@ -400,6 +405,8 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
      counts *)
   let quarantined = ref (-1) in
   let load line b =
+    (* a tape that never reaches a line's blocks never pays for it *)
+    if Bytes.length line.buf = 0 then line.buf <- Bytes.create bbytes;
     if not (fetch line b) then begin
       line.blk <- -1;
       quarantined := b;
@@ -621,7 +628,7 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
           try raw.Raw.remove p with e -> cleanup_failed ~device:name ~path:p e)
         entries
   | exception Sys_error _ -> ());
-  (* cells per shard from the target shard size and the worst-case cell *)
+  (* cells per shard from the target shard size and the largest cell *)
   let cells = max 16 (shard_bytes / (codec.Codec.max_bytes + 1)) in
   let slot_bytes = slot_bytes codec in
   (* the run file being read or written: large enough for any shard
@@ -629,17 +636,57 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
   let data = Bytes.create (shard_header_bytes + (cells * (codec.Codec.max_bytes + 1))) in
   let io_r = ref 0 and io_w = ref 0 in
   let nfiles = ref 0 in
-  (* filename -> (payload crc, payload bytes); mirrored to MANIFEST on
-     every flush (atomic tmp+rename), fsync'd on [sync] *)
-  let manifest : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let fname s = Printf.sprintf "run-%06d.shard" s in
-  let path s = Filename.concat base (fname s) in
+  (* filename -> its (payload crc, payload bytes) and MANIFEST line;
+     the MANIFEST is written from these lines on every flush (atomic
+     tmp+rename) and fsync'd on [sync]. A line is formatted, and the
+     contents rebuilt in [mbuf], only when its file's crc or length
+     changes. *)
+  let manifest = ref Names.empty in
+  let mbuf = ref (Bytes.of_string manifest_header) in
+  let mlen = ref (Bytes.length !mbuf) in
+  (* run file [s]'s name and path, formatted once per shard *)
+  let names = Hashtbl.create 16 in
+  let name_and_path s =
+    match Hashtbl.find_opt names s with
+    | Some np -> np
+    | None ->
+        let f = Printf.sprintf "run-%06d.shard" s in
+        let np = (f, Filename.concat base f) in
+        Hashtbl.add names s np;
+        np
+  in
+  let path s = snd (name_and_path s) in
   let manifest_path = Filename.concat base manifest_name in
+  let set_entry f meta =
+    let changed =
+      match Names.find_opt f !manifest with
+      | Some e when e.meta = meta -> false
+      | Some e ->
+          mlen := !mlen - String.length e.line;
+          e.meta <- meta;
+          e.line <- manifest_line f meta;
+          mlen := !mlen + String.length e.line;
+          true
+      | None ->
+          let e = { meta; line = manifest_line f meta } in
+          manifest := Names.add f e !manifest;
+          mlen := !mlen + String.length e.line;
+          true
+    in
+    if changed then begin
+      if !mlen > Bytes.length !mbuf then
+        mbuf := Bytes.create (max !mlen (2 * Bytes.length !mbuf));
+      let pos = ref 0 in
+      let add l =
+        Bytes.blit_string l 0 !mbuf !pos (String.length l);
+        pos := !pos + String.length l
+      in
+      add manifest_header;
+      Names.iter (fun _ e -> add e.line) !manifest
+    end
+  in
   let write_manifest ~fsync =
-    let entries = Hashtbl.fold (fun f meta acc -> (f, meta) :: acc) manifest [] in
-    write_file_atomic raw manifest_path
-      (Bytes.unsafe_of_string (manifest_contents entries))
-      ~fsync
+    write_file_atomic ~len:!mlen raw manifest_path !mbuf ~fsync
   in
   (* copy the present cells of the intact run file [src, len) into
      their slots *)
@@ -701,10 +748,10 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
       let payload = !pos - shard_header_bytes in
       let crc = Util.Hash.crc32_sub data shard_header_bytes payload in
       Bytes.set_int32_be data 8 (Int32.of_int crc);
-      let f = fname line.blk in
-      if not (Hashtbl.mem manifest f) then incr nfiles;
-      write_file_atomic ~len:!pos raw (path line.blk) data ~fsync:false;
-      Hashtbl.replace manifest f (crc, payload);
+      let f, p = name_and_path line.blk in
+      if not (Names.mem f !manifest) then incr nfiles;
+      write_file_atomic ~len:!pos raw p data ~fsync:false;
+      set_entry f (crc, payload);
       write_manifest ~fsync:false;
       io_w := !io_w + payload)
     ~sync:(fun () -> write_manifest ~fsync:true)
@@ -731,6 +778,9 @@ let instantiate (type a) ?(codec : a Codec.t option) spec ~(blank : a) ~name :
       (* byte-backed backends need a codec; without one the tape is
          honest RAM — the caller keeps working, just not externally *)
       mem ~blank
+  | (File _ | Shard _), Some codec
+    when codec.Codec.size blank > codec.Codec.max_bytes ->
+      invalid_arg "Device.instantiate: the blank's encoding exceeds codec max_bytes"
   | File { dir; block_bytes; cache_blocks; raw }, Some codec ->
       file ~dir ~block_bytes ~cache_blocks ~raw ~codec ~blank ~name
   | Shard { dir; shard_bytes; raw }, Some codec ->

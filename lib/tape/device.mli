@@ -17,7 +17,10 @@
     deterministically. *)
 
 type stats = {
-  resident_bytes : int;  (** bytes currently cached in RAM *)
+  resident_bytes : int;
+      (** RAM the cells take: the mem backend's array, or a byte
+          device's cache capacity (its lines times their block size;
+          a line is allocated when it first takes a block) *)
   io_read_bytes : int;  (** payload bytes read from backing storage *)
   io_write_bytes : int;  (** payload bytes written to backing storage *)
   backing_files : int;
@@ -139,9 +142,16 @@ module Codec : sig
 
   type 'a t = 'a codec
 
-  val tuple_string : max_len:int -> string t
-  (** Cells are strings of length [<= max_len], encoded as
-      {!Tuple.write_str}. *)
+  val tuple_string : max_bytes:int -> string t
+  (** Cells are strings encoded as {!Tuple.write_str}, each at most
+      [max_bytes] bytes once encoded ({!Tuple.str_size}: the length,
+      plus one per 0x00 byte, plus 2). A byte device sizes its slots
+      from [max_bytes], so a caller that knows its cells up front
+      passes the largest [Tuple.str_size] among them (and the blank's),
+      and one that does not passes the worst case for strings of up to
+      [n] bytes, [2 * n + 2]. Storing a longer cell on a byte device
+      raises [Invalid_argument]; so does creating one whose blank does
+      not fit. *)
 
   val tuple_int : int t
   val tuple_char : char t

@@ -114,7 +114,7 @@ let create ?name ?device ~blank () =
     faults = 0;
   }
 
-let touch tp pos = if pos >= tp.used then tp.used <- pos + 1
+let[@inline] touch tp pos = if pos >= tp.used then tp.used <- pos + 1
 
 (* Device-level fill: no head movement, no reversal, no counted write,
    no injection traffic — the cost-free "the input is
@@ -259,7 +259,7 @@ let writes tp = tp.writes
    Invariant: a head already at the target - in particular the initial
    head at position 0 - issues no move, so [rewind] there charges no
    reversal and leaves the direction untouched. *)
-let seek tp target =
+let[@inline] seek tp target =
   match tp.injection with
   | None when target >= 0 ->
       if target <> tp.pos then begin
@@ -331,9 +331,9 @@ let register tp =
 (* The slot accessor when the register may hold stored bytes: the same
    condition as [seek]'s fast path - nobody is entitled to see the
    cell values go by. *)
-let byte_slots tp = match tp.injection with None -> tp.slots | Some _ -> None
+let[@inline] byte_slots tp = match tp.injection with None -> tp.slots | Some _ -> None
 
-let load tp r =
+let[@inline] load tp r =
   match tp.injection with
   | Some _ ->
       r.value <- read tp;
@@ -364,7 +364,7 @@ let contents r =
   | None -> r.value
   | Some s -> s.Device.codec.Device.Codec.value r.buf 0 r.len
 
-let store tp r =
+let[@inline] store tp r =
   match r.slots with
   | None -> write tp r.value
   | Some rs -> (
@@ -383,7 +383,7 @@ let rec compare_bytes a la b lb i =
     let c = Char.code (Bytes.unsafe_get a i) - Char.code (Bytes.unsafe_get b i) in
     if c <> 0 then c else compare_bytes a la b lb (i + 1)
 
-let compare_registers cmp a b =
+let[@inline] compare_registers cmp a b =
   match (a.slots, b.slots) with
   | None, None -> cmp a.value b.value
   | Some sa, Some sb when sa.Device.codec == sb.Device.codec ->

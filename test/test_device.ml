@@ -98,7 +98,7 @@ let walk ~seed items spec =
   let r = Obs.Ledger.Recorder.create ~label:"parity" () in
   let g = Tape.Group.create ~device:spec () in
   Obs.Ledger.Recorder.observe r g;
-  let codec = Tape.Device.Codec.tuple_string ~max_len:12 in
+  let codec = Tape.Device.Codec.tuple_string ~max_bytes:26 in
   let t = Tape.Group.tape g ~name:"cells" ~codec ~blank:"" () in
   Tape.preload t items;
   let plan =
@@ -184,7 +184,7 @@ let test_file_device_io () =
   let items = List.init 200 (fun i -> Printf.sprintf "row-%03d-xx" i) in
   let io spec =
     let g = Tape.Group.create ~device:spec () in
-    let codec = Tape.Device.Codec.tuple_string ~max_len:12 in
+    let codec = Tape.Device.Codec.tuple_string ~max_bytes:26 in
     let t = Tape.Group.tape g ~name:"cells" ~codec ~blank:"" () in
     Tape.preload t items;
     for _ = 1 to List.length items do
@@ -299,7 +299,7 @@ let test_on_disk_format_pinned () =
         let module C = Tape.Device.Codec in
         [
           (kind ^ " strings",
-           disk_digest spec_of (C.tuple_string ~max_len:12) ~blank:"" str_writes);
+           disk_digest spec_of (C.tuple_string ~max_bytes:26) ~blank:"" str_writes);
           (kind ^ " ints", disk_digest spec_of C.tuple_int ~blank:0 int_writes);
           (kind ^ " chars", disk_digest spec_of C.tuple_char ~blank:'_' char_writes);
         ])
@@ -342,7 +342,7 @@ let test_slot_store_bytes () =
         Alcotest.(check string) (kind ^ " " ^ what) by_set by_slots
       in
       same "strings"
-        (digests (C.tuple_string ~max_len:12) ~blank:""
+        (digests (C.tuple_string ~max_bytes:26) ~blank:""
            (pin_writes [| ""; "\x00\xff\x00"; "twelve-bytes"; "ab" |]
               [ (2, "x"); (0, "now-longer"); (50, "") ]));
       same "ints"
@@ -397,7 +397,7 @@ let window_walk () =
   let dir = Printf.sprintf "%s-window" spill in
   let raw, preads, pwrites, rot_at = counting_raw () in
   (* max_bytes 14: 16-byte slots, 4 to a 64-byte block, 69-byte frames *)
-  let codec = D.Codec.tuple_string ~max_len:6 in
+  let codec = D.Codec.tuple_string ~max_bytes:14 in
   let d =
     D.instantiate ~codec
       (D.file_spec ~block_bytes:64 ~cache_blocks:2 ~raw:(fun ~name:_ -> raw) dir)

@@ -223,38 +223,104 @@ let test_sort_allocation () =
     true
     (words < float_of_int (n * passes))
 
-(* The same bound on a shard tape: 1,890-cell shards, so each 4,096-cell
+(* The same bound on a shard tape: 1,890-cell shards (a 5-character
+   cell is 7 stored bytes plus its presence byte), so each 4,096-cell
    tape spans three shards, one more than a shard device keeps in RAM,
    and every pass reloads and rewrites shards. Loading and flushing
    them copies stored bytes and decodes no cell. *)
-let test_shard_sort_allocation () =
-  let n = 4096 and passes = 12 in
+let shard_sort_words ~shard_bytes =
+  let n = 4096 in
   let items = List.init n (fun i -> Printf.sprintf "%05d" (i * 7919 mod n)) in
-  let device = Tape.Device.shard_spec ~shard_bytes:24576 spill in
+  let device = Tape.Device.shard_spec ~shard_bytes spill in
   let w0 = Gc.minor_words () in
   let sorted, _ = Extsort.sort ~device items in
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check (list string)) "sorted" (List.sort String.compare items) sorted;
+  words
+
+let test_shard_sort_allocation () =
+  let n = 4096 and passes = 12 in
+  let words = shard_sort_words ~shard_bytes:(1890 * 8) in
   check
     (Printf.sprintf "%.0f minor words < 1 per cell per pass (%d)" words
        (n * passes))
     true
     (words < float_of_int (n * passes))
 
+(* With 315-cell shards a 4,096-cell tape spans 13 shards, and the
+   sort makes some 350 shard flushes and 670 shard loads; every flush
+   rewrites the MANIFEST. Its lines are kept per run file and
+   reformatted only when that file changes, so a flush allocates a
+   bounded amount, not a sort and a formatted line for every run file
+   of the tape. *)
+let test_manifest_allocation () =
+  let n = 4096 and passes = 12 in
+  let words = shard_sort_words ~shard_bytes:(315 * 8) in
+  check
+    (Printf.sprintf "%.0f minor words < 3 per cell per pass (%d)" words
+       (3 * n * passes))
+    true
+    (words < float_of_int (3 * n * passes))
+
+(* A string slot is sized to the largest cell the tape holds: a
+   12-character bitstring encodes in 14 bytes, so its slot (with the
+   2-byte length) is 16 bytes and a 160-byte block holds 10 of them.
+   Sizing for the worst case, every byte escaped, would give 28-byte
+   slots, 5 to a 140-byte block. *)
+let test_exact_slots () =
+  let st = Random.State.make [| 59 |] in
+  let items =
+    List.init 64 (fun _ -> String.init 12 (fun _ -> if Random.State.bool st then '1' else '0'))
+  in
+  let r = Obs.Ledger.Recorder.create () in
+  let device = Tape.Device.file_spec ~block_bytes:160 ~cache_blocks:2 spill in
+  let sorted, _ = Extsort.sort ~obs:r ~device items in
+  Alcotest.(check (list string)) "sorted" (List.sort String.compare items) sorted;
+  let ds = Obs.Ledger.Recorder.device_stats r in
+  (* three tapes (data and two aux), two 160-byte lines each *)
+  Alcotest.(check int) "resident bytes" (3 * 2 * 160) ds.Tape.Device.resident_bytes;
+  Alcotest.(check int) "io bytes, whole 160-byte blocks" 0
+    ((ds.Tape.Device.io_read_bytes + ds.Tape.Device.io_write_bytes) mod 160)
+
+(* Exact slots on every backend: strings with 0x00 bytes (each stored
+   as two) and 0xFF bytes, the empty string among them, sort alike on
+   mem, file and shard, with blocks and shards of a few cells. A cell
+   larger than its slot would raise on the byte devices. *)
+let prop_exact_slots_sort_alike =
+  let item =
+    QCheck.Gen.(
+      string_size
+        ~gen:(frequency [ (3, return '\x00'); (1, return '\xff'); (1, char_range 'a' 'c') ])
+        (int_range 0 8))
+  in
+  QCheck.Test.make ~name:"exact slots: sort alike on mem/file/shard" ~count:100
+    (QCheck.make
+       ~print:(fun l -> String.concat "," (List.map String.escaped l))
+       QCheck.Gen.(list_size (int_range 0 40) item))
+    (fun items ->
+      let expected = List.sort String.compare items in
+      List.for_all
+        (fun device -> fst (Extsort.sort ~device items) = expected)
+        [
+          Tape.Device.Mem;
+          Tape.Device.file_spec ~block_bytes:64 ~cache_blocks:2 spill;
+          Tape.Device.shard_spec ~shard_bytes:64 spill;
+        ])
+
 (* A decider preloads its tapes from the instance itself: no list of
    the input, no copy of it, and its comparison scan loads both halves
    into registers, so on the file device it decodes no cell. It
    allocates less than one minor word per input string. *)
-let test_decider_allocation () =
+let decider_allocation decider () =
   let m = 2048 in
   let inst =
     G.yes_instance (Random.State.make [| 53 |]) D.Multiset_equality ~m ~n:12
   in
   let device = Tape.Device.file_spec spill in
   let w0 = Gc.minor_words () in
-  let ok, _ = Extsort.multiset_equality ~device inst in
+  let ok, _ = decider ~device inst in
   let words = Gc.minor_words () -. w0 in
-  check "multiset-eq holds" true ok;
+  check "the instance is a yes-instance" true ok;
   check
     (Printf.sprintf "%.0f minor words < 1 per input string (%d)" words (2 * m))
     true
@@ -325,6 +391,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_register_forms_agree;
           Alcotest.test_case "file sort allocation" `Quick test_sort_allocation;
           Alcotest.test_case "shard sort allocation" `Quick test_shard_sort_allocation;
+          Alcotest.test_case "shard manifest allocation" `Quick test_manifest_allocation;
+          Alcotest.test_case "exact slots" `Quick test_exact_slots;
+          QCheck_alcotest.to_alcotest prop_exact_slots_sort_alike;
         ] );
       ( "corollary 7 deciders",
         [
@@ -334,7 +403,10 @@ let () =
           Alcotest.test_case "SHORT instances" `Quick test_short_instances_round_trip;
           Alcotest.test_case "disjoint sets" `Quick test_disjoint_decider;
           Alcotest.test_case "budget enforcement" `Quick test_budget_enforcement;
-          Alcotest.test_case "file decider allocation" `Quick test_decider_allocation;
+          Alcotest.test_case "file decider allocation" `Quick
+            (decider_allocation (fun ~device inst -> Extsort.multiset_equality ~device inst));
+          Alcotest.test_case "set-eq decider allocation" `Quick
+            (decider_allocation (fun ~device inst -> Extsort.set_equality ~device inst));
           QCheck_alcotest.to_alcotest prop_sorting_solves_checksort;
         ] );
     ]

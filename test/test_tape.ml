@@ -341,7 +341,7 @@ let test_registers () =
       (Printf.sprintf "stlb-test-tape-%d" (Unix.getpid ()))
   in
   let g = Tape.Group.create ~device:(Tape.Device.file_spec spill) () in
-  let codec = Tape.Device.Codec.tuple_string ~max_len:4 in
+  let codec = Tape.Device.Codec.tuple_string ~max_bytes:10 in
   let file = Tape.Group.tape_of_list g ~codec ~blank:"" [ "b\x00"; "a" ] in
   let out = Tape.Group.tape g ~codec ~blank:"" () in
   let mem = Tape.of_list ~blank:"" [ "b"; "" ] in
