@@ -17,8 +17,8 @@ type report = {
    storage faults from below the device seam) — and the re-seeks go
    through the ordinary [move] calls, so recovery is charged honest
    reversal costs by the tapes themselves. A fault plan rides on the
-   data tapes as their injection maker, and [sort_tape] hands it on to
-   the auxiliary tapes it creates. *)
+   data tapes as their injection maker, and [sort_tape]'s auxiliary
+   tapes, created with [Tape.Group.sibling], inherit it. *)
 
 (* Register the decider's private group with the caller's ledger
    recorder: the ledger then covers the data tapes and every auxiliary
@@ -30,8 +30,9 @@ let observe_opt obs g =
    Its slots are sized to the largest encoding the tape will hold: the
    items' (a sort only permutes them) and the blank's, so a bitstring
    cell of n characters takes n + 2 bytes, not the 2n + 2 of a string
-   that is all 0x00. [Tuple] framing is order-preserving, so cells in a
-   spilled run compare bytewise exactly as the in-RAM strings do. *)
+   that is all 0x00; a sort's auxiliary tapes take the data tape's
+   codec. [Tuple] framing is order-preserving, so cells in a spilled
+   run compare bytewise exactly as the in-RAM strings do. *)
 let blank_bytes = Tape.Tuple.str_size ""
 
 let codec_for items =
@@ -51,18 +52,16 @@ let read_run tp ~len =
       if i > 0 then Tape.move tp Tape.Right;
       Tape.read tp)
 
-let sort_tape ?retry ?codec ?(ways = 2) g t ~len =
+let sort_tape ?retry ?(ways = 2) g t ~len =
   if ways < 2 then invalid_arg "Extsort.sort_tape: ways >= 2";
   let meter = Tape.Group.meter g in
   (* registers: run length, [ways] stream indices and bounds, counters *)
   Tape.Meter.with_units meter (2 + (2 * ways)) (fun () ->
       let aux =
         Array.init ways (fun w ->
-            Tape.Group.tape g
-              ~name:(Printf.sprintf "%s-aux%d" (Tape.name t) (w + 1))
-              ?codec ~blank:"" ())
+            Tape.Group.sibling g t
+              ~name:(Printf.sprintf "%s-aux%d" (Tape.name t) (w + 1)))
       in
-      Array.iter (fun tp -> Tape.set_injection tp (Tape.injection t)) aux;
       let counts = Array.make ways 0 in
       let idx = Array.make ways 0 and hi = Array.make ways 0 in
       (* one cell register per stream; the distribution pass moves its
@@ -149,17 +148,16 @@ let report_of g n =
     faults = Tape.Group.faults_injected g;
   }
 
-let sort ?budget ?faults ?retry ?obs ?device ?ways items =
-  let retry = Faults.policy faults retry in
-  let g = Tape.Group.create ?budget ?device () in
+let sort ?faults ?obs ?device ?ways items =
+  let retry = Faults.policy faults None in
+  let g = Tape.Group.create ?device () in
   observe_opt obs g;
-  let codec = codec_for items in
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
-  let t = Tape.Group.tape g ~name:"data" ~codec ~blank:"" () in
+  let t = Tape.Group.tape g ~name:"data" ~codec:(codec_for items) ~blank:"" () in
   Faults.phase ?retry ~label:"preload" (fun () -> Tape.preload t items);
   Option.iter (fun p -> Faults.attach_string p t) faults;
   let len = List.length items in
-  if len > 1 then sort_tape ?retry ~codec ?ways g t ~len;
+  if len > 1 then sort_tape ?retry ?ways g t ~len;
   let out =
     Faults.phase ?retry ~label:"sort-readback" (fun () -> read_run t ~len)
   in
@@ -187,7 +185,7 @@ let instance_tapes ?faults ?retry g inst =
       preload tx xs;
       preload ty ys);
   Option.iter (fun p -> List.iter (Faults.attach_string p) [ tx; ty ]) faults;
-  (tx, ty, codec)
+  (tx, ty)
 
 (* The shell every Corollary 7 decider shares: load the halves, sort
    xs (and ys when [sort_ys]), then run one comparison [scan tx ty m]
@@ -199,10 +197,10 @@ let sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys ~registers scan
   observe_opt obs g;
   Fun.protect ~finally:(fun () -> Tape.Group.close_all g) @@ fun () ->
   let m = I.m inst in
-  let tx, ty, codec = instance_tapes ?faults ?retry g inst in
+  let tx, ty = instance_tapes ?faults ?retry g inst in
   if m > 1 then begin
-    sort_tape ?retry ~codec g tx ~len:m;
-    if sort_ys then sort_tape ?retry ~codec g ty ~len:m
+    sort_tape ?retry g tx ~len:m;
+    if sort_ys then sort_tape ?retry g ty ~len:m
   end;
   let ok =
     Tape.Meter.with_units (Tape.Group.meter g) registers (fun () ->
@@ -282,32 +280,27 @@ let no_common tx ty m =
   done;
   not !shared
 
-let check_sort ?budget ?faults ?retry ?obs ?device inst =
-  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:false
-    ~registers:2 pointwise_equal inst
-
-let multiset_equality ?budget ?faults ?retry ?obs ?device inst =
-  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:true
-    ~registers:2 pointwise_equal inst
-
-let set_equality ?budget ?faults ?retry ?obs ?device inst =
-  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:true
-    ~registers:4
-    (fun tx ty m -> same_set tx ~nx:m ty ~ny:m)
+(* The one configured entry: each problem is [sorted_halves] with its
+   own comparison scan. *)
+let decide ?budget ?faults ?retry ?obs ?device problem inst =
+  let sort_ys, registers, scan =
+    match problem with
+    | Problems.Decide.Check_sort -> (false, 2, pointwise_equal)
+    | Problems.Decide.Multiset_equality -> (true, 2, pointwise_equal)
+    | Problems.Decide.Set_equality ->
+        (true, 4, fun tx ty m -> same_set tx ~nx:m ty ~ny:m)
+  in
+  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys ~registers scan
     inst
 
-let disjoint ?budget ?faults ?retry ?obs ?device inst =
-  sorted_halves ?budget ?faults ?retry ?obs ?device ~sort_ys:true
-    ~registers:3 no_common inst
+let check_sort inst = decide Problems.Decide.Check_sort inst
 
-let decide ?budget ?faults ?retry ?obs ?device problem inst =
-  match problem with
-  | Problems.Decide.Set_equality ->
-      set_equality ?budget ?faults ?retry ?obs ?device inst
-  | Problems.Decide.Multiset_equality ->
-      multiset_equality ?budget ?faults ?retry ?obs ?device inst
-  | Problems.Decide.Check_sort ->
-      check_sort ?budget ?faults ?retry ?obs ?device inst
+let multiset_equality ?obs ?device inst =
+  decide ?obs ?device Problems.Decide.Multiset_equality inst
+
+let set_equality inst = decide Problems.Decide.Set_equality inst
+
+let disjoint inst = sorted_halves ~sort_ys:true ~registers:3 no_common inst
 
 let theoretical_scan_bound ~n =
   let lg =

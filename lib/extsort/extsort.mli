@@ -17,48 +17,33 @@
     unbounded buffering ever happens, so every algorithm here reports
     an O(1) register peak. *)
 
-(** All deciders accept an optional [budget]: running inside a
-    [Tape.Group] budget turns every claimed resource bound into an
-    {e enforced} one — exceeding it raises [Tape.Budget_exceeded]
-    mid-run, which the tests use to demonstrate that O(log N) scans are
-    genuinely needed by this implementation.
+(** {!decide} is the one configured entry for the Corollary 7
+    deciders: it takes the whole machine, [?budget], [?faults],
+    [?retry], [?obs] and [?device], because in the model the resources
+    belong to the machine, not to the algorithm.
+    - [?budget] runs the decider's private {!Tape.Group} under that
+      budget, so a claimed resource bound is {e enforced}: exceeding it
+      raises [Tape.Budget_exceeded] mid-run.
+    - [?faults] attaches a fault plan to the data tapes after their
+      preload ({!Faults.attach_string}); the auxiliary tapes of
+      {!sort_tape} inherit it, each drawing from the plan's stream for
+      its own name. With a plan or a [?retry] policy
+      ({!Faults.policy}), each restartable phase (distribution pass,
+      merge pass, comparison scan) runs under [Faults.Retry.run]: a
+      transient fault, injected or surfacing from below the device
+      seam ({!Faults.Storage}), re-runs the phase, re-seeking through
+      ordinary [move] calls so recovery pays honest reversal costs.
+      Without both the retry machinery is skipped entirely.
+    - [?device] puts the data and auxiliary tapes on a byte backend
+      ([Tape.Device.File _] or [Shard _]) behind a bounded cache, with
+      every count identical to the in-RAM backend; the spill is
+      deleted when the decider returns.
+    - [?obs] registers the group, auxiliary tapes included, with a
+      ledger recorder for theorem-budget auditing ({!Obs.Audit}).
 
-    All deciders also accept an optional fault plan ([?faults]) and
-    retry policy ([?retry]). A plan is attached to the data tapes
-    after their preload ({!Faults.attach_string}); {!sort_tape} hands
-    it on to the auxiliary tapes it creates, so every tape draws
-    injected faults from the plan's deterministic stream for its own
-    name. The two options become one policy ({!Faults.policy}): each
-    restartable phase (a distribution pass, a merge pass, a comparison
-    scan) then runs under [Faults.Retry.run], and a transient I/O fault
-    re-runs the phase from scratch, re-seeking the tapes through
-    ordinary [move] calls so recovery pays honest reversal costs. A
-    [?retry] policy alone (no plan) engages the same combinator for
-    faults that originate {e below} the device seam — a storage fault
-    plan ({!Faults.Storage}) surfaces checksum failures and I/O errors
-    from ordinary reads and writes, and the phases recover
-    identically. Without both the retry machinery is skipped entirely
-    and behaviour is bit-identical to the pre-fault code.
-
-    Every decider further accepts an optional device spec
-    ([?device]): with [Tape.Device.File _] or [Shard _] the data and
-    auxiliary tapes spill to backing storage behind a bounded cache —
-    the ST model at external N — while all counters, budgets, fault
-    hooks and ledgers behave identically to the in-RAM backend (the
-    backend-parity property the tests pin down). Spill files are
-    scratch: they are deleted when the decider returns. [?codec] on the
-    in-place sorts is the cell byte-format the group's device needs,
-    and its [max_bytes] must cover every cell the tape holds (the
-    auxiliary tapes hold the same cells); the wrappers derive it from
-    the items, sizing slots to the largest item's encoding.
-
-    Finally, every decider accepts an optional ledger recorder
-    ([?obs]). The recorder observes the decider's private tape group —
-    including every auxiliary tape the sort creates — so that after
-    the run [Obs.Ledger.Recorder.ledger] yields per-tape head
-    movements, reversals, reads and writes for theorem-budget auditing
-    ({!Obs.Audit}). The tapes count their own operations either way;
-    [?obs] only decides whether a ledger is folded from them. *)
+    {!check_sort}, {!set_equality} and {!disjoint} are unconfigured
+    conveniences. {!multiset_equality} keeps [?obs] and [?device]
+    because the repository benchmark's driver calls it with them. *)
 
 type report = {
   n : int;  (** input size [N] of the instance (or item count for raw sorts) *)
@@ -71,26 +56,26 @@ type report = {
 
 val sort_tape :
   ?retry:Faults.Retry.policy ->
-  ?codec:string Tape.Device.Codec.t ->
   ?ways:int ->
   Tape.Group.t -> string Tape.t -> len:int -> unit
 (** [sort_tape g t ~len] sorts the first [len] cells of [t]
     (lexicographically ascending, the CHECK-SORT order) in place with a
     balanced [ways]-way merge sort (default [2]): [ways] auxiliary
-    tapes [<name>-aux1 .. <name>-aux<ways>] registered in [g],
-    [⌈log_ways len⌉] distribute-and-merge passes, [2 + 2·ways] item
-    registers. Each merge step takes a lone live stream unread;
+    tapes [<name>-aux1 .. <name>-aux<ways>] created in [g] by
+    {!Tape.Group.sibling}, [⌈log_ways len⌉] distribute-and-merge
+    passes, [2 + 2·ways] item registers. Each merge step takes a lone live stream unread;
     otherwise it reads every live head once, last stream first, and
     the smallest wins (ties to the lower stream), then re-reads the
     winner to write it. Cells move through {!Tape.register}s, one per
     stream: on unhooked file tapes they stay in their stored bytes and
     compare bytewise, so the passes decode and encode nothing, and a
     winner's re-read is charged without touching the device. The head
-    is left at position 0. Each auxiliary tape gets [t]'s injection
-    maker ({!Tape.injection}), applied to its own name, so a fault plan
-    or a recording hook installed on [t] reaches every tape of the
-    sort. With [?retry] each pass runs under that retry policy
-    ({!Faults.phase}).
+    is left at position 0. The auxiliary tapes take [t]'s blank, its
+    slot codec (so they are on [g]'s device when [t] is on a byte
+    device, with the same slot width) and its injection maker applied
+    to their own names, so a fault plan or a recording hook installed
+    on [t] reaches every tape of the sort. With [?retry] each pass runs
+    under that retry policy ({!Faults.phase}).
 
     The ablation experiment (E14) measures the [ways] trade-off: more
     tapes per pass but logarithmically fewer passes, the classic
@@ -100,43 +85,31 @@ val sort_tape :
     @raise Invalid_argument if [ways < 2]. *)
 
 val sort :
-  ?budget:Tape.Group.budget ->
   ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
   ?obs:Obs.Ledger.Recorder.t ->
   ?device:Tape.Device.spec ->
   ?ways:int ->
   string list -> string list * report
 (** Convenience wrapper: sort a list of items through {!sort_tape}
-    (with the given [?ways]) and report the measured resources. *)
+    (with the given [?ways]) and report the measured resources.
+    [?faults], [?obs] and [?device] act as in {!decide}; the data
+    tape's slots are sized to the largest item's encoding. *)
 
-val check_sort :
-  ?budget:Tape.Group.budget ->
-  ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
-  ?obs:Obs.Ledger.Recorder.t ->
-  ?device:Tape.Device.spec ->
-  Problems.Instance.t -> bool * report
+val check_sort : Problems.Instance.t -> bool * report
 (** Corollary 7 algorithm for CHECK-SORT: sort the first half, then a
-    single parallel scan against the second half. *)
+    single parallel scan against the second half. {!decide}
+    [Check_sort] unconfigured. *)
 
 val multiset_equality :
-  ?budget:Tape.Group.budget ->
-  ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
   ?obs:Obs.Ledger.Recorder.t ->
   ?device:Tape.Device.spec ->
   Problems.Instance.t -> bool * report
-(** Sort both halves, compare pointwise. *)
+(** Sort both halves, compare pointwise: {!decide}
+    [Multiset_equality] with only [?obs] and [?device]. *)
 
-val set_equality :
-  ?budget:Tape.Group.budget ->
-  ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
-  ?obs:Obs.Ledger.Recorder.t ->
-  ?device:Tape.Device.spec ->
-  Problems.Instance.t -> bool * report
-(** Sort both halves, then {!same_set}. *)
+val set_equality : Problems.Instance.t -> bool * report
+(** Sort both halves, then {!same_set}. {!decide} [Set_equality]
+    unconfigured. *)
 
 val same_set : string Tape.t -> nx:int -> string Tape.t -> ny:int -> bool
 (** [same_set tx ~nx ty ~ny]: do the sorted cells [0 .. nx-1] of [tx]
@@ -155,15 +128,12 @@ val decide :
   ?device:Tape.Device.spec ->
   Problems.Decide.problem -> Problems.Instance.t ->
   bool * report
-(** Dispatch on the problem. *)
+(** The configured entry (see above): run the problem's Corollary 7
+    decider on the machine the options describe. Every problem loads
+    both halves, sorts the first (and the second, except for
+    CHECK-SORT) with {!sort_tape} and makes one comparison scan. *)
 
-val disjoint :
-  ?budget:Tape.Group.budget ->
-  ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
-  ?obs:Obs.Ledger.Recorder.t ->
-  ?device:Tape.Device.spec ->
-  Problems.Instance.t -> bool * report
+val disjoint : Problems.Instance.t -> bool * report
 (** The DISJOINT-SETS problem (the paper's Section 9 open case): sort
     both halves, one merge scan looking for a common element. The same
     [O(log N)] scans / O(1) registers envelope as the Corollary 7

@@ -59,9 +59,10 @@ val attach_char : Plan.t -> char Tape.t -> unit
     private fault stream and keys on {!Tape.name}, so give tapes stable
     explicit names — auto-generated [tapeN] names depend on allocation
     order and would break cross-worker determinism. It is installed as
-    a maker ({!Tape.set_injection}), so tapes derived from this one get
-    their own streams keyed by their own names; a stuck read on any of
-    them shows this tape's blank. *)
+    a maker ({!Tape.set_injection}), so the tapes {!Tape.Group.sibling}
+    derives from this one (a sort's auxiliary tapes) get their own
+    streams keyed by their own names; a stuck read on any of them shows
+    this tape's blank, which they share. *)
 
 val attach_string : Plan.t -> string Tape.t -> unit
 (** {!attach_char} for string cells: a corruption flips the low bit of

@@ -135,8 +135,8 @@ let run ?faults ?retry ?obs ?device st inst =
     },
     { m; n; input_size; k; p1; p2; x } )
 
-let decide ?faults ?retry ?obs ?device st inst =
-  let accept, _, _ = run ?faults ?retry ?obs ?device st inst in
+let decide st inst =
+  let accept, _, _ = run st inst in
   accept
 
 let amplified st ~rounds inst =

@@ -42,7 +42,9 @@ val run :
   ?obs:Obs.Ledger.Recorder.t ->
   ?device:Tape.Device.spec ->
   Random.State.t -> Problems.Instance.t -> bool * report * params
-(** Execute the algorithm on the encoded instance. With a fault plan
+(** Execute the algorithm on the encoded instance. This is the
+    configured entry, as [Extsort.decide] is for the sort deciders: it
+    alone takes the machine's options. With a fault plan
     attached ([?faults]) the input tape draws injected faults from the
     plan's deterministic per-tape stream, the parser treats corrupted
     symbols leniently (a stuck read shows the blank), and each scan
@@ -57,13 +59,9 @@ val run :
     cache — the two-scan decider at external N, with identical measured
     counters; the spill is deleted when the run returns. *)
 
-val decide :
-  ?faults:Faults.Plan.t ->
-  ?retry:Faults.Retry.policy ->
-  ?obs:Obs.Ledger.Recorder.t ->
-  ?device:Tape.Device.spec ->
-  Random.State.t -> Problems.Instance.t -> bool
-(** Just the answer. *)
+val decide : Random.State.t -> Problems.Instance.t -> bool
+(** Just the answer, of an unconfigured {!run}: in RAM, without a
+    fault plan or a ledger. *)
 
 val amplified : Random.State.t -> rounds:int -> Problems.Instance.t -> bool
 (** Accept only if all [rounds] independent runs accept: false-positive

@@ -880,7 +880,7 @@ let exp16 () =
               plan_of st { Faults.zero with bit_flip = rate; torn_write = rate }
             in
             let ms_ok, ms_rep =
-              Extsort.multiset_equality ~faults:ms_plan inst
+              Extsort.decide ~faults:ms_plan D.Multiset_equality inst
             in
             ( fp_rep.Fingerprint.faults,
               fp_ok,
@@ -923,7 +923,7 @@ let exp16 () =
         Parallel.Pool.monte_carlo pool ~trials ~seed:(row_seed st) (fun st ->
             let inst = G.yes_instance st D.Multiset_equality ~m ~n in
             let plan = plan_of st { Faults.zero with transient = p } in
-            match Extsort.multiset_equality ~faults:plan inst with
+            match Extsort.decide ~faults:plan D.Multiset_equality inst with
             | ok, rep -> `Done (ok, rep.Extsort.faults)
             | exception Faults.Retry.Gave_up _ -> `Gave_up)
       in

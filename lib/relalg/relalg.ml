@@ -241,7 +241,7 @@ let map_stream ctx s ~schema ~f =
 
 let sorted_copy ctx s =
   let out = map_stream ctx s ~schema:s.sschema ~f:(fun c -> [ c ]) in
-  if out.len > 1 then Extsort.sort_tape ~codec:ctx.codec ctx.g out.tape ~len:out.len;
+  if out.len > 1 then Extsort.sort_tape ctx.g out.tape ~len:out.len;
   out
 
 (* merge two sorted streams; [emit] decides, per distinct key, given

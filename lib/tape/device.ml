@@ -109,13 +109,15 @@ module Raw = struct
 
   let real =
     {
+      (* [Unix.lseek]'s native-int offsets: the [LargeFile] variant
+         boxes an [Int64] each way *)
       pread =
         (fun fd buf ~pos ~len ~off ->
-          ignore (Unix.LargeFile.lseek fd (Int64.of_int off) Unix.SEEK_SET);
+          ignore (Unix.lseek fd off Unix.SEEK_SET);
           Unix.read fd buf pos len);
       pwrite =
         (fun fd buf ~pos ~len ~off ->
-          ignore (Unix.LargeFile.lseek fd (Int64.of_int off) Unix.SEEK_SET);
+          ignore (Unix.lseek fd off Unix.SEEK_SET);
           Unix.write fd buf pos len);
       fsync = Unix.fsync;
       rename = Sys.rename;
@@ -148,11 +150,13 @@ let full_pwrite ?len (raw : Raw.t) fd buf ~off =
   go 0
 
 (* Whole small files (shards, manifests) are written to a ".tmp"
-   sibling and renamed into place, so a crash at any raw-op boundary
-   leaves either the old file, the new file, or a detectable ".tmp"
-   torn tail — never a silently half-new file under the final name. *)
-let write_file_atomic ?len (raw : Raw.t) path content ~fsync =
-  let tmp = path ^ ".tmp" in
+   sibling ([tmp], formatted once per file by the caller) and renamed
+   into place, so a crash at any raw-op boundary leaves either the old
+   file, the new file, or a detectable ".tmp" torn tail — never a
+   silently half-new file under the final name. *)
+let tmp_path path = path ^ ".tmp"
+
+let write_file_atomic ?len (raw : Raw.t) ~tmp path content ~fsync =
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (try
      full_pwrite ?len raw fd content ~off:0;
@@ -644,19 +648,25 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
   let manifest = ref Names.empty in
   let mbuf = ref (Bytes.of_string manifest_header) in
   let mlen = ref (Bytes.length !mbuf) in
-  (* run file [s]'s name and path, formatted once per shard *)
-  let names = Hashtbl.create 16 in
-  let name_and_path s =
-    match Hashtbl.find_opt names s with
-    | Some np -> np
-    | None ->
+  (* run file [s]'s name, path and ".tmp" path, formatted once per
+     shard *)
+  let run_files = Hashtbl.create 16 in
+  let run_file s =
+    match Hashtbl.find run_files s with
+    | r -> r
+    | exception Not_found ->
         let f = Printf.sprintf "run-%06d.shard" s in
-        let np = (f, Filename.concat base f) in
-        Hashtbl.add names s np;
-        np
+        let p = Filename.concat base f in
+        let r = (f, p, tmp_path p) in
+        Hashtbl.add run_files s r;
+        r
   in
-  let path s = snd (name_and_path s) in
+  let path s =
+    let _, p, _ = run_file s in
+    p
+  in
   let manifest_path = Filename.concat base manifest_name in
+  let manifest_tmp = tmp_path manifest_path in
   let set_entry f meta =
     let changed =
       match Names.find_opt f !manifest with
@@ -686,7 +696,7 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
     end
   in
   let write_manifest ~fsync =
-    write_file_atomic ~len:!mlen raw manifest_path !mbuf ~fsync
+    write_file_atomic ~len:!mlen raw ~tmp:manifest_tmp manifest_path !mbuf ~fsync
   in
   (* copy the present cells of the intact run file [src, len) into
      their slots *)
@@ -716,7 +726,8 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
       (not (Sys.file_exists p))
       || begin
            let fd = Unix.openfile p [ Unix.O_RDONLY ] 0o644 in
-           let len = (Unix.fstat fd).Unix.st_size in
+           (* the size without [fstat]'s record *)
+           let len = Unix.lseek fd 0 Unix.SEEK_END in
            let src = if len <= Bytes.length data then data else Bytes.create len in
            (try full_pread raw fd src ~len ~off:0
             with e ->
@@ -748,9 +759,9 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
       let payload = !pos - shard_header_bytes in
       let crc = Util.Hash.crc32_sub data shard_header_bytes payload in
       Bytes.set_int32_be data 8 (Int32.of_int crc);
-      let f, p = name_and_path line.blk in
+      let f, p, tmp = run_file line.blk in
       if not (Names.mem f !manifest) then incr nfiles;
-      write_file_atomic ~len:!pos raw p data ~fsync:false;
+      write_file_atomic ~len:!pos raw ~tmp p data ~fsync:false;
       set_entry f (crc, payload);
       write_manifest ~fsync:false;
       io_w := !io_w + payload)
@@ -982,7 +993,7 @@ module Scrub = struct
                          entries
                      in
                      if List.length live <> List.length entries then
-                       write_file_atomic Raw.real mpath
+                       write_file_atomic Raw.real ~tmp:(tmp_path mpath) mpath
                          (Bytes.unsafe_of_string (manifest_contents live))
                          ~fsync:true
                  | None -> ());

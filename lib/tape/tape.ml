@@ -146,8 +146,6 @@ let set_injection tp maker =
   tp.injector <- maker;
   tp.injection <- Option.map (fun make -> make tp.name) maker
 
-let injection tp = tp.injector
-
 (* Reads, writes and moves are counted only once the operation has
    completed: an operation aborted by an injected fault is re-counted
    when its phase retries, so these counts are as honest as the
@@ -431,6 +429,15 @@ module Group = struct
           tape_create ~name ~device:dev ~blank ()
     in
     add_tape g tp;
+    tp
+
+  (* a byte-device tape's slot codec puts its sibling on the group's
+     device; reading [t.injector] first types [t] as a tape *)
+  let sibling g t ~name =
+    let maker = t.injector in
+    let codec = Option.map (fun (s : _ Device.slots) -> s.codec) t.slots in
+    let tp = tape g ~name ?codec ~blank:t.blank () in
+    set_injection tp maker;
     tp
 
   let tape_of_list g ?name ?codec ~blank items =

@@ -222,16 +222,12 @@ end
 
 val set_injection : 'a t -> (string -> 'a Injection.t) option -> unit
 (** [set_injection t (Some make)] installs [make (name t)] as the
-    tape's hook; [None] removes it. The tape keeps [make] itself too
-    ({!injection}), so an algorithm that derives working tapes of the
-    same cell type from [t] — [Extsort.sort_tape]'s auxiliary tapes —
-    hooks each of them with [make] applied to its own name: a fault
-    plan's streams stay keyed by tape name, and a recording hook sees
-    every tape of the sort. An unhooked tape pays one [match] per
-    operation. *)
-
-val injection : 'a t -> (string -> 'a Injection.t) option
-(** The hook maker installed by {!set_injection}, if any. *)
+    tape's hook; [None] removes it. The tape keeps [make] itself too,
+    and {!Group.sibling} hooks each tape it derives from [t] —
+    [Extsort.sort_tape]'s auxiliary tapes — with [make] applied to that
+    tape's own name: a fault plan's streams stay keyed by tape name,
+    and a recording hook sees every tape of the sort. An unhooked tape
+    pays one [match] per operation. *)
 
 (** Internal-memory meter (the [s(N)] resource). *)
 module Meter : sig
@@ -280,6 +276,13 @@ module Group : sig
   (** Create and register in one step. A [codec] opts the tape into the
       group's {!device} spec; without one (or under {!Device.Mem}) the
       tape's cells stay in RAM. *)
+
+  val sibling : t -> 'a tape -> name:string -> 'a tape
+  (** [sibling g t ~name]: a working tape derived from [t], created
+      and registered in [g] with [t]'s blank, [t]'s hook maker applied
+      to [name] ({!set_injection}) and, when [t] is on a byte device,
+      [t]'s slot codec, which opts the sibling into [g]'s device spec
+      (as {!tape}'s [codec] does); a sibling of a RAM tape is in RAM. *)
 
   val tape_of_list :
     t -> ?name:string -> ?codec:'a Device.Codec.t -> blank:'a -> 'a list ->

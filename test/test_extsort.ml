@@ -250,17 +250,19 @@ let test_shard_sort_allocation () =
 (* With 315-cell shards a 4,096-cell tape spans 13 shards, and the
    sort makes some 350 shard flushes and 670 shard loads; every flush
    rewrites the MANIFEST. Its lines are kept per run file and
-   reformatted only when that file changes, so a flush allocates a
-   bounded amount, not a sort and a formatted line for every run file
-   of the tape. *)
+   reformatted only when that file changes, and each run file's paths
+   (the MANIFEST's too) are formatted once, so a flush or a load
+   allocates a bounded amount: not a sort and a formatted line for
+   every run file of the tape, nor a path, a boxed offset or a stat
+   record per syscall. *)
 let test_manifest_allocation () =
   let n = 4096 and passes = 12 in
   let words = shard_sort_words ~shard_bytes:(315 * 8) in
   check
-    (Printf.sprintf "%.0f minor words < 3 per cell per pass (%d)" words
-       (3 * n * passes))
+    (Printf.sprintf "%.0f minor words < 2 per cell per pass (%d)" words
+       (2 * n * passes))
     true
-    (words < float_of_int (3 * n * passes))
+    (words < float_of_int (2 * n * passes))
 
 (* A string slot is sized to the largest cell the tape holds: a
    12-character bitstring encodes in 14 bytes, so its slot (with the
@@ -331,27 +333,27 @@ let test_budget_enforcement () =
   let inst = G.yes_instance st D.Check_sort ~m:64 ~n:8 in
   (* generous budget: fine *)
   let _, rep =
-    Extsort.check_sort
+    Extsort.decide
       ~budget:{ Tape.Group.max_scans = Some 1000; max_internal = Some 100 }
-      inst
+      D.Check_sort inst
   in
   check "runs under a generous budget" true (rep.Extsort.scans <= 1000);
   (* a budget below the measured need: the run is stopped mid-flight *)
   check "tight scan budget enforced" true
     (try
        ignore
-         (Extsort.check_sort
+         (Extsort.decide
             ~budget:
               { Tape.Group.max_scans = Some (rep.Extsort.scans - 1); max_internal = None }
-            inst);
+            D.Check_sort inst);
        false
      with Tape.Budget_exceeded _ -> true);
   check "tight internal budget enforced" true
     (try
        ignore
-         (Extsort.check_sort
+         (Extsort.decide
             ~budget:{ Tape.Group.max_scans = None; max_internal = Some 1 }
-            inst);
+            D.Check_sort inst);
        false
      with Tape.Budget_exceeded _ -> true)
 
@@ -406,7 +408,7 @@ let () =
           Alcotest.test_case "file decider allocation" `Quick
             (decider_allocation (fun ~device inst -> Extsort.multiset_equality ~device inst));
           Alcotest.test_case "set-eq decider allocation" `Quick
-            (decider_allocation (fun ~device inst -> Extsort.set_equality ~device inst));
+            (decider_allocation (fun ~device inst -> Extsort.decide ~device D.Set_equality inst));
           QCheck_alcotest.to_alcotest prop_sorting_solves_checksort;
         ] );
     ]

@@ -39,7 +39,7 @@ let test_zero_rate_plan_is_identity () =
   let inst = G.yes_instance (st ()) D.Multiset_equality ~m:8 ~n:8 in
   let plain_ok, plain_rep = Extsort.multiset_equality inst in
   let plan = Faults.Plan.create ~seed:99 ~rates:Faults.zero in
-  let zero_ok, zero_rep = Extsort.multiset_equality ~faults:plan inst in
+  let zero_ok, zero_rep = Extsort.decide ~faults:plan D.Multiset_equality inst in
   check "verdict unchanged" true (plain_ok = zero_ok);
   check "report unchanged" true (plain_rep = { zero_rep with faults = 0 });
   check_int "no faults injected" 0 zero_rep.Extsort.faults;
@@ -59,7 +59,7 @@ let test_extsort_detects_corruption () =
   let detections = ref 0 and faulty = ref 0 in
   for seed = 0 to 19 do
     let plan = Faults.Plan.create ~seed ~rates:(rates_flip 0.02) in
-    let ok, rep = Extsort.multiset_equality ~faults:plan inst in
+    let ok, rep = Extsort.decide ~faults:plan D.Multiset_equality inst in
     if rep.Extsort.faults > 0 then begin
       incr faulty;
       if not ok then incr detections
@@ -96,7 +96,7 @@ let test_faulty_runs_deterministic_across_pools () =
             ~seed:(Random.State.full_int st (1 lsl 30))
             ~rates:{ (rates_flip 0.01) with Faults.torn_write = 0.01 }
         in
-        let ok, rep = Extsort.multiset_equality ~faults:plan inst in
+        let ok, rep = Extsort.decide ~faults:plan D.Multiset_equality inst in
         (ok, rep.Extsort.faults, rep.Extsort.scans))
   in
   let reference = run (Pool.create ~domains:1 ()) in

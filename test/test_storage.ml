@@ -176,7 +176,7 @@ let test_decider_heals_transient_rot () =
   in
   let retry = { Faults.Retry.attempts = 12 } in
   let clean, _ = Extsort.multiset_equality inst in
-  let ok, _ = Extsort.multiset_equality ~retry ~device inst in
+  let ok, _ = Extsort.decide ~retry ~device D.Multiset_equality inst in
   check "verdict matches the in-RAM run" clean ok;
   check "faults actually fired" true (S.Plan.ops plan > 0);
   check "no spill files left" true (files_under dir = []);

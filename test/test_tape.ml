@@ -376,6 +376,61 @@ let test_registers () =
   Tape.Group.close_all g;
   Unix.rmdir spill
 
+(* [Group.sibling] derives a working tape from a data tape: its blank,
+   its slots (on the group's device when the data tape is on a byte
+   device, in RAM otherwise) and its hook maker, applied to the
+   sibling's own name. *)
+let test_sibling () =
+  let spill =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stlb-test-sibling-%d" (Unix.getpid ()))
+  in
+  List.iter
+    (fun (label, device, on_device) ->
+      let g = Tape.Group.create ~device () in
+      (* "ab" encodes in 4 bytes, "abc" in 5 *)
+      let codec = Tape.Device.Codec.tuple_string ~max_bytes:4 in
+      let t = Tape.Group.tape g ~name:"data" ~codec ~blank:"_" () in
+      let made = ref [] and read_by = ref [] in
+      Tape.set_injection t
+        (Some
+           (fun name ->
+             made := name :: !made;
+             {
+               pass_through with
+               Tape.Injection.on_read =
+                 (fun ~pos:_ _ ->
+                   read_by := name :: !read_by;
+                   Tape.Injection.Read_ok);
+             }));
+      let s = Tape.Group.sibling g t ~name:"data-aux1" in
+      let check_str what = Alcotest.(check string) (label ^ ": " ^ what) in
+      check_str "name" "data-aux1" (Tape.name s);
+      check_str "blank" "_" (Tape.blank s);
+      check_str "reads the blank" "_" (Tape.read s);
+      Alcotest.(check (list string))
+        (label ^ ": maker applied to each tape's name")
+        [ "data-aux1"; "data" ] !made;
+      Alcotest.(check (list string))
+        (label ^ ": the sibling's read went through its own hook")
+        [ "data-aux1" ] !read_by;
+      Tape.write s "ab";
+      check (label ^ ": a 4-byte cell fits") true (Tape.read s = "ab");
+      let too_wide =
+        try
+          Tape.write_at s 1 "abc";
+          false
+        with Invalid_argument _ -> true
+      in
+      check (label ^ ": the data tape's slot width") on_device too_wide;
+      check_int (label ^ ": backing files")
+        (if on_device then 2 else 0)
+        (Tape.Group.device_stats g).Tape.Device.backing_files;
+      Tape.Group.close_all g)
+    [ ("mem", Tape.Device.Mem, false); ("file", Tape.Device.file_spec spill, true) ];
+  Unix.rmdir spill
+
 let prop_reversals_count_direction_changes =
   (* random walk: reversals = number of adjacent direction changes among
      executed moves *)
@@ -431,5 +486,6 @@ let () =
           Alcotest.test_case "scan budget" `Quick test_group_budget_scans;
           Alcotest.test_case "internal budget" `Quick test_group_budget_internal;
           Alcotest.test_case "double registration" `Quick test_double_registration;
+          Alcotest.test_case "sibling on mem and file" `Quick test_sibling;
         ] );
     ]
