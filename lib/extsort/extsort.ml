@@ -105,13 +105,13 @@ let sort_tape ?retry ?(ways = 2) g t ~len =
            tapes; a retry redistributes from the (unchanged) data tape *)
         Faults.phase ?retry ~label:"sort-distribute" (fun () ->
             Array.fill counts 0 ways 0;
-            for i = 0 to len - 1 do
-              Tape.seek t i;
-              Tape.load t regs.(0);
-              let w = i / !run mod ways in
-              Tape.seek aux.(w) counts.(w);
-              Tape.store aux.(w) regs.(0);
-              counts.(w) <- counts.(w) + 1
+            let i = ref 0 and w = ref 0 in
+            while !i < len do
+              let n = Int.min !run (len - !i) in
+              Tape.copy_run t !i aux.(!w) counts.(!w) n regs.(0);
+              counts.(!w) <- counts.(!w) + n;
+              i := !i + n;
+              w := if !w = ways - 1 then 0 else !w + 1
             done);
         (* merge groups of [ways] runs back onto t; a retry re-merges
            from the (unchanged) aux tapes, rewriting t from position 0 *)

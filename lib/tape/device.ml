@@ -219,15 +219,25 @@ module Codec = struct
     }
 end
 
+(* Where [slots.view i] found cell [i]: [vbuf] is the cache line of
+   the block the device resolved last, [voff] the offset of [i]'s slot
+   in it and [vleft] the slots from [i]'s to the block's end; [vleft =
+   0] when that block does not hold [i]. *)
+type view = { mutable vbuf : Bytes.t; mutable voff : int; mutable vleft : int }
+
 (* A byte device's cells as their stored bytes: [load i dst] copies
    cell [i]'s encoding to the front of [dst] (at least
    [codec.max_bytes] long) and returns its length - the blank's
    encoding for a never-written cell; [store i src len] makes the
-   first [len] bytes of [src] cell [i]'s encoding. *)
+   first [len] bytes of [src] cell [i]'s encoding; [view i] finds [i]
+   in the resolved window without I/O and without changing anything,
+   and answers in the device's one [view] record. *)
 type 'a slots = {
   codec : 'a Codec.t;
+  slot_bytes : int;
   load : int -> Bytes.t -> int;
   store : int -> Bytes.t -> int -> unit;
+  view : int -> view;
 }
 
 type 'a t = {
@@ -350,7 +360,36 @@ let manifest_magic = "STLBMAN2"
 (* MANIFEST contents: the magic line, then one "crc len file" line per
    run file, sorted by file name. *)
 let manifest_header = manifest_magic ^ "\n"
-let manifest_line f (crc, len) = Printf.sprintf "%08x %d %s\n" crc len f
+let hex_digits = "0123456789abcdef"
+
+(* [Printf.sprintf "%08x %d %s\n" crc len f], written byte by byte
+   for a CRC-32 and a length (what a device writes), so a shard flush
+   does not run the format interpreter; the scrubber may re-emit
+   stranger values parsed from a damaged MANIFEST, and those take
+   [sprintf] itself *)
+let manifest_line f (crc, len) =
+  if crc < 0 || crc lsr 32 <> 0 || len < 0 then Printf.sprintf "%08x %d %s\n" crc len f
+  else begin
+    let nd = ref 1 and p = ref 10 in
+    while !p <= len && !nd < 19 do
+      incr nd;
+      p := !p * 10
+    done;
+    let b = Bytes.create (10 + !nd + String.length f + 1) in
+    for k = 0 to 7 do
+      Bytes.set b k hex_digits.[(crc lsr (4 * (7 - k))) land 15]
+    done;
+    Bytes.set b 8 ' ';
+    let n = ref len in
+    for k = 8 + !nd downto 9 do
+      Bytes.set b k (Char.unsafe_chr (48 + (!n mod 10)));
+      n := !n / 10
+    done;
+    Bytes.set b (9 + !nd) ' ';
+    Bytes.blit_string f 0 b (10 + !nd) (String.length f);
+    Bytes.set b (Bytes.length b - 1) '\n';
+    Bytes.unsafe_to_string b
+  end
 
 let manifest_contents entries =
   String.concat ""
@@ -493,6 +532,7 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
     line.dirty <- true;
     off
   in
+  let view = { vbuf = Bytes.empty; voff = 0; vleft = 0 } in
   let blank_bytes = Bytes.create (codec.Codec.size blank) in
   ignore (codec.Codec.write blank_bytes 0 blank);
   {
@@ -511,6 +551,7 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
       Some
         {
           codec;
+          slot_bytes;
           load =
             (fun i dst ->
               let off = slot i in
@@ -526,6 +567,16 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
             (fun i src len ->
               let off = slot_for_write i len in
               Bytes.blit src 0 !win_line.buf (off + 2) len);
+          view =
+            (fun i ->
+              let d = i - !win_first in
+              if d >= 0 && d < per_block && !win_line.blk = !win_blk then begin
+                view.vbuf <- !win_line.buf;
+                view.voff <- d * slot_bytes;
+                view.vleft <- per_block - d
+              end
+              else view.vleft <- 0;
+              view);
         };
     dev_sync =
       (fun () ->

@@ -157,10 +157,26 @@ module Codec : sig
   val tuple_char : char t
 end
 
+(** Where {!slots}' [view] found a cell, in the cache line of the
+    block the device resolved last: the line's slots as they stand
+    (each [slot_bytes] long: a 2-byte big-endian length, that many
+    stored bytes, zeros to the slot's end; length 0 is a never-written
+    cell), the cell's slot offset in them, and the slots from the
+    cell's to the block's end. *)
+type view = {
+  mutable vbuf : Bytes.t;  (** the resolved block's cache line *)
+  mutable voff : int;  (** the cell's slot offset in [vbuf] *)
+  mutable vleft : int;
+      (** slots from the cell's to the end of its block; 0 when the
+          resolved block does not hold the cell ([vbuf] and [voff]
+          are then meaningless) *)
+}
+
 (** A byte device's cells as their stored bytes, without decoding:
     what [Tape]'s cell registers use. Both byte backends have them. *)
 type 'a slots = {
   codec : 'a Codec.t;  (** the codec that wrote the bytes *)
+  slot_bytes : int;  (** [codec.max_bytes + 2]: one slot's length *)
   load : int -> Bytes.t -> int;
       (** [load i dst] copies cell [i]'s stored bytes to the front of
           [dst] (at least [codec.max_bytes] long) and returns their
@@ -170,6 +186,13 @@ type 'a slots = {
       (** [store i src len] makes the first [len] bytes of [src] cell
           [i]'s stored bytes, exactly as writing the value they encode
           would. *)
+  view : int -> view;
+      (** [view i] finds cell [i] in the block the device resolved
+          last (by a [get], [set], [load] or [store]): no I/O, no change
+          to the cache, and no allocation, since every call answers in
+          the device's one [view] record. Writing into [vbuf] bypasses
+          the dirty mark, so a caller writes only into a block it has
+          just [store]d into, keeping each slot's zero slack. *)
 }
 
 val slots : 'a t -> 'a slots option

@@ -374,12 +374,90 @@ let[@inline] store tp r =
           tp.writes <- tp.writes + 1
       | _ -> write tp (contents r))
 
-(* unsigned lexicographic order of [a[0..la)] and [b[0..lb)], from [i] *)
-let rec compare_bytes a la b lb i =
+let[@inline] copy_step src i dst j r =
+  seek src i;
+  load src r;
+  seek dst j;
+  store dst r
+
+(* Cells [i, i + len) of [src] onto [j, j + len) of [dst] through [r],
+   charged as a loop of [copy_step]s is. Between two unhooked tapes
+   whose slots are those of different devices with one codec, the
+   cells that cross no block on either tape are copied as whole slots,
+   and their charges are added up:
+   - cells 0 and 1 take the loop: only they can turn a head (and so
+     check the scan budget); after cell 1 both heads move right;
+   - a cell where either tape enters another block takes the loop, so
+     every fetch, flush, read-ahead and [Corrupt] happens in the same
+     order on each device;
+   - the cells between lie in the two blocks the last step resolved.
+     The step's store made [dst]'s line dirty, so one blit of their
+     slots (length, bytes and zero slack) stores them as [store] would;
+   - a never-written source slot (length 0) ends the span, since
+     [load] gives the blank's encoding for it, not its slot;
+   - [r] is left holding the span's last cell, as the loop would leave
+     it, so a step that raises after a span leaves the loop's state. *)
+let copy_run src i dst j len r =
+  match (byte_slots src, byte_slots dst) with
+  | Some ss, Some ds when ss.Device.codec == ds.Device.codec && ss != ds ->
+      let sb = ss.Device.slot_bytes in
+      let k = ref 0 in
+      while !k < len do
+        copy_step src (i + !k) dst (j + !k) r;
+        if !k >= 1 && !k < len - 1 then begin
+          let sv = ss.Device.view (i + !k) and dv = ds.Device.view (j + !k) in
+          let m = Int.min (Int.min sv.Device.vleft dv.Device.vleft - 1) (len - 1 - !k) in
+          let soff = sv.Device.voff + sb in
+          let n = ref 0 in
+          while !n < m && Bytes.get_uint16_be sv.Device.vbuf (soff + (!n * sb)) <> 0 do
+            incr n
+          done;
+          let n = !n in
+          if n > 0 then begin
+            Bytes.blit sv.Device.vbuf soff dv.Device.vbuf (dv.Device.voff + sb) (n * sb);
+            (* the step's load left [r] from [src] at this epoch *)
+            let last = soff + ((n - 1) * sb) in
+            r.len <- Bytes.get_uint16_be sv.Device.vbuf last;
+            Bytes.blit sv.Device.vbuf (last + 2) r.buf 0 r.len;
+            r.src_pos <- i + !k + n;
+            src.moves <- src.moves + n;
+            src.pos <- src.pos + n;
+            src.reads <- src.reads + n;
+            touch src src.pos;
+            dst.moves <- dst.moves + n;
+            dst.pos <- dst.pos + n;
+            dst.writes <- dst.writes + n;
+            dst.epoch <- dst.epoch + n;
+            touch dst dst.pos;
+            k := !k + n
+          end
+        end;
+        incr k
+      done
+  | _ ->
+      for k = 0 to len - 1 do
+        copy_step src (i + k) dst (j + k) r
+      done
+
+(* Unsigned lexicographic order of [a[0..la)] and [b[0..lb)], from
+   [i]: eight bytes at a time while both have them, then byte by byte.
+   A big-endian word orders as its bytes do when read unsigned, and
+   adding [min_int] turns the signed [int64] order into that one; the
+   words stay unboxed. *)
+let rec compare_tail a la b lb i =
   if i = la || i = lb then compare la lb
   else
     let c = Char.code (Bytes.unsafe_get a i) - Char.code (Bytes.unsafe_get b i) in
-    if c <> 0 then c else compare_bytes a la b lb (i + 1)
+    if c <> 0 then c else compare_tail a la b lb (i + 1)
+
+let rec compare_bytes a la b lb i =
+  if i + 8 <= la && i + 8 <= lb then begin
+    let x : int64 = Bytes.get_int64_be a i and y : int64 = Bytes.get_int64_be b i in
+    if x = y then compare_bytes a la b lb (i + 8)
+    else if Int64.add x Int64.min_int < Int64.add y Int64.min_int then -1
+    else 1
+  end
+  else compare_tail a la b lb i
 
 let[@inline] compare_registers cmp a b =
   match (a.slots, b.slots) with

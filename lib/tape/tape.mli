@@ -147,6 +147,28 @@ val store : 'a t -> 'a register -> unit
 (** Overwrite the cell under the head with the register's cell;
     charged as {!write}. *)
 
+val copy_run : 'a t -> int -> 'a t -> int -> int -> 'a register -> unit
+(** [copy_run src i dst j len r] copies cells [i .. i + len - 1] of
+    [src] onto cells [j .. j + len - 1] of [dst] through [r]. It is
+    charged exactly as the loop
+    [for k = 0 to len - 1 do seek src (i + k); load src r;
+    seek dst (j + k); store dst r done]: the same reversals, scan-budget
+    checks, head moves, reads, writes, cells used and device traffic,
+    in the same order, and on {!Budget_exceeded}, an injected fault or
+    {!Device.Corrupt} it leaves the state that loop leaves. [r] ends
+    holding cell [i + len - 1].
+
+    {b When it blits.} When neither tape has an injection hook, both
+    are on byte devices (different ones, so [src != dst]) and the two
+    share one codec, the cells after the second that cross into no new
+    block on either tape, up to the next never-written source cell,
+    are moved as whole slots with one [Bytes.blit] per span, and their
+    counts are added arithmetically, and [r] takes the span's last
+    cell. The first two cells (the only ones that can turn a head),
+    every cell where either tape enters another block and every
+    never-written source cell run the loop's own step. Otherwise the
+    whole copy is that loop. *)
+
 val compare_registers :
   ('a -> 'a -> int) -> 'a register -> 'a register -> int
 (** [compare_registers cmp a b]: two registers holding bytes stored by

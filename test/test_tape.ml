@@ -431,6 +431,290 @@ let test_sibling () =
     [ ("mem", Tape.Device.Mem, false); ("file", Tape.Device.file_spec spill, true) ];
   Unix.rmdir spill
 
+(* [copy_run] against the per-cell loop it is charged as. A scenario
+   writes cells 0..59 of a source tape (every seventh left
+   never-written), then runs [ops]:
+   - [`Copy (i, j, len)] copies cells [i, i + len) onto [j, j + len) of
+     a second tape, by [copy_run] or by the loop;
+   - [`Self (i, j, len)] copies the source onto itself the same way;
+   - [`Seek p] seeks the source head;
+   - [`Load p] loads source cell [p] into a register of its own, which
+     moves the source device's window but not the copy register;
+   - [`Peek p] loads cell [p] of the second tape into a register of
+     its own and logs it (a register that held the cell before a copy
+     overwrote it must see the new cell).
+   Blocks of 3 slots and shards of 16 cells make long runs cross
+   several blocks, with two lines of cache each, so runs also evict.
+   [rot_at] flips a byte of that pread's data, so a fetch raises
+   [Corrupt] mid-copy; [dst_codec] gives the second tape a codec of its
+   own. The outcome is every tape's counts and head, the op that raised
+   and what, the devices' stats, the raw pread/pwrite counts, the copy
+   register's cell and the tapes' contents. *)
+let copy_spill =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "stlb-test-copy-run-%d" (Unix.getpid ()))
+
+(* "59" encodes in 4 bytes; 8-byte slots *)
+let copy_codec = Tape.Device.Codec.tuple_string ~max_bytes:6
+
+let loop_copy src i dst j len r =
+  for k = 0 to len - 1 do
+    Tape.seek src (i + k);
+    Tape.load src r;
+    Tape.seek dst (j + k);
+    Tape.store dst r
+  done
+
+let copy_devices =
+  [
+    ("file", fun raw -> Tape.Device.file_spec ~block_bytes:24 ~cache_blocks:2 ~raw copy_spill);
+    ("shard", fun raw -> Tape.Device.shard_spec ~shard_bytes:64 ~raw copy_spill);
+    ("mem", fun _ -> Tape.Device.Mem);
+  ]
+
+let copy_scenario ?(rot_at = -1) ?(dst_codec = copy_codec) ~device ~hooked ~max_scans
+    ~copy ops =
+  let module R = Tape.Device.Raw in
+  let preads = ref 0 and pwrites = ref 0 and rot_at = ref rot_at in
+  let raw ~name:_ =
+    {
+      R.real with
+      R.pread =
+        (fun fd buf ~pos ~len ~off ->
+          incr preads;
+          let n = R.real.R.pread fd buf ~pos ~len ~off in
+          (* bit rot in transit: the device raises [Corrupt] *)
+          if !preads = !rot_at && n > 0 then
+            Bytes.set buf pos (Char.chr (Char.code (Bytes.get buf pos) lxor 0xfe));
+          n);
+      pwrite =
+        (fun fd buf ~pos ~len ~off ->
+          incr pwrites;
+          R.real.R.pwrite fd buf ~pos ~len ~off);
+    }
+  in
+  let g =
+    Tape.Group.create
+      ~budget:{ Tape.Group.max_scans; max_internal = None }
+      ~device:(device raw) ()
+  in
+  let src = Tape.Group.tape g ~name:"src" ~codec:copy_codec ~blank:"" () in
+  let dst = Tape.Group.tape g ~name:"dst" ~codec:dst_codec ~blank:"" () in
+  (* rightward writes: no reversal, so the budget is all the ops' *)
+  for p = 0 to 59 do
+    if p mod 7 <> 3 then Tape.write_at src p (string_of_int p)
+  done;
+  if hooked then
+    List.iter (fun t -> Tape.set_injection t (Some (fun _ -> pass_through))) [ src; dst ];
+  let r = Tape.register src and rs = Tape.register src and rd = Tape.register dst in
+  let log = Tape.Group.tape g ~name:"log" ~codec:copy_codec ~blank:"" () in
+  let rec go k = function
+    | [] -> None
+    | op :: rest -> (
+        match
+          match op with
+          | `Copy (i, j, len) -> copy src i dst j len r
+          | `Self (i, j, len) -> copy src i src j len r
+          | `Seek p -> Tape.seek src p
+          | `Load p ->
+              Tape.seek src p;
+              Tape.load src rs
+          | `Peek p ->
+              Tape.seek dst p;
+              Tape.load dst rd;
+              Tape.seek log k;
+              Tape.store log rd
+        with
+        | exception Tape.Budget_exceeded _ -> Some (k, "budget")
+        | exception Tape.Device.Corrupt _ -> Some (k, "corrupt")
+        | () -> go (k + 1) rest)
+  in
+  let tripped = go 0 ops in
+  rot_at := -1;
+  let tape t =
+    ( (Tape.reads t, Tape.writes t, Tape.head_moves t),
+      (Tape.reversals t, Tape.cells_used t, Tape.position t),
+      Tape.head_direction t = Tape.Left )
+  in
+  let counts = (tape src, tape dst) in
+  let stats = Tape.Group.device_stats g in
+  let io = (!preads, !pwrites) in
+  (* the register's cell, stored on a fresh tape of the group *)
+  let held = Tape.Group.tape g ~name:"held" ~codec:copy_codec ~blank:"" () in
+  Tape.store held r;
+  let contents =
+    (Tape.to_list src, Tape.to_list dst, (Tape.to_list held, Tape.to_list log))
+  in
+  Tape.Group.close_all g;
+  (try Unix.rmdir copy_spill with Unix.Unix_error _ -> ());
+  (tripped, counts, (stats, io), contents)
+
+let copy_parity ~label ?(max_scans = None) ?rot_at ?dst_codec ops =
+  List.iter
+    (fun (dev, device) ->
+      List.iter
+        (fun hooked ->
+          let run copy =
+            copy_scenario ?rot_at ?dst_codec ~device ~hooked ~max_scans ~copy ops
+          in
+          check
+            (Printf.sprintf "%s, %s%s: copy_run = per-cell loop" label dev
+               (if hooked then ", hooked" else ""))
+            true
+            (run Tape.copy_run = run loop_copy))
+        [ false; true ])
+    copy_devices
+
+let long_runs =
+  [ `Copy (0, 0, 60); `Peek 20; `Copy (1, 30, 45); `Peek 20; `Copy (9, 5, 40);
+    `Peek 20; `Copy (0, 61, 20); `Seek 50; `Copy (4, 0, 56); `Peek 20;
+    `Copy (40, 100, 30) ]
+
+let test_copy_run () =
+  (* lengths 0-3, then long runs from blank-dotted cells, at i <> j,
+     forward, backward and onto cells already written *)
+  copy_parity ~label:"short runs"
+    [ `Copy (0, 0, 0); `Copy (5, 2, 1); `Copy (1, 9, 2); `Copy (20, 4, 3); `Copy (2, 3, 3) ];
+  copy_parity ~label:"long runs" long_runs;
+  (* a second copy starts at the cell the first one ended on (inside
+     a span, on both devices), after another register's loads evicted
+     that cell's block: the copy register still holds the cell, so the
+     loop reads no block *)
+  copy_parity ~label:"reload" [ `Copy (0, 0, 6); `Load 10; `Load 40; `Copy (5, 70, 3) ];
+  (* a tape onto itself, and onto a tape of another codec: the loop *)
+  copy_parity ~label:"onto itself" [ `Self (0, 20, 30); `Self (30, 2, 25) ];
+  copy_parity ~label:"another codec"
+    ~dst_codec:(Tape.Device.Codec.tuple_string ~max_bytes:9)
+    long_runs;
+  (* the scan budget trips at cell 0 (the source head turns back to
+     cell 0) and at cell 1 (it turns forward from cell 10); the
+     tripped state is compared *)
+  copy_parity ~label:"trip at cell 0" ~max_scans:(Some 1) [ `Copy (0, 0, 30) ];
+  copy_parity ~label:"trip at cell 1" ~max_scans:(Some 2) [ `Seek 10; `Copy (10, 0, 30) ];
+  (* a fetch fails its CRC in the middle of a long copy, on each of the
+     first reads *)
+  for rot_at = 1 to 12 do
+    copy_parity ~label:(Printf.sprintf "rot at pread %d" rot_at) ~rot_at
+      [ `Copy (0, 0, 60); `Peek 3; `Copy (2, 1, 58) ]
+  done;
+  (* the trips happen where they should *)
+  let tripped ~max_scans ops =
+    let t, _, _, _ =
+      copy_scenario ~device:(fun _ -> Tape.Device.Mem) ~hooked:false ~max_scans
+        ~copy:Tape.copy_run ops
+    in
+    t
+  in
+  let trip = Alcotest.(option (pair int string)) in
+  Alcotest.check trip "trips at the copy" (Some (0, "budget"))
+    (tripped ~max_scans:(Some 1) [ `Copy (0, 0, 30) ]);
+  Alcotest.check trip "trips at the copy, after the seek" (Some (1, "budget"))
+    (tripped ~max_scans:(Some 2) [ `Seek 10; `Copy (10, 0, 30) ])
+
+let prop_copy_run_parity =
+  let cell = QCheck.Gen.int_range 0 60 in
+  let run = QCheck.Gen.(triple cell cell (int_range 0 40)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun r -> `Copy r) run);
+          (1, map (fun r -> `Self r) run);
+          (1, map (fun p -> `Seek p) cell);
+          (1, map (fun p -> `Load p) cell);
+          (2, map (fun p -> `Peek p) (int_range 0 100));
+        ])
+  in
+  let show = function
+    | `Copy (i, j, n) -> Printf.sprintf "Copy (%d, %d, %d)" i j n
+    | `Self (i, j, n) -> Printf.sprintf "Self (%d, %d, %d)" i j n
+    | `Seek p -> Printf.sprintf "Seek %d" p
+    | `Load p -> Printf.sprintf "Load %d" p
+    | `Peek p -> Printf.sprintf "Peek %d" p
+  in
+  QCheck.Test.make ~name:"copy_run = per-cell loop on random runs" ~count:100
+    (QCheck.make
+       ~print:(fun (max_scans, rot_at, ops) ->
+         Printf.sprintf "max_scans %s, rot_at %d: %s"
+           (match max_scans with None -> "-" | Some m -> string_of_int m)
+           rot_at
+           (String.concat "; " (List.map show ops)))
+       QCheck.Gen.(
+         triple (opt (int_range 1 6))
+           (* about one run in three rots a pread *)
+           (int_range (-20) 39)
+           (list_size (int_range 1 8) op)))
+    (fun (max_scans, rot_at, ops) ->
+      List.for_all
+        (fun (_, device) ->
+          let run copy = copy_scenario ~rot_at ~device ~hooked:false ~max_scans ~copy ops in
+          run Tape.copy_run = run loop_copy)
+        copy_devices)
+
+(* Word-at-a-time register compare: registers holding raw string bytes
+   (a codec that stores a string as itself, on a file tape) compare
+   with [String.compare]'s sign, for strings of 0-40 bytes with 0x00
+   and high bytes, and common prefixes of every length, so the first
+   difference falls on both sides of each 8-byte boundary. The compare
+   allocates nothing. *)
+let raw_codec =
+  Tape.Device.Codec.
+    {
+      size = String.length;
+      write =
+        (fun buf pos s ->
+          Bytes.blit_string s 0 buf pos (String.length s);
+          pos + String.length s);
+      skip = (fun _ _ limit -> limit);
+      value = (fun buf pos limit -> Bytes.sub_string buf pos (limit - pos));
+      max_bytes = 40;
+    }
+
+let compare_spill =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "stlb-test-compare-%d" (Unix.getpid ()))
+
+let prop_word_compare =
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [ (2, return '\x00'); (2, char_range '\x80' '\xff'); (1, return '\x01'); (3, char_range 'a' 'c') ])
+  in
+  let pair =
+    QCheck.Gen.(
+      int_range 0 40 >>= fun common ->
+      string_size ~gen:byte (return common) >>= fun prefix ->
+      let tail = string_size ~gen:byte (int_range 0 (40 - common)) in
+      pair tail tail >|= fun (x, y) -> (prefix ^ x, prefix ^ y))
+  in
+  QCheck.Test.make ~name:"word compare has String.compare's sign" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "%S %S" a b)
+       pair)
+    (fun (a, b) ->
+      let g = Tape.Group.create ~device:(Tape.Device.file_spec compare_spill) () in
+      let t = Tape.Group.tape_of_list g ~codec:raw_codec ~blank:"" [ a; b ] in
+      let ra = Tape.register t and rb = Tape.register t in
+      Tape.load t ra;
+      Tape.seek t 1;
+      Tape.load t rb;
+      let sign x = compare x 0 in
+      let ok =
+        sign (Tape.compare_registers String.compare ra rb) = sign (String.compare a b)
+        && sign (Tape.compare_registers String.compare rb ra) = sign (String.compare b a)
+      in
+      let w0 = Gc.minor_words () in
+      let acc = ref 0 in
+      for _ = 1 to 100 do
+        acc := !acc + Tape.compare_registers String.compare ra rb
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Tape.Group.close_all g;
+      Unix.rmdir compare_spill;
+      ok && words = 0. && (!acc = 0) = (a = b))
+
 let prop_reversals_count_direction_changes =
   (* random walk: reversals = number of adjacent direction changes among
      executed moves *)
@@ -476,6 +760,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_seek_fast_path_parity;
           Alcotest.test_case "to_list/iter" `Quick test_to_list_iter;
           Alcotest.test_case "registers" `Quick test_registers;
+          QCheck_alcotest.to_alcotest prop_word_compare;
+          Alcotest.test_case "copy_run = per-cell loop" `Quick test_copy_run;
+          QCheck_alcotest.to_alcotest prop_copy_run_parity;
           QCheck_alcotest.to_alcotest prop_reversals_count_direction_changes;
         ] );
       ( "meter",
