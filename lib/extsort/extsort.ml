@@ -73,9 +73,10 @@ let sort_tape ?retry ?(ways = 2) g t ~len =
         Tape.load aux.(w) regs.(w)
       in
       (* The stream whose head goes out next, or -1 once all are
-         exhausted. A lone live stream is taken unread; otherwise every
-         live head is read, last stream first, and the smallest wins,
-         ties to the lower stream. *)
+         exhausted. A lone live stream is taken unread ([lone] is then
+         set); otherwise every live head is read, last stream first,
+         and the smallest wins, ties to the lower stream. *)
+      let lone = ref false in
       let next () =
         let n_live = ref 0 and best = ref (-1) in
         for w = 0 to ways - 1 do
@@ -84,6 +85,7 @@ let sort_tape ?retry ?(ways = 2) g t ~len =
             best := w
           end
         done;
+        lone := !n_live = 1;
         if !n_live > 1 then begin
           best := -1;
           for w = ways - 1 downto 0 do
@@ -124,11 +126,22 @@ let sort_tape ?retry ?(ways = 2) g t ~len =
               done;
               let w = ref (next ()) in
               while !w >= 0 do
-                head !w;
-                Tape.seek t !out;
-                Tape.store t regs.(!w);
-                idx.(!w) <- idx.(!w) + 1;
-                incr out;
+                let w' = !w in
+                if !lone then begin
+                  (* the tail: the rest of [w'] goes out as it stands,
+                     charged as the step below would charge it *)
+                  let n = hi.(w') - idx.(w') in
+                  Tape.copy_run aux.(w') idx.(w') t !out n regs.(w');
+                  idx.(w') <- hi.(w');
+                  out := !out + n
+                end
+                else begin
+                  head w';
+                  Tape.seek t !out;
+                  Tape.store t regs.(w');
+                  idx.(w') <- idx.(w') + 1;
+                  incr out
+                end;
                 w := next ()
               done;
               lo := !lo + !run

@@ -1388,16 +1388,16 @@ let exp19 () =
     (Filename.concat scrub_dir "xs-0.tape")
     ("STLBTAP2" ^ be32 bbytes ^ be32 8 ^ frame payload ^ rotted ^ "\x01\x02\x03");
   (* a shard directory: MANIFEST vouches for run 0; run 1 is an
-     unlisted orphan, run 2 a torn tmp *)
+     unlisted orphan, run 2 a torn tmp. A run file is one frame of
+     slots (here one slot: length 3, the string "a" encoded) *)
   let sdir = Filename.concat scrub_dir "ys-1" in
   Unix.mkdir sdir 0o755;
-  let shard_frame p = "STLBSHD2" ^ be32 (Util.Hash.crc32 p) ^ p in
-  let sp = "\x01\x02a\x00" in
-  write (Filename.concat sdir "run-000000.shard") (shard_frame sp);
-  write (Filename.concat sdir "run-000001.shard") (shard_frame "\x01\x02b\x00");
+  let sp = "\x00\x03\x02a\x00" in
+  write (Filename.concat sdir "run-000000.shard") (frame sp);
+  write (Filename.concat sdir "run-000001.shard") (frame "\x00\x03\x02b\x00");
   write (Filename.concat sdir "run-000002.shard.tmp") "half a sh";
   write (Filename.concat sdir "MANIFEST")
-    (Printf.sprintf "STLBMAN2\n%08x %d run-000000.shard\n"
+    (Printf.sprintf "STLBMAN3\n%08x %d run-000000.shard\n"
        (Util.Hash.crc32 sp) (String.length sp));
   let count what (rep : Tape.Device.Scrub.report) =
     List.length

@@ -11,17 +11,15 @@
      fallback when no byte codec is available for the cell type);
    - [File]: one flat file of CRC-framed fixed-size-slot blocks, with
      sequential read-ahead;
-   - [Shard]: a directory of run files, each a CRC-framed
-     concatenation of self-delimiting tuple-framed cells (Extsort's
-     spill format; the encodings are order-preserving, so stored cells
-     compare bytewise like their values), indexed by an
-     atomically-renamed MANIFEST.
+   - [Shard]: a directory of run files, each one CRC frame of the
+     slot cache, indexed by an atomically-renamed MANIFEST.
 
    Both byte backends keep their cells in one slot cache ([slot_cache]
    below): lines of fixed-size slots of stored bytes, which [Codec]
    encodes and decodes in place and [slots] hands to [Tape]'s
-   registers as they are. A backend brings only its block I/O and its
-   replacement policy.
+   registers as they are. A cache line is one on-disk frame, byte for
+   byte, so a backend brings only its block I/O and its replacement
+   policy.
 
    The byte-backed backends do all their syscalls through a [Raw]
    record of closures (pread/pwrite/fsync/rename/remove), so
@@ -127,12 +125,12 @@ end
 
 type raw_factory = name:string -> Raw.t
 
-(* Full-transfer loops over the single-syscall seam, for the first
-   [len] bytes of [buf] (all of it by default).  A zero-byte read means
-   EOF: the rest is blank (the backing file is sparse at never-written
-   offsets). *)
-let full_pread ?len (raw : Raw.t) fd buf ~off =
-  let len = Option.value len ~default:(Bytes.length buf) in
+(* Full-transfer loops over the single-syscall seam: a read fills all
+   of [buf], a write writes its first [len] bytes (all of it by
+   default).  A zero-byte read means EOF: the rest is blank (the
+   backing file is sparse at never-written offsets). *)
+let full_pread (raw : Raw.t) fd buf ~off =
+  let len = Bytes.length buf in
   let rec go done_ =
     if done_ < len then begin
       let n = raw.pread fd buf ~pos:done_ ~len:(len - done_) ~off:(off + done_) in
@@ -172,17 +170,13 @@ let write_file_atomic ?len (raw : Raw.t) ~tmp path content ~fsync =
 
 module Codec = struct
   (* How cells of type ['a] become bytes, in place: [write buf pos v]
-     writes exactly [size v] bytes at [pos] and returns the end offset;
-     [skip buf pos limit] returns the end offset of the encoding at
-     [pos] without looking at [limit] or past it, so shard files need no
-     cell index.  [size v] must not exceed [max_bytes]: the slot cache
-     sizes its slots with it, so a string codec takes the largest
-     encoding its tape will hold rather than assuming every byte
-     escaped. *)
+     writes exactly [size v] bytes at [pos] and returns the end offset.
+     [size v] must not exceed [max_bytes]: the slot cache sizes its
+     slots with it, so a string codec takes the largest encoding its
+     tape will hold rather than assuming every byte escaped. *)
   type 'a codec = {
     size : 'a -> int;
     write : Bytes.t -> int -> 'a -> int;
-    skip : Bytes.t -> int -> int -> int;
     value : Bytes.t -> int -> int -> 'a;
     max_bytes : int;
   }
@@ -193,7 +187,6 @@ module Codec = struct
     {
       size = Tuple.str_size;
       write = Tuple.write_str;
-      skip = Tuple.str_end;
       value = Tuple.str_value;
       max_bytes;
     }
@@ -202,7 +195,6 @@ module Codec = struct
     {
       size = Tuple.int_size;
       write = Tuple.write_int;
-      skip = Tuple.int_end;
       value = Tuple.int_value;
       max_bytes = 9;
     }
@@ -211,7 +203,6 @@ module Codec = struct
     {
       size = (fun c -> Tuple.int_size (Char.code c));
       write = (fun buf pos c -> Tuple.write_int buf pos (Char.code c));
-      skip = Tuple.int_end;
       value =
         (fun buf pos limit ->
           Char.chr (Tuple.int_value buf pos limit land 0xff));
@@ -327,7 +318,8 @@ let file_magic = "STLBTAP2"
 let file_header_bytes = 16
 
 (* frame = presence byte (0x00 blank / 0x01 written) + CRC-32 of the
-   payload (big-endian) + payload *)
+   payload (big-endian) + payload: a file tape's block, a shard's run
+   file, and a cache line of either *)
 let frame_overhead = 5
 
 (* The frame at [off] of [buf] is intact: blank (0x00 and a zero CRC
@@ -342,20 +334,14 @@ let frame_ok buf off bbytes =
       = Int32.of_int (Util.Hash.crc32_sub buf (off + frame_overhead) bbytes)
   | _ -> false
 
-let shard_magic = "STLBSHD2"
-let shard_header_bytes = 12
-
-(* The payload CRC-32 of a whole shard file, the first [len] bytes of
-   [b], when its frame is intact (magic, then the stored CRC of the
-   payload), [None] otherwise. *)
-let shard_payload_crc b len =
-  if len < shard_header_bytes || Bytes.sub_string b 0 8 <> shard_magic then None
-  else
-    let crc = Util.Hash.crc32_sub b shard_header_bytes (len - shard_header_bytes) in
-    if Bytes.get_int32_be b 8 = Int32.of_int crc then Some crc else None
+(* the CRC field of the frame at the front of [buf], as the unsigned
+   value [Util.Hash.crc32] gives *)
+let frame_crc buf = Int32.to_int (Bytes.get_int32_be buf 1) land 0xffff_ffff
 
 let manifest_name = "MANIFEST"
-let manifest_magic = "STLBMAN2"
+
+(* also versions the layout of the run files it lists *)
+let manifest_magic = "STLBMAN3"
 
 (* MANIFEST contents: the magic line, then one "crc len file" line per
    run file, sorted by file name. *)
@@ -398,17 +384,18 @@ let manifest_contents entries =
 
 module Names = Map.Make (String)
 
-(* a run file's MANIFEST entry: (payload crc, payload bytes) and the
+(* a run file's MANIFEST entry: (frame crc, payload bytes) and the
    line that says so *)
 type manifest_entry = { mutable meta : int * int; mutable line : string }
 
 (* ------------------------------------------------------------------ *)
 (* The slot cache both byte backends keep.                             *)
 
-(* One cache line: a block of fixed-size slots, each a 2-byte
-   big-endian length, then that many stored bytes, then zeros up to the
-   next slot. Length 0 means never written, so a zero-filled line is
-   all blank. *)
+(* One cache line: the frame of a block, exactly as it lies on disk -
+   the presence byte, the CRC, then the block's fixed-size slots, each
+   a 2-byte big-endian length, then that many stored bytes, then zeros
+   up to the next slot. Length 0 means never written, so a zero-filled
+   line is all blank. *)
 type line = {
   mutable blk : int; (* block index, -1 = empty *)
   mutable dirty : bool;
@@ -420,12 +407,15 @@ let max_slot_payload = 0xffff
 let slot_bytes (codec : _ Codec.t) = codec.Codec.max_bytes + 2
 
 (* The cells of a byte device: [nlines] direct-mapped lines of
-   [per_block]-slot blocks, slots [codec.max_bytes + 2] bytes long. A
-   backend brings only its block I/O and its replacement policy:
-   - [fetch line b] fills [line.buf] with block [b]'s slots, or answers
-     false when the block fails its integrity check ([where b] is then
-     the file named by [Corrupt]);
-   - [write_back line] stores [line.buf] as block [line.blk];
+   [per_block]-slot blocks, slots [codec.max_bytes + 2] bytes long,
+   each line one frame. A backend brings only its block I/O and its
+   replacement policy:
+   - [fetch line b] reads block [b]'s frame into [line.buf] (all of
+     it), or answers false when what is stored cannot be that frame;
+     the cache then checks it with [frame_ok], and [where b] is the
+     file [Corrupt] names;
+   - [write_back line] stores [line.buf], its presence byte and CRC
+     filled in, as block [line.blk];
    - [read_ahead]: a miss on the block after the last one resolved also
      loads the next block, if its line is idle;
    - [sync], [close] and [stats] finish the device's own operations
@@ -439,6 +429,9 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
   in
   let flush line =
     if line.dirty then begin
+      Bytes.set line.buf 0 '\x01';
+      Bytes.set_int32_be line.buf 1
+        (Int32.of_int (Util.Hash.crc32_sub line.buf frame_overhead bbytes));
       write_back line;
       line.dirty <- false
     end
@@ -449,12 +442,17 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
   let quarantined = ref (-1) in
   let load line b =
     (* a tape that never reaches a line's blocks never pays for it *)
-    if Bytes.length line.buf = 0 then line.buf <- Bytes.create bbytes;
-    if not (fetch line b) then begin
-      line.blk <- -1;
+    if Bytes.length line.buf = 0 then line.buf <- Bytes.create (frame_overhead + bbytes);
+    (* the line holds no block from here until the fetch succeeds *)
+    line.blk <- -1;
+    if not (fetch line b && frame_ok line.buf 0 bbytes) then begin
       quarantined := b;
       raise_corrupt ~device:name ~path:(where b) ~offset:(b * per_block)
     end;
+    (* a blank frame is a never-written block: its slots are zero
+       whatever lies behind the header (a sparse file reads as zeros) *)
+    if Bytes.get line.buf 0 = '\x00' then
+      Bytes.fill line.buf frame_overhead bbytes '\x00';
     if !quarantined = b then begin
       quarantined := -1;
       Atomic.incr reread_counter;
@@ -501,21 +499,23 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
      window onto its block *)
   let slot i =
     let d = i - !win_first in
-    if d >= 0 && d < per_block && !win_line.blk = !win_blk then d * slot_bytes
+    if d >= 0 && d < per_block && !win_line.blk = !win_blk then
+      frame_overhead + (d * slot_bytes)
     else begin
       let b = i / per_block in
       let line = line_for b in
       win_blk := b;
       win_first := b * per_block;
       win_line := line;
-      (i - !win_first) * slot_bytes
+      frame_overhead + ((i - !win_first) * slot_bytes)
     end
   in
   (* the offset of slot [i] in [!win_line.buf], made ready for a
      [len]-byte payload at offset + 2: length prefix set, line dirty.
-     Slack past a slot's length is always zero (fetches fill or copy
-     whole blocks, and every write keeps it so), which keeps the
-     backing file deterministic: only a shrink leaves bytes to clear. *)
+     Slack past a slot's length is always zero (a fetch reads back a
+     whole written frame or zeroes a blank one, and every write keeps
+     it so), which keeps the backing file deterministic: only a shrink
+     leaves bytes to clear. *)
   let slot_for_write i len =
     let off = slot i in
     if len > codec.Codec.max_bytes then
@@ -572,7 +572,7 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
               let d = i - !win_first in
               if d >= 0 && d < per_block && !win_line.blk = !win_blk then begin
                 view.vbuf <- !win_line.buf;
-                view.voff <- d * slot_bytes;
+                view.voff <- frame_overhead + (d * slot_bytes);
                 view.vleft <- per_block - d
               end
               else view.vleft <- 0;
@@ -613,28 +613,18 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
      (try Unix.close fd with Unix.Unix_error _ -> ());
      (try raw.Raw.remove path with _ -> ());
      raise e);
-  let frame = Bytes.create fbytes in
   let io_r = ref 0 and io_w = ref 0 in
   let block_off b = file_header_bytes + (b * fbytes) in
   let nlines = max 1 cache_blocks in
   slot_cache ~kind:"file" ~codec ~blank ~name ~per_block:slots_per_block ~nlines
     ~read_ahead:(nlines > 1)
     ~fetch:(fun line b ->
-      full_pread raw fd frame ~off:(block_off b);
+      full_pread raw fd line.buf ~off:(block_off b);
       io_r := !io_r + bbytes;
-      frame_ok frame 0 bbytes
-      && begin
-           (* a blank frame is a never-written (sparse) region *)
-           if Bytes.get frame 0 = '\x00' then Bytes.fill line.buf 0 bbytes '\x00'
-           else Bytes.blit frame frame_overhead line.buf 0 bbytes;
-           true
-         end)
+      true)
     ~where:(fun _ -> path)
     ~write_back:(fun line ->
-      Bytes.set frame 0 '\x01';
-      Bytes.set_int32_be frame 1 (Int32.of_int (Util.Hash.crc32_sub line.buf 0 bbytes));
-      Bytes.blit line.buf 0 frame frame_overhead bbytes;
-      full_pwrite raw fd frame ~off:(block_off line.blk);
+      full_pwrite raw fd line.buf ~off:(block_off line.blk);
       io_w := !io_w + bbytes)
     ~sync:(fun () -> raw.Raw.fsync fd)
     ~close:(fun () ->
@@ -647,18 +637,13 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
         backing_files = 1 })
 
 (* ------------------------------------------------------------------ *)
-(* Shard: a directory of run files of self-delimiting framed cells.    *)
+(* Shard: a directory of run files, one cache line each.               *)
 
-(* On disk each cell of a shard is a 1-byte presence flag (0x00 =
-   blank, 0x01 = present) followed, when present, by its stored bytes,
-   which are self-delimiting - so a fully-written run file is exactly
-   the concatenation of order-preserving cell encodings interleaved
-   with 0x01 flags, and boundaries are recovered from [codec.skip]'s
-   end offsets. The file itself carries an 8-byte magic and the CRC-32
-   of that payload, and the directory's MANIFEST lists every run file
-   with its expected checksum - the reopen protocol (see DESIGN.md)
-   discards anything the MANIFEST does not vouch for. A shard is one
-   block of the slot cache. *)
+(* A shard is one block of the slot cache, and its run file is that
+   block's frame as the cache line holds it: presence byte, CRC-32,
+   then the slots verbatim. The directory's MANIFEST lists every run
+   file with its expected checksum - the reopen protocol (see
+   DESIGN.md) discards anything the MANIFEST does not vouch for. *)
 
 (* shards a shard device keeps in RAM *)
 let cache_shards = 2
@@ -683,15 +668,16 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
           try raw.Raw.remove p with e -> cleanup_failed ~device:name ~path:p e)
         entries
   | exception Sys_error _ -> ());
-  (* cells per shard from the target shard size and the largest cell *)
+  (* cells per shard as if each took a presence byte and its largest
+     encoding, not a slot: the shard count of a tape, and so its run
+     files, flushes, loads and raw syscalls, stays that of the packed
+     layout this one replaced - fault plans and crash points are keyed
+     by raw operation. *)
   let cells = max 16 (shard_bytes / (codec.Codec.max_bytes + 1)) in
-  let slot_bytes = slot_bytes codec in
-  (* the run file being read or written: large enough for any shard
-     this device writes *)
-  let data = Bytes.create (shard_header_bytes + (cells * (codec.Codec.max_bytes + 1))) in
+  let bbytes = cells * slot_bytes codec in
   let io_r = ref 0 and io_w = ref 0 in
   let nfiles = ref 0 in
-  (* filename -> its (payload crc, payload bytes) and MANIFEST line;
+  (* filename -> its (frame crc, payload bytes) and MANIFEST line;
      the MANIFEST is written from these lines on every flush (atomic
      tmp+rename) and fsync'd on [sync]. A line is formatted, and the
      contents rebuilt in [mbuf], only when its file's crc or length
@@ -749,73 +735,38 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
   let write_manifest ~fsync =
     write_file_atomic ~len:!mlen raw ~tmp:manifest_tmp manifest_path !mbuf ~fsync
   in
-  (* copy the present cells of the intact run file [src, len) into
-     their slots *)
-  let unpack (line : line) src len =
-    let pos = ref shard_header_bytes and i = ref 0 in
-    while !pos < len && !i < cells do
-      (match Bytes.get src !pos with
-      | '\x00' -> incr pos
-      | _ ->
-          let start = !pos + 1 in
-          let stop = codec.Codec.skip src start len in
-          let off = !i * slot_bytes in
-          Bytes.set_uint16_be line.buf off (stop - start);
-          Bytes.blit src start line.buf (off + 2) (stop - start);
-          pos := stop);
-      incr i
-    done
-  in
   slot_cache ~kind:"shard" ~codec ~blank ~name ~per_block:cells ~nlines:cache_shards
     ~read_ahead:false
     ~fetch:(fun line s ->
-      (* the line holds no block from here until the fetch succeeds *)
-      line.blk <- -1;
-      Bytes.fill line.buf 0 (Bytes.length line.buf) '\x00';
       let p = path s in
-      (* an absent run file is a never-written shard *)
-      (not (Sys.file_exists p))
-      || begin
-           let fd = Unix.openfile p [ Unix.O_RDONLY ] 0o644 in
-           (* the size without [fstat]'s record *)
-           let len = Unix.lseek fd 0 Unix.SEEK_END in
-           let src = if len <= Bytes.length data then data else Bytes.create len in
-           (try full_pread raw fd src ~len ~off:0
-            with e ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              raise e);
-           Unix.close fd;
-           shard_payload_crc src len <> None
-           && begin
-                io_r := !io_r + len - shard_header_bytes;
-                unpack line src len;
-                true
-              end
-         end)
+      if not (Sys.file_exists p) then begin
+        (* an absent run file is a never-written shard: a blank frame *)
+        Bytes.fill line.buf 0 frame_overhead '\x00';
+        true
+      end
+      else begin
+        let fd = Unix.openfile p [ Unix.O_RDONLY ] 0o644 in
+        (* the size without [fstat]'s record; any other length than a
+           frame's fails before a byte is read *)
+        let whole = Unix.lseek fd 0 Unix.SEEK_END = Bytes.length line.buf in
+        (try if whole then full_pread raw fd line.buf ~off:0
+         with e ->
+           (try Unix.close fd with Unix.Unix_error _ -> ());
+           raise e);
+        Unix.close fd;
+        if whole then io_r := !io_r + bbytes;
+        (* a run file exists only once written, so a blank frame in
+           one is a damaged header, not a never-written shard *)
+        whole && Bytes.get line.buf 0 = '\x01'
+      end)
     ~where:path
     ~write_back:(fun line ->
-      Bytes.blit_string shard_magic 0 data 0 8;
-      let pos = ref shard_header_bytes in
-      for i = 0 to cells - 1 do
-        let off = i * slot_bytes in
-        match Bytes.get_uint16_be line.buf off with
-        | 0 ->
-            Bytes.set data !pos '\x00';
-            incr pos
-        | n ->
-            Bytes.set data !pos '\x01';
-            Bytes.blit line.buf (off + 2) data (!pos + 1) n;
-            pos := !pos + 1 + n
-      done;
-      let payload = !pos - shard_header_bytes in
-      let crc = Util.Hash.crc32_sub data shard_header_bytes payload in
-      Bytes.set_int32_be data 8 (Int32.of_int crc);
       let f, p, tmp = run_file line.blk in
       if not (Names.mem f !manifest) then incr nfiles;
-      write_file_atomic ~len:!pos raw ~tmp p data ~fsync:false;
-      set_entry f (crc, payload);
+      write_file_atomic raw ~tmp p line.buf ~fsync:false;
+      set_entry f (frame_crc line.buf, bbytes);
       write_manifest ~fsync:false;
-      io_w := !io_w + payload)
+      io_w := !io_w + bbytes)
     ~sync:(fun () -> write_manifest ~fsync:true)
     ~close:(fun () ->
       (* spill is scratch: delete without flushing, and never raise —
@@ -951,25 +902,24 @@ module Scrub = struct
             findings := finding ~path:p ~offset:(-1) "torn" :: !findings
           else begin
             incr blocks;
-            let data = read_file p in
+            let b = Bytes.unsafe_of_string (read_file p) in
+            let payload = Bytes.length b - frame_overhead in
             let vouched =
               match listed with
               | None -> None
               | Some entries -> List.assoc_opt f entries
             in
-            match
-              (shard_payload_crc (Bytes.unsafe_of_string data) (String.length data),
-               vouched)
-            with
-            | None, _ ->
-                findings := finding ~path:p ~offset:0 "crc-mismatch" :: !findings
-            | Some _, None ->
-                (* no manifest vouches for this file: even an intact
-                   frame is an orphan of a crashed run *)
-                findings := finding ~path:p ~offset:(-1) "orphan" :: !findings
-            | Some actual, Some (crc, len) ->
-                if crc <> actual || len <> String.length data - shard_header_bytes
-                then findings := finding ~path:p ~offset:(-1) "torn" :: !findings
+            if payload < 0 || not (frame_ok b 0 payload) then
+              findings := finding ~path:p ~offset:0 "crc-mismatch" :: !findings
+            else
+              match vouched with
+              | None ->
+                  (* no manifest vouches for this file: even an intact
+                     frame is an orphan of a crashed run *)
+                  findings := finding ~path:p ~offset:(-1) "orphan" :: !findings
+              | Some (crc, len) ->
+                  if crc <> frame_crc b || len <> payload then
+                    findings := finding ~path:p ~offset:(-1) "torn" :: !findings
           end
         end)
       entries;

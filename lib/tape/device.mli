@@ -33,7 +33,9 @@ type stats = {
 val zero_stats : stats
 
 exception Corrupt of { device : string; path : string; offset : int }
-(** A CRC-framed block or shard failed verification on read. [device]
+(** A CRC-framed block or shard failed verification on read (a shard's
+    run file also when its length is not one frame's, or its frame is
+    blank). [device]
     is the tape name, [path] the backing file, [offset] the first tape
     cell position the bad block covers. The offending cache line is
     quarantined before the raise, so a retry that re-reads the region
@@ -118,12 +120,6 @@ module Codec : sig
     write : Bytes.t -> int -> 'a -> int;
         (** [write buf pos v] writes [size v] bytes at [pos] and returns
             the end offset. *)
-    skip : Bytes.t -> int -> int -> int;
-        (** [skip buf pos limit] returns the end offset of the encoding
-            that starts at [pos] — encodings must be self-delimiting. It
-            never looks at [limit] or past it: the bytes there belong to
-            the next cell. The shard backend cuts its run files into
-            cells with it. *)
     value : Bytes.t -> int -> int -> 'a;
         (** [value buf pos limit] decodes the encoding that fills
             [[pos, limit)]: the int and char codecs allocate nothing. *)
@@ -158,11 +154,11 @@ module Codec : sig
 end
 
 (** Where {!slots}' [view] found a cell, in the cache line of the
-    block the device resolved last: the line's slots as they stand
-    (each [slot_bytes] long: a 2-byte big-endian length, that many
-    stored bytes, zeros to the slot's end; length 0 is a never-written
-    cell), the cell's slot offset in them, and the slots from the
-    cell's to the block's end. *)
+    block the device resolved last: the line's slots as they stand,
+    behind the block's frame header (each [slot_bytes] long: a 2-byte
+    big-endian length, that many stored bytes, zeros to the slot's
+    end; length 0 is a never-written cell), the cell's slot offset in
+    the line, and the slots from the cell's to the block's end. *)
 type view = {
   mutable vbuf : Bytes.t;  (** the resolved block's cache line *)
   mutable voff : int;  (** the cell's slot offset in [vbuf] *)
@@ -214,13 +210,13 @@ type spec =
           sequential read-ahead; an encoded cell is at most 65535
           bytes *)
   | Shard of { dir : string; shard_bytes : int; raw : raw_factory option }
-      (** a directory of CRC-framed run files, each the concatenation
-          of presence-flagged self-delimiting cell encodings, indexed
-          by an atomically-renamed MANIFEST; whole shards load and
-          rewrite on cache eviction, so sequential run writes touch
-          each file once per pass. In RAM a shard is a block of the
-          file backend's slot cache, so the same 65535-byte cell limit
-          holds. *)
+      (** a directory of run files indexed by an atomically-renamed
+          MANIFEST. A shard is a block of the file backend's slot
+          cache, [shard_bytes / (max_bytes + 1)] cells (at least 16),
+          and its run file is that block's CRC frame exactly as the
+          cache line holds it, so the same 65535-byte cell limit holds.
+          Whole shards load and rewrite on cache eviction, so
+          sequential run writes touch each file once per pass. *)
 
 val file_spec :
   ?block_bytes:int -> ?cache_blocks:int -> ?raw:raw_factory -> string -> spec

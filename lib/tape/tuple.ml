@@ -3,8 +3,8 @@
    The layout follows the FoundationDB tuple layer: every element is
    emitted with a leading type code chosen so that [String.compare] on
    the encodings agrees with the natural order on the values, and every
-   element is self-delimiting, so a run file of concatenated encodings
-   can be cut back into cells without an external index.
+   element is self-delimiting, so a packed tuple can be cut back into
+   its elements without an external index.
 
    - [Str s]  ->  0x02, escaped bytes of [s], 0x00.  A 0x00 byte inside
      [s] is escaped as 0x00 0xFF; since 0xFF can never follow a

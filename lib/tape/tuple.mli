@@ -8,13 +8,13 @@
       property, so stored cells compare bytewise like their values;
     - {b self-delimitation}: each element carries its own end (strings
       are 0x00-terminated with 0x00 inside escaped as 0x00 0xFF; ints
-      carry their byte count in the type code), so a run file of
-      concatenated encodings needs no external index.
+      carry their byte count in the type code), so {!unpack} cuts a
+      packed tuple back into its elements without an index.
 
     Elements are written and read {e in place}: [write_* buf pos v]
     writes at [pos] and returns the offset just past the encoding;
-    [*_value buf pos limit] returns the value and [*_end buf pos limit]
-    that end offset, never looking at bytes at or past [limit]. *)
+    [*_value buf pos limit] returns the value, never looking at bytes
+    at or past [limit]. *)
 
 type elt =
   | Int of int  (** code byte [0x14 ± k], [k] big-endian payload bytes *)
@@ -34,10 +34,6 @@ val str_value : Bytes.t -> int -> int -> string
 (** A string with no escaped 0x00 is one [Bytes.sub_string].
     @raise Malformed *)
 
-val str_end : Bytes.t -> int -> int -> int
-(** Found by scanning for the terminator; allocates nothing.
-    @raise Malformed *)
-
 val int_size : int -> int
 (** Bytes {!write_int} writes: 1 for zero, else 1 plus the big-endian
     byte count of the magnitude (at most 9). *)
@@ -46,9 +42,6 @@ val write_int : Bytes.t -> int -> int -> int
 
 val int_value : Bytes.t -> int -> int -> int
 (** Allocates nothing. @raise Malformed *)
-
-val int_end : Bytes.t -> int -> int -> int
-(** Read off the code byte. @raise Malformed *)
 
 val pack : elt list -> string
 

@@ -311,11 +311,52 @@ let test_on_disk_format_pinned () =
       ("file strings", "ca1a868c96ef5c56d6b2db7e8e34195e");
       ("file ints", "21d2d973158554aefa48706599471fd5");
       ("file chars", "49b4322d324eaa9bd7231e0b811230eb");
-      ("shard strings", "a3d2de0395cb4d7cdfe4a55e8c48fe40");
-      ("shard ints", "454b653559eef5dd6645212c25c3fb9b");
-      ("shard chars", "73b0a7986c50f9b21ba50c6019d1750f");
+      ("shard strings", "9cbe32a713798b756c6543c00e298f83");
+      ("shard ints", "4f621151a75768bf9b69e697919059e1");
+      ("shard chars", "6e6bf3e5c88d1b08a92dc6a1402ed089");
     ]
     got
+
+(* A shard's run file is its cache line verbatim, and so the very
+   frame a file tape stores for a block of the same slots: 26-byte
+   string cells take 28-byte slots, 16 to a 256-byte shard, and a file
+   tape of 448-byte blocks holds the same 16. *)
+let test_shard_run_file_is_block_frame () =
+  let module D = Tape.Device in
+  let codec = D.Codec.tuple_string ~max_bytes:26 in
+  let writes =
+    pin_writes
+      [| ""; "\x00\xff\x00"; "twelve-bytes"; "\xff"; "a\x00"; "ab" |]
+      [ (2, "x"); (0, "now-longer"); (50, "") ]
+  in
+  let synced kind spec_of =
+    let dir = Printf.sprintf "%s-frame-%s" spill kind in
+    let d = D.instantiate ~codec (spec_of dir) ~blank:"" ~name:kind in
+    List.iter (fun (i, v) -> D.set d i v) writes;
+    D.sync d;
+    let files = backing_files dir in
+    D.close d;
+    Unix.rmdir dir;
+    files
+  in
+  let tape =
+    match synced "file" (fun dir -> D.file_spec ~block_bytes:(16 * 28) ~cache_blocks:1 dir) with
+    | [ (_, s) ] -> s
+    | fs -> Alcotest.failf "expected one tape file, got %d" (List.length fs)
+  in
+  let runs =
+    List.filter
+      (fun (f, _) -> Filename.check_suffix f ".shard")
+      (synced "shard" (fun dir -> D.shard_spec ~shard_bytes:256 dir))
+  in
+  (* cells 0-51 fill four shards; the file header is 16 bytes *)
+  check_int "run files" 4 (List.length runs);
+  let fbytes = 5 + (16 * 28) in
+  List.iter
+    (fun (f, run) ->
+      let s = Scanf.sscanf f "run-%06d.shard" Fun.id in
+      Alcotest.(check string) f (String.sub tape (16 + (s * fbytes)) fbytes) run)
+    runs
 
 (* A register's store: a byte device's slot accessor stores encoded
    bytes, a blank as the bytes loaded from a never-written cell. On the
@@ -487,6 +528,8 @@ let () =
             test_slot_store_bytes;
           Alcotest.test_case "on-disk format pinned" `Quick
             test_on_disk_format_pinned;
+          Alcotest.test_case "shard run file = file block frame" `Quick
+            test_shard_run_file_is_block_frame;
           Alcotest.test_case "file window: same syscalls and bytes" `Quick
             test_file_window;
         ] );

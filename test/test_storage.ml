@@ -161,7 +161,70 @@ let test_corrupt_readback_names_tape_and_offset () =
   (* the flip is persistent (rot at rest), but the flush of the healthy
      cached state rewrites the block: a quarantined re-read succeeds *)
   Dev.close dev;
-  rm_rf dir
+  rm_rf dir;
+  (* A shard's run file is one frame: a byte rotted at rest, a byte cut
+     off, a byte appended or a header zeroed (a blank frame, which a
+     run file never holds) each fail its check on the reload, which
+     names the tape and the shard's first cell, and the scrubber flags
+     the file. Shards hold 16 cells; the device keeps 2 in RAM, so
+     reaching shard 3 evicts and flushes shard 1 (cells 16-31). *)
+  List.iter
+    (fun (what, damage) ->
+      let dir = fresh_dir () in
+      let dev =
+        Dev.instantiate ~codec:Dev.Codec.tuple_char
+          (Dev.shard_spec ~shard_bytes:48 dir) ~blank:'_' ~name:"victim"
+      in
+      Dev.set dev 16 'a';
+      ignore (Dev.get dev 48);
+      let run =
+        match
+          List.filter
+            (fun p -> Filename.basename p = "run-000001.shard")
+            (files_under dir)
+        with
+        | [ p ] -> p
+        | _ -> Alcotest.failf "%s: expected shard 1's run file" what
+      in
+      damage run;
+      let before = Dev.corrupt_detected () in
+      (try
+         ignore (Dev.get dev 16);
+         Alcotest.failf "%s: damaged run file read back without Corrupt" what
+       with Dev.Corrupt { device; offset; path } ->
+         check_string (what ^ ": tape name") "victim" device;
+         check_int (what ^ ": first cell of the bad shard") 16 offset;
+         check_string (what ^ ": run file named") run path);
+      check (what ^ ": detection counted") true (Dev.corrupt_detected () > before);
+      let flagged =
+        List.filter
+          (fun (f : Dev.Scrub.finding) -> f.Dev.Scrub.path = run)
+          (Dev.Scrub.dir dir).Dev.Scrub.findings
+      in
+      check (what ^ ": scrub flags the run file") true (flagged <> []);
+      Dev.close dev;
+      rm_rf dir)
+    [
+      ( "rot",
+        fun p ->
+          (* 1-byte presence, 4-byte CRC, then slot 0: length, 'a' *)
+          let fd = Unix.openfile p [ Unix.O_RDWR ] 0o644 in
+          ignore (Unix.lseek fd 8 Unix.SEEK_SET);
+          ignore (Unix.write_substring fd "Z" 0 1);
+          Unix.close fd );
+      ( "truncated",
+        fun p -> Unix.truncate p ((Unix.stat p).Unix.st_size - 1) );
+      ( "appended",
+        fun p ->
+          let oc = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 p in
+          Out_channel.output_string oc "\x00";
+          Out_channel.close oc );
+      ( "header zeroed",
+        fun p ->
+          let fd = Unix.openfile p [ Unix.O_RDWR ] 0o644 in
+          ignore (Unix.write_substring fd "\x00\x00\x00\x00\x00" 0 5);
+          Unix.close fd );
+    ]
 
 (* End to end: a decider on a file device under transient read-back
    rot heals through quarantine + re-read + phase retry and reaches
@@ -268,13 +331,14 @@ let test_scrub_detects_and_fixes () =
   (* shard dir: vouched-for shard, unlisted orphan, torn tmp *)
   let sdir = Filename.concat root "s-1" in
   Unix.mkdir sdir 0o755;
-  let sp = "\x01\x02a\x00" in
-  let shard p = "STLBSHD2" ^ be32 (Util.Hash.crc32 p) ^ p in
-  write_file (Filename.concat sdir "run-000000.shard") (shard sp);
-  write_file (Filename.concat sdir "run-000001.shard") (shard "\x01\x02b\x00");
+  (* a run file is one frame of slots: here one slot, length 3 and the
+     string "a" encoded *)
+  let sp = "\x00\x03\x02a\x00" in
+  write_file (Filename.concat sdir "run-000000.shard") (frame sp);
+  write_file (Filename.concat sdir "run-000001.shard") (frame "\x00\x03\x02b\x00");
   write_file (Filename.concat sdir "run-000002.shard.tmp") "half";
   write_file (Filename.concat sdir "MANIFEST")
-    (Printf.sprintf "STLBMAN2\n%08x %d run-000000.shard\n" (Util.Hash.crc32 sp)
+    (Printf.sprintf "STLBMAN3\n%08x %d run-000000.shard\n" (Util.Hash.crc32 sp)
        (String.length sp));
   let count what (r : Dev.Scrub.report) =
     List.length

@@ -666,7 +666,6 @@ let raw_codec =
         (fun buf pos s ->
           Bytes.blit_string s 0 buf pos (String.length s);
           pos + String.length s);
-      skip = (fun _ _ limit -> limit);
       value = (fun buf pos limit -> Bytes.sub_string buf pos (limit - pos));
       max_bytes = 40;
     }
