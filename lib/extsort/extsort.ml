@@ -26,13 +26,12 @@ type report = {
 let observe_opt obs g =
   match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g
 
-(* A byte-backed device needs a cell codec (a mem group ignores it).
-   Its slots are sized to the largest encoding the tape will hold: the
+(* A tape's slots are sized to the largest encoding it will hold: the
    items' (a sort only permutes them) and the blank's, so a bitstring
    cell of n characters takes n + 2 bytes, not the 2n + 2 of a string
    that is all 0x00; a sort's auxiliary tapes take the data tape's
-   codec. [Tuple] framing is order-preserving, so cells in a spilled
-   run compare bytewise exactly as the in-RAM strings do. *)
+   codec. [Tuple] framing is order-preserving, so cells compare
+   bytewise exactly as the strings do. *)
 let blank_bytes = Tape.Tuple.str_size ""
 
 let codec_for items =
@@ -93,7 +92,7 @@ let sort_tape ?retry ?(ways = 2) g t ~len =
               head w;
               if
                 !best < 0
-                || Tape.compare_registers String.compare regs.(w) regs.(!best)
+                || Tape.compare_registers regs.(w) regs.(!best)
                    <= 0
               then best := w
             end
@@ -234,12 +233,12 @@ let pointwise_equal tx ty m =
   for i = 0 to m - 1 do
     load_at tx rx i;
     load_at ty ry i;
-    if Tape.compare_registers String.compare rx ry <> 0 then ok := false
+    if Tape.compare_registers rx ry <> 0 then ok := false
   done;
   !ok
 
 (* Compare the deduplicated sorted streams with one carried item each.
-   The cells go through registers, so a byte device decodes none of
+   The cells go through registers, so an unhooked tape decodes none of
    them. Each step reads ys before xs: a fault plan's streams and the
    scan budget see the two tapes interleaved in that order. *)
 let same_set tx ~nx ty ~ny =
@@ -253,7 +252,7 @@ let same_set tx ~nx ty ~ny =
       !j < len
       && begin
            load_at tp r !j;
-           Tape.compare_registers String.compare r c = 0
+           Tape.compare_registers r c = 0
          end
     do
       incr j
@@ -266,7 +265,7 @@ let same_set tx ~nx ty ~ny =
     else begin
       load_at ty ry j;
       load_at tx rx i;
-      Tape.compare_registers String.compare rx ry = 0
+      Tape.compare_registers rx ry = 0
       &&
       let j' = next_distinct ty ny j cy ry in
       let i' = next_distinct tx nx i cx rx in
@@ -283,7 +282,7 @@ let no_common tx ty m =
   while !i < m && !j < m do
     load_at ty ry !j;
     load_at tx rx !i;
-    let c = Tape.compare_registers String.compare rx ry in
+    let c = Tape.compare_registers rx ry in
     if c = 0 then begin
       shared := true;
       i := m

@@ -54,6 +54,10 @@ type report = {
   faults : int;  (** injected faults over all tapes (0 without a plan) *)
 }
 
+val codec_for : string list -> string Tape.Device.Codec.t
+(** {!Tape.Device.Codec.tuple_string} sized to fit these cells and the
+    blank [""]. *)
+
 val sort_tape :
   ?retry:Faults.Retry.policy ->
   ?ways:int ->
@@ -67,15 +71,14 @@ val sort_tape :
     otherwise it reads every live head once, last stream first, and
     the smallest wins (ties to the lower stream), then re-reads the
     winner to write it. Cells move through {!Tape.register}s, one per
-    stream: on unhooked file tapes they stay in their stored bytes and
+    stream: on unhooked tapes they stay in their stored bytes and
     compare bytewise, so the passes decode and encode nothing, and a
     winner's re-read is charged without touching the device. The head
     is left at position 0. The auxiliary tapes take [t]'s blank, its
-    slot codec (so they are on [g]'s device when [t] is on a byte
-    device, with the same slot width) and its injection maker applied
-    to their own names, so a fault plan or a recording hook installed
-    on [t] reaches every tape of the sort. With [?retry] each pass runs
-    under that retry policy ({!Faults.phase}).
+    codec (so the same slot width, on [g]'s device) and its injection
+    maker applied to their own names, so a fault plan or a recording
+    hook installed on [t] reaches every tape of the sort. With
+    [?retry] each pass runs under that retry policy ({!Faults.phase}).
 
     The ablation experiment (E14) measures the [ways] trade-off: more
     tapes per pass but logarithmically fewer passes, the classic
@@ -115,8 +118,9 @@ val same_set : string Tape.t -> nx:int -> string Tape.t -> ny:int -> bool
 (** [same_set tx ~nx ty ~ny]: do the sorted cells [0 .. nx-1] of [tx]
     and [0 .. ny-1] of [ty] hold the same set of items? One comparison
     scan with on-the-fly duplicate elimination (one carried item per
-    stream, held in a {!Tape.register}, so on an unhooked byte-device
-    tape no cell is decoded). Each step reads [ty] before [tx]. The
+    stream, held in a {!Tape.register}, so on an unhooked tape no cell
+    is decoded). The two tapes share one codec
+    ({!Tape.compare_registers}). Each step reads [ty] before [tx]. The
     scan behind {!set_equality} and the Theorem 12 XQuery of
     [Xmlq.Stream_filter]. *)
 

@@ -1029,7 +1029,8 @@ let exp17 () =
   let g = Tape.Group.create () in
   Obs.Ledger.Recorder.observe r g;
   let items = Array.to_list (Array.map B.to_string (I.xs inst)) in
-  let tape = Tape.Group.tape_of_list g ~name:"data" ~blank:"" items in
+  let codec = Extsort.codec_for items in
+  let tape = Tape.Group.tape_of_list g ~name:"data" ~codec ~blank:"" items in
   for i = 0 to m - 1 do
     while Tape.position tape < i do
       Tape.move tape Tape.Right

@@ -11,6 +11,42 @@ type certificate = {
 
 type cell = Blank | Val of string | Ent of entry
 
+(* A cell's stored bytes: a tag byte (0 blank, 1 a value, 2 an entry),
+   an entry's [efst] and [esnd] as be32, then the value's bytes to the
+   end. Equal bytes exactly for equal cells; no order. *)
+let cell_size = function
+  | Blank -> 1
+  | Val v -> 1 + String.length v
+  | Ent e -> 9 + String.length e.evalue
+
+let write_cell buf pos = function
+  | Blank ->
+      Bytes.set buf pos '\x00';
+      pos + 1
+  | Val v ->
+      Bytes.set buf pos '\x01';
+      Bytes.blit_string v 0 buf (pos + 1) (String.length v);
+      pos + 1 + String.length v
+  | Ent e ->
+      Bytes.set buf pos '\x02';
+      Bytes.set_int32_be buf (pos + 1) (Int32.of_int e.efst);
+      Bytes.set_int32_be buf (pos + 5) (Int32.of_int e.esnd);
+      Bytes.blit_string e.evalue 0 buf (pos + 9) (String.length e.evalue);
+      pos + 9 + String.length e.evalue
+
+let cell_value buf pos limit =
+  match Bytes.get buf pos with
+  | '\x01' -> Val (Bytes.sub_string buf (pos + 1) (limit - pos - 1))
+  | '\x02' ->
+      let efst = Int32.to_int (Bytes.get_int32_be buf (pos + 1)) in
+      let esnd = Int32.to_int (Bytes.get_int32_be buf (pos + 5)) in
+      Ent { efst; esnd; evalue = Bytes.sub_string buf (pos + 9) (limit - pos - 9) }
+  | _ -> Blank
+
+let codec cells =
+  let max_bytes = Array.fold_left (fun a c -> max a (cell_size c)) 1 cells in
+  Tape.Device.Codec.{ size = cell_size; write = write_cell; value = cell_value; max_bytes }
+
 (* ------------------------------------------------------------------ *)
 (* Prover                                                              *)
 
@@ -146,19 +182,18 @@ let verify ?obs problem inst cert =
   let g = Tape.Group.create () in
   (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
   let meter = Tape.Group.meter g in
-  let flat = Array.to_list (Array.concat (Array.to_list cert.copies)) in
-  let inputs =
-    List.map (fun v -> Val (B.to_string v))
-      (Array.to_list (I.xs inst) @ Array.to_list (I.ys inst))
+  let inputs = Array.map (fun v -> Val (B.to_string v)) (Array.append (I.xs inst) (I.ys inst)) in
+  let guess = Array.map (fun e -> Ent e) (Array.concat (Array.to_list cert.copies)) in
+  (* t1 holds every guess cell too, so its cells size the one codec *)
+  let cells = Array.append inputs guess in
+  let codec = codec cells in
+  let tape name cells =
+    let t = Tape.Group.tape g ~name ~codec ~blank:Blank () in
+    Tape.preload_init t (Array.length cells) (Array.get cells);
+    t
   in
-  let t1 =
-    Tape.Group.tape_of_list g ~name:"input+copies" ~blank:Blank
-      (inputs @ List.map (fun e -> Ent e) flat)
-  in
-  let t2 =
-    Tape.Group.tape_of_list g ~name:"guess" ~blank:Blank
-      (List.map (fun e -> Ent e) flat)
-  in
+  let t1 = tape "input+copies" cells in
+  let t2 = tape "guess" guess in
   let perm_kind = cert.kind = `Perm in
   let ok = ref (Array.length cert.copies = max 1 (2 * m)) in
   Array.iter (fun copy -> if Array.length copy <> 2 * m then ok := false) cert.copies;
@@ -210,11 +245,16 @@ let verify ?obs problem inst cert =
         (* ---- skip t1 forward over its copy region ---- *)
         let copies_cells = 2 * m * 2 * m in
         Tape.seek t1 ((2 * m) + copies_cells - 1);
-        (* ---- backward scan: copy l on t1 vs copy l-1 on t2 ---- *)
+        (* ---- backward scan: copy l on t1 vs copy l-1 on t2 ----
+           compared as stored bytes: the forward scan read every guess
+           cell as an [Ent] (else it failed), so a t1 cell that is not
+           one differs in its tag byte, and equal bytes are equal. *)
         Tape.seek t2 (copies_cells - (2 * m) - 1);
+        let ra = Tape.register t1 and rb = Tape.register t2 in
         for _ = 1 to copies_cells - (2 * m) do
-          let a = read_ent t1 and b = read_ent t2 in
-          if a <> b then ok := false;
+          Tape.load t1 ra;
+          Tape.load t2 rb;
+          if Tape.compare_registers ra rb <> 0 then ok := false;
           if not (Tape.at_left_end t1) then Tape.move t1 Tape.Left;
           if not (Tape.at_left_end t2) then Tape.move t2 Tape.Left
         done);

@@ -28,6 +28,15 @@
 type certificate
 (** An opaque witness (permutation / function tables). *)
 
+type entry = { efst : int; esnd : int; evalue : string }
+type cell = Blank | Val of string | Ent of entry  (** a verifier tape cell *)
+
+val codec : cell array -> cell Tape.Device.Codec.t
+(** The verifier tapes' codec, its slots sized to the largest of these
+    cells. It keeps the equality half of the {!Tape.Device.Codec}
+    contract only: equal encodings exactly for equal cells (indices in
+    the int32 range). *)
+
 val prove : Problems.Decide.problem -> Problems.Instance.t -> certificate option
 (** The honest prover: a witness if the instance is a yes-instance,
     [None] otherwise. *)

@@ -7,19 +7,20 @@
    the backend cannot change any measured number.
 
    Three backends:
-   - [Mem]: the original growable in-RAM array (the default, and the
-     fallback when no byte codec is available for the cell type);
+   - [Mem]: lines of slots that stay in RAM (the default);
    - [File]: one flat file of CRC-framed fixed-size-slot blocks, with
      sequential read-ahead;
    - [Shard]: a directory of run files, each one CRC frame of the
      slot cache, indexed by an atomically-renamed MANIFEST.
 
-   Both byte backends keep their cells in one slot cache ([slot_cache]
+   Every backend keeps its cells in one layout (the device record [t]
    below): lines of fixed-size slots of stored bytes, which [Codec]
-   encodes and decodes in place and [slots] hands to [Tape]'s
-   registers as they are. A cache line is one on-disk frame, byte for
-   byte, so a backend brings only its block I/O and its replacement
-   policy.
+   encodes and decodes in place and [load]/[store] hand to [Tape]'s
+   registers as they are; a backend says only which line holds a
+   block. The byte backends hold them in one slot cache
+   ([slot_cache]), whose cache line is one on-disk frame, byte for
+   byte, so a byte backend brings only its block I/O and its
+   replacement policy.
 
    The byte-backed backends do all their syscalls through a [Raw]
    record of closures (pread/pwrite/fsync/rename/remove), so
@@ -32,7 +33,7 @@
    in the health counters below. *)
 
 type stats = {
-  resident_bytes : int;  (** RAM the cells take (a byte device: its cache capacity) *)
+  resident_bytes : int;  (** RAM the cells take: the lines a device holds *)
   io_read_bytes : int;
   io_write_bytes : int;
   backing_files : int;  (** files created; close does not decrement it *)
@@ -199,53 +200,26 @@ module Codec = struct
       max_bytes = 9;
     }
 
+  (* a char is {!tuple_int} of its code, written directly: 0x14 alone
+     for '\x00', else 0x15 and the char *)
   let tuple_char =
     {
-      size = (fun c -> Tuple.int_size (Char.code c));
-      write = (fun buf pos c -> Tuple.write_int buf pos (Char.code c));
-      value =
-        (fun buf pos limit ->
-          Char.chr (Tuple.int_value buf pos limit land 0xff));
+      size = (fun c -> if c = '\x00' then 1 else 2);
+      write =
+        (fun buf pos c ->
+          if c = '\x00' then Bytes.set buf pos '\x14'
+          else (Bytes.set buf pos '\x15'; Bytes.set buf (pos + 1) c);
+          if c = '\x00' then pos + 1 else pos + 2);
+      value = (fun buf pos limit -> if limit - pos = 2 then Bytes.get buf (pos + 1) else '\x00');
       max_bytes = 2;
     }
 end
 
-(* Where [slots.view i] found cell [i]: [vbuf] is the cache line of
-   the block the device resolved last, [voff] the offset of [i]'s slot
-   in it and [vleft] the slots from [i]'s to the block's end; [vleft =
-   0] when that block does not hold [i]. *)
+(* Where [view d i] found cell [i]: [vbuf] is the line of the block
+   the device resolved last, [voff] the offset of [i]'s slot in it and
+   [vleft] the slots from [i]'s to the block's end; [vleft = 0] when
+   that block does not hold [i]. *)
 type view = { mutable vbuf : Bytes.t; mutable voff : int; mutable vleft : int }
-
-(* A byte device's cells as their stored bytes: [load i dst] copies
-   cell [i]'s encoding to the front of [dst] (at least
-   [codec.max_bytes] long) and returns its length - the blank's
-   encoding for a never-written cell; [store i src len] makes the
-   first [len] bytes of [src] cell [i]'s encoding; [view i] finds [i]
-   in the resolved window without I/O and without changing anything,
-   and answers in the device's one [view] record. *)
-type 'a slots = {
-  codec : 'a Codec.t;
-  slot_bytes : int;
-  load : int -> Bytes.t -> int;
-  store : int -> Bytes.t -> int -> unit;
-  view : int -> view;
-}
-
-type 'a t = {
-  dev_get : int -> 'a;
-  dev_set : int -> 'a -> unit;
-  dev_slots : 'a slots option;
-  dev_sync : unit -> unit;
-  dev_close : unit -> unit;
-  dev_stats : unit -> stats;
-}
-
-let get d i = d.dev_get i
-let set d i v = d.dev_set i v
-let slots d = d.dev_slots
-let sync d = d.dev_sync ()
-let close d = d.dev_close ()
-let stats d = d.dev_stats ()
 
 type spec =
   | Mem
@@ -261,33 +235,6 @@ let file_spec ?(block_bytes = 1 lsl 16) ?(cache_blocks = 16) ?raw dir =
   File { dir; block_bytes; cache_blocks; raw }
 
 let shard_spec ?(shard_bytes = 1 lsl 20) ?raw dir = Shard { dir; shard_bytes; raw }
-
-(* ------------------------------------------------------------------ *)
-(* Mem: the original growable array.                                   *)
-
-let mem ~blank =
-  let cells = ref (Array.make 16 blank) in
-  let grow pos =
-    if pos >= Array.length !cells then begin
-      let cap = max (pos + 1) (2 * Array.length !cells) in
-      let fresh = Array.make cap blank in
-      Array.blit !cells 0 fresh 0 (Array.length !cells);
-      cells := fresh
-    end
-  in
-  {
-    dev_get = (fun i -> if i < Array.length !cells then !cells.(i) else blank);
-    dev_set =
-      (fun i v ->
-        grow i;
-        !cells.(i) <- v);
-    dev_slots = None;
-    dev_sync = (fun () -> ());
-    dev_close = (fun () -> ());
-    dev_stats =
-      (fun () ->
-        { zero_stats with resident_bytes = Array.length !cells * 8 });
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing for the on-disk backends.                           *)
@@ -348,34 +295,30 @@ let manifest_magic = "STLBMAN3"
 let manifest_header = manifest_magic ^ "\n"
 let hex_digits = "0123456789abcdef"
 
-(* [Printf.sprintf "%08x %d %s\n" crc len f], written byte by byte
-   for a CRC-32 and a length (what a device writes), so a shard flush
-   does not run the format interpreter; the scrubber may re-emit
-   stranger values parsed from a damaged MANIFEST, and those take
-   [sprintf] itself *)
+(* [Printf.sprintf "%08x %d %s\n" crc len f] for a CRC-32 and a
+   length, written byte by byte, so a shard flush does not run the
+   format interpreter; the scrubber re-emits only lines it parsed, and
+   it parses only lines of this form *)
 let manifest_line f (crc, len) =
-  if crc < 0 || crc lsr 32 <> 0 || len < 0 then Printf.sprintf "%08x %d %s\n" crc len f
-  else begin
-    let nd = ref 1 and p = ref 10 in
-    while !p <= len && !nd < 19 do
-      incr nd;
-      p := !p * 10
-    done;
-    let b = Bytes.create (10 + !nd + String.length f + 1) in
-    for k = 0 to 7 do
-      Bytes.set b k hex_digits.[(crc lsr (4 * (7 - k))) land 15]
-    done;
-    Bytes.set b 8 ' ';
-    let n = ref len in
-    for k = 8 + !nd downto 9 do
-      Bytes.set b k (Char.unsafe_chr (48 + (!n mod 10)));
-      n := !n / 10
-    done;
-    Bytes.set b (9 + !nd) ' ';
-    Bytes.blit_string f 0 b (10 + !nd) (String.length f);
-    Bytes.set b (Bytes.length b - 1) '\n';
-    Bytes.unsafe_to_string b
-  end
+  let nd = ref 1 and p = ref 10 in
+  while !p <= len && !nd < 19 do
+    incr nd;
+    p := !p * 10
+  done;
+  let b = Bytes.create (10 + !nd + String.length f + 1) in
+  for k = 0 to 7 do
+    Bytes.set b k hex_digits.[(crc lsr (4 * (7 - k))) land 15]
+  done;
+  Bytes.set b 8 ' ';
+  let n = ref len in
+  for k = 8 + !nd downto 9 do
+    Bytes.set b k (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.set b (9 + !nd) ' ';
+  Bytes.blit_string f 0 b (10 + !nd) (String.length f);
+  Bytes.set b (Bytes.length b - 1) '\n';
+  Bytes.unsafe_to_string b
 
 let manifest_contents entries =
   String.concat ""
@@ -389,13 +332,14 @@ module Names = Map.Make (String)
 type manifest_entry = { mutable meta : int * int; mutable line : string }
 
 (* ------------------------------------------------------------------ *)
-(* The slot cache both byte backends keep.                             *)
+(* Slots: the one cell layout, and the code that reads and writes it.  *)
 
-(* One cache line: the frame of a block, exactly as it lies on disk -
-   the presence byte, the CRC, then the block's fixed-size slots, each
-   a 2-byte big-endian length, then that many stored bytes, then zeros
+(* One line: the frame of a block, exactly as it lies on disk - the
+   presence byte, the CRC, then the block's fixed-size slots, each a
+   2-byte big-endian length, then that many stored bytes, then zeros
    up to the next slot. Length 0 means never written, so a zero-filled
-   line is all blank. *)
+   line is all blank. A mem line is never fetched or written back, so
+   its header stays zero. *)
 type line = {
   mutable blk : int; (* block index, -1 = empty *)
   mutable dirty : bool;
@@ -404,7 +348,146 @@ type line = {
 
 (* a slot's length prefix is 2 bytes *)
 let max_slot_payload = 0xffff
-let slot_bytes (codec : _ Codec.t) = codec.Codec.max_bytes + 2
+let slot_size (codec : _ Codec.t) = codec.Codec.max_bytes + 2
+
+(* A device: its cells in lines of [per_block] slots of [sbytes]
+   bytes, where [line_for b] answers the line that holds block [b]
+   (the one step a backend brings). The window is the block the
+   device resolved last, its first cell and its line, so a cell of
+   that block is found with a subtraction and a multiply instead of
+   [line_for]'s divisions. It is valid only while the line's [blk]
+   still names the block (an eviction, a prefetch or a CRC quarantine
+   changes it), and it starts at block -2, which no line holds (-1
+   marks an empty one). *)
+type 'a t = {
+  kind : string;
+  codec : 'a Codec.t;
+  blank : 'a;
+  sbytes : int;
+  per_block : int;
+  line_for : int -> line;
+  mutable win_blk : int;
+  mutable win_first : int;
+  mutable win_line : line;
+  vw : view;
+  dev_sync : unit -> unit;
+  dev_close : unit -> unit;
+  dev_stats : unit -> stats;
+}
+
+let no_line = { blk = -1; dirty = false; buf = Bytes.empty }
+
+let make ~kind ~codec ~blank ~per_block ~line_for ~sync ~close ~stats =
+  { kind; codec; blank; sbytes = slot_size codec; per_block; line_for; win_blk = -2;
+    win_first = -2 * per_block; win_line = no_line;
+    vw = { vbuf = Bytes.empty; voff = 0; vleft = 0 }; dev_sync = sync;
+    dev_close = close; dev_stats = stats }
+
+(* the offset of slot [i] in [d.win_line.buf], after moving the window
+   onto its block *)
+let[@inline] slot d i =
+  let k = i - d.win_first in
+  if k >= 0 && k < d.per_block && d.win_line.blk = d.win_blk then
+    frame_overhead + (k * d.sbytes)
+  else begin
+    let b = i / d.per_block in
+    let line = d.line_for b in
+    d.win_blk <- b;
+    d.win_first <- b * d.per_block;
+    d.win_line <- line;
+    frame_overhead + ((i - d.win_first) * d.sbytes)
+  end
+
+(* the offset of slot [i] in [d.win_line.buf], made ready for a
+   [len]-byte payload at offset + 2: length prefix set, line dirty.
+   Slack past a slot's length is always zero (a fetch reads back a
+   whole written frame or zeroes a blank one, a mem line starts
+   zeroed, and every write keeps it so), which keeps the backing file
+   deterministic: only a shrink leaves bytes to clear. *)
+let slot_for_write d i len =
+  let off = slot d i in
+  if len > d.codec.Codec.max_bytes then
+    invalid_arg (Printf.sprintf "Device.%s: encoded cell exceeds codec max_bytes" d.kind);
+  if len > max_slot_payload then
+    invalid_arg
+      (Printf.sprintf "Device.%s: encoded cell of %d bytes exceeds the %d-byte slot limit"
+         d.kind len max_slot_payload);
+  let line = d.win_line in
+  let old_len = Bytes.get_uint16_be line.buf off in
+  Bytes.set_uint16_be line.buf off len;
+  if old_len > len then Bytes.fill line.buf (off + 2 + len) (old_len - len) '\x00';
+  line.dirty <- true;
+  off
+
+let get d i =
+  let off = slot d i in
+  let buf = d.win_line.buf in
+  match Bytes.get_uint16_be buf off with
+  | 0 -> d.blank
+  | len -> d.codec.Codec.value buf (off + 2) (off + 2 + len)
+
+let set d i v =
+  let off = slot_for_write d i (d.codec.Codec.size v) in
+  ignore (d.codec.Codec.write d.win_line.buf (off + 2) v)
+
+let load d i dst =
+  let off = slot d i in
+  let buf = d.win_line.buf in
+  match Bytes.get_uint16_be buf off with
+  | 0 -> d.codec.Codec.write dst 0 d.blank
+  | len ->
+      Bytes.blit buf (off + 2) dst 0 len;
+      len
+
+let store d i src len =
+  let off = slot_for_write d i len in
+  Bytes.blit src 0 d.win_line.buf (off + 2) len
+
+let view d i =
+  let v = d.vw and k = i - d.win_first in
+  if k >= 0 && k < d.per_block && d.win_line.blk = d.win_blk then begin
+    v.vbuf <- d.win_line.buf;
+    v.voff <- frame_overhead + (k * d.sbytes);
+    v.vleft <- d.per_block - k
+  end
+  else v.vleft <- 0;
+  v
+
+let codec d = d.codec
+let slot_bytes d = d.sbytes
+let sync d = d.dev_sync ()
+let close d = d.dev_close ()
+let stats d = d.dev_stats ()
+
+(* ------------------------------------------------------------------ *)
+(* Mem: resident lines.                                                *)
+
+(* Line [b] holds block [b], allocated when a cell of the block is
+   first touched, and stays in RAM. A line is 256 bytes at most (or
+   one slot), so a short-lived tape allocates little, and only on the
+   minor heap. *)
+let mem (type a) ~(codec : a Codec.t) ~(blank : a) : a t =
+  let per_block = max 1 ((256 - frame_overhead) / slot_size codec) in
+  let bbytes = per_block * slot_size codec in
+  let lines = ref [| no_line |] and held = ref 0 in
+  let line_for b =
+    let n = Array.length !lines in
+    if b >= n then begin
+      let grown = Array.make (max (b + 1) (2 * n)) no_line in
+      Array.blit !lines 0 grown 0 n;
+      lines := grown
+    end;
+    if !lines.(b) == no_line then begin
+      !lines.(b) <- { blk = b; dirty = false; buf = Bytes.make (frame_overhead + bbytes) '\x00' };
+      incr held
+    end;
+    !lines.(b)
+  in
+  make ~kind:"mem" ~codec ~blank ~per_block ~line_for ~sync:ignore ~close:ignore
+    ~stats:(fun () -> { zero_stats with resident_bytes = !held * bbytes })
+
+(* ------------------------------------------------------------------ *)
+(* The slot cache both byte backends keep.                             *)
 
 (* The cells of a byte device: [nlines] direct-mapped lines of
    [per_block]-slot blocks, slots [codec.max_bytes + 2] bytes long,
@@ -422,8 +505,7 @@ let slot_bytes (codec : _ Codec.t) = codec.Codec.max_bytes + 2
      ([stats]' resident size is filled in here). *)
 let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
     ~nlines ~read_ahead ~fetch ~where ~write_back ~sync ~close ~stats : a t =
-  let slot_bytes = slot_bytes codec in
-  let bbytes = per_block * slot_bytes in
+  let bbytes = per_block * slot_size codec in
   let cache =
     Array.init nlines (fun _ -> { blk = -1; dirty = false; buf = Bytes.empty })
   in
@@ -484,107 +566,14 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
     else last_loaded := b;
     line
   in
-  (* The window: the block [slot] last resolved, its first slot and its
-     cache line, so a cell of that block is found with a subtraction
-     and a multiply instead of [line_for]'s divisions. It is valid only
-     while the line's [blk] still names the block (an eviction, a
-     prefetch or a CRC quarantine changes it), and it starts at block
-     -2, which no line holds (-1 marks an empty one). A hit is a hit
-     of [line_for] on the block it last resolved, so it leaves the
-     read-ahead state as it is. *)
-  let win_blk = ref (-2) in
-  let win_first = ref (-2 * per_block) in
-  let win_line = ref cache.(0) in
-  (* the offset of slot [i] in [!win_line.buf], after moving the
-     window onto its block *)
-  let slot i =
-    let d = i - !win_first in
-    if d >= 0 && d < per_block && !win_line.blk = !win_blk then
-      frame_overhead + (d * slot_bytes)
-    else begin
-      let b = i / per_block in
-      let line = line_for b in
-      win_blk := b;
-      win_first := b * per_block;
-      win_line := line;
-      frame_overhead + ((i - !win_first) * slot_bytes)
-    end
-  in
-  (* the offset of slot [i] in [!win_line.buf], made ready for a
-     [len]-byte payload at offset + 2: length prefix set, line dirty.
-     Slack past a slot's length is always zero (a fetch reads back a
-     whole written frame or zeroes a blank one, and every write keeps
-     it so), which keeps the backing file deterministic: only a shrink
-     leaves bytes to clear. *)
-  let slot_for_write i len =
-    let off = slot i in
-    if len > codec.Codec.max_bytes then
-      invalid_arg (Printf.sprintf "Device.%s: encoded cell exceeds codec max_bytes" kind);
-    if len > max_slot_payload then
-      invalid_arg
-        (Printf.sprintf
-           "Device.%s: encoded cell of %d bytes exceeds the %d-byte slot limit"
-           kind len max_slot_payload);
-    let line = !win_line in
-    let old_len = Bytes.get_uint16_be line.buf off in
-    Bytes.set_uint16_be line.buf off len;
-    if old_len > len then Bytes.fill line.buf (off + 2 + len) (old_len - len) '\x00';
-    line.dirty <- true;
-    off
-  in
-  let view = { vbuf = Bytes.empty; voff = 0; vleft = 0 } in
-  let blank_bytes = Bytes.create (codec.Codec.size blank) in
-  ignore (codec.Codec.write blank_bytes 0 blank);
-  {
-    dev_get =
-      (fun i ->
-        let off = slot i in
-        let buf = !win_line.buf in
-        let len = Bytes.get_uint16_be buf off in
-        if len = 0 then blank else codec.Codec.value buf (off + 2) (off + 2 + len));
-    dev_set =
-      (fun i v ->
-        let len = codec.Codec.size v in
-        let off = slot_for_write i len in
-        ignore (codec.Codec.write !win_line.buf (off + 2) v));
-    dev_slots =
-      Some
-        {
-          codec;
-          slot_bytes;
-          load =
-            (fun i dst ->
-              let off = slot i in
-              let buf = !win_line.buf in
-              match Bytes.get_uint16_be buf off with
-              | 0 ->
-                  Bytes.blit blank_bytes 0 dst 0 (Bytes.length blank_bytes);
-                  Bytes.length blank_bytes
-              | len ->
-                  Bytes.blit buf (off + 2) dst 0 len;
-                  len);
-          store =
-            (fun i src len ->
-              let off = slot_for_write i len in
-              Bytes.blit src 0 !win_line.buf (off + 2) len);
-          view =
-            (fun i ->
-              let d = i - !win_first in
-              if d >= 0 && d < per_block && !win_line.blk = !win_blk then begin
-                view.vbuf <- !win_line.buf;
-                view.voff <- frame_overhead + (d * slot_bytes);
-                view.vleft <- per_block - d
-              end
-              else view.vleft <- 0;
-              view);
-        };
-    dev_sync =
-      (fun () ->
-        Array.iter flush cache;
-        sync ());
-    dev_close = close;
-    dev_stats = (fun () -> { (stats ()) with resident_bytes = nlines * bbytes });
-  }
+  (* a window hit is a hit of [line_for] on the block it last
+     resolved, so it leaves the read-ahead state as it is *)
+  make ~kind ~codec ~blank ~per_block ~line_for
+    ~sync:(fun () ->
+      Array.iter flush cache;
+      sync ())
+    ~close
+    ~stats:(fun () -> { (stats ()) with resident_bytes = nlines * bbytes })
 
 (* ------------------------------------------------------------------ *)
 (* File: one flat file of CRC-framed blocks, with read-ahead.          *)
@@ -596,7 +585,7 @@ let file (type a) ~dir ~block_bytes ~cache_blocks ~raw ~(codec : a Codec.t)
   let id = Atomic.fetch_and_add file_counter 1 in
   let path = Filename.concat dir (Printf.sprintf "%s-%d.tape" (sanitize name) id) in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let slot_bytes = slot_bytes codec in
+  let slot_bytes = slot_size codec in
   let slots_per_block = max 1 (block_bytes / slot_bytes) in
   let bbytes = slots_per_block * slot_bytes in
   let fbytes = frame_overhead + bbytes in
@@ -674,7 +663,7 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
      layout this one replaced - fault plans and crash points are keyed
      by raw operation. *)
   let cells = max 16 (shard_bytes / (codec.Codec.max_bytes + 1)) in
-  let bbytes = cells * slot_bytes codec in
+  let bbytes = cells * slot_size codec in
   let io_r = ref 0 and io_w = ref 0 in
   let nfiles = ref 0 in
   (* filename -> its (frame crc, payload bytes) and MANIFEST line;
@@ -784,20 +773,14 @@ let shard (type a) ~dir ~shard_bytes ~raw ~(codec : a Codec.t) ~(blank : a) ~nam
       { zero_stats with io_read_bytes = !io_r; io_write_bytes = !io_w;
         backing_files = !nfiles })
 
-let instantiate (type a) ?(codec : a Codec.t option) spec ~(blank : a) ~name :
-    a t =
-  match (spec, codec) with
-  | Mem, _ | _, None ->
-      (* byte-backed backends need a codec; without one the tape is
-         honest RAM — the caller keeps working, just not externally *)
-      mem ~blank
-  | (File _ | Shard _), Some codec
-    when codec.Codec.size blank > codec.Codec.max_bytes ->
-      invalid_arg "Device.instantiate: the blank's encoding exceeds codec max_bytes"
-  | File { dir; block_bytes; cache_blocks; raw }, Some codec ->
+let instantiate (type a) ~(codec : a Codec.t) spec ~(blank : a) ~name : a t =
+  if codec.Codec.size blank > codec.Codec.max_bytes then
+    invalid_arg "Device.instantiate: the blank's encoding exceeds codec max_bytes";
+  match spec with
+  | Mem -> mem ~codec ~blank
+  | File { dir; block_bytes; cache_blocks; raw } ->
       file ~dir ~block_bytes ~cache_blocks ~raw ~codec ~blank ~name
-  | Shard { dir; shard_bytes; raw }, Some codec ->
-      shard ~dir ~shard_bytes ~raw ~codec ~blank ~name
+  | Shard { dir; shard_bytes; raw } -> shard ~dir ~shard_bytes ~raw ~codec ~blank ~name
 
 (* ------------------------------------------------------------------ *)
 (* Scrub: offline integrity walk over a spill directory.               *)
@@ -855,26 +838,24 @@ module Scrub = struct
       end
     end
 
+  (* A MANIFEST's entries, from lines as [manifest_line] writes them:
+     exactly 8 hex digits of CRC, a decimal length, the file name. Any
+     other line vouches for nothing, so its file is an orphan. *)
   let parse_manifest data =
+    let digits ok s = s <> "" && String.for_all ok s in
+    let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    let entry line =
+      match String.split_on_char ' ' line with
+      | crc :: len :: (_ :: _ as f)
+        when String.length crc = 8 && digits hex crc
+             && digits (function '0' .. '9' -> true | _ -> false) len ->
+          Option.map
+            (fun len -> (String.concat " " f, (int_of_string ("0x" ^ crc), len)))
+            (int_of_string_opt len)
+      | _ -> None
+    in
     match String.split_on_char '\n' data with
-    | magic :: rest when magic = manifest_magic ->
-        let entries =
-          List.filter_map
-            (fun line ->
-              match String.index_opt line ' ' with
-              | None -> None
-              | Some i -> (
-                  let crc = int_of_string_opt ("0x" ^ String.sub line 0 i) in
-                  let rest = String.sub line (i + 1) (String.length line - i - 1) in
-                  match (crc, String.index_opt rest ' ') with
-                  | Some crc, Some j ->
-                      let len = int_of_string_opt (String.sub rest 0 j) in
-                      let f = String.sub rest (j + 1) (String.length rest - j - 1) in
-                      Option.map (fun len -> (f, (crc, len))) len
-                  | _ -> None))
-            rest
-        in
-        Some entries
+    | magic :: rest when magic = manifest_magic -> Some (List.filter_map entry rest)
     | _ -> None
 
   (* One shard directory: the MANIFEST vouches for run files by

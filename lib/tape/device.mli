@@ -18,9 +18,9 @@
 
 type stats = {
   resident_bytes : int;
-      (** RAM the cells take: the mem backend's array, or a byte
-          device's cache capacity (its lines times their block size;
-          a line is allocated when it first takes a block) *)
+      (** RAM the cells take: the lines a device holds times their
+          block size (a line is allocated when it first takes a block;
+          a mem device keeps every line it takes) *)
   io_read_bytes : int;  (** payload bytes read from backing storage *)
   io_write_bytes : int;  (** payload bytes written to backing storage *)
   backing_files : int;
@@ -110,9 +110,9 @@ val close : 'a t -> unit
 
 val stats : 'a t -> stats
 
-(** How cells become bytes. Byte-backed devices need one; the mem
-    backend does not. Cells are written and read in place in the
-    device's cache slots. *)
+(** How cells become bytes. Every device stores its cells through
+    one, mem included: cells are written and read in place in the
+    device's slots. *)
 module Codec : sig
   type 'a codec = {
     size : 'a -> int;
@@ -132,35 +132,50 @@ module Codec : sig
       encodings are equal values. [Tape]'s cell registers compare two
       cells stored by the same codec by their bytes alone, so a codec
       that breaks this makes a register-based sort (Extsort's) sort
-      differently on a byte device than in RAM. The {!Tuple} codecs
-      keep it for [String.compare] and integer order (a tested
-      property). *)
+      otherwise than the values' order. The {!Tuple} codecs keep it
+      for [String.compare] and integer order (a tested property). *)
 
   type 'a t = 'a codec
 
   val tuple_string : max_bytes:int -> string t
   (** Cells are strings encoded as {!Tuple.write_str}, each at most
       [max_bytes] bytes once encoded ({!Tuple.str_size}: the length,
-      plus one per 0x00 byte, plus 2). A byte device sizes its slots
-      from [max_bytes], so a caller that knows its cells up front
-      passes the largest [Tuple.str_size] among them (and the blank's),
-      and one that does not passes the worst case for strings of up to
-      [n] bytes, [2 * n + 2]. Storing a longer cell on a byte device
-      raises [Invalid_argument]; so does creating one whose blank does
+      plus one per 0x00 byte, plus 2). A device sizes its slots from
+      [max_bytes], so a caller that knows its cells up front passes the
+      largest [Tuple.str_size] among them (and the blank's), and one
+      that does not passes the worst case for strings of up to [n]
+      bytes, [2 * n + 2]. Storing a longer cell raises
+      [Invalid_argument]; so does creating a device whose blank does
       not fit. *)
 
   val tuple_int : int t
   val tuple_char : char t
 end
 
-(** Where {!slots}' [view] found a cell, in the cache line of the
-    block the device resolved last: the line's slots as they stand,
-    behind the block's frame header (each [slot_bytes] long: a 2-byte
-    big-endian length, that many stored bytes, zeros to the slot's
-    end; length 0 is a never-written cell), the cell's slot offset in
-    the line, and the slots from the cell's to the block's end. *)
+(** {2 Slots: the cells as stored bytes, what [Tape]'s registers use} *)
+
+val codec : 'a t -> 'a Codec.t  (** the codec that writes the bytes *)
+
+val slot_bytes : 'a t -> int  (** [codec.max_bytes + 2]: one slot's length *)
+
+val load : 'a t -> int -> Bytes.t -> int
+(** [load d i dst] copies cell [i]'s stored bytes to the front of [dst]
+    (at least [codec.max_bytes] long) and returns their length. A
+    never-written cell gives the blank's encoding, the bytes a write of
+    the blank stores. *)
+
+val store : 'a t -> int -> Bytes.t -> int -> unit
+(** [store d i src len] makes the first [len] bytes of [src] cell [i]'s
+    stored bytes, exactly as writing the value they encode would. *)
+
+(** Where {!view} found a cell, in the line of the block the device
+    resolved last: the line's slots as they stand, behind the block's
+    frame header (each [slot_bytes] long: a 2-byte big-endian length,
+    that many stored bytes, zeros to the slot's end; length 0 is a
+    never-written cell), the cell's slot offset in the line, and the
+    slots from the cell's to the block's end. *)
 type view = {
-  mutable vbuf : Bytes.t;  (** the resolved block's cache line *)
+  mutable vbuf : Bytes.t;  (** the resolved block's line *)
   mutable voff : int;  (** the cell's slot offset in [vbuf] *)
   mutable vleft : int;
       (** slots from the cell's to the end of its block; 0 when the
@@ -168,36 +183,17 @@ type view = {
           are then meaningless) *)
 }
 
-(** A byte device's cells as their stored bytes, without decoding:
-    what [Tape]'s cell registers use. Both byte backends have them. *)
-type 'a slots = {
-  codec : 'a Codec.t;  (** the codec that wrote the bytes *)
-  slot_bytes : int;  (** [codec.max_bytes + 2]: one slot's length *)
-  load : int -> Bytes.t -> int;
-      (** [load i dst] copies cell [i]'s stored bytes to the front of
-          [dst] (at least [codec.max_bytes] long) and returns their
-          length. A never-written cell gives the blank's encoding, the
-          bytes a write of the blank stores. *)
-  store : int -> Bytes.t -> int -> unit;
-      (** [store i src len] makes the first [len] bytes of [src] cell
-          [i]'s stored bytes, exactly as writing the value they encode
-          would. *)
-  view : int -> view;
-      (** [view i] finds cell [i] in the block the device resolved
-          last (by a [get], [set], [load] or [store]): no I/O, no change
-          to the cache, and no allocation, since every call answers in
-          the device's one [view] record. Writing into [vbuf] bypasses
-          the dirty mark, so a caller writes only into a block it has
-          just [store]d into, keeping each slot's zero slack. *)
-}
-
-val slots : 'a t -> 'a slots option
-(** The device's slot accessor: [Some] on the file and shard backends,
-    [None] on mem. *)
+val view : 'a t -> int -> view
+(** [view d i] finds cell [i] in the block the device resolved last (by
+    a {!get}, {!set}, {!load} or {!store}): no I/O, no change to the
+    cache, and no allocation, since every call answers in the device's
+    one [view] record. Writing into [vbuf] bypasses the dirty mark, so
+    a caller writes only into a block it has just {!store}d into,
+    keeping each slot's zero slack. *)
 
 (** A backend recipe: what to build when a tape is created. *)
 type spec =
-  | Mem
+  | Mem  (** {!mem} *)
   | File of {
       dir : string;
       block_bytes : int;
@@ -226,16 +222,17 @@ val shard_spec : ?shard_bytes:int -> ?raw:raw_factory -> string -> spec
 (** Defaults: 1 MiB shards, real syscalls. A shard device always keeps
     2 shards in RAM. *)
 
-val mem : blank:'a -> 'a t
-(** The original growable in-RAM array. *)
+val mem : codec:'a Codec.t -> blank:'a -> 'a t
+(** An in-RAM slot store: lines of at most 256 bytes (or one slot),
+    each allocated when its block is first touched and kept; no I/O.
+    The blank must fit [codec] ({!instantiate} checks it). *)
 
-val instantiate : ?codec:'a Codec.t -> spec -> blank:'a -> name:string -> 'a t
-(** Build the backend a spec describes. [File]/[Shard] require a
-    [codec]; without one the result falls back to {!mem} (the tape
-    still works, just not externally). Backing files are created under
-    the spec's directory, uniquely named per tape, and removed on
-    {!close}; a shard device clears stale leftovers from its directory
-    at creation, so a crashed run's torn tails are never read back as
+val instantiate : codec:'a Codec.t -> spec -> blank:'a -> name:string -> 'a t
+(** Build the backend a spec describes, storing cells through [codec]
+    (which the blank must fit). Backing files are created under the
+    spec's directory, uniquely named per tape, and removed on {!close};
+    a shard device clears stale leftovers from its directory at
+    creation, so a crashed run's torn tails are never read back as
     data. *)
 
 (** Offline integrity walk over a spill directory — the reopen

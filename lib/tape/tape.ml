@@ -70,7 +70,6 @@ and 'a t = {
   name : string;
   blank : 'a;
   dev : 'a Device.t;
-  slots : 'a Device.slots option;
   mutable epoch : int; (* bumped by every write to the device *)
   mutable used : int; (* highest position visited or written, plus one *)
   mutable pos : int;
@@ -89,17 +88,17 @@ and 'a t = {
    parallel harness, and a plain ref would race *)
 let fresh_counter = Atomic.make 0
 
-let create ?name ?device ~blank () =
+(* a tape whose cells [spec] stores through [codec] *)
+let make ?name spec ~codec ~blank =
   let id = Atomic.fetch_and_add fresh_counter 1 + 1 in
   let name = match name with Some n -> n | None -> Printf.sprintf "tape%d" id
   in
-  let dev = match device with Some d -> d | None -> Device.mem ~blank in
+  let dev = Device.instantiate ~codec spec ~blank ~name in
   {
     id;
     name;
     blank;
     dev;
-    slots = Device.slots dev;
     epoch = 0;
     used = 0;
     pos = 0;
@@ -113,6 +112,8 @@ let create ?name ?device ~blank () =
     injection = None;
     faults = 0;
   }
+
+let create ?name ~codec ~blank () = make ?name Device.Mem ~codec ~blank
 
 let[@inline] touch tp pos = if pos >= tp.used then tp.used <- pos + 1
 
@@ -134,8 +135,8 @@ let preload tp items =
   tp.epoch <- tp.epoch + 1;
   List.iteri (preload_cell tp) items
 
-let of_list ?name ?device ~blank items =
-  let tp = create ?name ?device ~blank () in
+let of_list ?name ~codec ~blank items =
+  let tp = create ?name ~codec ~blank () in
   preload tp items;
   tp
 
@@ -299,80 +300,65 @@ let iter_right tp f =
     move tp Right
   done
 
-(* A cell register. [slots = Some s]: the cell is the first [len]
-   bytes of [buf], as codec [s.codec] stored them; [None]: the cell is
-   [value]. [src, src_pos, src_epoch] name the cell it was loaded from
+(* A cell register: the first [len] bytes of [buf], as [codec] stored
+   them. [src, src_pos, src_epoch] name the cell it was loaded from
    (tape id, position, that tape's epoch then); [src = -1] when it
    cannot be trusted to match the device: loaded through an injection
    hook, or not loaded at all. *)
 type 'a register = {
-  mutable slots : 'a Device.slots option;
+  mutable codec : 'a Device.Codec.t;
   mutable buf : Bytes.t;
   mutable len : int;
-  mutable value : 'a;
   mutable src : int;
   mutable src_pos : int;
   mutable src_epoch : int;
 }
 
 let register tp =
-  {
-    slots = None;
-    buf = Bytes.empty;
-    len = 0;
-    value = tp.blank;
-    src = -1;
-    src_pos = 0;
-    src_epoch = 0;
-  }
-
-(* The slot accessor when the register may hold stored bytes: the same
-   condition as [seek]'s fast path - nobody is entitled to see the
-   cell values go by. *)
-let[@inline] byte_slots tp = match tp.injection with None -> tp.slots | Some _ -> None
+  let codec = Device.codec tp.dev in
+  let buf = Bytes.create codec.Device.Codec.max_bytes in
+  let len = codec.Device.Codec.write buf 0 tp.blank in
+  { codec; buf; len; src = -1; src_pos = 0; src_epoch = 0 }
 
 let[@inline] load tp r =
   match tp.injection with
   | Some _ ->
-      r.value <- read tp;
-      r.slots <- None;
+      (* the hook sees the value; the register takes what it answers,
+         in a buffer grown if a made-up value does not fit the slots *)
+      let codec = Device.codec tp.dev and v = read tp in
+      let n = codec.Device.Codec.size v in
+      if n > Bytes.length r.buf then r.buf <- Bytes.create n;
+      r.len <- codec.Device.Codec.write r.buf 0 v;
+      r.codec <- codec;
       r.src <- -1
   | None ->
       touch tp tp.pos;
       if r.src <> tp.id || r.src_pos <> tp.pos || r.src_epoch <> tp.epoch
       then begin
+        let codec = Device.codec tp.dev in
+        let grow = codec.Device.Codec.max_bytes - Bytes.length r.buf in
+        if grow > 0 then r.buf <- Bytes.extend r.buf 0 grow;
         (* a device that raises does so before the register changes *)
-        (match byte_slots tp with
-        | Some s as slots ->
-            let grow = s.Device.codec.Device.Codec.max_bytes - Bytes.length r.buf in
-            if grow > 0 then r.buf <- Bytes.extend r.buf 0 grow;
-            r.len <- s.Device.load tp.pos r.buf;
-            if r.slots != slots then r.slots <- slots
-        | None ->
-            r.value <- Device.get tp.dev tp.pos;
-            if r.slots != None then r.slots <- None);
+        r.len <- Device.load tp.dev tp.pos r.buf;
+        if r.codec != codec then r.codec <- codec;
         r.src <- tp.id;
         r.src_pos <- tp.pos;
         r.src_epoch <- tp.epoch
       end;
       tp.reads <- tp.reads + 1
 
-let contents r =
-  match r.slots with
-  | None -> r.value
-  | Some s -> s.Device.codec.Device.Codec.value r.buf 0 r.len
+let contents r = r.codec.Device.Codec.value r.buf 0 r.len
 
+(* A hooked tape, or a tape of another codec, takes the value through
+   [write]. *)
 let[@inline] store tp r =
-  match r.slots with
-  | None -> write tp r.value
-  | Some rs -> (
-      match byte_slots tp with
-      | Some s when s.Device.codec == rs.Device.codec ->
-          touch tp tp.pos;
-          tp.epoch <- tp.epoch + 1;
-          s.Device.store tp.pos r.buf r.len;
-          tp.writes <- tp.writes + 1
-      | _ -> write tp (contents r))
+  match tp.injection with
+  | None when Device.codec tp.dev == r.codec ->
+      touch tp tp.pos;
+      tp.epoch <- tp.epoch + 1;
+      Device.store tp.dev tp.pos r.buf r.len;
+      tp.writes <- tp.writes + 1
+  | _ -> write tp (contents r)
 
 let[@inline] copy_step src i dst j r =
   seek src i;
@@ -382,14 +368,14 @@ let[@inline] copy_step src i dst j r =
 
 (* Cells [i, i + len) of [src] onto [j, j + len) of [dst] through [r],
    charged as a loop of [copy_step]s is. Between two unhooked tapes
-   whose slots are those of different devices with one codec, the
-   cells that cross no block on either tape are copied as whole slots,
-   and their charges are added up:
+   on different devices with one codec, the cells that cross no block
+   on either tape are copied as whole slots, and their charges are
+   added up:
    - cells 0 and 1 take the loop: only they can turn a head (and so
      check the scan budget); after cell 1 both heads move right;
    - a cell where either tape enters another block takes the loop, so
-     every fetch, flush, read-ahead and [Corrupt] happens in the same
-     order on each device;
+     every fetch, flush, read-ahead, line allocation and [Corrupt]
+     happens in the same order on each device;
    - the cells between lie in the two blocks the last step resolved.
      The step's store made [dst]'s line dirty, so one blit of their
      slots (length, bytes and zero slack) stores them as [store] would;
@@ -398,14 +384,14 @@ let[@inline] copy_step src i dst j r =
    - [r] is left holding the span's last cell, as the loop would leave
      it, so a step that raises after a span leaves the loop's state. *)
 let copy_run src i dst j len r =
-  match (byte_slots src, byte_slots dst) with
-  | Some ss, Some ds when ss.Device.codec == ds.Device.codec && ss != ds ->
-      let sb = ss.Device.slot_bytes in
+  match (src.injection, dst.injection) with
+  | None, None when Device.codec src.dev == Device.codec dst.dev && src.dev != dst.dev ->
+      let sb = Device.slot_bytes src.dev in
       let k = ref 0 in
       while !k < len do
         copy_step src (i + !k) dst (j + !k) r;
         if !k >= 1 && !k < len - 1 then begin
-          let sv = ss.Device.view (i + !k) and dv = ds.Device.view (j + !k) in
+          let sv = Device.view src.dev (i + !k) and dv = Device.view dst.dev (j + !k) in
           let m = Int.min (Int.min sv.Device.vleft dv.Device.vleft - 1) (len - 1 - !k) in
           let soff = sv.Device.voff + sb in
           let n = ref 0 in
@@ -459,14 +445,10 @@ let rec compare_bytes a la b lb i =
   end
   else compare_tail a la b lb i
 
-let[@inline] compare_registers cmp a b =
-  match (a.slots, b.slots) with
-  | None, None -> cmp a.value b.value
-  | Some sa, Some sb when sa.Device.codec == sb.Device.codec ->
-      compare_bytes a.buf a.len b.buf b.len 0
-  | _ -> cmp (contents a) (contents b)
-
-let tape_create = create
+let[@inline] compare_registers a b =
+  if a.codec != b.codec then
+    invalid_arg "Tape.compare_registers: registers of two codecs";
+  compare_bytes a.buf a.len b.buf b.len 0
 
 module Group = struct
   type t = group_state
@@ -492,34 +474,20 @@ module Group = struct
     tp.group <- Some g;
     g.members <- Member tp :: g.members
 
-  (* A codec opts the tape into the group's device spec; without one the
-     cell type has no byte format, so the tape stays in RAM. *)
-  let tape g ?name ?codec ~blank () =
-    let tp =
-      match (g.g_device, codec) with
-      | Device.Mem, _ | _, None -> tape_create ?name ~blank ()
-      | spec, Some codec ->
-          let id = Atomic.fetch_and_add fresh_counter 1 + 1 in
-          let name =
-            match name with Some n -> n | None -> Printf.sprintf "tape%d" id
-          in
-          let dev = Device.instantiate ~codec spec ~blank ~name in
-          tape_create ~name ~device:dev ~blank ()
-    in
+  let tape g ?name ~codec ~blank () =
+    let tp = make ?name g.g_device ~codec ~blank in
     add_tape g tp;
     tp
 
-  (* a byte-device tape's slot codec puts its sibling on the group's
-     device; reading [t.injector] first types [t] as a tape *)
+  (* reading [t.injector] first types [t] as a tape *)
   let sibling g t ~name =
     let maker = t.injector in
-    let codec = Option.map (fun (s : _ Device.slots) -> s.codec) t.slots in
-    let tp = tape g ~name ?codec ~blank:t.blank () in
+    let tp = tape g ~name ~codec:(Device.codec t.dev) ~blank:t.blank () in
     set_injection tp maker;
     tp
 
-  let tape_of_list g ?name ?codec ~blank items =
-    let tp = tape g ?name ?codec ~blank () in
+  let tape_of_list g ?name ~codec ~blank items =
+    let tp = tape g ?name ~codec ~blank () in
     preload tp items;
     tp
 

@@ -18,7 +18,9 @@
     Cell storage is pluggable: a tape's cells live on a {!Device} —
     RAM (the default), a block-cached flat file, or a sharded run
     directory — while all accounting stays up here, so the measured
-    numbers are backend-independent by construction. *)
+    numbers are backend-independent by construction. Every tape has a
+    {!Device.Codec}, and every device holds its cells as the bytes that
+    codec stores. *)
 
 module Tuple = Tuple
 (** Order-preserving, self-delimiting cell encoding — see {!Tuple}. *)
@@ -38,11 +40,12 @@ exception Budget_exceeded of string
 (** Raised by any movement or allocation that would exceed the enclosing
     {!Group}'s budget. The payload describes the violated resource. *)
 
-val create : ?name:string -> ?device:'a Device.t -> blank:'a -> unit -> 'a t
-(** An empty tape. [name] appears in reports and error messages.
-    [device] selects the cell store (default: in-RAM array). *)
+val create : ?name:string -> codec:'a Device.Codec.t -> blank:'a -> unit -> 'a t
+(** An empty tape in RAM ({!Device.mem}), its cells stored through
+    [codec]. [name] appears in reports and error messages. *)
 
-val of_list : ?name:string -> ?device:'a Device.t -> blank:'a -> 'a list -> 'a t
+val of_list :
+  ?name:string -> codec:'a Device.Codec.t -> blank:'a -> 'a list -> 'a t
 (** A tape pre-loaded with the given cells starting at position 0. *)
 
 val preload : 'a t -> 'a list -> unit
@@ -116,13 +119,13 @@ val rewind : 'a t -> unit
     same counters, budget checks and injection-hook outcomes, in the
     same order. Registers change only what the host does per cell.
 
-    {b Form.} When the tape has no injection hook (the condition of
-    {!seek}'s fast path) and its device exposes slots ({!Device.slots}:
-    both byte backends, file and shard), a load copies the cell's
-    stored bytes out of the cache line, decoding nothing, and a store
-    into such a tape copies them into its slot. Otherwise (mem, or a
-    hooked tape) the register holds the decoded value, as {!read}
-    returns it.
+    {b Form.} A register holds a cell's stored bytes. On a tape with
+    no injection hook (the condition of {!seek}'s fast path), a load
+    copies them out of the cell's slot ({!Device.load}) and a store
+    into a tape of the same codec copies them in, decoding nothing. A
+    hooked load goes through {!read} and encodes what the hook
+    answers; a hooked store, or one across codecs, decodes the cell
+    and goes through {!write}.
 
     {b Reloads.} Loading, from a tape with no injection hook, the cell
     a register already holds, while that tape has not been written
@@ -147,6 +150,9 @@ val store : 'a t -> 'a register -> unit
 (** Overwrite the cell under the head with the register's cell;
     charged as {!write}. *)
 
+val contents : 'a register -> 'a
+(** The register's cell, decoded. *)
+
 val copy_run : 'a t -> int -> 'a t -> int -> int -> 'a register -> unit
 (** [copy_run src i dst j len r] copies cells [i .. i + len - 1] of
     [src] onto cells [j .. j + len - 1] of [dst] through [r]. It is
@@ -158,25 +164,23 @@ val copy_run : 'a t -> int -> 'a t -> int -> int -> 'a register -> unit
     {!Device.Corrupt} it leaves the state that loop leaves. [r] ends
     holding cell [i + len - 1].
 
-    {b When it blits.} When neither tape has an injection hook, both
-    are on byte devices (different ones, so [src != dst]) and the two
-    share one codec, the cells after the second that cross into no new
-    block on either tape, up to the next never-written source cell,
-    are moved as whole slots with one [Bytes.blit] per span, and their
-    counts are added arithmetically, and [r] takes the span's last
-    cell. The first two cells (the only ones that can turn a head),
-    every cell where either tape enters another block and every
-    never-written source cell run the loop's own step. Otherwise the
-    whole copy is that loop. *)
+    {b When it blits.} When neither tape has an injection hook, the
+    two are on different devices (so [src != dst]) and share one
+    codec, the cells after the second that cross into no new block on
+    either tape, up to the next never-written source cell, are moved
+    as whole slots with one [Bytes.blit] per span, and their counts
+    are added arithmetically, and [r] takes the span's last cell. The
+    first two cells (the only ones that can turn a head), every cell
+    where either tape enters another block and every never-written
+    source cell run the loop's own step. Otherwise the whole copy is
+    that loop. *)
 
-val compare_registers :
-  ('a -> 'a -> int) -> 'a register -> 'a register -> int
-(** [compare_registers cmp a b]: two registers holding bytes stored by
-    the same codec compare bytewise (unsigned, shorter prefix first),
-    with no call to [cmp]; any other pair is compared by [cmp] on the
-    decoded values. Sound when [cmp] orders values as the codec's
-    encodings order bytewise — the {!Device.Codec} contract, which the
-    {!Tuple} codecs keep for [String.compare]. *)
+val compare_registers : 'a register -> 'a register -> int
+(** [compare_registers a b] compares the two cells' stored bytes
+    (unsigned, shorter prefix first), decoding nothing: by the
+    {!Device.Codec} contract, the values' order. Both registers must
+    hold bytes of one codec (one [Device.Codec.t] value).
+    @raise Invalid_argument when their codecs differ. *)
 
 val seek : 'a t -> int -> unit
 (** [seek tp target] moves the head to [target] as [|target - position|]
@@ -285,8 +289,8 @@ module Group : sig
       reversal or allocation that exceeds it raises {!Budget_exceeded}.
 
       [device] (default {!Device.Mem}) is the backend recipe for member
-      tapes created through {!tape}/{!tape_of_list} {e with a codec}:
-      the group owns the policy, each call site owns the byte format. *)
+      tapes created through {!tape}/{!tape_of_list}: the group owns the
+      policy, each call site owns the byte format. *)
 
   val add_tape : t -> 'a tape -> unit
   (** Register a tape; all its subsequent reversals count toward the
@@ -294,20 +298,17 @@ module Group : sig
       @raise Invalid_argument if the tape already belongs to a group. *)
 
   val tape :
-    t -> ?name:string -> ?codec:'a Device.Codec.t -> blank:'a -> unit -> 'a tape
-  (** Create and register in one step. A [codec] opts the tape into the
-      group's {!device} spec; without one (or under {!Device.Mem}) the
-      tape's cells stay in RAM. *)
+    t -> ?name:string -> codec:'a Device.Codec.t -> blank:'a -> unit -> 'a tape
+  (** Create and register in one step: a tape on the group's device
+      spec, its cells stored through [codec]. *)
 
   val sibling : t -> 'a tape -> name:string -> 'a tape
   (** [sibling g t ~name]: a working tape derived from [t], created
-      and registered in [g] with [t]'s blank, [t]'s hook maker applied
-      to [name] ({!set_injection}) and, when [t] is on a byte device,
-      [t]'s slot codec, which opts the sibling into [g]'s device spec
-      (as {!tape}'s [codec] does); a sibling of a RAM tape is in RAM. *)
+      and registered in [g] with [t]'s blank, [t]'s codec and [t]'s
+      hook maker applied to [name] ({!set_injection}). *)
 
   val tape_of_list :
-    t -> ?name:string -> ?codec:'a Device.Codec.t -> blank:'a -> 'a list ->
+    t -> ?name:string -> codec:'a Device.Codec.t -> blank:'a -> 'a list ->
     'a tape
   (** {!tape} followed by a device-level {!preload} — no head motion. *)
 

@@ -1,16 +1,16 @@
 type report = { n : int; scans : int; registers : int; tapes : int }
 
-(* One forward scan of the serialized document: the set1/set2 string
-   contents are spilled onto two tapes. Internal state: a bounded tag
-   buffer, one value register, flags and counters. *)
-let extract input tx ty =
-  let nx = ref 0 and ny = ref 0 in
+(* One forward scan of a serialized document, its chars fed by [iter]:
+   [emit set v] gets each set1 ([set = 1]) and set2 string's contents
+   in stream order. Internal state: a bounded tag buffer, one value
+   register and flags. *)
+let scan iter emit =
   let tag = Buffer.create 16 in
   let value = Buffer.create 64 in
   let in_tag = ref false in
   let in_string = ref false in
   let current_set = ref 0 in
-  Tape.iter_right input (fun c ->
+  iter (fun c ->
       match c with
       | '<' ->
           if !in_tag then invalid_arg "Stream_filter: nested '<'";
@@ -27,38 +27,37 @@ let extract input tx ty =
               Buffer.clear value
           | "/string" ->
               in_string := false;
-              let v = Buffer.contents value in
-              if !current_set = 1 then begin
-                Tape.seek tx !nx;
-                Tape.write tx v;
-                incr nx
-              end
-              else if !current_set = 2 then begin
-                Tape.seek ty !ny;
-                Tape.write ty v;
-                incr ny
-              end
-              else invalid_arg "Stream_filter: string outside sets"
+              if !current_set = 0 then invalid_arg "Stream_filter: string outside sets";
+              emit !current_set (Buffer.contents value)
           | _ -> ())
       | c ->
           if !in_tag then Buffer.add_char tag c
           else if !in_string then Buffer.add_char value c);
-  if !in_tag then invalid_arg "Stream_filter: unterminated tag";
-  (!nx, !ny)
+  if !in_tag then invalid_arg "Stream_filter: unterminated tag"
 
 let with_extracted ?obs stream f =
   let g = Tape.Group.create () in
   (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
   let meter = Tape.Group.meter g in
   let input =
-    Tape.Group.tape_of_list g ~name:"stream" ~blank:' '
+    Tape.Group.tape_of_list g ~name:"stream" ~codec:Tape.Device.Codec.tuple_char
+      ~blank:' '
       (List.init (String.length stream) (String.get stream))
   in
-  let tx = Tape.Group.tape g ~name:"set1-strings" ~blank:"" () in
-  let ty = Tape.Group.tape g ~name:"set2-strings" ~blank:"" () in
+  (* one codec for both string tapes, sized host-side to the strings *)
+  let strings = ref [] in
+  scan (fun f -> String.iter f stream) (fun _ v -> strings := v :: !strings);
+  let codec = Extsort.codec_for !strings in
+  let tx = Tape.Group.tape g ~name:"set1-strings" ~codec ~blank:"" () in
+  let ty = Tape.Group.tape g ~name:"set2-strings" ~codec ~blank:"" () in
   let verdict =
     Tape.Meter.with_units meter 8 (fun () ->
-        let nx, ny = extract input tx ty in
+        (* the scan of the input tape spills each string onto its set's *)
+        let count = [| 0; 0; 0 |] in
+        scan (Tape.iter_right input) (fun set v ->
+            Tape.write_at (if set = 1 then tx else ty) count.(set) v;
+            count.(set) <- count.(set) + 1);
+        let nx = count.(1) and ny = count.(2) in
         if nx > 1 then Extsort.sort_tape g tx ~len:nx;
         if ny > 1 then Extsort.sort_tape g ty ~len:ny;
         f tx nx ty ny)

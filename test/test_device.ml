@@ -358,19 +358,19 @@ let test_shard_run_file_is_block_frame () =
       Alcotest.(check string) f (String.sub tape (16 + (s * fbytes)) fbytes) run)
     runs
 
-(* A register's store: a byte device's slot accessor stores encoded
-   bytes, a blank as the bytes loaded from a never-written cell. On the
-   file and the shard backend alike, the backing files must come out as
-   [Device.set] writes them. *)
+(* A register's store: a device's slot accessor stores encoded bytes,
+   a blank as the bytes loaded from a never-written cell. On the file
+   and the shard backend alike, the backing files must come out as
+   [Device.set] writes them, and on mem the slots must. *)
 let test_slot_store_bytes () =
   let put (type a) ~(blank : a) d i (v : a) =
-    let s = Option.get (Tape.Device.slots d) in
-    let buf = Bytes.create s.Tape.Device.codec.Tape.Device.Codec.max_bytes in
+    let codec = Tape.Device.codec d in
+    let buf = Bytes.create codec.Tape.Device.Codec.max_bytes in
     let len =
-      if v = blank then s.Tape.Device.load 100_000 buf
-      else s.Tape.Device.codec.Tape.Device.Codec.write buf 0 v
+      if v = blank then Tape.Device.load d 100_000 buf
+      else codec.Tape.Device.Codec.write buf 0 v
     in
-    s.Tape.Device.store i buf len
+    Tape.Device.store d i buf len
   in
   let module C = Tape.Device.Codec in
   List.iter
@@ -392,8 +392,17 @@ let test_slot_store_bytes () =
       ("file", fun dir -> Tape.Device.file_spec ~block_bytes:256 ~cache_blocks:1 dir);
       ("shard", fun dir -> Tape.Device.shard_spec ~shard_bytes:256 dir);
     ];
-  Alcotest.(check bool) "no slots on mem" true
-    (Tape.Device.slots (Tape.Device.mem ~blank:"") = None)
+  let mem_slots put =
+    let codec = C.tuple_string ~max_bytes:26 in
+    let d = Tape.Device.mem ~codec ~blank:"" in
+    List.iter
+      (fun (i, v) -> put d i v)
+      (pin_writes [| ""; "\x00\xff\x00"; "twelve-bytes"; "ab" |] [ (2, "x"); (0, "now-longer") ]);
+    let buf = Bytes.create 26 in
+    List.init 60 (fun i -> (Tape.Device.get d i, Bytes.sub_string buf 0 (Tape.Device.load d i buf)))
+  in
+  Alcotest.(check (list (pair string string)))
+    "mem slots" (mem_slots Tape.Device.set) (mem_slots (put ~blank:""))
 
 (* ------------------------------------------------------------------ *)
 (* the file device's one-block window *)
@@ -471,9 +480,8 @@ let window_walk () =
   put 6 "s";
   get 6;
   get 7;
-  let s = Option.get (D.slots d) in
   let buf = Bytes.create codec.D.Codec.max_bytes in
-  s.D.store 1 buf (s.D.load 9 buf);
+  D.store d 1 buf (D.load d 9 buf);
   Hashtbl.replace model 1 (Hashtbl.find model 9);
   get 1;
   D.sync d;

@@ -152,7 +152,7 @@ let test_two_way_replay () =
           Tape.Injection.Move_ok);
     }
   in
-  let t = Tape.Group.tape g ~name:"data" ~blank:"" () in
+  let t = Tape.Group.tape g ~name:"data" ~codec:(Extsort.codec_for items) ~blank:"" () in
   Tape.preload t items;
   Tape.set_injection t (Some record);
   Extsort.sort_tape g t ~len:97;
@@ -169,10 +169,11 @@ let spill =
 
 let () = at_exit (fun () -> try Unix.rmdir spill with Unix.Unix_error _ -> ())
 
-(* The merge holds its cells in tape registers: stored bytes on an
-   unhooked file tape, decoded values on mem, on shard and on a hooked
-   file tape (a zero-rate fault plan injects nothing but installs the
-   hooks). Both forms must sort alike and charge every tape alike. *)
+(* The merge holds its cells in tape registers: stored bytes, copied
+   from the slot on unhooked mem, file and shard tapes, and encoded
+   from what the hook answers on a hooked file tape (a zero-rate fault
+   plan injects nothing but installs the hooks). All must sort alike
+   and charge every tape alike. *)
 let prop_register_forms_agree =
   let item =
     QCheck.Gen.(
@@ -326,6 +327,23 @@ let decider_allocation decider () =
     true
     (words < float_of_int (2 * m))
 
+(* A mem tape's lines are 256 bytes at most, so the tapes of a sort decider
+   whose run fits one minor heap put nothing on the major heap: what is
+   there is the halves that [Instance.xs] and [ys] copy, one word per
+   item. *)
+let test_mem_sort_allocation () =
+  let m = 4096 in
+  let inst = G.yes_instance (Random.State.make [| 3 |]) D.Multiset_equality ~m ~n:10 in
+  Gc.full_major ();
+  let _, _, major0 = Gc.counters () in
+  let ok, _ = Extsort.multiset_equality ~device:Tape.Device.Mem inst in
+  let _, _, major1 = Gc.counters () in
+  check "the instance is a yes-instance" true ok;
+  let words = major1 -. major0 and bound = 1.25 *. float_of_int (2 * m) in
+  check
+    (Printf.sprintf "%.0f major words < 1.25 per item (%.0f)" words bound)
+    true (words < bound)
+
 let test_budget_enforcement () =
   let st = Random.State.make [| 47 |] in
   let inst = G.yes_instance st D.Check_sort ~m:64 ~n:8 in
@@ -407,6 +425,7 @@ let () =
             (decider_allocation (fun ~device inst -> Extsort.multiset_equality ~device inst));
           Alcotest.test_case "set-eq decider allocation" `Quick
             (decider_allocation (fun ~device inst -> Extsort.decide ~device D.Set_equality inst));
+          Alcotest.test_case "mem sort allocation" `Quick test_mem_sort_allocation;
           QCheck_alcotest.to_alcotest prop_sorting_solves_checksort;
         ] );
     ]

@@ -126,6 +126,38 @@ let test_empty_instance () =
   let got, _ = Nst.decide_with_prover D.Set_equality inst in
   check "empty yes" true got
 
+(* The tapes' cell codec: a cell decodes to itself, [size] is what
+   [write] takes, and two cells have equal bytes exactly when they are
+   equal (the half of the codec contract the verifier's register
+   compare relies on). Values are drawn from a small alphabet, 0x00
+   included, and indices from the whole int32 range. *)
+let prop_cell_codec =
+  let open QCheck.Gen in
+  let value = string_size ~gen:(oneofl [ '0'; '1'; '\x00'; '\xff' ]) (int_range 0 6) in
+  let index = oneof [ int_range 0 3; int_range (-0x8000_0000) 0x7fff_ffff ] in
+  let cell =
+    frequency
+      [
+        (1, return Nst.Blank);
+        (2, map (fun v -> Nst.Val v) value);
+        (4, map3 (fun efst esnd evalue -> Nst.Ent { Nst.efst; esnd; evalue }) index index value);
+      ]
+  in
+  QCheck.Test.make ~name:"cell codec: decode . encode = id, equal bytes iff equal cells"
+    ~count:1000
+    (QCheck.make (oneof [ pair cell cell; map (fun c -> (c, c)) cell ]))
+    (fun (a, b) ->
+      let codec = Nst.codec [| a; b |] in
+      let encode c =
+        let buf = Bytes.create codec.Tape.Device.Codec.max_bytes in
+        let n = codec.Tape.Device.Codec.write buf 0 c in
+        if n <> codec.Tape.Device.Codec.size c then QCheck.Test.fail_report "size";
+        Bytes.sub_string buf 0 n
+      in
+      let ea = encode a and eb = encode b in
+      codec.Tape.Device.Codec.value (Bytes.of_string ea) 0 (String.length ea) = a
+      && (ea = eb) = (a = b))
+
 let () =
   Alcotest.run "nst"
     [
@@ -142,5 +174,6 @@ let () =
           Alcotest.test_case "decide agrees with reference" `Quick
             test_decide_with_prover_agrees;
           Alcotest.test_case "empty instance" `Quick test_empty_instance;
+          QCheck_alcotest.to_alcotest prop_cell_codec;
         ] );
     ]

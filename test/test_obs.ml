@@ -15,6 +15,9 @@ module Pool = Parallel.Pool
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* string cells of up to 30 bytes *)
+let strings = Tape.Device.Codec.tuple_string ~max_bytes:32
+
 let state seed = Random.State.make [| seed |]
 
 (* ------------------------------------------------------------------ *)
@@ -24,7 +27,7 @@ let test_recorder_exact_counts () =
   let r = Obs.Ledger.Recorder.create ~label:"exact" () in
   let g = Tape.Group.create () in
   Obs.Ledger.Recorder.observe r g;
-  let t = Tape.Group.tape_of_list g ~name:"a" ~blank:"" [ "x"; "y"; "z" ] in
+  let t = Tape.Group.tape_of_list g ~name:"a" ~codec:strings ~blank:"" [ "x"; "y"; "z" ] in
   (* 3 reads walking right, then 2 moves back, 1 write *)
   for _ = 1 to 3 do
     ignore (Tape.read t);
@@ -48,8 +51,8 @@ let test_recorder_observes_future_tapes () =
   let r = Obs.Ledger.Recorder.create () in
   let g = Tape.Group.create () in
   Obs.Ledger.Recorder.observe r g;
-  let _early = Tape.Group.tape_of_list g ~name:"early" ~blank:"" [ "e" ] in
-  let late = Tape.Group.tape g ~name:"late" ~blank:"" () in
+  let _early = Tape.Group.tape_of_list g ~name:"early" ~codec:strings ~blank:"" [ "e" ] in
+  let late = Tape.Group.tape g ~name:"late" ~codec:strings ~blank:"" () in
   Tape.write late "v";
   ignore (Tape.read late);
   let l = Obs.Ledger.Recorder.ledger r in
@@ -68,7 +71,7 @@ let test_recorder_same_name_tapes () =
   let walk cells =
     let g = Tape.Group.create () in
     Obs.Ledger.Recorder.observe r g;
-    let t = Tape.Group.tape g ~name:"stream" ~blank:"" () in
+    let t = Tape.Group.tape g ~name:"stream" ~codec:strings ~blank:"" () in
     for _ = 1 to cells do
       Tape.move t Tape.Right
     done
@@ -187,7 +190,7 @@ let zigzag_ledger m =
   let items =
     Array.to_list (Array.map Util.Bitstring.to_string (I.xs inst))
   in
-  let t = Tape.Group.tape_of_list g ~name:"data" ~blank:"" items in
+  let t = Tape.Group.tape_of_list g ~name:"data" ~codec:strings ~blank:"" items in
   for i = 0 to m - 1 do
     while Tape.position t < i do
       Tape.move t Tape.Right

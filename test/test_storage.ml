@@ -358,6 +358,28 @@ let test_scrub_detects_and_fixes () =
     (Sys.file_exists (Filename.concat sdir "run-000000.shard"));
   rm_rf root
 
+(* A MANIFEST line a device could not have written (here a 10-digit
+   CRC) vouches for nothing: its run file is an orphan, not a torn
+   tail, and --fix removes it. *)
+let test_scrub_wide_crc_is_orphan () =
+  let root = fresh_dir () in
+  Unix.mkdir root 0o755;
+  let sdir = Filename.concat root "s-1" in
+  Unix.mkdir sdir 0o755;
+  let sp = "\x00\x03\x02a\x00" in
+  write_file (Filename.concat sdir "run-000000.shard")
+    ("\x01" ^ be32 (Util.Hash.crc32 sp) ^ sp);
+  write_file (Filename.concat sdir "MANIFEST")
+    (Printf.sprintf "STLBMAN3\n00%08x %d run-000000.shard\n" (Util.Hash.crc32 sp)
+       (String.length sp));
+  let whats (r : Dev.Scrub.report) =
+    List.map (fun (f : Dev.Scrub.finding) -> f.Dev.Scrub.what) r.Dev.Scrub.findings
+  in
+  Alcotest.(check (list string)) "an orphan" [ "orphan" ] (whats (Dev.Scrub.dir root));
+  check "fix removes it" true ((Dev.Scrub.dir ~fix:true root).Dev.Scrub.removed >= 1);
+  check "gone" false (Sys.file_exists (Filename.concat sdir "run-000000.shard"));
+  rm_rf root
+
 let test_scrub_missing_root_is_empty () =
   let r = Dev.Scrub.dir (fresh_dir ()) in
   check_int "no files" 0 r.Dev.Scrub.files_checked;
@@ -396,6 +418,8 @@ let () =
       ( "scrub",
         [
           Alcotest.test_case "detect and fix" `Quick test_scrub_detects_and_fixes;
+          Alcotest.test_case "10-digit CRC line is an orphan" `Quick
+            test_scrub_wide_crc_is_orphan;
           Alcotest.test_case "missing root" `Quick test_scrub_missing_root_is_empty;
         ] );
     ]

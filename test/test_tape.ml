@@ -2,17 +2,18 @@
    space accounting, metering, and budget enforcement. *)
 
 let check = Alcotest.(check bool)
+let chars = Tape.Device.Codec.tuple_char
 let check_int = Alcotest.(check int)
 
 let test_empty_tape () =
-  let t = Tape.create ~blank:'_' () in
+  let t = Tape.create ~codec:chars ~blank:'_' () in
   check_int "blank read" (Char.code '_') (Char.code (Tape.read t));
   check_int "pos" 0 (Tape.position t);
   check_int "revs" 0 (Tape.reversals t);
   check "at left end" true (Tape.at_left_end t)
 
 let test_read_write_move () =
-  let t = Tape.of_list ~blank:0 [ 10; 20; 30 ] in
+  let t = Tape.of_list ~codec:Tape.Device.Codec.tuple_int ~blank:0 [ 10; 20; 30 ] in
   check_int "cell0" 10 (Tape.read t);
   Tape.move t Tape.Right;
   check_int "cell1" 20 (Tape.read t);
@@ -29,12 +30,12 @@ let test_read_write_move () =
   check_int "two reversals" 2 (Tape.reversals t)
 
 let test_move_off_left () =
-  let t = Tape.of_list ~blank:'_' [ 'a' ] in
+  let t = Tape.of_list ~codec:chars ~blank:'_' [ 'a' ] in
   Alcotest.check_raises "left of 0" (Invalid_argument "Tape.move: left of position 0")
     (fun () -> Tape.move t Tape.Left)
 
 let test_cells_used_grows () =
-  let t = Tape.create ~blank:'_' () in
+  let t = Tape.create ~codec:chars ~blank:'_' () in
   for _ = 1 to 9 do
     Tape.move t Tape.Right
   done;
@@ -43,7 +44,7 @@ let test_cells_used_grows () =
   check_int "write does not extend past head" 10 (Tape.cells_used t)
 
 let test_rewind () =
-  let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c' ] in
+  let t = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c' ] in
   Tape.move t Tape.Right;
   Tape.move t Tape.Right;
   Tape.rewind t;
@@ -56,7 +57,7 @@ let test_rewind () =
      issues no movement at all - no reversal charged AND the direction
      is untouched, so a following rightward scan is still reversal-free.
      The fault layer's retried scans rely on this. *)
-  let fresh = Tape.of_list ~blank:'_' [ 'a'; 'b' ] in
+  let fresh = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b' ] in
   Tape.rewind fresh;
   check_int "free on a fresh head" 0 (Tape.reversals fresh);
   check "direction preserved" true (Tape.head_direction fresh = Tape.Right);
@@ -78,7 +79,7 @@ let pass_through =
 (* [seek] walks one [move] per cell: |delta| moves, one reversal per
    turn, nothing at all when already there. *)
 let test_seek () =
-  let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ] in
+  let t = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ] in
   Tape.seek t 4;
   check_int "forward moves" 4 (Tape.head_moves t);
   check_int "forward is no turn" 0 (Tape.reversals t);
@@ -102,7 +103,7 @@ let counts t = (Tape.head_moves t, Tape.reads t, Tape.writes t)
 
 let test_rewind_fast_path_parity () =
   let run hooked =
-    let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
+    let t = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
     if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     for _ = 1 to 3 do
       ignore (Tape.read t);
@@ -121,7 +122,7 @@ let test_rewind_fast_path_parity () =
     "loop path = fast path" loop (run false);
   (* and from a leftward-moving head: no extra reversal either way *)
   let run_leftward hooked =
-    let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
+    let t = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
     if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     for _ = 1 to 3 do
       Tape.move t Tape.Right
@@ -144,7 +145,7 @@ let test_rewind_budget_trip_parity () =
         ~budget:{ Tape.Group.max_scans = Some 1; max_internal = None }
         ()
     in
-    let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
+    let t = Tape.Group.tape_of_list g ~name:"t" ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c' ] in
     if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     for _ = 1 to 2 do
       Tape.write t 'z';
@@ -182,7 +183,7 @@ let test_rewind_injection_sees_moves () =
           Tape.Injection.Move_ok);
     }
   in
-  let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd'; 'e' ] in
+  let t = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c'; 'd'; 'e' ] in
   for _ = 1 to 4 do
     Tape.move t Tape.Right
   done;
@@ -206,7 +207,7 @@ let run_seeks ~hooked max_scans steps =
   let g =
     Tape.Group.create ~budget:{ Tape.Group.max_scans; max_internal = None } ()
   in
-  let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
+  let t = Tape.Group.tape_of_list g ~name:"t" ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c' ] in
   if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
   let rec go k = function
     | [] -> None
@@ -237,7 +238,7 @@ let prop_seek_fast_path_parity =
    0, charging the turn and every move, then fails as [move] does *)
 let test_seek_negative_target () =
   let run hooked =
-    let t = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
+    let t = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c'; 'd' ] in
     if hooked then Tape.set_injection t (Some (fun _ -> pass_through));
     Tape.seek t 3;
     Alcotest.check_raises "seek -1"
@@ -252,13 +253,13 @@ let test_seek_negative_target () =
   check "fast and hooked tapes agree" true (loop = run false)
 
 let test_to_list_iter () =
-  let t = Tape.of_list ~blank:'_' [ 'x'; 'y' ] in
+  let t = Tape.of_list ~codec:chars ~blank:'_' [ 'x'; 'y' ] in
   Alcotest.(check (list char)) "to_list" [ 'x'; 'y' ] (Tape.to_list t);
   let seen = ref [] in
   Tape.iter_right t (fun c -> seen := c :: !seen);
   Alcotest.(check (list char)) "iter" [ 'y'; 'x' ] !seen;
   (* iter_right from the middle *)
-  let t2 = Tape.of_list ~blank:'_' [ 'a'; 'b'; 'c' ] in
+  let t2 = Tape.of_list ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c' ] in
   Tape.move t2 Tape.Right;
   let seen2 = ref [] in
   Tape.iter_right t2 (fun c -> seen2 := c :: !seen2);
@@ -280,8 +281,8 @@ let test_meter () =
 
 let test_group_accounting () =
   let g = Tape.Group.create () in
-  let t1 = Tape.Group.tape_of_list g ~name:"a" ~blank:'_' [ 'x'; 'y' ] in
-  let t2 = Tape.Group.tape g ~name:"b" ~blank:'_' () in
+  let t1 = Tape.Group.tape_of_list g ~name:"a" ~codec:chars ~blank:'_' [ 'x'; 'y' ] in
+  let t2 = Tape.Group.tape g ~name:"b" ~codec:chars ~blank:'_' () in
   check_int "fresh scans" 1 (Tape.Group.scans g);
   Tape.move t1 Tape.Right;
   Tape.move t1 Tape.Left;
@@ -302,7 +303,7 @@ let test_group_budget_scans () =
       ~budget:{ Tape.Group.max_scans = Some 2; max_internal = None }
       ()
   in
-  let t = Tape.Group.tape_of_list g ~name:"t" ~blank:'_' [ 'a'; 'b'; 'c' ] in
+  let t = Tape.Group.tape_of_list g ~name:"t" ~codec:chars ~blank:'_' [ 'a'; 'b'; 'c' ] in
   Tape.move t Tape.Right;
   Tape.move t Tape.Left (* scan 2: fine *);
   check "raises on third scan" true
@@ -327,13 +328,14 @@ let test_group_budget_internal () =
 
 let test_double_registration () =
   let g = Tape.Group.create () in
-  let t = Tape.Group.tape g ~blank:'_' () in
+  let t = Tape.Group.tape g ~codec:chars ~blank:'_' () in
   Alcotest.check_raises "regrouped" (Invalid_argument "Group.add_tape: tape already grouped")
     (fun () -> Tape.Group.add_tape g t)
 
-(* Cell registers: stored bytes on an unhooked file tape, decoded
-   values on a mem tape; both forms must act alike, also against each
-   other. *)
+(* Cell registers hold stored bytes on every device: a file tape's
+   and a mem tape's registers of one codec compare and store across
+   the two devices; registers of two codecs do not compare, and a
+   store across codecs goes by value. *)
 let test_registers () =
   let spill =
     Filename.concat
@@ -344,13 +346,13 @@ let test_registers () =
   let codec = Tape.Device.Codec.tuple_string ~max_bytes:10 in
   let file = Tape.Group.tape_of_list g ~codec ~blank:"" [ "b\x00"; "a" ] in
   let out = Tape.Group.tape g ~codec ~blank:"" () in
-  let mem = Tape.of_list ~blank:"" [ "b"; "" ] in
+  let mem = Tape.of_list ~codec ~blank:"" [ "b"; "" ] in
   let rf = Tape.register file and rm = Tape.register mem in
-  let sign_regs () = compare (Tape.compare_registers String.compare rf rm) 0 in
+  let sign_regs () = compare (Tape.compare_registers rf rm) 0 in
   let sign a b = compare (String.compare a b) 0 in
   Tape.load file rf;
   Tape.load mem rm;
-  check_int "bytes vs value" (sign "b\x00" "b") (sign_regs ());
+  check_int "file bytes vs mem bytes" (sign "b\x00" "b") (sign_regs ());
   check_int "loads charged as reads" 1 (Tape.reads file);
   (* a reload after a write sees the new cell, not the held one *)
   Tape.write file "a";
@@ -364,22 +366,32 @@ let test_registers () =
   check_int "never-written = blank" 0 (sign_regs ());
   Tape.store out rf;
   Alcotest.(check (list string)) "stored blank" [ "" ] (Tape.to_list out);
-  (* stored bytes into a file tape, their value into the mem tape *)
+  (* a file cell's bytes into the other file tape and into mem *)
   Tape.seek file 1;
   Tape.load file rf;
   Tape.store out rf;
   Tape.seek mem 0;
   Tape.store mem rf;
   Alcotest.(check (list string)) "bytes stored" [ "a" ] (Tape.to_list out);
-  Alcotest.(check (list string)) "value stored" [ "a"; "" ] (Tape.to_list mem);
+  Alcotest.(check (list string)) "bytes stored on mem" [ "a"; "" ] (Tape.to_list mem);
   check_int "stores charged as writes" 2 (Tape.writes out);
+  (* another codec: no comparison, and a store by value *)
+  let wide = Tape.Device.Codec.tuple_string ~max_bytes:12 in
+  let other = Tape.of_list ~codec:wide ~blank:"" [ "c" ] in
+  let ro = Tape.register other in
+  Tape.load other ro;
+  Alcotest.check_raises "two codecs"
+    (Invalid_argument "Tape.compare_registers: registers of two codecs") (fun () ->
+      ignore (Tape.compare_registers rf ro));
+  Tape.store other rf;
+  Alcotest.(check (list string)) "stored across codecs" [ "a" ] (Tape.to_list other);
+  Alcotest.(check string) "contents" "a" (Tape.contents rf);
   Tape.Group.close_all g;
   Unix.rmdir spill
 
 (* [Group.sibling] derives a working tape from a data tape: its blank,
-   its slots (on the group's device when the data tape is on a byte
-   device, in RAM otherwise) and its hook maker, applied to the
-   sibling's own name. *)
+   its codec (so its slot width, on the group's device) and its hook
+   maker, applied to the sibling's own name. *)
 let test_sibling () =
   let spill =
     Filename.concat
@@ -423,7 +435,7 @@ let test_sibling () =
           false
         with Invalid_argument _ -> true
       in
-      check (label ^ ": the data tape's slot width") on_device too_wide;
+      check (label ^ ": the data tape's slot width") true too_wide;
       check_int (label ^ ": backing files")
         (if on_device then 2 else 0)
         (Tape.Group.device_stats g).Tape.Device.backing_files;
@@ -701,18 +713,110 @@ let prop_word_compare =
       Tape.load t rb;
       let sign x = compare x 0 in
       let ok =
-        sign (Tape.compare_registers String.compare ra rb) = sign (String.compare a b)
-        && sign (Tape.compare_registers String.compare rb ra) = sign (String.compare b a)
+        sign (Tape.compare_registers ra rb) = sign (String.compare a b)
+        && sign (Tape.compare_registers rb ra) = sign (String.compare b a)
       in
       let w0 = Gc.minor_words () in
       let acc = ref 0 in
       for _ = 1 to 100 do
-        acc := !acc + Tape.compare_registers String.compare ra rb
+        acc := !acc + Tape.compare_registers ra rb
       done;
       let words = Gc.minor_words () -. w0 in
       Tape.Group.close_all g;
       Unix.rmdir compare_spill;
       ok && words = 0. && (!acc = 0) = (a = b))
+
+(* A register acts as [read] and [write] do: on mem, file and shard,
+   with no hook and with a hook that answers each operation as scripted
+   ([Read_value], [Write_value], [Write_drop], [*_fail] or ok), [load]
+   then [contents] returns what [read] returns, and [store] leaves the
+   cells and the counters that [write] of the register's [contents]
+   leaves. Each op seeks cell [p] of a tape of 12 cells (every third
+   never written), then reads it, or stores there cell [q] of a second,
+   unhooked tape. *)
+let reg_spill =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "stlb-test-register-%d" (Unix.getpid ()))
+
+let register_run ~device ~hooked ~by_register ops =
+  let codec = Tape.Device.Codec.tuple_string ~max_bytes:6 in
+  let g = Tape.Group.create ~device () in
+  let t = Tape.Group.tape g ~name:"t" ~codec ~blank:"" () in
+  let src = Tape.Group.tape_of_list g ~name:"src" ~codec ~blank:"" [ "a"; "bb"; ""; "\x00c" ] in
+  for p = 0 to 11 do
+    if p mod 3 <> 2 then Tape.write_at t p (string_of_int p)
+  done;
+  let answer = ref `Ok in
+  let module I = Tape.Injection in
+  if hooked then
+    Tape.set_injection t
+      (Some
+         (fun _ ->
+           {
+             I.on_read =
+               (fun ~pos:_ _ ->
+                 match !answer with
+                 | `Ok | `Drop -> I.Read_ok
+                 | `Value v -> I.Read_value v
+                 | `Fail -> I.Read_fail Exit);
+             on_write =
+               (fun ~pos:_ _ ->
+                 match !answer with
+                 | `Ok -> I.Write_ok
+                 | `Value v -> I.Write_value v
+                 | `Drop -> I.Write_drop
+                 | `Fail -> I.Write_fail Exit);
+             on_move = (fun ~pos:_ _ -> I.Move_ok);
+           }));
+  let r = Tape.register t and rs = Tape.register src in
+  let step (p, op, a) =
+    answer := `Ok;
+    Tape.seek t p;
+    answer := a;
+    match op with
+    | `Read -> (
+        match if by_register then (Tape.load t r; Tape.contents r) else Tape.read t with
+        | v -> v
+        | exception Exit -> "raised")
+    | `Store q -> (
+        Tape.seek src q;
+        Tape.load src rs;
+        match if by_register then Tape.store t rs else Tape.write t (Tape.contents rs) with
+        | () -> "stored"
+        | exception Exit -> "raised")
+  in
+  let log = List.map step ops in
+  let rep = Tape.Group.report g in
+  let out = (log, Tape.to_list t, (rep.Tape.Group.tapes, Tape.Group.device_stats g)) in
+  Tape.Group.close_all g;
+  (try Unix.rmdir reg_spill with Unix.Unix_error _ -> ());
+  out
+
+let prop_register_is_read_write =
+  let open QCheck.Gen in
+  let answer =
+    frequency
+      [ (3, return `Ok); (1, map (fun v -> `Value v) (oneofl [ ""; "v"; "\x00" ]));
+        (1, return `Drop); (1, return `Fail) ]
+  in
+  let op = frequency [ (1, return `Read); (1, map (fun q -> `Store q) (int_range 0 5)) ] in
+  QCheck.Test.make ~name:"load/store = read/write, hooked or not, on mem/file/shard"
+    ~count:100
+    (QCheck.make (list_size (int_range 1 20) (triple (int_range 0 13) op answer)))
+    (fun ops ->
+      List.for_all
+        (fun device ->
+          List.for_all
+            (fun hooked ->
+              let run by_register = register_run ~device ~hooked ~by_register ops in
+              run true = run false)
+            [ false; true ])
+        [
+          Tape.Device.Mem;
+          Tape.Device.file_spec ~block_bytes:24 ~cache_blocks:2 reg_spill;
+          Tape.Device.shard_spec ~shard_bytes:64 reg_spill;
+        ])
 
 let prop_reversals_count_direction_changes =
   (* random walk: reversals = number of adjacent direction changes among
@@ -720,7 +824,7 @@ let prop_reversals_count_direction_changes =
   QCheck.Test.make ~name:"reversal counting on random walks" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 60) bool)
     (fun dirs ->
-      let t = Tape.create ~blank:0 () in
+      let t = Tape.create ~codec:Tape.Device.Codec.tuple_int ~blank:0 () in
       let expected = ref 0 in
       let last = ref true (* Right *) in
       let executed = ref [] in
@@ -759,6 +863,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_seek_fast_path_parity;
           Alcotest.test_case "to_list/iter" `Quick test_to_list_iter;
           Alcotest.test_case "registers" `Quick test_registers;
+          QCheck_alcotest.to_alcotest prop_register_is_read_write;
           QCheck_alcotest.to_alcotest prop_word_compare;
           Alcotest.test_case "copy_run = per-cell loop" `Quick test_copy_run;
           QCheck_alcotest.to_alcotest prop_copy_run_parity;
