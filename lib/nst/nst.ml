@@ -9,43 +9,39 @@ type certificate = {
   copies : entry array array;  (* 2m copies, each of 2m entries *)
 }
 
-type cell = Blank | Val of string | Ent of entry
+type cell = Blank | Val of int | Ent of { efst : int; esnd : int; vid : int }
 
 (* A cell's stored bytes: a tag byte (0 blank, 1 a value, 2 an entry),
-   an entry's [efst] and [esnd] as be32, then the value's bytes to the
-   end. Equal bytes exactly for equal cells; no order. *)
-let cell_size = function
-  | Blank -> 1
-  | Val v -> 1 + String.length v
-  | Ent e -> 9 + String.length e.evalue
+   then a value's id, or an entry's [efst], [esnd] and value id, each
+   as be32. Equal bytes exactly for equal cells; no order. *)
+let cell_size = function Blank -> 1 | Val _ -> 5 | Ent _ -> 13
 
 let write_cell buf pos = function
   | Blank ->
       Bytes.set buf pos '\x00';
       pos + 1
-  | Val v ->
+  | Val id ->
       Bytes.set buf pos '\x01';
-      Bytes.blit_string v 0 buf (pos + 1) (String.length v);
-      pos + 1 + String.length v
-  | Ent e ->
+      Bytes.set_int32_be buf (pos + 1) (Int32.of_int id);
+      pos + 5
+  | Ent { efst; esnd; vid } ->
       Bytes.set buf pos '\x02';
-      Bytes.set_int32_be buf (pos + 1) (Int32.of_int e.efst);
-      Bytes.set_int32_be buf (pos + 5) (Int32.of_int e.esnd);
-      Bytes.blit_string e.evalue 0 buf (pos + 9) (String.length e.evalue);
-      pos + 9 + String.length e.evalue
+      Bytes.set_int32_be buf (pos + 1) (Int32.of_int efst);
+      Bytes.set_int32_be buf (pos + 5) (Int32.of_int esnd);
+      Bytes.set_int32_be buf (pos + 9) (Int32.of_int vid);
+      pos + 13
 
-let cell_value buf pos limit =
+let cell_value buf pos _limit =
+  let int k = Int32.to_int (Bytes.get_int32_be buf (pos + k)) in
   match Bytes.get buf pos with
-  | '\x01' -> Val (Bytes.sub_string buf (pos + 1) (limit - pos - 1))
-  | '\x02' ->
-      let efst = Int32.to_int (Bytes.get_int32_be buf (pos + 1)) in
-      let esnd = Int32.to_int (Bytes.get_int32_be buf (pos + 5)) in
-      Ent { efst; esnd; evalue = Bytes.sub_string buf (pos + 9) (limit - pos - 9) }
+  | '\x01' -> Val (int 1)
+  | '\x02' -> Ent { efst = int 1; esnd = int 5; vid = int 9 }
   | _ -> Blank
 
-let codec cells =
-  let max_bytes = Array.fold_left (fun a c -> max a (cell_size c)) 1 cells in
-  Tape.Device.Codec.{ size = cell_size; write = write_cell; value = cell_value; max_bytes }
+let codec =
+  Tape.Device.Codec.{ size = cell_size; write = write_cell; value = cell_value; max_bytes = 13 }
+
+module Ids = Hashtbl.Make (String)
 
 (* ------------------------------------------------------------------ *)
 (* Prover                                                              *)
@@ -109,25 +105,23 @@ let table_of_funs inst f g =
         { efst = g.(j - 1); esnd = j; evalue = B.to_string (I.y inst j) }
       end)
 
-let replicate_table m table =
-  { kind = `Perm; copies = Array.init (max 1 (2 * m)) (fun _ -> Array.copy table) }
+(* every copy shares the table's entries *)
+let replicate_table kind m table =
+  { kind; copies = Array.init (max 1 (2 * m)) (fun _ -> Array.copy table) }
 
 let prove problem inst =
   let m = I.m inst in
   match problem with
   | D.Multiset_equality ->
-      Option.map (fun pi -> replicate_table m (table_of_perm inst pi)) (perm_witness inst)
+      Option.map (fun pi -> replicate_table `Perm m (table_of_perm inst pi)) (perm_witness inst)
   | D.Check_sort ->
       if D.check_sort inst then
         Option.map
-          (fun pi -> replicate_table m (table_of_perm inst pi))
+          (fun pi -> replicate_table `Perm m (table_of_perm inst pi))
           (perm_witness inst)
       else None
   | D.Set_equality ->
-      Option.map
-        (fun (f, g) ->
-          { kind = `Funs; copies = Array.init (max 1 (2 * m)) (fun _ -> table_of_funs inst f g) })
-        (funs_witness inst)
+      Option.map (fun (f, g) -> replicate_table `Funs m (table_of_funs inst f g)) (funs_witness inst)
 
 (* ------------------------------------------------------------------ *)
 (* Corruption (for soundness tests)                                    *)
@@ -182,18 +176,43 @@ let verify ?obs problem inst cert =
   let g = Tape.Group.create () in
   (match obs with None -> () | Some r -> Obs.Ledger.Recorder.observe r g);
   let meter = Tape.Group.meter g in
-  let inputs = Array.map (fun v -> Val (B.to_string v)) (Array.append (I.xs inst) (I.ys inst)) in
-  let guess = Array.map (fun e -> Ent e) (Array.concat (Array.to_list cert.copies)) in
-  (* t1 holds every guess cell too, so its cells size the one codec *)
-  let cells = Array.append inputs guess in
-  let codec = codec cells in
-  let tape name cells =
-    let t = Tape.Group.tape g ~name ~codec ~blank:Blank () in
-    Tape.preload_init t (Array.length cells) (Array.get cells);
-    t
+  (* The tapes hold value ids, not values: [id] numbers the distinct
+     strings of the input and the certificate, so a cell is at most 13
+     bytes whatever n, and the 2m copies of an entry cost 2m cells, not
+     2m copies of its value. An entry whose value is that of the input
+     it names ([x_efst] or [y_esnd], as every honest entry's is) takes
+     that input's id unhashed. *)
+  let ids = Ids.create (4 * m + 1) and strings = ref [] in
+  let id s =
+    match Ids.find_opt ids s with
+    | Some i -> i
+    | None ->
+        let i = Ids.length ids in
+        Ids.add ids s i;
+        strings := s :: !strings;
+        i
   in
-  let t1 = tape "input+copies" cells in
-  let t2 = tape "guess" guess in
+  let ins = Array.map B.to_string (Array.append (I.xs inst) (I.ys inst)) in
+  let in_ids = Array.map id ins in
+  let named k s = k >= 0 && k < 2 * m && String.equal ins.(k) s in
+  let vid e =
+    if e.efst <= m && named (e.efst - 1) e.evalue then in_ids.(e.efst - 1)
+    else if e.esnd <= m && named (m + e.esnd - 1) e.evalue then in_ids.(m + e.esnd - 1)
+    else id e.evalue
+  in
+  let flat = Array.concat (Array.to_list cert.copies) in
+  let vids = Array.map vid flat in
+  let value = Array.of_list (List.rev !strings) in
+  let n_in = 2 * m and n_guess = Array.length flat in
+  (* t2 holds the cells of t1's copy region: encoded once, on t1 *)
+  let t1 = Tape.Group.tape g ~name:"input+copies" ~codec ~blank:Blank () in
+  Tape.preload_init t1 (n_in + n_guess) (fun j ->
+      if j < n_in then Val in_ids.(j)
+      else
+        let e = flat.(j - n_in) in
+        Ent { efst = e.efst; esnd = e.esnd; vid = vids.(j - n_in) });
+  let t2 = Tape.Group.tape g ~name:"guess" ~codec ~blank:Blank () in
+  Tape.preload_blit t1 n_in t2 n_guess;
   let perm_kind = cert.kind = `Perm in
   let ok = ref (Array.length cert.copies = max 1 (2 * m)) in
   Array.iter (fun copy -> if Array.length copy <> 2 * m then ok := false) cert.copies;
@@ -202,41 +221,35 @@ let verify ?obs problem inst cert =
         let read_val tp =
           match Tape.read tp with
           | Val v -> v
-          | Ent _ | Blank -> ok := false; ""
-        in
-        let read_ent tp =
-          match Tape.read tp with
-          | Ent e -> e
-          | Val _ | Blank ->
-              ok := false;
-              { efst = 0; esnd = 0; evalue = "" }
+          | Ent _ | Blank -> ok := false; -1
         in
         (* ---- forward scan: local checks, copy l against input l ---- *)
-        let prev = ref "" in
+        let prev = ref (-1) in
         for l = 1 to 2 * m do
           let v = read_val t1 in
-          if problem = D.Check_sort && l > m + 1 && String.compare !prev v > 0
+          if
+            problem = D.Check_sort && l > m + 1 && !prev >= 0 && v >= 0
+            && String.compare value.(!prev) value.(v) > 0
           then ok := false;
           if l > m then prev := v;
           let count = ref 0 in
           for e = 1 to 2 * m do
-            let ent = read_ent t2 in
-            if e <= m then begin
-              if ent.efst <> e then ok := false;
-              if l <= m && e = l && not (String.equal ent.evalue v) then
-                ok := false;
-              if l > m && ent.esnd = l - m then begin
-                incr count;
-                if not (String.equal ent.evalue v) then ok := false
-              end
-            end
-            else begin
-              if ent.esnd <> e - m then ok := false;
-              if l <= m && ent.efst = l && not (String.equal ent.evalue v) then
-                ok := false;
-              if l > m && e = m + (l - m) && not (String.equal ent.evalue v) then
-                ok := false
-            end;
+            (match Tape.read t2 with
+            | Ent { efst; esnd; vid } ->
+                if e <= m then begin
+                  if efst <> e then ok := false;
+                  if l <= m && e = l && vid <> v then ok := false;
+                  if l > m && esnd = l - m then begin
+                    incr count;
+                    if vid <> v then ok := false
+                  end
+                end
+                else begin
+                  if esnd <> e - m then ok := false;
+                  if l <= m && efst = l && vid <> v then ok := false;
+                  if l > m && e = m + (l - m) && vid <> v then ok := false
+                end
+            | Val _ | Blank -> ok := false);
             Tape.move t2 Tape.Right
           done;
           if l > m && perm_kind && !count <> 1 then ok := false;

@@ -29,13 +29,19 @@ type certificate
 (** An opaque witness (permutation / function tables). *)
 
 type entry = { efst : int; esnd : int; evalue : string }
-type cell = Blank | Val of string | Ent of entry  (** a verifier tape cell *)
 
-val codec : cell array -> cell Tape.Device.Codec.t
-(** The verifier tapes' codec, its slots sized to the largest of these
-    cells. It keeps the equality half of the {!Tape.Device.Codec}
-    contract only: equal encodings exactly for equal cells (indices in
-    the int32 range). *)
+(** A verifier tape cell. The tapes hold value ids, not values: the
+    verifier numbers the distinct strings of the input and the
+    certificate, so a cell is at most 13 bytes however long the values
+    are, and the [2m] copies of an entry take [2m] cells, not [2m]
+    copies of its value. *)
+type cell = Blank | Val of int | Ent of { efst : int; esnd : int; vid : int }
+
+val codec : cell Tape.Device.Codec.t
+(** The verifier tapes' codec: a tag byte, then the cell's ints as be32.
+    It keeps the equality half of the {!Tape.Device.Codec} contract
+    only: equal encodings exactly for equal cells (ints in the int32
+    range). *)
 
 val prove : Problems.Decide.problem -> Problems.Instance.t -> certificate option
 (** The honest prover: a witness if the instance is a yes-instance,

@@ -339,15 +339,24 @@ type manifest_entry = { mutable meta : int * int; mutable line : string }
    2-byte big-endian length, then that many stored bytes, then zeros
    up to the next slot. Length 0 means never written, so a zero-filled
    line is all blank. A mem line is never fetched or written back, so
-   its header stays zero. *)
+   its header stays zero.
+
+   A device may make its slots narrower than its codec's widest cell
+   (mem does, so that one wide cell does not widen every slot). A cell
+   too wide for its slot is kept out of line: its slot's length reads
+   [out_of_line], its payload stays zero, and its bytes are the line's
+   [wide] entry for the slot. A byte backend's slots always fit the
+   codec, so its lines never hold one. *)
 type line = {
   mutable blk : int; (* block index, -1 = empty *)
   mutable dirty : bool;
   mutable buf : Bytes.t; (* empty until the line first takes a block *)
+  mutable wide : Bytes.t array; (* out-of-line cells by slot; [||] if none *)
 }
 
 (* a slot's length prefix is 2 bytes *)
 let max_slot_payload = 0xffff
+let out_of_line = 0xffff
 let slot_size (codec : _ Codec.t) = codec.Codec.max_bytes + 2
 
 (* A device: its cells in lines of [per_block] slots of [sbytes]
@@ -358,12 +367,14 @@ let slot_size (codec : _ Codec.t) = codec.Codec.max_bytes + 2
    [line_for]'s divisions. It is valid only while the line's [blk]
    still names the block (an eviction, a prefetch or a CRC quarantine
    changes it), and it starts at block -2, which no line holds (-1
-   marks an empty one). *)
+   marks an empty one). A cell longer than [inline = sbytes - 2]
+   bytes is out of line. *)
 type 'a t = {
   kind : string;
   codec : 'a Codec.t;
   blank : 'a;
   sbytes : int;
+  inline : int;
   per_block : int;
   line_for : int -> line;
   mutable win_blk : int;
@@ -375,11 +386,12 @@ type 'a t = {
   dev_stats : unit -> stats;
 }
 
-let no_line = { blk = -1; dirty = false; buf = Bytes.empty }
+let new_line blk buf = { blk; dirty = false; buf; wide = [||] }
+let no_line = new_line (-1) Bytes.empty
 
-let make ~kind ~codec ~blank ~per_block ~line_for ~sync ~close ~stats =
-  { kind; codec; blank; sbytes = slot_size codec; per_block; line_for; win_blk = -2;
-    win_first = -2 * per_block; win_line = no_line;
+let make ~kind ~codec ~blank ~sbytes ~per_block ~line_for ~sync ~close ~stats =
+  { kind; codec; blank; sbytes; inline = sbytes - 2; per_block; line_for;
+    win_blk = -2; win_first = -2 * per_block; win_line = no_line;
     vw = { vbuf = Bytes.empty; voff = 0; vleft = 0 }; dev_sync = sync;
     dev_close = close; dev_stats = stats }
 
@@ -398,50 +410,93 @@ let[@inline] slot d i =
     frame_overhead + ((i - d.win_first) * d.sbytes)
   end
 
-(* the offset of slot [i] in [d.win_line.buf], made ready for a
-   [len]-byte payload at offset + 2: length prefix set, line dirty.
+let[@inline] check_len d len =
+  if len > d.codec.Codec.max_bytes then
+    invalid_arg (Printf.sprintf "Device.%s: encoded cell exceeds codec max_bytes" d.kind);
+  if len <= d.inline && len > max_slot_payload then
+    invalid_arg
+      (Printf.sprintf "Device.%s: encoded cell of %d bytes exceeds the %d-byte slot limit"
+         d.kind len max_slot_payload)
+
+(* Make slot [i] (in [d.win_line]) say [len], clearing what it held:
+   the payload past [len] of an inline cell, or an out-of-line cell.
    Slack past a slot's length is always zero (a fetch reads back a
    whole written frame or zeroes a blank one, a mem line starts
    zeroed, and every write keeps it so), which keeps the backing file
    deterministic: only a shrink leaves bytes to clear. *)
-let slot_for_write d i len =
-  let off = slot d i in
-  if len > d.codec.Codec.max_bytes then
-    invalid_arg (Printf.sprintf "Device.%s: encoded cell exceeds codec max_bytes" d.kind);
-  if len > max_slot_payload then
-    invalid_arg
-      (Printf.sprintf "Device.%s: encoded cell of %d bytes exceeds the %d-byte slot limit"
-         d.kind len max_slot_payload);
+let[@inline] relabel d i off len =
   let line = d.win_line in
   let old_len = Bytes.get_uint16_be line.buf off in
-  Bytes.set_uint16_be line.buf off len;
-  if old_len > len then Bytes.fill line.buf (off + 2 + len) (old_len - len) '\x00';
-  line.dirty <- true;
+  let kept = if len > d.inline then 0 else len in
+  if old_len > d.inline then line.wide.(i - d.win_first) <- Bytes.empty
+  else if old_len > kept then Bytes.fill line.buf (off + 2 + kept) (old_len - kept) '\x00';
+  Bytes.set_uint16_be line.buf off (if len > d.inline then out_of_line else len);
+  line.dirty <- true
+
+(* the offset of slot [i] in [d.win_line.buf], made ready for an
+   inline [len]-byte payload at offset + 2 *)
+let[@inline] slot_for_write d i len =
+  let off = slot d i in
+  relabel d i off len;
   off
+
+(* The out-of-line halves of the accessors (mem only), kept out of
+   them so that the inline paths stay small enough to inline. *)
+let wide d i = d.win_line.wide.(i - d.win_first)
+let get_wide d i = let b = wide d i in d.codec.Codec.value b 0 (Bytes.length b)
+
+let load_wide d i dst =
+  let b = wide d i in
+  Bytes.blit b 0 dst 0 (Bytes.length b);
+  Bytes.length b
+
+(* slot [i] now holds the out-of-line cell [b] *)
+let store_wide d i b =
+  relabel d i (slot d i) (Bytes.length b);
+  let line = d.win_line in
+  if line.wide = [||] then line.wide <- Array.make d.per_block Bytes.empty;
+  line.wide.(i - d.win_first) <- b
+
+let set_wide d i v len =
+  let b = Bytes.create len in
+  ignore (d.codec.Codec.write b 0 v);
+  store_wide d i b
 
 let get d i =
   let off = slot d i in
   let buf = d.win_line.buf in
-  match Bytes.get_uint16_be buf off with
-  | 0 -> d.blank
-  | len -> d.codec.Codec.value buf (off + 2) (off + 2 + len)
+  let len = Bytes.get_uint16_be buf off in
+  if len = 0 then d.blank
+  else if len <= d.inline then d.codec.Codec.value buf (off + 2) (off + 2 + len)
+  else get_wide d i
 
 let set d i v =
-  let off = slot_for_write d i (d.codec.Codec.size v) in
-  ignore (d.codec.Codec.write d.win_line.buf (off + 2) v)
+  let len = d.codec.Codec.size v in
+  check_len d len;
+  if len <= d.inline then begin
+    let off = slot_for_write d i len in
+    ignore (d.codec.Codec.write d.win_line.buf (off + 2) v)
+  end
+  else set_wide d i v len
 
 let load d i dst =
   let off = slot d i in
   let buf = d.win_line.buf in
-  match Bytes.get_uint16_be buf off with
-  | 0 -> d.codec.Codec.write dst 0 d.blank
-  | len ->
-      Bytes.blit buf (off + 2) dst 0 len;
-      len
+  let len = Bytes.get_uint16_be buf off in
+  if len = 0 then d.codec.Codec.write dst 0 d.blank
+  else if len <= d.inline then begin
+    Bytes.blit buf (off + 2) dst 0 len;
+    len
+  end
+  else load_wide d i dst
 
 let store d i src len =
-  let off = slot_for_write d i len in
-  Bytes.blit src 0 d.win_line.buf (off + 2) len
+  check_len d len;
+  if len <= d.inline then begin
+    let off = slot_for_write d i len in
+    Bytes.blit src 0 d.win_line.buf (off + 2) len
+  end
+  else store_wide d i (Bytes.sub src 0 len)
 
 let view d i =
   let v = d.vw and k = i - d.win_first in
@@ -462,13 +517,19 @@ let stats d = d.dev_stats ()
 (* ------------------------------------------------------------------ *)
 (* Mem: resident lines.                                                *)
 
+(* widest mem slot: a wider cell is kept out of line *)
+let mem_slot_bytes = 32
+
 (* Line [b] holds block [b], allocated when a cell of the block is
-   first touched, and stays in RAM. A line is 256 bytes at most (or
-   one slot), so a short-lived tape allocates little, and only on the
-   minor heap. *)
+   first touched, and stays in RAM. A line is 256 bytes at most, so a
+   short-lived tape allocates little, and only on the minor heap. A
+   slot is at most [mem_slot_bytes] wide, so RAM follows the bytes
+   stored: a cell longer than 30 bytes takes a slot and its own
+   bytes, however wide the codec's widest cell. *)
 let mem (type a) ~(codec : a Codec.t) ~(blank : a) : a t =
-  let per_block = max 1 ((256 - frame_overhead) / slot_size codec) in
-  let bbytes = per_block * slot_size codec in
+  let sbytes = min (slot_size codec) mem_slot_bytes in
+  let per_block = (256 - frame_overhead) / sbytes in
+  let bbytes = per_block * sbytes in
   let lines = ref [| no_line |] and held = ref 0 in
   let line_for b =
     let n = Array.length !lines in
@@ -478,13 +539,19 @@ let mem (type a) ~(codec : a Codec.t) ~(blank : a) : a t =
       lines := grown
     end;
     if !lines.(b) == no_line then begin
-      !lines.(b) <- { blk = b; dirty = false; buf = Bytes.make (frame_overhead + bbytes) '\x00' };
+      !lines.(b) <- new_line b (Bytes.make (frame_overhead + bbytes) '\x00');
       incr held
     end;
     !lines.(b)
   in
-  make ~kind:"mem" ~codec ~blank ~per_block ~line_for ~sync:ignore ~close:ignore
-    ~stats:(fun () -> { zero_stats with resident_bytes = !held * bbytes })
+  let wide_bytes () =
+    Array.fold_left
+      (fun a l -> Array.fold_left (fun a c -> a + Bytes.length c) a l.wide)
+      0 !lines
+  in
+  make ~kind:"mem" ~codec ~blank ~sbytes ~per_block ~line_for ~sync:ignore ~close:ignore
+    ~stats:(fun () ->
+      { zero_stats with resident_bytes = (!held * bbytes) + wide_bytes () })
 
 (* ------------------------------------------------------------------ *)
 (* The slot cache both byte backends keep.                             *)
@@ -507,7 +574,7 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
     ~nlines ~read_ahead ~fetch ~where ~write_back ~sync ~close ~stats : a t =
   let bbytes = per_block * slot_size codec in
   let cache =
-    Array.init nlines (fun _ -> { blk = -1; dirty = false; buf = Bytes.empty })
+    Array.init nlines (fun _ -> new_line (-1) Bytes.empty)
   in
   let flush line =
     if line.dirty then begin
@@ -568,7 +635,7 @@ let slot_cache (type a) ~kind ~(codec : a Codec.t) ~(blank : a) ~name ~per_block
   in
   (* a window hit is a hit of [line_for] on the block it last
      resolved, so it leaves the read-ahead state as it is *)
-  make ~kind ~codec ~blank ~per_block ~line_for
+  make ~kind ~codec ~blank ~sbytes:(slot_size codec) ~per_block ~line_for
     ~sync:(fun () ->
       Array.iter flush cache;
       sync ())

@@ -20,7 +20,8 @@ type stats = {
   resident_bytes : int;
       (** RAM the cells take: the lines a device holds times their
           block size (a line is allocated when it first takes a block;
-          a mem device keeps every line it takes) *)
+          a mem device keeps every line it takes), plus the bytes of
+          the cells a mem device keeps out of line *)
   io_read_bytes : int;  (** payload bytes read from backing storage *)
   io_write_bytes : int;  (** payload bytes written to backing storage *)
   backing_files : int;
@@ -156,7 +157,10 @@ end
 
 val codec : 'a t -> 'a Codec.t  (** the codec that writes the bytes *)
 
-val slot_bytes : 'a t -> int  (** [codec.max_bytes + 2]: one slot's length *)
+val slot_bytes : 'a t -> int
+(** One slot's length: [codec.max_bytes + 2] on the byte backends; on
+    mem at most 32 bytes, and a cell too wide for its slot is kept out
+    of line. *)
 
 val load : 'a t -> int -> Bytes.t -> int
 (** [load d i dst] copies cell [i]'s stored bytes to the front of [dst]
@@ -172,8 +176,10 @@ val store : 'a t -> int -> Bytes.t -> int -> unit
     resolved last: the line's slots as they stand, behind the block's
     frame header (each [slot_bytes] long: a 2-byte big-endian length,
     that many stored bytes, zeros to the slot's end; length 0 is a
-    never-written cell), the cell's slot offset in the line, and the
-    slots from the cell's to the block's end. *)
+    never-written cell, and a length over [slot_bytes - 2] an
+    out-of-line cell, whose bytes are not in the line), the cell's
+    slot offset in the line, and the slots from the cell's to the
+    block's end. *)
 type view = {
   mutable vbuf : Bytes.t;  (** the resolved block's line *)
   mutable voff : int;  (** the cell's slot offset in [vbuf] *)
@@ -193,7 +199,12 @@ val view : 'a t -> int -> view
 
 (** A backend recipe: what to build when a tape is created. *)
 type spec =
-  | Mem  (** {!mem} *)
+  | Mem
+      (** lines of slots kept in RAM: lines of at most 256 bytes, each
+          allocated when its block is first touched and kept; slots of
+          at most 32 bytes, a wider cell kept out of line in a buffer
+          of its own length, so RAM follows the bytes stored and a
+          cell has no length limit; no I/O *)
   | File of {
       dir : string;
       block_bytes : int;
@@ -221,11 +232,6 @@ val file_spec :
 val shard_spec : ?shard_bytes:int -> ?raw:raw_factory -> string -> spec
 (** Defaults: 1 MiB shards, real syscalls. A shard device always keeps
     2 shards in RAM. *)
-
-val mem : codec:'a Codec.t -> blank:'a -> 'a t
-(** An in-RAM slot store: lines of at most 256 bytes (or one slot),
-    each allocated when its block is first touched and kept; no I/O.
-    The blank must fit [codec] ({!instantiate} checks it). *)
 
 val instantiate : codec:'a Codec.t -> spec -> blank:'a -> name:string -> 'a t
 (** Build the backend a spec describes, storing cells through [codec]

@@ -131,6 +131,16 @@ let preload_init tp n f =
     preload_cell tp i (f i)
   done
 
+let preload_blit src i tp n =
+  let codec = Device.codec src.dev in
+  if codec != Device.codec tp.dev then invalid_arg "Tape.preload_blit: two codecs";
+  tp.epoch <- tp.epoch + 1;
+  let buf = Bytes.create codec.Device.Codec.max_bytes in
+  for k = 0 to n - 1 do
+    touch tp k;
+    Device.store tp.dev k buf (Device.load src.dev (i + k) buf)
+  done
+
 let preload tp items =
   tp.epoch <- tp.epoch + 1;
   List.iteri (preload_cell tp) items
@@ -380,12 +390,18 @@ let[@inline] copy_step src i dst j r =
      The step's store made [dst]'s line dirty, so one blit of their
      slots (length, bytes and zero slack) stores them as [store] would;
    - a never-written source slot (length 0) ends the span, since
-     [load] gives the blank's encoding for it, not its slot;
+     [load] gives the blank's encoding for it, not its slot; so does an
+     out-of-line slot on either tape (a mem cell too wide for its
+     slot), whose bytes are not in the line, and the span runs only
+     between devices with slots of one width;
    - [r] is left holding the span's last cell, as the loop would leave
      it, so a step that raises after a span leaves the loop's state. *)
 let copy_run src i dst j len r =
   match (src.injection, dst.injection) with
-  | None, None when Device.codec src.dev == Device.codec dst.dev && src.dev != dst.dev ->
+  | None, None
+    when Device.codec src.dev == Device.codec dst.dev
+         && src.dev != dst.dev
+         && Device.slot_bytes src.dev = Device.slot_bytes dst.dev ->
       let sb = Device.slot_bytes src.dev in
       let k = ref 0 in
       while !k < len do
@@ -394,13 +410,19 @@ let copy_run src i dst j len r =
           let sv = Device.view src.dev (i + !k) and dv = Device.view dst.dev (j + !k) in
           let m = Int.min (Int.min sv.Device.vleft dv.Device.vleft - 1) (len - 1 - !k) in
           let soff = sv.Device.voff + sb in
+          let doff = dv.Device.voff + sb in
           let n = ref 0 in
-          while !n < m && Bytes.get_uint16_be sv.Device.vbuf (soff + (!n * sb)) <> 0 do
+          while
+            !n < m
+            && (let l = Bytes.get_uint16_be sv.Device.vbuf (soff + (!n * sb)) in
+                l <> 0 && l <= sb - 2)
+            && Bytes.get_uint16_be dv.Device.vbuf (doff + (!n * sb)) <= sb - 2
+          do
             incr n
           done;
           let n = !n in
           if n > 0 then begin
-            Bytes.blit sv.Device.vbuf soff dv.Device.vbuf (dv.Device.voff + sb) (n * sb);
+            Bytes.blit sv.Device.vbuf soff dv.Device.vbuf doff (n * sb);
             (* the step's load left [r] from [src] at this epoch *)
             let last = soff + ((n - 1) * sb) in
             r.len <- Bytes.get_uint16_be sv.Device.vbuf last;

@@ -41,7 +41,7 @@ exception Budget_exceeded of string
     {!Group}'s budget. The payload describes the violated resource. *)
 
 val create : ?name:string -> codec:'a Device.Codec.t -> blank:'a -> unit -> 'a t
-(** An empty tape in RAM ({!Device.mem}), its cells stored through
+(** An empty tape in RAM ({!Device.Mem}), its cells stored through
     [codec]. [name] appears in reports and error messages. *)
 
 val of_list :
@@ -57,6 +57,13 @@ val preload : 'a t -> 'a list -> unit
 val preload_init : 'a t -> int -> (int -> 'a) -> unit
 (** [preload_init t n f] is {!preload} of [[f 0; ...; f (n-1)]] without
     building the list — fills huge external tapes cell by cell. *)
+
+val preload_blit : 'a t -> int -> 'a t -> int -> unit
+(** [preload_blit src i t n] is a {!preload} of [t]'s cells [[0, n)]
+    with cells [[i, i + n)] of [src], copied as stored bytes, so they
+    are not encoded a second time; [src]'s head and counters do not
+    change either. The two tapes share a codec, else
+    [Invalid_argument]. *)
 
 val name : 'a t -> string
 
@@ -166,14 +173,15 @@ val copy_run : 'a t -> int -> 'a t -> int -> int -> 'a register -> unit
 
     {b When it blits.} When neither tape has an injection hook, the
     two are on different devices (so [src != dst]) and share one
-    codec, the cells after the second that cross into no new block on
-    either tape, up to the next never-written source cell, are moved
-    as whole slots with one [Bytes.blit] per span, and their counts
-    are added arithmetically, and [r] takes the span's last cell. The
-    first two cells (the only ones that can turn a head), every cell
-    where either tape enters another block and every never-written
-    source cell run the loop's own step. Otherwise the whole copy is
-    that loop. *)
+    codec and slot width, the cells after the second that cross into
+    no new block on either tape, up to the next never-written source
+    cell or out-of-line cell on either tape ({!Device.slot_bytes}),
+    are moved as whole slots with one [Bytes.blit] per span, their
+    counts are added arithmetically, and [r] takes the span's last
+    cell. The first two cells (the only ones that can turn a head),
+    every cell where either tape enters another block and every cell
+    that ends a span run the loop's own step. Otherwise the whole copy
+    is that loop. *)
 
 val compare_registers : 'a register -> 'a register -> int
 (** [compare_registers a b] compares the two cells' stored bytes

@@ -344,6 +344,30 @@ let test_mem_sort_allocation () =
     (Printf.sprintf "%.0f major words < 1.25 per item (%.0f)" words bound)
     true (words < bound)
 
+(* Mem RAM follows the bytes stored, not the widest cell: one
+   4,000-bit item among 4,000 one-bit items in each half is kept out of
+   line, so what the decider leaves on the major heap (its tape lines,
+   the wide cell's copies and the halves [Instance.xs] and [ys] copy)
+   stays under 8 words an item: 41k words, against 38k when mem held
+   values, and 8.2M when every slot was as wide as the widest cell. *)
+let test_mem_skewed_words () =
+  let m = 4000 in
+  let half =
+    Array.init m (fun i ->
+        Util.Bitstring.of_string
+          (if i = 0 then String.make 4000 '1' else if i land 1 = 0 then "0" else "1"))
+  in
+  let inst = I.make half (Array.of_list (List.rev (Array.to_list half))) in
+  Gc.full_major ();
+  let _, _, major0 = Gc.counters () in
+  let ok, _ = Extsort.multiset_equality ~device:Tape.Device.Mem inst in
+  let _, _, major1 = Gc.counters () in
+  check "the instance is a yes-instance" true ok;
+  let words = major1 -. major0 and bound = 8. *. float_of_int (2 * m) in
+  check
+    (Printf.sprintf "%.0f major words < 8 per item (%.0f)" words bound)
+    true (words < bound)
+
 let test_budget_enforcement () =
   let st = Random.State.make [| 47 |] in
   let inst = G.yes_instance st D.Check_sort ~m:64 ~n:8 in
@@ -426,6 +450,7 @@ let () =
           Alcotest.test_case "set-eq decider allocation" `Quick
             (decider_allocation (fun ~device inst -> Extsort.decide ~device D.Set_equality inst));
           Alcotest.test_case "mem sort allocation" `Quick test_mem_sort_allocation;
+          Alcotest.test_case "mem skewed items" `Quick test_mem_skewed_words;
           QCheck_alcotest.to_alcotest prop_sorting_solves_checksort;
         ] );
     ]

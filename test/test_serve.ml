@@ -450,6 +450,28 @@ let test_query_problems_on_the_wire () =
   Serve.Client.close c
 
 (* ------------------------------------------------------------------ *)
+(* A mem tape stores a cell of any length: a 70,000-bit item, longer
+   than a byte backend's 65,535-byte slot, decides on every tape-based
+   pair that takes it. Relalg sizes its codec for the worst case (every
+   byte escaped), so its slots would be over the limit at about half
+   that. *)
+let test_wide_item_on_mem () =
+  let wide = Util.Bitstring.of_string (String.make 70_000 '1')
+  and short = Util.Bitstring.of_string "0" in
+  let inst = Problems.Instance.make [| wide; short |] [| short; wide |] in
+  let st = Random.State.make [| 7 |] in
+  List.iter
+    (fun (name, problem, algorithm, expected) ->
+      let r = Serve.Decider.run ~device:Tape.Device.Mem st problem algorithm inst in
+      check name expected r.Serve.Decider.verdict)
+    [
+      ("sort multiset-eq", F.Core D.Multiset_equality, F.Sort, true);
+      ("sort check-sort", F.Core D.Check_sort, F.Sort, true);
+      ("nst set-eq", F.Core D.Set_equality, F.Nst, true);
+      ("relalg-symdiff", F.Relalg_symdiff, F.Sort, true);
+      ("xpath-filter", F.Xpath_filter, F.Sort, false);
+    ]
+
 (* the decider table, called directly *)
 
 let test_decider_table () =
@@ -836,6 +858,7 @@ let () =
         [
           Alcotest.test_case "all 20 problem x algorithm pairs" `Quick
             test_decider_table;
+          Alcotest.test_case "a 70,000-bit item on mem" `Quick test_wide_item_on_mem;
         ] );
       ( "backpressure",
         [
